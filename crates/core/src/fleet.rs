@@ -4,23 +4,32 @@
 //! where "vehicles on adjacent districts or crowded zones can keep
 //! connection for a longer duration, thereby enhancing cooperative
 //! sensing" (§II-A). This module provides the time-stepped multi-vehicle
-//! loop behind that vision: every step, each vehicle scans, broadcasts
-//! an ROI-filtered exchange packet to every cooperator within radio
-//! range, fuses what it received and runs detection — while the
-//! simulation tracks per-pair connection durations and exchanged bytes.
+//! loop behind that vision: every step, each vehicle scans, offers its
+//! frame to every cooperator within radio range, fuses what it received
+//! and runs detection — while the simulation tracks per-pair connection
+//! durations and exchanged bytes.
+//!
+//! There is one exchange path. Per directed transfer a
+//! [`GovernorPolicy`] picks what to send from the sender's candidate
+//! menu (ROI × frame kind, optionally feature frames). A plain
+//! [`FleetSimulation::run`] is the governed run under
+//! [`SendFirstPolicy`] with delta encoding and features off: the full
+//! frame, as wire-format v1, to everyone in range.
 //!
 //! # Execution model
 //!
 //! Each step runs as three phases with barriers between them:
 //!
-//! 1. **Scan/encode (parallel)** — per vehicle: LiDAR scan, pose
-//!    measurement, ROI filter, packet build. Independent across
+//! 1. **Scan/prepare (parallel)** — per vehicle: LiDAR scan, pose
+//!    measurement, blind sectors, sender codec state, probe encode and
+//!    the candidate menu priced by point count. Independent across
 //!    vehicles, mapped over a [`cooper_exec::Executor`].
-//! 2. **Exchange (serial)** — connection tracking and per-transfer
-//!    delivery decisions through the [`ChannelModel`]. Serial by
-//!    design: a shared medium's answer for one transfer depends on
-//!    every transfer before it, so delivery must observe one global
-//!    order (step, then receiver id, then sender order).
+//! 2. **Exchange (serial)** — connection tracking, air-time pricing,
+//!    the policy's choice and per-transfer delivery decisions through
+//!    the [`ChannelModel`]. Serial by design: a shared medium's answer
+//!    for one transfer depends on every transfer before it, so delivery
+//!    must observe one global order (step, then receiver id, then
+//!    sender order).
 //! 3. **Fuse/detect (parallel)** — per vehicle: fuse the delivered
 //!    packets and run SPOD, again mapped over the executor.
 //!
@@ -31,6 +40,7 @@
 //! generator, so no vehicle's draw depends on who computed before it.
 
 use std::collections::BTreeMap;
+use std::sync::{Mutex, OnceLock};
 
 use cooper_exec::Executor;
 use cooper_geometry::{GpsFix, Pose, RigidTransform, Vec3};
@@ -51,7 +61,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::channel::{ChannelModel, Delivery, PerfectChannel, TransferCtx};
 use crate::consistency::{check_consistency, ConsistencyConfig, FreeSpaceIndex, SenderHistory};
-use crate::governor::{GovernorConfig, GovernorPolicy, GovernorVerdict, TransferCandidate};
+use crate::governor::{
+    GovernorConfig, GovernorPolicy, GovernorVerdict, SendFirstPolicy, TransferCandidate,
+};
 use crate::tracking::{Tracker, TrackerStepSummary};
 use crate::trust::{TrustConfig, TrustLedger, TrustTransition, TrustVehicleStats};
 use crate::{
@@ -93,8 +105,6 @@ impl FleetVehicle {
 pub struct FleetConfig {
     /// Vehicles exchange only when within this planar distance.
     pub comms_range_m: f64,
-    /// ROI category applied to broadcast frames.
-    pub roi: RoiCategory,
     /// GPS/IMU model producing the exchanged pose estimates.
     pub sensor_model: GpsImuModel,
     /// GPS anchor of the shared frame.
@@ -155,7 +165,6 @@ impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             comms_range_m: 150.0,
-            roi: RoiCategory::FullFrame,
             sensor_model: GpsImuModel::realistic(),
             origin: GpsFix::new(33.2075, -97.1526, 190.0),
             seed: 0,
@@ -201,34 +210,6 @@ fn stream_seed(seed: u64, vehicle_id: u32, step: usize, salt: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Applies the trust layer's CRC trailer and any active at-source
-/// corruption fault to an outgoing packet, in that order — flips land
-/// *after* the checksum is computed, so a corrupting sender's frames
-/// fail the receiver's integrity check instead of carrying a fresh
-/// valid CRC over garbage.
-fn finalize_tx_packet(
-    packet: ExchangePacket,
-    trust_on: bool,
-    corrupt_rate: f64,
-    seed: u64,
-    vehicle_id: u32,
-    step: usize,
-) -> Result<ExchangePacket, CooperError> {
-    let packet = if trust_on {
-        packet.with_integrity()?
-    } else {
-        packet
-    };
-    if corrupt_rate > 0.0 {
-        Ok(packet.with_flipped_payload_bytes(
-            corrupt_rate,
-            stream_seed(seed, vehicle_id, step, TX_CORRUPT_STREAM),
-        ))
-    } else {
-        Ok(packet)
-    }
 }
 
 /// Per-vehicle outcome of one step.
@@ -349,6 +330,79 @@ impl TransportDropReason {
             _ => 0.0,
         }
     }
+
+    /// The trace stage a transfer dropped for this reason ends in: its
+    /// terminal stage, except for a salvaged partial delivery, whose
+    /// chain continues into fusion.
+    pub fn trace_stage(&self) -> &'static str {
+        self.telemetry().0
+    }
+
+    /// The one table behind [`reject`]: trace stage and counter per
+    /// reason. Alignment rejections are counted by the pipeline's guard.
+    fn telemetry(&self) -> (&'static str, Option<&'static str>) {
+        use telemetry_names as n;
+        match self {
+            TransportDropReason::DeadlineExceeded => {
+                (trace_stage::DEADLINE_EXCEEDED, Some(n::FLEET_DEADLINE_MISS))
+            }
+            TransportDropReason::PartialDelivery { .. } => {
+                (trace_stage::SALVAGED, Some(n::FLEET_PARTIAL_SALVAGED))
+            }
+            TransportDropReason::SalvageFailed { .. } => {
+                (trace_stage::SALVAGE_FAILED, Some(n::FLEET_SALVAGE_FAILED))
+            }
+            TransportDropReason::BudgetExceeded => {
+                (trace_stage::GOVERN_SKIP, Some(n::FLEET_BUDGET_SKIP))
+            }
+            TransportDropReason::AlignmentRejected { .. } => (trace_stage::ALIGN_REJECTED, None),
+            TransportDropReason::Corrupted => (
+                trace_stage::V2X_CORRUPTED,
+                Some(n::V2X_INTEGRITY_CORRUPTED_FRAMES),
+            ),
+            TransportDropReason::IntegrityFailed => (
+                trace_stage::INTEGRITY_FAILED,
+                Some(n::V2X_INTEGRITY_CRC_FAIL),
+            ),
+            TransportDropReason::Quarantined => {
+                (trace_stage::QUARANTINED, Some(n::TRUST_BLOCKED_TRANSFERS))
+            }
+            TransportDropReason::ConsistencyRejected { .. } => (
+                trace_stage::CONSISTENCY_REJECTED,
+                Some(n::GUARD_CONSISTENCY_REJECTS),
+            ),
+        }
+    }
+}
+
+/// Records one degraded transfer: bumps its reason's counter, marks its
+/// trace stage (with the residual or ghost-point detail where the
+/// reason carries one) and appends the report entry.
+fn reject(
+    drops: &mut Vec<TransportDrop>,
+    step: usize,
+    from: u32,
+    to: u32,
+    reason: TransportDropReason,
+) {
+    let (stage, counter) = reason.telemetry();
+    if let Some(counter) = counter {
+        if cooper_telemetry::is_enabled() {
+            cooper_telemetry::counter_add(counter, 1);
+        }
+    }
+    let trace = TraceId::new(step, from, to);
+    let terminal = !matches!(reason, TransportDropReason::PartialDelivery { .. });
+    let detail = match reason {
+        TransportDropReason::AlignmentRejected { residual_mm } => Some(residual_mm),
+        TransportDropReason::ConsistencyRejected { ghost_points } => Some(ghost_points),
+        _ => None,
+    };
+    match detail {
+        Some(detail) => cooper_telemetry::trace_mark_with(trace, stage, terminal, detail.into()),
+        None => cooper_telemetry::trace_mark(trace, stage, terminal),
+    }
+    drops.push(TransportDrop { from, to, reason });
 }
 
 /// One degraded transfer of a step: who was sending to whom, and what
@@ -442,11 +496,12 @@ pub struct FleetStats {
     pub connection_steps: BTreeMap<(u32, u32), usize>,
     /// Total exchange bytes moved over the whole run.
     pub total_bytes: u64,
-    /// Per sending vehicle, wire bytes the bandwidth governor avoided
-    /// putting on the air relative to an ungoverned v1 full-frame
-    /// exchange — ROI narrowing, delta encoding and budget skips all
-    /// count. Empty for ungoverned runs. Ordered map, so iteration is
-    /// deterministic.
+    /// Per sending vehicle, wire bytes the governor policy avoided
+    /// putting on the air relative to sending the v1 full frame — ROI
+    /// narrowing, delta encoding and budget skips all count. Only
+    /// non-zero savings are recorded, so it is empty for a full-frame
+    /// broadcast ([`FleetSimulation::run`]). Ordered map, so iteration
+    /// is deterministic.
     pub bytes_saved: BTreeMap<u32, u64>,
     /// Per receiving vehicle, what its alignment guard concluded over
     /// the whole run. Empty when the pipeline has no guard (or nothing
@@ -551,35 +606,23 @@ pub struct FleetSimulation {
 }
 
 /// What phase 1 produces per vehicle: the raw scan, the true pose, the
-/// measured pose estimate, the broadcast packet (`None` when encoding
-/// failed, or always in governed mode where packets are built per
-/// transfer in phase 2) and, in governed mode, the vehicle's blind
-/// sectors (its demand as a receiver).
+/// measured pose estimate, the vehicle's blind sectors (its demand as a
+/// receiver) and its offer as a sender.
 struct Broadcast {
     scan: PointCloud,
     pose: Pose,
     estimate: PoseEstimate,
-    /// Frame stamp the vehicle puts on its packets — the current step,
-    /// unless a stale-scan fault re-stamped it.
+    /// Frame stamp of the honest capture — the current step, unless a
+    /// stale-scan fault re-stamped it.
     stamp: u32,
-    packet: Option<ExchangePacket>,
     blind: Vec<BlindSector>,
-    /// ROI-filtered quantized BEV feature frames per [`roi_index`],
-    /// prepared in phase 1 when the governed config enables the feature
-    /// tier ([`GovernorConfig::features`]); `None` otherwise.
-    feature_frames: [Option<FeatureFrame>; 3],
     /// The scan as the vehicle *transmits* it, when adversarial fault
     /// kinds made it diverge from [`Broadcast::scan`]: a replayed
     /// capture, ghost clusters appended, or both. `None` = honest.
     tx_scan: Option<PointCloud>,
-    /// Estimate attached to outgoing packets (the replayed capture's
-    /// under [`cooper_lidar_sim::FaultKind::ScanReplay`]).
-    tx_estimate: PoseEstimate,
-    /// Stamp attached to outgoing packets.
-    tx_stamp: u32,
-    /// At-source payload bit-flip rate applied to outgoing packets;
-    /// zero when no corruption fault is active.
-    tx_corrupt_rate: f64,
+    /// `None` when the probe encode failed (broken pose estimate): the
+    /// vehicle sends nothing this step.
+    frame: Option<SenderFrame>,
 }
 
 impl Broadcast {
@@ -623,45 +666,151 @@ enum PerceiveTaskOutput {
     },
 }
 
-/// Per-vehicle transmit-side codec state of a governed run: the static
-/// background map and the keyframe/delta reference, both persistent
-/// across steps.
+/// Per-vehicle transmit-side codec state of a delta-encoding run: the
+/// static background map and the keyframe/delta reference, both
+/// persistent across steps.
 struct TxCodecState {
     map: StaticMap,
     enc: DeltaEncoder,
 }
 
-/// The mutable state of a governed exchange, threaded through
-/// [`FleetSimulation::run_loop`].
-struct GovernedLoop<'a> {
-    policy: &'a mut dyn GovernorPolicy,
-    config: GovernorConfig,
-    /// Indexed like `vehicles`.
-    tx_states: Vec<TxCodecState>,
-    /// Per receiver index, one stateful wire-format decoder per sender
-    /// id — reconstructs delta streams back into full clouds.
-    rx_decoders: Vec<BTreeMap<u32, DeltaDecoder>>,
-}
-
-/// One sender's prepared content for a governed step: the candidate
-/// menu plus lazily built packets.
+/// One sender's offer for a step, prepared in parallel phase 1: its
+/// content, the candidate menu priced by point count, and the packets
+/// phase 2 builds on first use.
 struct SenderFrame {
-    /// `false` when the probe build failed (broken pose estimate): the
-    /// sender broadcasts nothing this step.
-    ok: bool,
+    vehicle_id: u32,
+    /// Stamp attached to outgoing packets.
+    stamp: u32,
+    /// Estimate attached to outgoing packets (the replayed capture's
+    /// under [`cooper_lidar_sim::FaultKind::ScanReplay`]).
+    estimate: PoseEstimate,
+    /// CRC-frame every packet (trust layer on).
+    integrity: bool,
+    /// At-source payload bit-flip rate applied to outgoing packets;
+    /// zero when no corruption fault is active.
+    corrupt_rate: f64,
+    /// Seed of the at-source bit-flip stream.
+    corrupt_seed: u64,
     keyframe_due: bool,
-    background_subtracted: bool,
-    /// Wire size of the ungoverned v1 full-frame packet — the baseline
+    /// Delta-encoding content: the background-subtracted scan and its
+    /// novel points against the last keyframe, both sent as v2. `None`
+    /// sends the transmitted scan as v1 keyframes.
+    delta: Option<(PointCloud, PointCloud)>,
+    /// Wire size of the v1 full-frame packet — the baseline
     /// `bytes_saved` is measured against.
     baseline_bytes: usize,
-    /// ROI-filtered content per `[roi_index][kind_index]`.
-    clouds: [[Option<PointCloud>; 2]; 3],
-    /// Packets built on first use per `[roi_index][kind_index]`.
-    packets: [[Option<ExchangePacket>; 2]; 3],
-    /// Feature-tier (v3) packets built on first use per `[roi_index]`;
-    /// their content lives in [`Broadcast::feature_frames`].
-    feature_packets: [Option<ExchangePacket>; 3],
+    /// ROI-filtered quantized BEV feature frames per [`roi_index`] when
+    /// the feature tier is on ([`GovernorConfig::features`]).
+    feature_frames: [Option<FeatureFrame>; 3],
+    /// The menu; `airtime_s` is priced serially in phase 2.
     candidates: Vec<TransferCandidate>,
+    /// Packets built on first use per `[roi_index][kind_index]`.
+    packets: [[OnceLock<ExchangePacket>; 3]; 3],
+}
+
+impl SenderFrame {
+    /// The point content of `kind`, before ROI filtering.
+    fn content<'a>(&'a self, tx_scan: &'a PointCloud, kind: FrameKind) -> &'a PointCloud {
+        match (&self.delta, kind) {
+            (Some((_, novel)), FrameKind::Delta) => novel,
+            (Some((foreground, _)), _) => foreground,
+            (None, _) => tx_scan,
+        }
+    }
+
+    /// Prices the menu by point count: every ROI at each offered point
+    /// kind, then the feature frames. Feature candidates ride at the
+    /// end, so a policy indexing the raw ladder (such as
+    /// [`SendFirstPolicy`]) is unaffected unless it asks for them.
+    fn price(&mut self, tx_scan: &PointCloud, crc_bytes: usize) {
+        let kinds: &[FrameKind] = match (&self.delta, self.keyframe_due) {
+            (None, _) => &[FrameKind::Keyframe],
+            (Some(_), true) => &[FrameKind::Keyframe, FrameKind::Delta],
+            (Some(_), false) => &[FrameKind::Delta],
+        };
+        let mut candidates = Vec::new();
+        for &kind in kinds {
+            let content = self.content(tx_scan, kind);
+            for roi in RoiCategory::ALL {
+                let points = content.iter().filter(|p| roi.contains(p)).count();
+                candidates.push(TransferCandidate {
+                    roi,
+                    kind,
+                    wire_bytes: ExchangePacket::wire_size_for(points) + crc_bytes,
+                    airtime_s: None,
+                });
+            }
+        }
+        for (roi, ff) in RoiCategory::ALL.into_iter().zip(&self.feature_frames) {
+            if let Some(ff) = ff {
+                candidates.push(TransferCandidate {
+                    roi,
+                    kind: FrameKind::Features,
+                    wire_bytes: ExchangePacket::wire_size_for_features(ff.len(), ff.channels())
+                        + crc_bytes,
+                    airtime_s: None,
+                });
+            }
+        }
+        self.candidates = candidates;
+    }
+
+    /// Encodes one candidate, then applies the CRC trailer and any
+    /// at-source corruption, in that order — flips land *after* the
+    /// checksum, so a corrupting sender's frames fail the receiver's
+    /// integrity check instead of carrying a fresh valid CRC over
+    /// garbage.
+    fn build(
+        &self,
+        tx_scan: &PointCloud,
+        roi: RoiCategory,
+        kind: FrameKind,
+    ) -> Result<ExchangePacket, CooperError> {
+        let (id, stamp, estimate) = (self.vehicle_id, self.stamp, self.estimate);
+        let packet = if kind == FrameKind::Features {
+            let ff = self.feature_frames[roi_index(roi)]
+                .as_ref()
+                .expect("feature candidates are offered only for prepared frames");
+            ExchangePacket::build_features(id, stamp, ff, estimate)?
+        } else {
+            let content = self.content(tx_scan, kind);
+            let roi_cloud;
+            let cloud = if roi == RoiCategory::FullFrame {
+                content
+            } else {
+                roi_cloud = extract_roi(content, roi);
+                &roi_cloud
+            };
+            // Without delta content a frame carries no v2 flag, so it
+            // goes on the wire as v1 and receivers fuse it as it is.
+            if self.delta.is_some() {
+                ExchangePacket::build_v2(id, stamp, cloud, estimate, kind, true)?
+            } else {
+                ExchangePacket::build(id, stamp, cloud, estimate)?
+            }
+        };
+        let packet = if self.integrity {
+            packet.with_integrity()?
+        } else {
+            packet
+        };
+        Ok(if self.corrupt_rate > 0.0 {
+            packet.with_flipped_payload_bytes(self.corrupt_rate, self.corrupt_seed)
+        } else {
+            packet
+        })
+    }
+
+    /// The packet for a chosen candidate, built on first use and shared
+    /// by every receiver sent the same candidate.
+    fn packet(&self, tx_scan: &PointCloud, chosen: &TransferCandidate) -> ExchangePacket {
+        self.packets[roi_index(chosen.roi)][kind_index(chosen.kind)]
+            .get_or_init(|| {
+                self.build(tx_scan, chosen.roi, chosen.kind)
+                    .expect("every candidate of a probed frame encodes")
+            })
+            .clone()
+    }
 }
 
 fn roi_index(roi: RoiCategory) -> usize {
@@ -676,16 +825,12 @@ fn kind_index(kind: FrameKind) -> usize {
     match kind {
         FrameKind::Keyframe => 0,
         FrameKind::Delta => 1,
-        FrameKind::Features => {
-            unreachable!("feature frames are stored per ROI, outside the point kind arrays")
-        }
+        FrameKind::Features => 2,
     }
 }
 
-/// The mutable per-step outputs phase 2 writes, bundled so the governed
-/// and ungoverned exchange paths share one signature.
+/// The mutable state phase 2 writes.
 struct ExchangeOutputs<'a> {
-    encode_drops: &'a mut Vec<EncodeDrop>,
     inboxes: &'a mut [Vec<ExchangePacket>],
     /// Parallel to `inboxes`: `true` when the entry was reconstructed
     /// from a delta stream and therefore mixes points captured at the
@@ -697,6 +842,9 @@ struct ExchangeOutputs<'a> {
     partial_counts: &'a mut [usize],
     transport_drops: &'a mut Vec<TransportDrop>,
     stats: &'a mut FleetStats,
+    /// Per receiver index, one stateful wire-format decoder per sender
+    /// id — reconstructs delta streams back into full clouds.
+    rx_decoders: &'a mut [BTreeMap<u32, DeltaDecoder>],
 }
 
 impl FleetSimulation {
@@ -753,23 +901,32 @@ impl FleetSimulation {
     /// Delivery is consulted serially in deterministic order — by
     /// step, then receiver id order, then sender order — so stateful
     /// channels see the same sequence at any thread count.
+    ///
+    /// Every vehicle sends its full frame, as wire-format v1, to every
+    /// cooperator in range: this is [`FleetSimulation::run_governed`]
+    /// under [`SendFirstPolicy`] with delta encoding and the feature
+    /// tier off.
     pub fn run_with_channel(
         &self,
         pipeline: &CooperPipeline,
         steps: usize,
         channel: &mut dyn ChannelModel,
     ) -> (Vec<FleetStepReport>, FleetStats) {
-        self.run_loop(pipeline, steps, channel, None)
+        let full_frame = GovernorConfig {
+            delta_encode: false,
+            features: false,
+            ..GovernorConfig::default()
+        };
+        self.run_governed(pipeline, steps, channel, &mut SendFirstPolicy, &full_frame)
     }
 
-    /// Like [`FleetSimulation::run_with_channel`], with phase-2 delivery
-    /// governed by a [`GovernorPolicy`]: instead of broadcasting one
-    /// pre-built ROI packet to every cooperator, each directed transfer
-    /// offers the policy a menu of encodings — ROI category × frame
-    /// kind, priced in wire bytes and air time — together with the
-    /// receiver's blind sectors and the channel's remaining air-time
-    /// headroom. The policy picks one (or skips, recorded as a
-    /// [`TransportDropReason::BudgetExceeded`]).
+    /// Like [`FleetSimulation::run_with_channel`], with a
+    /// [`GovernorPolicy`] choosing what each directed transfer carries:
+    /// the policy is offered the sender's menu of encodings — ROI
+    /// category × frame kind, priced in wire bytes and air time —
+    /// together with the receiver's blind sectors and the channel's
+    /// remaining air-time headroom. It picks one (or skips, recorded as
+    /// a [`TransportDropReason::BudgetExceeded`]).
     ///
     /// With [`GovernorConfig::delta_encode`] enabled, senders maintain a
     /// [`StaticMap`] and keyframe/delta reference across steps and
@@ -777,7 +934,7 @@ impl FleetSimulation {
     /// against the last keyframe on a [`GovernorConfig::keyframe_every`]
     /// cadence); receivers reconstruct the stream with per-sender
     /// [`DeltaDecoder`] state before fusion. Bytes avoided relative to
-    /// the ungoverned v1 full-frame exchange accumulate per sender in
+    /// sending the v1 full frame accumulate per sender in
     /// [`FleetStats::bytes_saved`].
     ///
     /// The determinism contract holds: the policy is consulted serially
@@ -798,31 +955,7 @@ impl FleetSimulation {
         if let Err(message) = governor.validate() {
             panic!("invalid governor config: {message}");
         }
-        let governed = GovernedLoop {
-            policy,
-            config: governor.clone(),
-            tx_states: self
-                .vehicles
-                .iter()
-                .map(|_| TxCodecState {
-                    map: StaticMap::new(governor.grid, governor.static_threshold),
-                    enc: DeltaEncoder::new(governor.grid, governor.keyframe_every),
-                })
-                .collect(),
-            rx_decoders: self.vehicles.iter().map(|_| BTreeMap::new()).collect(),
-        };
-        self.run_loop(pipeline, steps, channel, Some(governed))
-    }
-
-    fn run_loop(
-        &self,
-        pipeline: &CooperPipeline,
-        steps: usize,
-        channel: &mut dyn ChannelModel,
-        mut governed: Option<GovernedLoop<'_>>,
-    ) -> (Vec<FleetStepReport>, FleetStats) {
         let _run_span = cooper_telemetry::span!(telemetry_names::SPAN_FLEET_RUN);
-        let governed_cfg = governed.as_ref().map(|g| g.config.clone());
         let injector = self
             .config
             .fault_plan
@@ -842,6 +975,13 @@ impl FleetSimulation {
             }
         }
         let trust_guard = self.config.trust;
+        // With the trust layer on, every candidate carries a CRC-32
+        // trailer; price it so the wire-size assertion in phase 2 holds.
+        let crc_bytes = if trust_guard.is_some() {
+            CRC_TRAILER_BYTES
+        } else {
+            0
+        };
         let executor = Executor::new(self.config.threads);
         let mut reports = Vec::with_capacity(steps);
         let mut stats = FleetStats::default();
@@ -874,13 +1014,31 @@ impl FleetSimulation {
         } else {
             Vec::new()
         };
+        // Delta-encoding codec state: one lock per sender, taken only by
+        // its own phase-1 task; the receivers' decoders advance serially
+        // in phase 2.
+        let tx_codecs: Vec<Mutex<TxCodecState>> = if governor.delta_encode {
+            self.vehicles
+                .iter()
+                .map(|_| {
+                    Mutex::new(TxCodecState {
+                        map: StaticMap::new(governor.grid, governor.static_threshold),
+                        enc: DeltaEncoder::new(governor.grid, governor.keyframe_every),
+                    })
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let mut rx_decoders: Vec<BTreeMap<u32, DeltaDecoder>> =
+            self.vehicles.iter().map(|_| BTreeMap::new()).collect();
 
         for step in 0..steps {
             let _step_span = cooper_telemetry::span!(telemetry_names::SPAN_FLEET_STEP);
             let mut timings = StepTimings::default();
 
             // Phase 1 (parallel): every vehicle scans, measures its
-            // pose and builds its broadcast packet.
+            // pose and prepares its offer as a sender.
             let scan_start = std::time::Instant::now();
             let phase1: Vec<(Broadcast, Option<EncodeDrop>)> = {
                 let _scan_span = cooper_telemetry::span!(telemetry_names::SPAN_FLEET_SCAN);
@@ -943,120 +1101,106 @@ impl FleetSimulation {
                             tx_scan = Some(cloud);
                         }
                     }
-                    let tx_corrupt_rate = scan_faults.corrupt_rate;
-                    if let Some(gcfg) = &governed_cfg {
-                        // Governed mode: packets are built per transfer
-                        // in phase 2; phase 1 computes this vehicle's
-                        // receive-side demand instead — plus, with the
-                        // feature tier enabled, the SPOD front half over
-                        // its own scan, ROI-clipped per wedge so phase 2
-                        // only has to price and wrap the frames.
-                        let blind = blind_sectors(
-                            &scan,
-                            gcfg.blind_bins,
-                            gcfg.occluder_range_m,
-                            gcfg.min_sector_width_rad,
-                            gcfg.ground_z_below_m,
+                    // Receive-side demand: the vehicle's blind sectors.
+                    let blind = blind_sectors(
+                        &scan,
+                        governor.blind_bins,
+                        governor.occluder_range_m,
+                        governor.min_sector_width_rad,
+                        governor.ground_z_below_m,
+                    );
+                    // Send side. All content flows from the *transmitted*
+                    // scan — an adversarial sender's codec state and
+                    // features track what it puts on the air, not what
+                    // it saw.
+                    let tx = tx_scan.as_ref().unwrap_or(&scan);
+                    let feature_frames = if governor.features {
+                        // Sequential internals: the per-vehicle fan-out
+                        // of phase 1 already saturates the workers,
+                        // exactly like phase 3.
+                        let bev = pipeline.detector().featurize_with(
+                            tx,
+                            &DetectOptions::default().with_executor(Executor::sequential()),
+                            &mut DetectScratch::new(),
                         );
-                        let feature_frames = if gcfg.features {
-                            // Sequential internals: the per-vehicle
-                            // fan-out of phase 1 already saturates the
-                            // workers, exactly like phase 3. Features
-                            // describe what the vehicle *transmits*, so
-                            // an adversarial tx scan is featurized too.
-                            let bev = pipeline.detector().featurize_with(
-                                tx_scan.as_ref().unwrap_or(&scan),
-                                &DetectOptions::default().with_executor(Executor::sequential()),
-                                &mut DetectScratch::new(),
-                            );
-                            let grid = &pipeline.detector().config().voxel_grid;
-                            [
-                                RoiCategory::FullFrame,
-                                RoiCategory::FrontFov120,
-                                RoiCategory::ForwardOneWay,
-                            ]
+                        let grid = &pipeline.detector().config().voxel_grid;
+                        RoiCategory::ALL
                             .map(|roi| Some(filter_bev_roi(&bev, grid, roi).to_feature_frame()))
+                    } else {
+                        Default::default()
+                    };
+                    let mut frame = SenderFrame {
+                        vehicle_id: v.id,
+                        stamp: tx_stamp,
+                        estimate: tx_estimate,
+                        integrity: trust_guard.is_some(),
+                        corrupt_rate: scan_faults.corrupt_rate,
+                        corrupt_seed: stream_seed(self.config.seed, v.id, step, TX_CORRUPT_STREAM),
+                        keyframe_due: true,
+                        delta: None,
+                        baseline_bytes: ExchangePacket::wire_size_for(tx.len()) + crc_bytes,
+                        feature_frames,
+                        candidates: Vec::new(),
+                        packets: Default::default(),
+                    };
+                    if let Some(codec) = tx_codecs.get(idx) {
+                        let mut state = codec
+                            .lock()
+                            .expect("a codec lock is poisoned only by a panicked phase-1 task");
+                        state.map.observe(tx);
+                        let foreground = state.map.subtract_background(tx);
+                        frame.keyframe_due = state.enc.keyframe_due();
+                        let novel = state.enc.novel_points(&foreground);
+                        if frame.keyframe_due {
+                            state.enc.note_keyframe(&foreground);
                         } else {
-                            Default::default()
-                        };
-                        return (
-                            Broadcast {
-                                scan,
-                                pose,
-                                estimate,
-                                stamp,
-                                packet: None,
-                                blind,
-                                feature_frames,
-                                tx_scan,
-                                tx_estimate,
-                                tx_stamp,
-                                tx_corrupt_rate,
-                            },
-                            None,
-                        );
+                            state.enc.note_delta();
+                        }
+                        frame.delta = Some((foreground, novel));
                     }
-                    let roi_scan = extract_roi(tx_scan.as_ref().unwrap_or(&scan), self.config.roi);
-                    let built = ExchangePacket::build(v.id, tx_stamp, &roi_scan, tx_estimate)
-                        .and_then(|packet| {
-                            finalize_tx_packet(
-                                packet,
-                                trust_guard.is_some(),
-                                tx_corrupt_rate,
-                                self.config.seed,
-                                v.id,
-                                step,
-                            )
-                        });
-                    match built {
-                        Ok(packet) => (
-                            Broadcast {
-                                scan,
-                                pose,
-                                estimate,
-                                stamp,
-                                packet: Some(packet),
-                                blind: Vec::new(),
-                                feature_frames: Default::default(),
-                                tx_scan,
-                                tx_estimate,
-                                tx_stamp,
-                                tx_corrupt_rate,
-                            },
-                            None,
-                        ),
-                        Err(error) => {
-                            if cooper_telemetry::is_enabled() {
-                                cooper_telemetry::counter_add(
-                                    &format!(
-                                        "{}{}",
-                                        telemetry_names::FLEET_ENCODE_DROP_PREFIX,
-                                        error.kind()
-                                    ),
-                                    1,
-                                );
+                    // The probe build catches a broken pose estimate (or
+                    // out-of-range coordinates) once per sender per step;
+                    // every candidate is a subset of this content, so if
+                    // the probe encodes, they all do.
+                    let (frame, encode_drop) =
+                        match frame.build(tx, RoiCategory::FullFrame, FrameKind::Keyframe) {
+                            Ok(probe) => {
+                                frame.price(tx, crc_bytes);
+                                if frame.keyframe_due {
+                                    frame.packets[0][0] = OnceLock::from(probe);
+                                }
+                                (Some(frame), None)
                             }
-                            (
-                                Broadcast {
-                                    scan,
-                                    pose,
-                                    estimate,
-                                    stamp,
-                                    packet: None,
-                                    blind: Vec::new(),
-                                    feature_frames: Default::default(),
-                                    tx_scan,
-                                    tx_estimate,
-                                    tx_stamp,
-                                    tx_corrupt_rate,
-                                },
-                                Some(EncodeDrop {
+                            Err(error) => {
+                                if cooper_telemetry::is_enabled() {
+                                    cooper_telemetry::counter_add(
+                                        &format!(
+                                            "{}{}",
+                                            telemetry_names::FLEET_ENCODE_DROP_PREFIX,
+                                            error.kind()
+                                        ),
+                                        1,
+                                    );
+                                }
+                                let drop = EncodeDrop {
                                     vehicle_id: v.id,
                                     kind: error.kind().to_string(),
-                                }),
-                            )
-                        }
-                    }
+                                };
+                                (None, Some(drop))
+                            }
+                        };
+                    (
+                        Broadcast {
+                            scan,
+                            pose,
+                            estimate,
+                            stamp,
+                            blind,
+                            tx_scan,
+                            frame,
+                        },
+                        encode_drop,
+                    )
                 })
             };
             let mut broadcasts = Vec::with_capacity(phase1.len());
@@ -1110,39 +1254,26 @@ impl FleetSimulation {
                     }
                 }
                 let ledger = trust_guard.is_some().then_some(&trust_ledger);
-                if let Some(g) = governed.as_mut() {
-                    self.exchange_governed(
-                        step,
-                        channel,
-                        ledger,
-                        g,
-                        &broadcasts,
-                        ExchangeOutputs {
-                            encode_drops: &mut encode_drops,
-                            inboxes: &mut inboxes,
-                            composite: &mut inbox_composite,
-                            bytes_received: &mut bytes_received,
-                            partial_counts: &mut partial_counts,
-                            transport_drops: &mut transport_drops,
-                            stats: &mut stats,
-                        },
-                    );
-                } else {
-                    self.exchange_ungoverned(
-                        step,
-                        channel,
-                        ledger,
-                        &broadcasts,
-                        ExchangeOutputs {
-                            encode_drops: &mut encode_drops,
-                            inboxes: &mut inboxes,
-                            composite: &mut inbox_composite,
-                            bytes_received: &mut bytes_received,
-                            partial_counts: &mut partial_counts,
-                            transport_drops: &mut transport_drops,
-                            stats: &mut stats,
-                        },
-                    );
+                self.exchange(
+                    step,
+                    channel,
+                    policy,
+                    ledger,
+                    &mut broadcasts,
+                    ExchangeOutputs {
+                        inboxes: &mut inboxes,
+                        composite: &mut inbox_composite,
+                        bytes_received: &mut bytes_received,
+                        partial_counts: &mut partial_counts,
+                        transport_drops: &mut transport_drops,
+                        stats: &mut stats,
+                        rx_decoders: &mut rx_decoders,
+                    },
+                );
+                // The offers are spent: free the senders' content before
+                // the perceive phase's memory peak.
+                for b in &mut broadcasts {
+                    b.frame = None;
                 }
             }
             timings.exchange_us = exchange_start.elapsed().as_micros() as u64;
@@ -1276,29 +1407,19 @@ impl FleetSimulation {
                                 let ghost_points = verdict.ghost_points();
                                 if cooper_telemetry::is_enabled() {
                                     cooper_telemetry::counter_add(
-                                        telemetry_names::GUARD_CONSISTENCY_REJECTS,
-                                        1,
-                                    );
-                                    cooper_telemetry::counter_add(
                                         telemetry_names::GUARD_CONSISTENCY_GHOST_POINTS,
                                         ghost_points as u64,
                                     );
                                 }
-                                if cooper_telemetry::is_tracing() {
-                                    cooper_telemetry::trace_mark_with(
-                                        TraceId::new(step, pkt.vehicle_id(), id),
-                                        trace_stage::CONSISTENCY_REJECTED,
-                                        true,
-                                        ghost_points as u64,
-                                    );
-                                }
-                                consistency_drops.push(TransportDrop {
-                                    from: pkt.vehicle_id(),
-                                    to: id,
-                                    reason: TransportDropReason::ConsistencyRejected {
+                                reject(
+                                    &mut consistency_drops,
+                                    step,
+                                    pkt.vehicle_id(),
+                                    id,
+                                    TransportDropReason::ConsistencyRejected {
                                         ghost_points: ghost_points as u32,
                                     },
-                                });
+                                );
                             }
                             kept
                         });
@@ -1328,50 +1449,32 @@ impl FleetSimulation {
                         for record in &outcome.alignment {
                             align_stats.absorb(record);
                         }
-                        let align_drops: Vec<TransportDrop> = outcome
-                            .drops
-                            .iter()
-                            .filter_map(|drop| match drop.error {
-                                CooperError::AlignmentRejected { residual_m } => {
-                                    Some(TransportDrop {
-                                        from: drop.vehicle_id,
-                                        to: id,
-                                        reason: TransportDropReason::AlignmentRejected {
-                                            residual_mm: residual_to_mm(residual_m),
-                                        },
-                                    })
-                                }
-                                _ => None,
-                            })
-                            .collect();
                         // Terminal trace marks: every delivered packet's
                         // causal chain ends here — fused into detection
-                        // input, rejected by the alignment guard, or
-                        // dropped by a decode failure.
-                        if cooper_telemetry::is_tracing() {
-                            for (k, pkt) in fusion_inbox.iter().enumerate() {
-                                let trace = TraceId::new(step, pkt.vehicle_id(), id);
-                                match outcome.drops.iter().find(|d| d.index == k) {
-                                    Some(drop) => match drop.error {
-                                        CooperError::AlignmentRejected { residual_m } => {
-                                            cooper_telemetry::trace_mark_with(
-                                                trace,
-                                                trace_stage::ALIGN_REJECTED,
-                                                true,
-                                                u64::from(residual_to_mm(residual_m)),
-                                            );
-                                        }
-                                        _ => cooper_telemetry::trace_mark(
-                                            trace,
-                                            trace_stage::DECODE_FAILED,
-                                            true,
-                                        ),
+                        // input, rejected by the alignment guard (also a
+                        // report entry), or dropped by a decode failure.
+                        let mut align_drops: Vec<TransportDrop> = Vec::new();
+                        for (k, pkt) in fusion_inbox.iter().enumerate() {
+                            let from = pkt.vehicle_id();
+                            let trace = TraceId::new(step, from, id);
+                            let drop = outcome.drops.iter().find(|d| d.index == k);
+                            match drop.map(|d| &d.error) {
+                                Some(CooperError::AlignmentRejected { residual_m }) => reject(
+                                    &mut align_drops,
+                                    step,
+                                    from,
+                                    id,
+                                    TransportDropReason::AlignmentRejected {
+                                        residual_mm: residual_to_mm(*residual_m),
                                     },
-                                    None => cooper_telemetry::trace_mark(
-                                        trace,
-                                        trace_stage::FUSED,
-                                        true,
-                                    ),
+                                ),
+                                Some(_) => cooper_telemetry::trace_mark(
+                                    trace,
+                                    trace_stage::DECODE_FAILED,
+                                    true,
+                                ),
+                                None => {
+                                    cooper_telemetry::trace_mark(trace, trace_stage::FUSED, true)
                                 }
                             }
                         }
@@ -1587,458 +1690,81 @@ impl FleetSimulation {
         (reports, stats)
     }
 
-    /// Ungoverned phase-2 delivery: every in-range sender's pre-built
-    /// broadcast packet is offered to every receiver, in delivery order.
-    fn exchange_ungoverned(
+    /// Phase-2 delivery, serial in (receiver, sender) order: prices each
+    /// sender's candidates in air time, asks the [`GovernorPolicy`] what
+    /// each directed transfer carries, consults the channel, and
+    /// reconstructs received v2 streams through per-sender decoder state
+    /// before fusion.
+    fn exchange(
         &self,
         step: usize,
         channel: &mut dyn ChannelModel,
+        policy: &mut dyn GovernorPolicy,
         trust_ledger: Option<&TrustLedger>,
-        broadcasts: &[Broadcast],
+        broadcasts: &mut [Broadcast],
         out: ExchangeOutputs<'_>,
     ) {
-        for (i, me) in broadcasts.iter().enumerate() {
-            for (j, other) in broadcasts.iter().enumerate() {
-                if i == j || me.pose.delta_d(&other.pose) > self.config.comms_range_m {
-                    continue;
-                }
-                let Some(packet) = &other.packet else {
-                    continue;
-                };
-                let from = self.vehicles[j].id;
-                let to = self.vehicles[i].id;
-                if trust_ledger.is_some_and(|ledger| ledger.blocks(to, from)) {
-                    Self::record_quarantine_skip(step, from, to, &mut *out.stats);
-                    out.transport_drops.push(TransportDrop {
-                        from,
-                        to,
-                        reason: TransportDropReason::Quarantined,
-                    });
-                    continue;
-                }
-                let ctx = TransferCtx {
-                    step,
-                    from,
-                    to,
-                    wire_bytes: packet.wire_size(),
-                };
-                let trace = TraceId::new(step, ctx.from, ctx.to);
-                match channel.deliver_verdict(&ctx) {
-                    Delivery::Delivered => {
-                        if trust_ledger.is_some() && !matches!(packet.verify_integrity(), Ok(_)) {
-                            // The frame arrived whole but its CRC-32
-                            // trailer does not match — at-source
-                            // corruption the link layer cannot see.
-                            // Bytes were still burned on the air.
-                            if cooper_telemetry::is_enabled() {
-                                cooper_telemetry::counter_add(
-                                    telemetry_names::V2X_INTEGRITY_CRC_FAIL,
-                                    1,
-                                );
-                            }
-                            cooper_telemetry::trace_mark(
-                                trace,
-                                trace_stage::INTEGRITY_FAILED,
-                                true,
-                            );
-                            out.bytes_received[i] += packet.wire_size();
-                            out.transport_drops.push(TransportDrop {
-                                from,
-                                to,
-                                reason: TransportDropReason::IntegrityFailed,
-                            });
-                            continue;
-                        }
-                        cooper_telemetry::trace_mark_with(
-                            trace,
-                            trace_stage::DELIVERED,
-                            false,
-                            ctx.wire_bytes as u64,
-                        );
-                        out.bytes_received[i] += packet.wire_size();
-                        out.inboxes[i].push(packet.clone());
-                        out.composite[i].push(false);
-                    }
-                    Delivery::Dropped => {
-                        cooper_telemetry::trace_mark(trace, trace_stage::CHANNEL_DROPPED, true);
-                    }
-                    Delivery::Corrupted => {
-                        if cooper_telemetry::is_enabled() {
-                            cooper_telemetry::counter_add(
-                                telemetry_names::V2X_INTEGRITY_CORRUPTED_FRAMES,
-                                1,
-                            );
-                        }
-                        cooper_telemetry::trace_mark(trace, trace_stage::V2X_CORRUPTED, true);
-                        out.transport_drops.push(TransportDrop {
-                            from,
-                            to,
-                            reason: TransportDropReason::Corrupted,
-                        });
-                    }
-                    Delivery::DeadlineExceeded => {
-                        if cooper_telemetry::is_enabled() {
-                            cooper_telemetry::counter_add(telemetry_names::FLEET_DEADLINE_MISS, 1);
-                        }
-                        cooper_telemetry::trace_mark(trace, trace_stage::DEADLINE_EXCEEDED, true);
-                        out.transport_drops.push(TransportDrop {
-                            from: ctx.from,
-                            to: ctx.to,
-                            reason: TransportDropReason::DeadlineExceeded,
-                        });
-                    }
-                    Delivery::Partial {
-                        delivered_bytes,
-                        total_bytes,
-                    } => {
-                        // Salvage: decode whatever whole points the
-                        // delivered prefix contains and fuse those; the
-                        // receiver degrades instead of losing the
-                        // sender's scan entirely.
-                        cooper_telemetry::trace_mark_with(
-                            trace,
-                            trace_stage::PARTIAL,
-                            false,
-                            delivered_bytes as u64,
-                        );
-                        let wire = packet.to_bytes();
-                        let cut = delivered_bytes.min(wire.len());
-                        match ExchangePacket::from_partial_bytes(&wire[..cut]) {
-                            Ok((salvaged, _fraction)) => {
-                                if cooper_telemetry::is_enabled() {
-                                    cooper_telemetry::counter_add(
-                                        telemetry_names::FLEET_PARTIAL_SALVAGED,
-                                        1,
-                                    );
-                                }
-                                cooper_telemetry::trace_mark(trace, trace_stage::SALVAGED, false);
-                                out.bytes_received[i] += delivered_bytes;
-                                out.partial_counts[i] += 1;
-                                out.inboxes[i].push(salvaged);
-                                out.composite[i].push(false);
-                                out.transport_drops.push(TransportDrop {
-                                    from: ctx.from,
-                                    to: ctx.to,
-                                    reason: TransportDropReason::PartialDelivery {
-                                        delivered_bytes,
-                                        total_bytes,
-                                    },
-                                });
-                            }
-                            Err(error) => {
-                                if cooper_telemetry::is_enabled() {
-                                    cooper_telemetry::counter_add(
-                                        telemetry_names::FLEET_SALVAGE_FAILED,
-                                        1,
-                                    );
-                                }
-                                cooper_telemetry::trace_mark(
-                                    trace,
-                                    trace_stage::SALVAGE_FAILED,
-                                    true,
-                                );
-                                out.transport_drops.push(TransportDrop {
-                                    from: ctx.from,
-                                    to: ctx.to,
-                                    reason: TransportDropReason::SalvageFailed {
-                                        kind: error.kind().to_string(),
-                                    },
-                                });
-                            }
-                        }
-                    }
-                }
+        // Air time is the one price phase 1 cannot set: it needs the
+        // channel.
+        for frame in broadcasts.iter_mut().filter_map(|b| b.frame.as_mut()) {
+            for candidate in &mut frame.candidates {
+                candidate.airtime_s = channel.airtime_for(candidate.wire_bytes);
             }
-            out.stats.total_bytes += out.bytes_received[i] as u64;
         }
-    }
-
-    /// Governed phase-2 delivery: per-sender codec state advances once
-    /// per step (static-map observation, keyframe/delta cadence), every
-    /// directed transfer consults the [`GovernorPolicy`], and received
-    /// v2 streams are reconstructed through per-sender decoder state
-    /// before fusion. All serial, in delivery order.
-    fn exchange_governed(
-        &self,
-        step: usize,
-        channel: &mut dyn ChannelModel,
-        trust_ledger: Option<&TrustLedger>,
-        g: &mut GovernedLoop<'_>,
-        broadcasts: &[Broadcast],
-        out: ExchangeOutputs<'_>,
-    ) {
-        let n = self.vehicles.len();
-        // With the trust layer on, every candidate carries a CRC-32
-        // trailer; price it so the wire-size assertion below holds.
-        let crc_bytes = if trust_ledger.is_some() {
-            CRC_TRAILER_BYTES
-        } else {
-            0
-        };
-        // Per-sender content preparation, in fleet order. All content
-        // flows from the *transmitted* scan — an adversarial sender's
-        // codec state tracks what it puts on the air, not what it saw.
-        let mut frames: Vec<SenderFrame> = Vec::with_capacity(n);
-        for (j, b) in broadcasts.iter().enumerate() {
-            let id = self.vehicles[j].id;
-            let tx_scan = b.tx_scan();
-            let baseline_bytes = ExchangePacket::wire_size_for(tx_scan.len()) + crc_bytes;
-            let (kf_cloud, delta_cloud, keyframe_due, background_subtracted) =
-                if g.config.delta_encode {
-                    let state = &mut g.tx_states[j];
-                    state.map.observe(tx_scan);
-                    let foreground = state.map.subtract_background(tx_scan);
-                    let due = state.enc.keyframe_due();
-                    let novel = state.enc.novel_points(&foreground);
-                    if due {
-                        state.enc.note_keyframe(&foreground);
-                    } else {
-                        state.enc.note_delta();
-                    }
-                    (foreground, Some(novel), due, true)
-                } else {
-                    (tx_scan.clone(), None, true, false)
+        let broadcasts = &*broadcasts;
+        for (i, receiver) in broadcasts.iter().enumerate() {
+            let to = self.vehicles[i].id;
+            for (j, sender) in broadcasts.iter().enumerate() {
+                let Some(frame) = &sender.frame else {
+                    continue;
                 };
-            let mut frame = SenderFrame {
-                ok: true,
-                keyframe_due,
-                background_subtracted,
-                baseline_bytes,
-                clouds: Default::default(),
-                packets: Default::default(),
-                feature_packets: Default::default(),
-                candidates: Vec::new(),
-            };
-            // The probe build catches a broken pose estimate (or
-            // out-of-range coordinates) once per sender per step; every
-            // candidate is a subset of this content, so if the probe
-            // encodes, they all do.
-            match ExchangePacket::build_v2(
-                id,
-                b.tx_stamp,
-                &kf_cloud,
-                b.tx_estimate,
-                FrameKind::Keyframe,
-                background_subtracted,
-            )
-            .and_then(|probe| {
-                finalize_tx_packet(
-                    probe,
-                    trust_ledger.is_some(),
-                    b.tx_corrupt_rate,
-                    self.config.seed,
-                    id,
-                    step,
-                )
-            }) {
-                Ok(probe) => {
-                    let kinds: &[FrameKind] = if g.config.delta_encode {
-                        if keyframe_due {
-                            &[FrameKind::Keyframe, FrameKind::Delta]
-                        } else {
-                            &[FrameKind::Delta]
-                        }
-                    } else {
-                        &[FrameKind::Keyframe]
-                    };
-                    for &kind in kinds {
-                        let content = match kind {
-                            FrameKind::Keyframe => &kf_cloud,
-                            FrameKind::Delta => delta_cloud
-                                .as_ref()
-                                .expect("delta kind offered only with delta content"),
-                            FrameKind::Features => {
-                                unreachable!("the point kinds slice never offers features")
-                            }
-                        };
-                        for roi in [
-                            RoiCategory::FullFrame,
-                            RoiCategory::FrontFov120,
-                            RoiCategory::ForwardOneWay,
-                        ] {
-                            let cloud = extract_roi(content, roi);
-                            let wire_bytes = ExchangePacket::wire_size_for(cloud.len()) + crc_bytes;
-                            frame.candidates.push(TransferCandidate {
-                                roi,
-                                kind,
-                                wire_bytes,
-                                airtime_s: channel.airtime_for(wire_bytes),
-                            });
-                            frame.clouds[roi_index(roi)][kind_index(kind)] = Some(cloud);
-                        }
-                    }
-                    if kinds.contains(&FrameKind::Keyframe) {
-                        frame.packets[0][0] = Some(probe);
-                    }
-                    // Feature-tier candidates ride at the end of the
-                    // menu, so the ungoverned [`SendFirstPolicy`] (and
-                    // any policy indexing the raw ladder) is unaffected
-                    // unless it asks for them.
-                    if g.config.features {
-                        for roi in [
-                            RoiCategory::FullFrame,
-                            RoiCategory::FrontFov120,
-                            RoiCategory::ForwardOneWay,
-                        ] {
-                            if let Some(ff) = &b.feature_frames[roi_index(roi)] {
-                                let wire_bytes =
-                                    ExchangePacket::wire_size_for_features(ff.len(), ff.channels())
-                                        + crc_bytes;
-                                frame.candidates.push(TransferCandidate {
-                                    roi,
-                                    kind: FrameKind::Features,
-                                    wire_bytes,
-                                    airtime_s: channel.airtime_for(wire_bytes),
-                                });
-                            }
-                        }
-                    }
-                }
-                Err(error) => {
-                    if cooper_telemetry::is_enabled() {
-                        cooper_telemetry::counter_add(
-                            &format!(
-                                "{}{}",
-                                telemetry_names::FLEET_ENCODE_DROP_PREFIX,
-                                error.kind()
-                            ),
-                            1,
-                        );
-                    }
-                    frame.ok = false;
-                    out.encode_drops.push(EncodeDrop {
-                        vehicle_id: id,
-                        kind: error.kind().to_string(),
-                    });
-                }
-            }
-            frames.push(frame);
-        }
-
-        // Delivery, in (receiver, sender) order.
-        for i in 0..n {
-            for j in 0..n {
-                if i == j
-                    || broadcasts[i].pose.delta_d(&broadcasts[j].pose) > self.config.comms_range_m
-                    || !frames[j].ok
-                {
+                if i == j || receiver.pose.delta_d(&sender.pose) > self.config.comms_range_m {
                     continue;
                 }
                 let from = self.vehicles[j].id;
-                let to = self.vehicles[i].id;
                 if trust_ledger.is_some_and(|ledger| ledger.blocks(to, from)) {
                     // Quarantined senders are skipped before anything is
-                    // priced: the governor never sees the offer.
-                    Self::record_quarantine_skip(step, from, to, &mut *out.stats);
-                    out.transport_drops.push(TransportDrop {
-                        from,
-                        to,
-                        reason: TransportDropReason::Quarantined,
-                    });
+                    // priced: the policy never sees the offer.
+                    out.stats.trust.entry(to).or_default().blocked_transfers += 1;
+                    let reason = TransportDropReason::Quarantined;
+                    reject(out.transport_drops, step, from, to, reason);
                     continue;
                 }
                 let offer = TransferOffer {
                     step,
                     from,
                     to,
-                    keyframe_due: frames[j].keyframe_due,
-                    receiver_blind_sectors: &broadcasts[i].blind,
-                    candidates: &frames[j].candidates,
+                    keyframe_due: frame.keyframe_due,
+                    receiver_blind_sectors: &receiver.blind,
+                    candidates: &frame.candidates,
                     headroom_s: channel.airtime_headroom_s(),
                 };
-                let chosen = match g.policy.decide(&offer) {
+                let chosen = match policy.decide(&offer) {
                     GovernorVerdict::Send(candidate) => candidate,
                     GovernorVerdict::Skip => {
                         *out.stats.bytes_saved.entry(from).or_insert(0) +=
-                            frames[j].baseline_bytes as u64;
-                        if cooper_telemetry::is_enabled() {
-                            cooper_telemetry::counter_add(telemetry_names::FLEET_BUDGET_SKIP, 1);
-                        }
-                        cooper_telemetry::trace_mark(
-                            TraceId::new(step, from, to),
-                            trace_stage::GOVERN_SKIP,
-                            true,
-                        );
-                        out.transport_drops.push(TransportDrop {
-                            from,
-                            to,
-                            reason: TransportDropReason::BudgetExceeded,
-                        });
+                            frame.baseline_bytes as u64;
+                        let reason = TransportDropReason::BudgetExceeded;
+                        reject(out.transport_drops, step, from, to, reason);
                         continue;
                     }
                 };
-                let packet = if chosen.kind == FrameKind::Features {
-                    let ri = roi_index(chosen.roi);
-                    if frames[j].feature_packets[ri].is_none() {
-                        let ff = broadcasts[j].feature_frames[ri]
-                            .as_ref()
-                            .expect("feature candidate was offered, so its frame is prepared");
-                        let built = ExchangePacket::build_features(
-                            from,
-                            broadcasts[j].tx_stamp,
-                            ff,
-                            broadcasts[j].tx_estimate,
-                        )
-                        .and_then(|packet| {
-                            finalize_tx_packet(
-                                packet,
-                                trust_ledger.is_some(),
-                                broadcasts[j].tx_corrupt_rate,
-                                self.config.seed,
-                                from,
-                                step,
-                            )
-                        })
-                        .expect("a probed sender's feature frame must encode");
-                        frames[j].feature_packets[ri] = Some(built);
-                    }
-                    frames[j].feature_packets[ri]
-                        .clone()
-                        .expect("packet built above")
-                } else {
-                    let (ri, ki) = (roi_index(chosen.roi), kind_index(chosen.kind));
-                    if frames[j].packets[ri][ki].is_none() {
-                        let cloud = frames[j].clouds[ri][ki]
-                            .as_ref()
-                            .expect("chosen candidate was offered, so its cloud is prepared");
-                        let built = ExchangePacket::build_v2(
-                            from,
-                            broadcasts[j].tx_stamp,
-                            cloud,
-                            broadcasts[j].tx_estimate,
-                            chosen.kind,
-                            frames[j].background_subtracted,
-                        )
-                        .and_then(|packet| {
-                            finalize_tx_packet(
-                                packet,
-                                trust_ledger.is_some(),
-                                broadcasts[j].tx_corrupt_rate,
-                                self.config.seed,
-                                from,
-                                step,
-                            )
-                        })
-                        .expect("an ROI subset of a probed frame must encode");
-                        frames[j].packets[ri][ki] = Some(built);
-                    }
-                    frames[j].packets[ri][ki]
-                        .clone()
-                        .expect("packet built above")
-                };
+                let packet = frame.packet(sender.tx_scan(), &chosen);
                 debug_assert_eq!(packet.wire_size(), chosen.wire_bytes);
-                *out.stats.bytes_saved.entry(from).or_insert(0) +=
-                    frames[j].baseline_bytes.saturating_sub(chosen.wire_bytes) as u64;
+                let saved = frame.baseline_bytes.saturating_sub(chosen.wire_bytes) as u64;
+                if saved > 0 {
+                    *out.stats.bytes_saved.entry(from).or_insert(0) += saved;
+                }
                 if cooper_telemetry::is_enabled() {
                     let per_mille = (chosen.wire_bytes as u64).saturating_mul(1000)
-                        / (frames[j].baseline_bytes.max(1) as u64);
+                        / (frame.baseline_bytes.max(1) as u64);
                     if chosen.kind == FrameKind::Features {
                         cooper_telemetry::counter_add(telemetry_names::FLEET_FEATURE_SENDS, 1);
                         cooper_telemetry::record_value(
                             telemetry_names::CODEC_V3_BYTES_RATIO,
                             per_mille,
                         );
-                    } else {
+                    } else if frame.delta.is_some() {
                         cooper_telemetry::record_value(
                             telemetry_names::CODEC_V2_BYTES_RATIO,
                             per_mille,
@@ -2058,26 +1784,19 @@ impl FleetSimulation {
                     false,
                     chosen.wire_bytes as u64,
                 );
-                match channel.deliver_verdict(&ctx) {
+                // A verdict either ends the transfer here or yields what
+                // arrived: the reconstructed packet, the wire bytes it
+                // took, and the record of a salvaged partial delivery.
+                let arrived = match channel.deliver_verdict(&ctx) {
                     Delivery::Delivered => {
-                        if trust_ledger.is_some() && !matches!(packet.verify_integrity(), Ok(_)) {
-                            if cooper_telemetry::is_enabled() {
-                                cooper_telemetry::counter_add(
-                                    telemetry_names::V2X_INTEGRITY_CRC_FAIL,
-                                    1,
-                                );
-                            }
-                            cooper_telemetry::trace_mark(
-                                trace,
-                                trace_stage::INTEGRITY_FAILED,
-                                true,
-                            );
+                        if trust_ledger.is_some() && packet.verify_integrity().is_err() {
+                            // The frame arrived whole but its CRC-32
+                            // trailer does not match — at-source
+                            // corruption the link layer cannot see.
+                            // Bytes were still burned on the air.
                             out.bytes_received[i] += chosen.wire_bytes;
-                            out.transport_drops.push(TransportDrop {
-                                from,
-                                to,
-                                reason: TransportDropReason::IntegrityFailed,
-                            });
+                            let reason = TransportDropReason::IntegrityFailed;
+                            reject(out.transport_drops, step, from, to, reason);
                             continue;
                         }
                         cooper_telemetry::trace_mark_with(
@@ -2086,66 +1805,31 @@ impl FleetSimulation {
                             false,
                             ctx.wire_bytes as u64,
                         );
-                        match Self::rx_reconstruct(&mut g.rx_decoders[i], from, &packet) {
-                            Ok((reconstructed, composite)) => {
-                                out.bytes_received[i] += chosen.wire_bytes;
-                                out.inboxes[i].push(reconstructed);
-                                out.composite[i].push(composite);
-                            }
-                            Err(error) => {
-                                if cooper_telemetry::is_enabled() {
-                                    cooper_telemetry::counter_add(
-                                        telemetry_names::FLEET_SALVAGE_FAILED,
-                                        1,
-                                    );
-                                }
-                                cooper_telemetry::trace_mark(
-                                    trace,
-                                    trace_stage::SALVAGE_FAILED,
-                                    true,
-                                );
-                                out.transport_drops.push(TransportDrop {
-                                    from,
-                                    to,
-                                    reason: TransportDropReason::SalvageFailed {
-                                        kind: error.kind().to_string(),
-                                    },
-                                });
-                            }
-                        }
+                        Self::rx_reconstruct(&mut out.rx_decoders[i], from, &packet)
+                            .map(|rx| (rx, chosen.wire_bytes, None))
                     }
                     Delivery::Dropped => {
                         cooper_telemetry::trace_mark(trace, trace_stage::CHANNEL_DROPPED, true);
+                        continue;
                     }
                     Delivery::Corrupted => {
-                        if cooper_telemetry::is_enabled() {
-                            cooper_telemetry::counter_add(
-                                telemetry_names::V2X_INTEGRITY_CORRUPTED_FRAMES,
-                                1,
-                            );
-                        }
-                        cooper_telemetry::trace_mark(trace, trace_stage::V2X_CORRUPTED, true);
-                        out.transport_drops.push(TransportDrop {
-                            from,
-                            to,
-                            reason: TransportDropReason::Corrupted,
-                        });
+                        let reason = TransportDropReason::Corrupted;
+                        reject(out.transport_drops, step, from, to, reason);
+                        continue;
                     }
                     Delivery::DeadlineExceeded => {
-                        if cooper_telemetry::is_enabled() {
-                            cooper_telemetry::counter_add(telemetry_names::FLEET_DEADLINE_MISS, 1);
-                        }
-                        cooper_telemetry::trace_mark(trace, trace_stage::DEADLINE_EXCEEDED, true);
-                        out.transport_drops.push(TransportDrop {
-                            from,
-                            to,
-                            reason: TransportDropReason::DeadlineExceeded,
-                        });
+                        let reason = TransportDropReason::DeadlineExceeded;
+                        reject(out.transport_drops, step, from, to, reason);
+                        continue;
                     }
                     Delivery::Partial {
                         delivered_bytes,
                         total_bytes,
                     } => {
+                        // Salvage: decode whatever whole points the
+                        // delivered prefix contains and fuse those; the
+                        // receiver degrades instead of losing the
+                        // sender's scan entirely.
                         cooper_telemetry::trace_mark_with(
                             trace,
                             trace_stage::PARTIAL,
@@ -2154,54 +1838,32 @@ impl FleetSimulation {
                         );
                         let wire = packet.to_bytes();
                         let cut = delivered_bytes.min(wire.len());
-                        let salvaged = ExchangePacket::from_partial_bytes(&wire[..cut]).and_then(
-                            |(prefix, _fraction)| {
-                                Self::rx_reconstruct(&mut g.rx_decoders[i], from, &prefix)
-                            },
-                        );
-                        match salvaged {
-                            Ok((reconstructed, composite)) => {
-                                if cooper_telemetry::is_enabled() {
-                                    cooper_telemetry::counter_add(
-                                        telemetry_names::FLEET_PARTIAL_SALVAGED,
-                                        1,
-                                    );
-                                }
-                                cooper_telemetry::trace_mark(trace, trace_stage::SALVAGED, false);
-                                out.bytes_received[i] += delivered_bytes;
-                                out.partial_counts[i] += 1;
-                                out.inboxes[i].push(reconstructed);
-                                out.composite[i].push(composite);
-                                out.transport_drops.push(TransportDrop {
-                                    from,
-                                    to,
-                                    reason: TransportDropReason::PartialDelivery {
-                                        delivered_bytes,
-                                        total_bytes,
-                                    },
-                                });
-                            }
-                            Err(error) => {
-                                if cooper_telemetry::is_enabled() {
-                                    cooper_telemetry::counter_add(
-                                        telemetry_names::FLEET_SALVAGE_FAILED,
-                                        1,
-                                    );
-                                }
-                                cooper_telemetry::trace_mark(
-                                    trace,
-                                    trace_stage::SALVAGE_FAILED,
-                                    true,
-                                );
-                                out.transport_drops.push(TransportDrop {
-                                    from,
-                                    to,
-                                    reason: TransportDropReason::SalvageFailed {
-                                        kind: error.kind().to_string(),
-                                    },
-                                });
-                            }
+                        let partial = TransportDropReason::PartialDelivery {
+                            delivered_bytes,
+                            total_bytes,
+                        };
+                        ExchangePacket::from_partial_bytes(&wire[..cut])
+                            .and_then(|(prefix, _fraction)| {
+                                Self::rx_reconstruct(&mut out.rx_decoders[i], from, &prefix)
+                            })
+                            .map(|rx| (rx, delivered_bytes, Some(partial)))
+                    }
+                };
+                match arrived {
+                    Ok(((packet, composite), bytes, partial)) => {
+                        out.bytes_received[i] += bytes;
+                        out.inboxes[i].push(packet);
+                        out.composite[i].push(composite);
+                        if let Some(reason) = partial {
+                            out.partial_counts[i] += 1;
+                            reject(out.transport_drops, step, from, to, reason);
                         }
+                    }
+                    Err(error) => {
+                        let reason = TransportDropReason::SalvageFailed {
+                            kind: error.kind().to_string(),
+                        };
+                        reject(out.transport_drops, step, from, to, reason);
                     }
                 }
             }
@@ -2215,17 +1877,6 @@ impl FleetSimulation {
     /// payloads run through the receiver's per-sender [`DeltaDecoder`]
     /// (caching keyframes, merging deltas) and are re-wrapped as
     /// self-contained packets for the fusion pipeline.
-    /// Records one transfer skipped because the receiver holds the
-    /// sender in quarantine: counter, terminal trace mark, and the
-    /// receiver's per-vehicle trust stats.
-    fn record_quarantine_skip(step: usize, from: u32, to: u32, stats: &mut FleetStats) {
-        if cooper_telemetry::is_enabled() {
-            cooper_telemetry::counter_add(telemetry_names::TRUST_BLOCKED_TRANSFERS, 1);
-        }
-        cooper_telemetry::trace_mark(TraceId::new(step, from, to), trace_stage::QUARANTINED, true);
-        stats.trust.entry(to).or_default().blocked_transfers += 1;
-    }
-
     fn rx_reconstruct(
         decoders: &mut BTreeMap<u32, DeltaDecoder>,
         sender: u32,
@@ -2565,13 +2216,40 @@ mod tests {
         }
         assert!(
             stats.total_bytes < base_stats.total_bytes,
-            "governed {} >= ungoverned {}",
+            "governed {} >= full-frame {}",
             stats.total_bytes,
             base_stats.total_bytes
         );
         let saved: u64 = stats.bytes_saved.values().sum();
         assert!(saved > 0, "delta frames must save wire bytes");
         assert_eq!(stats.bytes_saved.len(), 2, "both senders accounted");
+
+        // A full-frame broadcast saves nothing, so it records nothing;
+        // narrowing to the forward wedge (no delta) saves per sender.
+        struct ForwardWedge;
+        impl GovernorPolicy for ForwardWedge {
+            fn decide(&mut self, offer: &TransferOffer<'_>) -> GovernorVerdict {
+                let wedge = offer.candidate(RoiCategory::ForwardOneWay, FrameKind::Keyframe);
+                wedge.map_or(GovernorVerdict::Skip, GovernorVerdict::Send)
+            }
+        }
+        let keyframes_only = GovernorConfig {
+            delta_encode: false,
+            ..GovernorConfig::default()
+        };
+        let (_, wedge_stats) = sim.run_governed(
+            &p,
+            1,
+            &mut PerfectChannel,
+            &mut ForwardWedge,
+            &keyframes_only,
+        );
+        assert!(base_stats.bytes_saved.is_empty());
+        assert_eq!(
+            wedge_stats.bytes_saved.len(),
+            2,
+            "ROI narrowing saves bytes"
+        );
     }
 
     #[test]

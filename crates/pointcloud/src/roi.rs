@@ -17,7 +17,7 @@ use cooper_geometry::{normalize_angle, Vec3};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
-use crate::{PointCloud, VoxelCoord, VoxelGridConfig};
+use crate::{Point, PointCloud, VoxelCoord, VoxelGridConfig};
 
 /// The three exchange scenarios of the paper's Figure 11.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -52,6 +52,19 @@ impl RoiCategory {
             RoiCategory::ForwardOneWay => 1,
         }
     }
+
+    /// `true` when `point` (sensor frame) lies inside this category's
+    /// region — the per-point test [`extract_roi`] applies, so a
+    /// category's point count is known without building its cloud.
+    pub fn contains(self, point: &Point) -> bool {
+        match self {
+            RoiCategory::FullFrame => true,
+            RoiCategory::FrontFov120 => in_sector(point, 0.0, 120f64.to_radians()),
+            RoiCategory::ForwardOneWay => {
+                in_sector(point, 0.0, 60f64.to_radians()) && in_band(point, 0.0, 50.0)
+            }
+        }
+    }
 }
 
 impl std::fmt::Display for RoiCategory {
@@ -68,19 +81,21 @@ impl std::fmt::Display for RoiCategory {
 /// Keeps points within an azimuth sector of `fov` radians centered on
 /// `center_azimuth`.
 pub fn sector(cloud: &PointCloud, center_azimuth: f64, fov: f64) -> PointCloud {
-    let half = fov * 0.5;
-    cloud.filtered(|p| {
-        let az = normalize_angle(p.position.azimuth() - center_azimuth);
-        az.abs() <= half
-    })
+    cloud.filtered(|p| in_sector(p, center_azimuth, fov))
+}
+
+fn in_sector(p: &Point, center_azimuth: f64, fov: f64) -> bool {
+    normalize_angle(p.position.azimuth() - center_azimuth).abs() <= fov * 0.5
 }
 
 /// Keeps points whose horizontal range lies in `[min_range, max_range]`.
 pub fn distance_band(cloud: &PointCloud, min_range: f64, max_range: f64) -> PointCloud {
-    cloud.filtered(|p| {
-        let r = p.range_xy();
-        r >= min_range && r <= max_range
-    })
+    cloud.filtered(|p| in_band(p, min_range, max_range))
+}
+
+fn in_band(p: &Point, min_range: f64, max_range: f64) -> bool {
+    let r = p.range_xy();
+    r >= min_range && r <= max_range
 }
 
 /// Keeps points inside a forward driving corridor: `0 <= x <= length`,
@@ -100,10 +115,7 @@ pub fn forward_corridor(cloud: &PointCloud, length: f64, half_width: f64) -> Poi
 pub fn extract_roi(cloud: &PointCloud, category: RoiCategory) -> PointCloud {
     match category {
         RoiCategory::FullFrame => cloud.clone(),
-        RoiCategory::FrontFov120 => sector(cloud, 0.0, 120f64.to_radians()),
-        RoiCategory::ForwardOneWay => {
-            distance_band(&sector(cloud, 0.0, 60f64.to_radians()), 0.0, 50.0)
-        }
+        _ => cloud.filtered(|p| category.contains(p)),
     }
 }
 
@@ -394,6 +406,10 @@ mod tests {
         assert_eq!(full.len(), c.len());
         assert!(fov.len() < full.len());
         assert!(fwd.len() <= fov.len());
+        for roi in RoiCategory::ALL {
+            let counted = c.iter().filter(|p| roi.contains(p)).count();
+            assert_eq!(counted, extract_roi(&c, roi).len(), "{roi}");
+        }
     }
 
     #[test]
