@@ -331,13 +331,6 @@ impl TransportDropReason {
         }
     }
 
-    /// The trace stage a transfer dropped for this reason ends in: its
-    /// terminal stage, except for a salvaged partial delivery, whose
-    /// chain continues into fusion.
-    pub fn trace_stage(&self) -> &'static str {
-        self.telemetry().0
-    }
-
     /// The one table behind [`reject`]: trace stage and counter per
     /// reason. Alignment rejections are counted by the pipeline's guard.
     fn telemetry(&self) -> (&'static str, Option<&'static str>) {
@@ -2639,6 +2632,68 @@ mod tests {
         assert_eq!(serial_stats, parallel_stats);
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.deterministic_view(), b.deterministic_view());
+        }
+    }
+
+    #[test]
+    fn drop_table_pins_each_reason_to_its_stage_and_counter() {
+        use cooper_telemetry::names as n;
+        use cooper_telemetry::trace::stage;
+        use TransportDropReason as R;
+        let table = [
+            (
+                R::DeadlineExceeded,
+                stage::DEADLINE_EXCEEDED,
+                Some(n::FLEET_DEADLINE_MISS),
+            ),
+            (
+                R::PartialDelivery {
+                    delivered_bytes: 1,
+                    total_bytes: 2,
+                },
+                stage::SALVAGED,
+                Some(n::FLEET_PARTIAL_SALVAGED),
+            ),
+            (
+                R::SalvageFailed {
+                    kind: "truncated".into(),
+                },
+                stage::SALVAGE_FAILED,
+                Some(n::FLEET_SALVAGE_FAILED),
+            ),
+            (
+                R::BudgetExceeded,
+                stage::GOVERN_SKIP,
+                Some(n::FLEET_BUDGET_SKIP),
+            ),
+            (
+                R::AlignmentRejected { residual_mm: 1 },
+                stage::ALIGN_REJECTED,
+                None,
+            ),
+            (
+                R::Corrupted,
+                stage::V2X_CORRUPTED,
+                Some(n::V2X_INTEGRITY_CORRUPTED_FRAMES),
+            ),
+            (
+                R::IntegrityFailed,
+                stage::INTEGRITY_FAILED,
+                Some(n::V2X_INTEGRITY_CRC_FAIL),
+            ),
+            (
+                R::Quarantined,
+                stage::QUARANTINED,
+                Some(n::TRUST_BLOCKED_TRANSFERS),
+            ),
+            (
+                R::ConsistencyRejected { ghost_points: 1 },
+                stage::CONSISTENCY_REJECTED,
+                Some(n::GUARD_CONSISTENCY_REJECTS),
+            ),
+        ];
+        for (reason, stage, counter) in table {
+            assert_eq!(reason.telemetry(), (stage, counter), "{reason:?}");
         }
     }
 

@@ -46,13 +46,28 @@ fn fleet(azimuth_steps: usize, fault_plan: Option<FaultPlan>) -> FleetSimulation
     )
 }
 
+/// The stage the fleet's drop table maps each [`TransportDropReason`]
+/// to, spelled out here so a swapped table entry fails this test.
+fn expected_stage(reason: &TransportDropReason) -> &'static str {
+    match reason {
+        TransportDropReason::DeadlineExceeded => stage::DEADLINE_EXCEEDED,
+        TransportDropReason::PartialDelivery { .. } => stage::SALVAGED,
+        TransportDropReason::SalvageFailed { .. } => stage::SALVAGE_FAILED,
+        TransportDropReason::BudgetExceeded => stage::GOVERN_SKIP,
+        TransportDropReason::AlignmentRejected { .. } => stage::ALIGN_REJECTED,
+        TransportDropReason::Corrupted => stage::V2X_CORRUPTED,
+        TransportDropReason::IntegrityFailed => stage::INTEGRITY_FAILED,
+        TransportDropReason::Quarantined => stage::QUARANTINED,
+        TransportDropReason::ConsistencyRejected { .. } => stage::CONSISTENCY_REJECTED,
+    }
+}
+
 /// The join the tracing exists for: every reported transport drop must
 /// resolve, by its `(step, from, to)` identity, to a trace chain with
-/// exactly one terminal stage — the stage the fleet's drop table maps
-/// its [`TransportDropReason`] to ([`TransportDropReason::trace_stage`]).
-/// A salvaged partial delivery passes its table stage without ending
-/// there: the chain continues into fusion, so its terminal is whatever
-/// phase 3 decided.
+/// exactly one terminal stage — the stage its [`TransportDropReason`]
+/// maps to ([`expected_stage`]). A salvaged partial delivery passes its
+/// stage without ending there: the chain continues into fusion, so its
+/// terminal is whatever phase 3 decided.
 fn assert_drops_join(reports: &[FleetStepReport], trace: &ChromeTrace) {
     for report in reports {
         for drop in &report.transport_drops {
@@ -65,7 +80,7 @@ fn assert_drops_join(reports: &[FleetStepReport], trace: &ChromeTrace) {
                 "transport drop {id} ({:?}) must end in exactly one terminal: {chain:?}",
                 drop.reason
             );
-            let expected = drop.reason.trace_stage();
+            let expected = expected_stage(&drop.reason);
             match &drop.reason {
                 TransportDropReason::PartialDelivery { .. } => {
                     assert!(
