@@ -326,8 +326,9 @@ pub struct ProfileReport {
     pub vehicles: usize,
     /// Simulation steps profiled.
     pub steps: usize,
-    /// Percentage of summed `pipeline.perceive` span time attributed to
-    /// the named SPOD sub-phases' self time.
+    /// Percentage of perceive-phase CPU time attributed to named stages
+    /// inside the pipeline entry points (the SPOD sub-phases, fusion,
+    /// payload decode) rather than to the entry points' own self time.
     pub coverage_pct: f64,
     /// Ranked self-time table (stage, count, self_ms, total_ms, share).
     pub table: String,
@@ -406,10 +407,15 @@ pub fn run_profile(
     cooper_telemetry::disable();
     cooper_telemetry::reset();
 
-    let subphase_self: u64 = snapshot
+    // Time the entry points spend outside every named stage (their own
+    // glue code) is the part the table cannot attribute.
+    let entry_self: u64 = snapshot
         .self_times_by_name()
         .iter()
-        .filter(|e| cooper_telemetry::names::SPOD_SUBPHASES.contains(&e.name.as_str()))
+        .filter(|e| {
+            e.name == cooper_telemetry::names::SPAN_PIPELINE_PERCEIVE
+                || e.name == cooper_telemetry::names::SPAN_PIPELINE_PERCEIVE_SINGLE
+        })
         .map(|e| e.self_us)
         .sum();
     // Perceive-phase CPU total: every entry into the pipeline during
@@ -434,7 +440,7 @@ pub fn run_profile(
     let coverage_pct = if perceive_total == 0 {
         0.0
     } else {
-        subphase_self as f64 / perceive_total as f64 * 100.0
+        perceive_total.saturating_sub(entry_self) as f64 / perceive_total as f64 * 100.0
     };
     Ok(ProfileReport {
         vehicles: vehicle_count,
@@ -992,7 +998,7 @@ fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
             );
             print!("{}", report.table);
             println!(
-                "perceive coverage: {:.1}% of pipeline.perceive time in named SPOD sub-phases",
+                "perceive coverage: {:.1}% of pipeline.perceive time in named stages",
                 report.coverage_pct
             );
             if let Some(path) = parsed.options.get("--trace-out") {

@@ -642,21 +642,25 @@ enum PerceiveTask {
 /// fills it from the matching [`PerceiveTaskOutput::Single`] result.
 enum PerceiveTaskOutput {
     Single(usize),
-    Cooperative {
-        report: VehicleStepReport,
-        /// The cooperative detections themselves — the serial merge
-        /// loop feeds them to the vehicle's tracker (when the pipeline
-        /// has one) in fleet order, keeping track state deterministic.
-        detections: Vec<Detection>,
-        align_drops: Vec<TransportDrop>,
-        align_stats: AlignmentVehicleStats,
-        /// Packets the consistency guard excluded from fusion (trust
-        /// layer on only).
-        consistency_drops: Vec<TransportDrop>,
-        /// Fresh per-sender motion histories, applied to the shared map
-        /// by the serial merge loop.
-        history_updates: Vec<((u32, u32), SenderHistory)>,
-    },
+    /// Boxed: the cooperative payload is far larger than `Single`'s.
+    Cooperative(Box<CooperativeOutput>),
+}
+
+/// The payload of [`PerceiveTaskOutput::Cooperative`].
+struct CooperativeOutput {
+    report: VehicleStepReport,
+    /// The cooperative detections themselves — the serial merge
+    /// loop feeds them to the vehicle's tracker (when the pipeline
+    /// has one) in fleet order, keeping track state deterministic.
+    detections: Vec<Detection>,
+    align_drops: Vec<TransportDrop>,
+    align_stats: AlignmentVehicleStats,
+    /// Packets the consistency guard excluded from fusion (trust
+    /// layer on only).
+    consistency_drops: Vec<TransportDrop>,
+    /// Fresh per-sender motion histories, applied to the shared map
+    /// by the serial merge loop.
+    history_updates: Vec<((u32, u32), SenderHistory)>,
 }
 
 /// Per-vehicle transmit-side codec state of a delta-encoding run: the
@@ -1035,7 +1039,7 @@ impl FleetSimulation {
             let scan_start = std::time::Instant::now();
             let phase1: Vec<(Broadcast, Option<EncodeDrop>)> = {
                 let _scan_span = cooper_telemetry::span!(telemetry_names::SPAN_FLEET_SCAN);
-                executor.map(&self.vehicles, |idx, v| {
+                executor.map_in(&self.vehicles, DetectScratch::new, |idx, v, scratch| {
                     let pose = v.pose_at(step);
                     let scanner = LidarScanner::new(v.beams.clone());
                     let scan = scanner.scan(
@@ -1114,7 +1118,7 @@ impl FleetSimulation {
                         let bev = pipeline.detector().featurize_with(
                             tx,
                             &DetectOptions::default().with_executor(Executor::sequential()),
-                            &mut DetectScratch::new(),
+                            scratch,
                         );
                         let grid = &pipeline.detector().config().voxel_grid;
                         RoiCategory::ALL
@@ -1484,14 +1488,14 @@ impl FleetSimulation {
                             trust_violations: 0,
                             quarantined_peers: 0,
                         };
-                        PerceiveTaskOutput::Cooperative {
+                        PerceiveTaskOutput::Cooperative(Box::new(CooperativeOutput {
                             report,
                             detections: outcome.detections,
                             align_drops,
                             align_stats,
                             consistency_drops,
                             history_updates,
-                        }
+                        }))
                     }
                 })
             };
@@ -1509,17 +1513,17 @@ impl FleetSimulation {
                 let PerceiveTaskOutput::Single(single) = single_out else {
                     unreachable!("phase-3 results keep input order");
                 };
-                let PerceiveTaskOutput::Cooperative {
+                let PerceiveTaskOutput::Cooperative(coop) = coop_out else {
+                    unreachable!("phase-3 results keep input order");
+                };
+                let CooperativeOutput {
                     mut report,
                     detections,
                     align_drops,
                     align_stats,
                     consistency_drops,
                     history_updates,
-                } = coop_out
-                else {
-                    unreachable!("phase-3 results keep input order");
-                };
+                } = *coop;
                 report.single_detections = single;
                 for (key, history) in history_updates {
                     histories.insert(key, history);

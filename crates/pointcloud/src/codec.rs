@@ -66,7 +66,7 @@ const FLAG_BACKGROUND_SUBTRACTED: u8 = 0b0000_0010;
 /// still decode on legacy receivers — the trailer is purely additive.
 const FLAG_CRC32: u8 = 0b0000_0100;
 
-/// Bytes of the CRC-32 trailer a [`FLAG_CRC32`]-flagged frame appends
+/// Bytes of the CRC-32 trailer a `FLAG_CRC32`-flagged frame appends
 /// after its declared payload.
 pub const CRC_TRAILER_BYTES: usize = 4;
 
@@ -366,7 +366,7 @@ pub fn verify_frame_crc(bytes: &[u8]) -> Result<bool, CodecError> {
 }
 
 /// Re-frames an encoded wire frame (any version) with the CRC-32
-/// integrity trailer: sets [`FLAG_CRC32`] in the flags byte, hashes the
+/// integrity trailer: sets `FLAG_CRC32` in the flags byte, hashes the
 /// declared header + payload and appends the 4-byte big-endian trailer.
 /// Trailing bytes beyond the declared payload are dropped.
 ///

@@ -103,6 +103,18 @@ impl RangeImageConfig {
     }
 }
 
+/// `(cos, sin)` of the centre angle of each of `n` cells spanning `[min,
+/// max]` — the angle expression of [`RangeImageConfig::direction_of`], so
+/// the tables rebuild its directions bit for bit.
+fn cell_trig(min: f64, max: f64, n: usize) -> Vec<(f64, f64)> {
+    (0..n)
+        .map(|i| {
+            let angle = min + (i as f64 + 0.5) / n as f64 * (max - min);
+            (angle.cos(), angle.sin())
+        })
+        .collect()
+}
+
 /// One cell of a range image: the closest return projected into it.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 struct Cell {
@@ -202,6 +214,36 @@ impl RangeImage {
         })
     }
 
+    /// One flag per cell in row-major order (`row * cols + col`): `true`
+    /// where the cell holds a return.
+    pub fn occupancy(&self) -> Vec<bool> {
+        self.cells.iter().map(|c| c.range > 0.0).collect()
+    }
+
+    /// Calls `f(row * cols + col, point)` for every non-empty cell in
+    /// row-major order, with the point [`RangeImage::point_at`] returns.
+    /// Cell directions come from per-row and per-column trig tables
+    /// instead of four trig calls per cell.
+    pub fn for_each_point(&self, mut f: impl FnMut(usize, Point)) {
+        let c = &self.config;
+        let row_trig = cell_trig(c.elevation_min, c.elevation_max, c.rows);
+        let col_trig = cell_trig(c.azimuth_min, c.azimuth_max, c.cols);
+        let cols = c.cols;
+        for (row, &(cos_el, sin_el)) in row_trig.iter().enumerate() {
+            let base = row * cols;
+            for (col, &(cos_az, sin_az)) in col_trig.iter().enumerate() {
+                let cell = self.cells[base + col];
+                if cell.range > 0.0 {
+                    let dir = Vec3::new(cos_el * cos_az, cos_el * sin_az, sin_el);
+                    f(
+                        base + col,
+                        Point::new(dir * f64::from(cell.range), cell.reflectance),
+                    );
+                }
+            }
+        }
+    }
+
     /// Number of non-empty cells.
     pub fn occupied_cells(&self) -> usize {
         self.cells.iter().filter(|c| c.range > 0.0).count()
@@ -285,15 +327,7 @@ impl RangeImage {
     /// scaled by stored ranges).
     pub fn to_cloud(&self) -> PointCloud {
         let mut cloud = PointCloud::with_capacity(self.occupied_cells());
-        for row in 0..self.config.rows {
-            for col in 0..self.config.cols {
-                let cell = self.cells[row * self.config.cols + col];
-                if cell.range > 0.0 {
-                    let dir = self.config.direction_of(row, col);
-                    cloud.push(Point::new(dir * f64::from(cell.range), cell.reflectance));
-                }
-            }
-        }
+        self.for_each_point(|_, point| cloud.push(point));
         cloud
     }
 }
@@ -424,6 +458,30 @@ mod tests {
         cloud2.push(Point::new(c.direction_of(2, 5) * 50.0, 0.6));
         let mut img2 = RangeImage::project(&cloud2, c);
         assert_eq!(img2.densify_vertical_pass(), 0);
+    }
+
+    #[test]
+    fn for_each_point_matches_point_at_bitwise() {
+        for c in [small_config(), RangeImageConfig::vlp16()] {
+            let cloud: PointCloud = (0..c.cols)
+                .step_by(3)
+                .map(|col| {
+                    let row = col % c.rows;
+                    Point::new(c.direction_of(row, col) * (5.0 + col as f64 * 0.01), 0.3)
+                })
+                .collect();
+            let img = RangeImage::project(&cloud, c);
+            let occupancy = img.occupancy();
+            let mut seen = 0;
+            img.for_each_point(|index, point| {
+                let (row, col) = (index / c.cols, index % c.cols);
+                assert!(occupancy[index]);
+                assert!(point.bits_eq(&img.point_at(row, col).unwrap()));
+                seen += 1;
+            });
+            assert_eq!(seen, img.occupied_cells());
+            assert_eq!(occupancy.iter().filter(|&&o| o).count(), seen);
+        }
     }
 
     #[test]

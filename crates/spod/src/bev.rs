@@ -222,30 +222,134 @@ impl BevMap {
         out
     }
 
-    /// [`BevMap::window_features`] writing into a reusable buffer: the
-    /// hot RPN path calls this once per anchor cell and reuses `out`
-    /// across calls, avoiding one allocation per cell. The buffer is
-    /// cleared and refilled; layout matches `window_features` exactly
-    /// (dy outer, dx inner).
+    /// [`BevMap::window_features`] writing into a reusable buffer. The
+    /// buffer is cleared and refilled; layout matches `window_features`
+    /// exactly (dy outer, dx inner). Scanning many windows in ascending
+    /// cell order is cheaper through one [`WindowWalker`].
     pub fn window_features_into(&self, x: i32, y: i32, radius: i32, out: &mut Vec<f32>) {
+        let mut walker = WindowWalker::new(radius);
+        walker.visit(self, x, y);
+        walker.fill_window(self, out);
+    }
+}
+
+/// Finds the active cells of successive RPN windows over one
+/// [`BevMap`] without searching.
+///
+/// Cells sort by `(x, y)`, so each window column `x + dx` is one
+/// contiguous cell run starting at the first cell not below `(x + dx,
+/// y − radius)`. That key only grows as the window centre moves up in
+/// `(x, y)` order, so the walker keeps one cursor per window column and
+/// only advances it. A centre below the previous one (or the first
+/// centre) seeds the cursors by binary search instead.
+///
+/// # Examples
+///
+/// ```
+/// use cooper_pointcloud::VoxelCoord;
+/// use cooper_spod::bev::{BevMap, WindowWalker};
+/// use cooper_spod::SparseTensor3;
+///
+/// let mut t = SparseTensor3::new(1);
+/// t.set(VoxelCoord::new(0, 0, 0), vec![1.0]);
+/// t.set(VoxelCoord::new(1, 0, 0), vec![2.0]);
+/// let bev = BevMap::collapse(&t);
+/// let mut walker = WindowWalker::new(1);
+/// walker.visit(&bev, 0, 0);
+/// // (block, cell index): the centre block is 4, its right neighbour 5.
+/// assert_eq!(walker.blocks(), &[(4, 0), (5, 1)][..]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct WindowWalker {
+    radius: i32,
+    /// The last visited centre; `None` until the first visit.
+    centre: Option<(i32, i32)>,
+    /// Per window column: first cell index not below `(x + dx, y − r)`.
+    starts: Vec<usize>,
+    /// Per window column: one past the last cell inside the window.
+    ends: Vec<usize>,
+    /// Per window column: the next cell of the run to place (merge
+    /// scratch).
+    heads: Vec<usize>,
+    /// `(block, cell index)` of each active cell in the current window,
+    /// in window layout order (block = `dy_idx · side + dx_idx`).
+    blocks: Vec<(usize, usize)>,
+}
+
+impl WindowWalker {
+    /// A walker for windows of side `2·radius + 1`.
+    pub fn new(radius: i32) -> Self {
         let side = (2 * radius + 1) as usize;
-        out.clear();
-        out.resize(side * side * self.channels, 0.0);
-        // Cells sort by (x, y), so each window column x+dx is one
-        // contiguous cell run: binary-search its start, then scan.
+        WindowWalker {
+            radius,
+            centre: None,
+            starts: vec![0; side],
+            ends: vec![0; side],
+            heads: vec![0; side],
+            blocks: Vec::with_capacity(side * side),
+        }
+    }
+
+    fn side(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Moves to the window centred at `(x, y)` and collects its active
+    /// cells, read back through [`WindowWalker::blocks`].
+    pub fn visit(&mut self, bev: &BevMap, x: i32, y: i32) {
+        let radius = self.radius;
+        let cells = &bev.cells;
+        let reseed = self.centre.is_none_or(|last| (x, y) < last);
+        self.centre = Some((x, y));
         for (dx_idx, dx) in (-radius..=radius).enumerate() {
-            let col = x + dx;
-            let start = self.cells.partition_point(|&c| c < (col, y - radius));
-            for i in start..self.cells.len() {
-                let (cx, cy) = self.cells[i];
-                if cx != col || cy > y + radius {
-                    break;
-                }
-                let dy_idx = (cy - (y - radius)) as usize;
-                let block = (dy_idx * side + dx_idx) * self.channels;
-                out[block..block + self.channels]
-                    .copy_from_slice(&self.features[i * self.channels..(i + 1) * self.channels]);
+            let key = (x + dx, y - radius);
+            let mut start = if reseed {
+                cells.partition_point(|&c| c < key)
+            } else {
+                self.starts[dx_idx]
+            };
+            while start < cells.len() && cells[start] < key {
+                start += 1;
             }
+            let mut end = start;
+            while end < cells.len() && cells[end].0 == key.0 && cells[end].1 <= y + radius {
+                end += 1;
+            }
+            self.starts[dx_idx] = start;
+            self.ends[dx_idx] = end;
+        }
+        // Merge the column runs into layout order: row by row, take each
+        // column's next cell when it sits on that row.
+        let side = self.side();
+        self.blocks.clear();
+        self.heads.copy_from_slice(&self.starts);
+        for dy_idx in 0..side {
+            let row_y = y - radius + dy_idx as i32;
+            for (dx_idx, i) in self.heads.iter_mut().enumerate() {
+                if *i < self.ends[dx_idx] && cells[*i].1 == row_y {
+                    self.blocks.push((dy_idx * side + dx_idx, *i));
+                    *i += 1;
+                }
+            }
+        }
+    }
+
+    /// The current window's active cells as `(block, cell index)` pairs
+    /// in layout order (dy outer, dx inner); blocks absent from the list
+    /// are all-zero in the dense window.
+    pub fn blocks(&self) -> &[(usize, usize)] {
+        &self.blocks
+    }
+
+    /// Writes the current window's dense features into `out` — what
+    /// [`BevMap::window_features`] returns for the visited centre.
+    pub fn fill_window(&self, bev: &BevMap, out: &mut Vec<f32>) {
+        let channels = bev.channels;
+        let side = self.side();
+        out.clear();
+        out.resize(side * side * channels, 0.0);
+        for &(block, cell) in &self.blocks {
+            out[block * channels..(block + 1) * channels].copy_from_slice(bev.feature_at(cell));
         }
     }
 }

@@ -8,9 +8,10 @@ use cooper_telemetry::names as telemetry_names;
 use serde::{Deserialize, Serialize};
 
 use crate::anchors::AnchorConfig;
-use crate::bev::BevMap;
+use crate::bev::{BevMap, WindowWalker};
 use crate::head::DetectionHead;
-use crate::preprocess::{densify, PreprocessConfig};
+use crate::nn::sigmoid;
+use crate::preprocess::{densify_above, PreprocessConfig};
 use crate::sparse_conv::{ConvRulebook, SparseConv3};
 use crate::train::{train, TrainingConfig};
 use crate::vfe::VoxelFeatureEncoder;
@@ -420,12 +421,11 @@ impl SpodDetector {
     /// from-scratch and incremental featurize paths.
     fn preprocess(&self, cloud: &PointCloud) -> PointCloud {
         let _stage = cooper_telemetry::span!(telemetry_names::SPAN_SPOD_PREPROCESS);
-        let mut dense = densify(cloud, &self.config.preprocess);
-        if let Some(margin) = self.config.ground_removal_margin {
-            let cutoff = -self.config.mount_height + margin;
-            dense.retain(|p| p.position.z >= cutoff);
-        }
-        dense
+        let cutoff = self
+            .config
+            .ground_removal_margin
+            .map(|margin| -self.config.mount_height + margin);
+        densify_above(cloud, &self.config.preprocess, cutoff)
     }
 
     /// Rulebook, both sparse convolutions, and the BEV collapse — shared
@@ -695,32 +695,31 @@ impl SpodDetector {
         };
         let detections = {
             let _stage = cooper_telemetry::span!(telemetry_names::SPAN_SPOD_RPN);
+            let radius = self.config.window_radius;
+            let rpn = RpnHeads::new(&heads, window_len(radius, bev.channels()));
             let parts = options.executor.map_chunks_in(
                 bev.cell_slice(),
                 RPN_CHUNK_CELLS,
-                Vec::new,
-                |_, cells, window| {
+                || RpnScratch::new(radius),
+                |_, cells, scratch| {
                     let mut local = Vec::new();
                     for &(x, y) in cells {
-                        bev.window_features_into(x, y, self.config.window_radius, window);
-                        for head in &heads {
-                            for yaw_idx in 0..AnchorConfig::YAWS.len() {
-                                let score = head.score(window, yaw_idx);
-                                if score < threshold {
-                                    continue;
-                                }
-                                let anchor = head.config().anchor_at(
-                                    &self.config.voxel_grid,
-                                    (x, y),
-                                    yaw_idx,
-                                );
-                                let residual = head.residual(window, yaw_idx);
-                                local.push(Detection {
-                                    class: head.config().class,
-                                    obb: crate::anchors::decode_box(&anchor, &residual),
-                                    score,
-                                });
+                        scratch.visit(bev, x, y);
+                        rpn.logits(bev, scratch);
+                        for (k, &(head, yaw_idx)) in rpn.anchors.iter().enumerate() {
+                            let score = sigmoid(scratch.logits[k]);
+                            if score < threshold {
+                                continue;
                             }
+                            let anchor =
+                                head.config()
+                                    .anchor_at(&self.config.voxel_grid, (x, y), yaw_idx);
+                            rpn.residual(k, bev, scratch);
+                            local.push(Detection {
+                                class: head.config().class,
+                                obb: crate::anchors::decode_box(&anchor, &scratch.residual),
+                                score,
+                            });
                         }
                     }
                     local
@@ -741,6 +740,237 @@ impl SpodDetector {
     }
 }
 
+/// Length of an RPN window's feature vector: `(2·radius + 1)²` blocks of
+/// `channels` values.
+fn window_len(radius: i32, channels: usize) -> usize {
+    let side = (2 * radius + 1) as usize;
+    side * side * channels
+}
+
+/// Per-worker buffers of the RPN walk.
+struct RpnScratch {
+    walker: WindowWalker,
+    /// Lane accumulators of the unit bank being summed.
+    lanes: Vec<Lanes>,
+    /// One objectness logit per scored anchor (head × yaw).
+    logits: Vec<f32>,
+    /// The dense window of the current cell, valid when `window_built`.
+    window: Vec<f32>,
+    window_built: bool,
+    residual: Vec<f32>,
+}
+
+impl RpnScratch {
+    fn new(radius: i32) -> Self {
+        RpnScratch {
+            walker: WindowWalker::new(radius),
+            lanes: Vec::new(),
+            logits: Vec::new(),
+            window: Vec::new(),
+            window_built: false,
+            residual: Vec::new(),
+        }
+    }
+
+    /// Moves to the window centred at `(x, y)`.
+    fn visit(&mut self, bev: &BevMap, x: i32, y: i32) {
+        self.walker.visit(bev, x, y);
+        self.window_built = false;
+    }
+
+    /// Builds `window` for the cell the walker last visited, once per
+    /// cell.
+    fn ensure_window(&mut self, bev: &BevMap) {
+        if !self.window_built {
+            self.walker.fill_window(bev, &mut self.window);
+            self.window_built = true;
+        }
+    }
+}
+
+/// Units summed side by side: one lane each, eight to a row, so the
+/// compiler can keep a row in one vector register. Lanes never mix, so
+/// each unit's sum is the same scalar chain it would be alone.
+const LANES: usize = 8;
+type Lanes = [f32; LANES];
+
+/// Linear units over one RPN window, weights transposed to `[window
+/// index][lane row]` so one walk over the active cells advances every
+/// unit's chain together. Padding lanes have zero weights and are never
+/// read back.
+struct UnitBank {
+    units: usize,
+    /// Lane rows per window index.
+    rows: usize,
+    weights: Vec<Lanes>,
+}
+
+impl UnitBank {
+    /// The units of `layers`, in layer order then output order.
+    fn new(layers: &[&crate::nn::Linear], window_len: usize) -> Self {
+        let units: usize = layers.iter().map(|l| l.out_dim()).sum();
+        let rows = units.div_ceil(LANES);
+        let mut weights = vec![[0.0; LANES]; window_len * rows];
+        let mut unit = 0;
+        for layer in layers {
+            for o in 0..layer.out_dim() {
+                let row = &layer.weights()[o * window_len..(o + 1) * window_len];
+                for (i, &w) in row.iter().enumerate() {
+                    weights[i * rows + unit / LANES][unit % LANES] = w;
+                }
+                unit += 1;
+            }
+        }
+        UnitBank {
+            units,
+            rows,
+            weights,
+        }
+    }
+
+    /// Writes each unit's `Σ w[i] · x[i]` over the visited window's
+    /// active cells to `out`, terms in window index order (block, then
+    /// channel), starting from `-0.0` like `Iterator::sum`.
+    fn sum_active(
+        &self,
+        bev: &BevMap,
+        walker: &WindowWalker,
+        acc: &mut Vec<Lanes>,
+        out: &mut Vec<f32>,
+    ) {
+        acc.clear();
+        acc.resize(self.rows, [-0.0; LANES]);
+        let block_len = bev.channels() * self.rows;
+        for &(block, cell) in walker.blocks() {
+            let weights = &self.weights[block * block_len..(block + 1) * block_len];
+            for (&x, rows) in bev
+                .feature_at(cell)
+                .iter()
+                .zip(weights.chunks_exact(self.rows))
+            {
+                for (lanes, w) in acc.iter_mut().zip(rows) {
+                    for (a, &w) in lanes.iter_mut().zip(w) {
+                        *a += w * x;
+                    }
+                }
+            }
+        }
+        out.clear();
+        out.extend(acc.iter().flatten().take(self.units));
+    }
+}
+
+/// Turns unit sums into outputs: `b + sum`, bias first as
+/// [`crate::nn::Linear`] adds it.
+fn add_biases(sums: &mut [f32], biases: &[f32]) {
+    for (sum, &b) in sums.iter_mut().zip(biases) {
+        let active = *sum;
+        *sum = b + active;
+    }
+}
+
+/// The RPN units of every scored anchor (head × yaw, heads outer),
+/// evaluated over a window's *active* cells only.
+///
+/// A dense unit ([`crate::nn::Linear`]) sums `w[i]·x[i]` in index order
+/// over the whole window, whose inactive blocks are `+0.0`. For finite
+/// `w` those terms are `±0`, and adding `±0` to a non-zero partial sum
+/// leaves it unchanged; only a zero partial sum can change, and then
+/// only its sign. Summing just the active blocks, in index order, so
+/// gives the dense sum exactly, or a zero of the other sign:
+/// - objectness: `b + (±0)` feeds a `sigmoid` that returns 0.5 for both
+///   zeros, so the score is unchanged;
+/// - regression: the residual is used as is. A sum that starts at
+///   `-0.0` stays `-0.0` only while every term is `-0.0`, so a `+0.0`
+///   active sum means the dense sum, which has the same terms and more,
+///   is `+0.0` too. Only a `-0.0` sum is redone densely.
+struct RpnHeads<'a> {
+    /// `(head, yaw index)` per anchor, in the order anchors are emitted.
+    anchors: Vec<(&'a DetectionHead, usize)>,
+    /// One objectness unit per anchor.
+    objectness: UnitBank,
+    biases: Vec<f32>,
+    /// Per anchor, its regression units.
+    regression: Vec<UnitBank>,
+    /// `false` when a weight is not finite (`w · 0` is then NaN, not
+    /// `±0`) or a unit does not take a window of `window_len`: every
+    /// window is then scored densely, exactly as the heads score it.
+    sparse: bool,
+}
+
+impl<'a> RpnHeads<'a> {
+    fn new(heads: &[&'a DetectionHead], window_len: usize) -> Self {
+        let anchors: Vec<(&DetectionHead, usize)> = heads
+            .iter()
+            .flat_map(|&head| (0..AnchorConfig::YAWS.len()).map(move |yaw| (head, yaw)))
+            .collect();
+        let objectness: Vec<&crate::nn::Linear> = anchors
+            .iter()
+            .map(|&(head, yaw)| &head.objectness_layers()[yaw])
+            .collect();
+        let regression: Vec<&crate::nn::Linear> = anchors
+            .iter()
+            .map(|&(head, yaw)| &head.regression_layers()[yaw])
+            .collect();
+        let sparse = objectness
+            .iter()
+            .chain(&regression)
+            .all(|l| l.in_dim() == window_len && l.weights().iter().all(|w| w.is_finite()));
+        let bank = |layers: &[&crate::nn::Linear]| {
+            UnitBank::new(if sparse { layers } else { &[] }, window_len)
+        };
+        RpnHeads {
+            anchors,
+            objectness: bank(&objectness),
+            biases: objectness.iter().map(|l| l.biases()[0]).collect(),
+            regression: regression.iter().map(|&l| bank(&[l])).collect(),
+            sparse,
+        }
+    }
+
+    /// Fills `scratch.logits` for the window `scratch.walker` last
+    /// visited.
+    fn logits(&self, bev: &BevMap, scratch: &mut RpnScratch) {
+        scratch.logits.clear();
+        if self.anchors.is_empty() {
+            // A class filter no head serves: nothing to score.
+        } else if self.sparse {
+            self.objectness.sum_active(
+                bev,
+                &scratch.walker,
+                &mut scratch.lanes,
+                &mut scratch.logits,
+            );
+            add_biases(&mut scratch.logits, &self.biases);
+        } else {
+            scratch.ensure_window(bev);
+            let window = &scratch.window;
+            scratch.logits.extend(
+                self.anchors
+                    .iter()
+                    .map(|&(head, yaw)| head.objectness_logit(window, yaw)),
+            );
+        }
+    }
+
+    /// Writes anchor `k`'s box residual into `scratch.residual`.
+    fn residual(&self, k: usize, bev: &BevMap, scratch: &mut RpnScratch) {
+        let (head, yaw) = self.anchors[k];
+        if self.sparse {
+            let residual = &mut scratch.residual;
+            self.regression[k].sum_active(bev, &scratch.walker, &mut scratch.lanes, residual);
+            // A `-0.0` sum is the one value the dense sum may not share
+            // (it could be `+0.0`); every other sum is exact.
+            if !residual.iter().any(|&s| s == 0.0 && s.is_sign_negative()) {
+                add_biases(residual, head.regression_layers()[yaw].biases());
+                return;
+            }
+        }
+        scratch.ensure_window(bev);
+        head.residual_into(&scratch.window, yaw, &mut scratch.residual);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,6 +986,50 @@ mod tests {
             cloud.push(Point::new(Vec3::new(8.0 + fx, -0.9 + fy, -1.7 + fz), 0.45));
         }
         cloud
+    }
+
+    #[test]
+    fn sparse_residual_keeps_the_dense_sign_of_zero() {
+        // +0.0 weights times negative features make every active term
+        // -0.0, while the window's inactive blocks add +0.0: the dense
+        // sum is +0.0 where the active-only sum is -0.0.
+        let (channels, radius) = (2, 1);
+        let len = window_len(radius, channels);
+        let layers = |bias: f32, out: usize| -> Vec<crate::nn::Linear> {
+            (0..AnchorConfig::YAWS.len())
+                .map(|_| {
+                    crate::nn::Linear::from_parameters(
+                        len,
+                        out,
+                        vec![0.0; len * out],
+                        vec![bias; out],
+                    )
+                })
+                .collect()
+        };
+        let head = DetectionHead::from_parts(
+            AnchorConfig::for_class(ObjectClass::Car, 1.7),
+            layers(0.0, 1),
+            layers(-0.0, crate::anchors::REGRESSION_DIMS),
+        );
+        let bev = BevMap::from_parts(channels, vec![(0, 0)], vec![-1.0, -2.0]);
+        let dense = bev.window_features(0, 0, radius);
+        let rpn = RpnHeads::new(&[&head], len);
+        let mut scratch = RpnScratch::new(radius);
+        scratch.visit(&bev, 0, 0);
+        for (k, &(_, yaw)) in rpn.anchors.iter().enumerate() {
+            rpn.residual(k, &bev, &mut scratch);
+            let expected = head.residual(&dense, yaw);
+            assert!(expected.iter().all(|&v| v == 0.0 && v.is_sign_positive()));
+            assert_eq!(
+                scratch
+                    .residual
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+                expected.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
@@ -800,6 +1074,10 @@ mod tests {
         let det = SpodDetector::new(SpodConfig::default());
         let dets = det.detect_class(&toy_cloud(), ObjectClass::Car, 0.4);
         assert!(dets.iter().all(|d| d.class == ObjectClass::Car));
+        // A class no head serves scores nothing.
+        assert!(det
+            .detect_class(&toy_cloud(), ObjectClass::Background, 0.0)
+            .is_empty());
     }
 
     #[test]

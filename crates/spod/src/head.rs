@@ -105,6 +105,12 @@ impl DetectionHead {
         self.regression[yaw_idx].forward(features)
     }
 
+    /// [`DetectionHead::residual`] into a reusable buffer (bitwise the
+    /// same values, no allocation once `out` has grown).
+    pub(crate) fn residual_into(&self, features: &[f32], yaw_idx: usize, out: &mut Vec<f32>) {
+        self.regression[yaw_idx].forward_into(features, out);
+    }
+
     /// One SGD step for a *negative* anchor (objectness only).
     pub fn train_negative(&mut self, features: &[f32], yaw_idx: usize, learning_rate: f32) {
         let logit = self.objectness_logit(features, yaw_idx);
@@ -165,6 +171,9 @@ mod tests {
         assert_eq!(h.score(&[0.5; 8], 0), 0.5);
         assert_eq!(h.score(&[0.5; 8], 1), 0.5);
         assert_eq!(h.residual(&[0.5; 8], 0), vec![0.0; REGRESSION_DIMS]);
+        let mut buf = vec![1.0; 2];
+        h.residual_into(&[0.5; 8], 1, &mut buf);
+        assert_eq!(buf, h.residual(&[0.5; 8], 1));
         assert_eq!(h.feature_dim(), 8);
     }
 

@@ -1,5 +1,7 @@
 //! Non-maximum suppression over scored oriented boxes.
 
+use cooper_geometry::Obb3;
+
 use crate::detector::Detection;
 
 /// Greedy score-sorted non-maximum suppression using BEV IoU.
@@ -59,12 +61,18 @@ pub fn non_max_suppression_with_distance(
     );
     detections.sort_by(|a, b| b.score.total_cmp(&a.score));
     let mut kept: Vec<Detection> = Vec::new();
+    let mut kept_reach: Vec<f64> = Vec::new();
     'candidates: for det in detections {
-        for survivor in &kept {
+        let reach = bev_reach(&det.obb);
+        for (survivor, &survivor_reach) in kept.iter().zip(&kept_reach) {
             if survivor.class != det.class {
                 continue;
             }
-            if survivor.obb.iou_bev(&det.obb) > iou_threshold {
+            // IoU is 0 when the footprints are apart, and 0 never
+            // exceeds a threshold in [0, 1]: skip the polygon clip.
+            if !bev_apart(&survivor.obb, &det.obb, survivor_reach + reach)
+                && survivor.obb.iou_bev(&det.obb) > iou_threshold
+            {
                 continue 'candidates;
             }
             let scale = survivor.obb.size.x.min(det.obb.size.x);
@@ -75,8 +83,47 @@ pub fn non_max_suppression_with_distance(
             }
         }
         kept.push(det);
+        kept_reach.push(reach);
     }
     kept
+}
+
+/// Gap (metres) by which two footprints' circumscribed circles must miss
+/// each other before [`bev_apart`] calls them apart. It dwarfs the
+/// rounding of corner coordinates and the polygon clip's `1e-12`
+/// inside-test tolerance, so a clip of two apart boxes is empty.
+const APART_MARGIN_M: f64 = 1e-6;
+
+/// Edges shorter than this (metres) widen the clip's inside-test band
+/// (`1e-12 / edge length`) towards [`APART_MARGIN_M`].
+const MIN_REACH_EDGE_M: f64 = 1e-3;
+
+/// Centres farther than this from the origin (metres, per axis) round
+/// their corners by amounts approaching [`APART_MARGIN_M`].
+const MAX_REACH_CENTER_M: f64 = 1e6;
+
+/// Radius of the circle circumscribing `obb`'s BEV footprint plus half
+/// of [`APART_MARGIN_M`]. Infinite — the box always takes the polygon
+/// clip — when an edge is shorter than [`MIN_REACH_EDGE_M`] or the
+/// centre lies beyond [`MAX_REACH_CENTER_M`].
+fn bev_reach(obb: &Obb3) -> f64 {
+    let thin = obb.size.x.min(obb.size.y) < MIN_REACH_EDGE_M;
+    let far = obb.center.x.abs().max(obb.center.y.abs()) > MAX_REACH_CENTER_M;
+    if thin || far {
+        f64::INFINITY
+    } else {
+        0.5 * obb.size.x.hypot(obb.size.y) + 0.5 * APART_MARGIN_M
+    }
+}
+
+/// `true` when the BEV centres are farther apart than `reach` (the sum of
+/// both [`bev_reach`] radii): the footprints are then disjoint with a
+/// clear gap and their BEV IoU is exactly 0. A NaN anywhere compares
+/// false.
+fn bev_apart(a: &Obb3, b: &Obb3, reach: f64) -> bool {
+    let dx = a.center.x - b.center.x;
+    let dy = a.center.y - b.center.y;
+    dx * dx + dy * dy > reach * reach
 }
 
 #[cfg(test)]

@@ -7,9 +7,7 @@
 //! synthetic returns between real ones on the same surface, raising the
 //! voxel occupancy the detector sees.
 
-use std::collections::HashSet;
-
-use cooper_pointcloud::{PointCloud, RangeImage, RangeImageConfig};
+use cooper_pointcloud::{Point, PointCloud, RangeImage, RangeImageConfig};
 use serde::{Deserialize, Serialize};
 
 /// Preprocessing configuration.
@@ -65,37 +63,37 @@ impl PreprocessConfig {
 /// assert!(out.len() >= cloud.len());
 /// ```
 pub fn densify(cloud: &PointCloud, config: &PreprocessConfig) -> PointCloud {
+    densify_above(cloud, config, None)
+}
+
+/// [`densify`] followed by `retain(|p| p.position.z >= min_z)`, in one
+/// pass: only points at or above `min_z` (all points when `None`) are
+/// copied, originals first and interpolated returns after, each in the
+/// order [`densify`] emits them.
+pub fn densify_above(
+    cloud: &PointCloud,
+    config: &PreprocessConfig,
+    min_z: Option<f64>,
+) -> PointCloud {
+    let keep = |p: &Point| min_z.is_none_or(|z| p.position.z >= z);
+    let mut out = PointCloud::with_capacity(cloud.len());
+    out.extend(cloud.iter().filter(|p| keep(p)).copied());
     if config.densify_passes == 0 {
-        return cloud.clone();
+        return out;
     }
     let mut image = RangeImage::project(cloud, config.range_image);
-    let rows = config.range_image.rows;
-    let cols = config.range_image.cols;
-    let mut originally_occupied = HashSet::new();
-    for row in 0..rows {
-        for col in 0..cols {
-            if image.range_at(row, col).is_some() {
-                originally_occupied.insert((row, col));
-            }
-        }
-    }
+    let originally_occupied = image.occupancy();
     for _ in 0..config.densify_passes {
         let filled = image.densify_pass() + image.densify_vertical_pass();
         if filled == 0 {
             break;
         }
     }
-    let mut out = cloud.clone();
-    for row in 0..rows {
-        for col in 0..cols {
-            if originally_occupied.contains(&(row, col)) {
-                continue;
-            }
-            if let Some(point) = image.point_at(row, col) {
-                out.push(point);
-            }
+    image.for_each_point(|cell, point| {
+        if !originally_occupied[cell] && keep(&point) {
+            out.push(point);
         }
-    }
+    });
     out
 }
 
@@ -133,6 +131,25 @@ mod tests {
         // Originals are preserved verbatim at the front of the cloud.
         for (a, b) in cloud.iter().zip(out.iter()) {
             assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn densify_above_equals_densify_then_retain() {
+        let cfg = PreprocessConfig::sparse_default();
+        let cloud: PointCloud = (0..300)
+            .map(|i| {
+                let az = i as f64 * 0.021;
+                let z = -2.0 + (i % 7) as f64 * 0.5;
+                Point::new(Vec3::new(12.0 * az.cos(), 12.0 * az.sin(), z), 0.5)
+            })
+            .collect();
+        for min_z in [None, Some(-1.5), Some(0.2)] {
+            let mut expected = densify(&cloud, &cfg);
+            if let Some(z) = min_z {
+                expected.retain(|p| p.position.z >= z);
+            }
+            assert_eq!(densify_above(&cloud, &cfg, min_z), expected);
         }
     }
 

@@ -89,6 +89,13 @@ impl ConvRulebook {
         self.site_count
     }
 
+    /// The `site_count × 27` neighbour indices, site-major, taps in
+    /// kernel-offset order (`dz` outer, then `dy`, then `dx`, each
+    /// `-1..=1`); `-1` marks an inactive neighbour.
+    pub fn neighbor_table(&self) -> &[i32] {
+        &self.neighbors
+    }
+
     /// Builds a rulebook for a sorted active set.
     pub fn build(coords: &[VoxelCoord], executor: &Executor) -> Self {
         let mut rulebook = ConvRulebook::new();
@@ -97,21 +104,51 @@ impl ConvRulebook {
     }
 
     /// Rebuilds the table in place for a (sorted) active set, reusing
-    /// the backing allocation. Neighbour lookups are binary searches
-    /// over `coords`, chunk-parallel across `executor`.
+    /// the backing allocation, chunk-parallel across `executor`.
+    ///
+    /// Translating a coordinate preserves `(x, y, z)` order, so as a
+    /// chunk walks its sites in order, every neighbour target moves
+    /// forward through `coords`. Each chunk keeps one cursor per `(dx,
+    /// dy)` neighbour column, seeded by one binary search at the chunk's
+    /// first site and then only advanced; the column's three `dz`
+    /// targets are consecutive in sort order, so they are matched at the
+    /// cursor. The table holds the same indices a binary search per
+    /// target would find.
     pub fn rebuild(&mut self, coords: &[VoxelCoord], executor: &Executor) {
-        let offsets: Vec<(i32, i32, i32)> = kernel_offsets().collect();
         let parts = executor.map_chunks(coords, CONV_CHUNK_SITES, |_, chunk| {
             let mut table = Vec::with_capacity(chunk.len() * 27);
-            for coord in chunk {
-                for &(dx, dy, dz) in &offsets {
-                    let neighbor = VoxelCoord::new(coord.x + dx, coord.y + dy, coord.z + dz);
-                    let index = match coords.binary_search(&neighbor) {
-                        Ok(i) => i as i32,
-                        Err(_) => -1,
-                    };
-                    table.push(index);
+            // Neighbour column `(dy + 1) * 3 + (dx + 1)` of `c`, at `c.z + dz`.
+            let target = |c: &VoxelCoord, column: usize, dz: i32| {
+                let (dx, dy) = (column as i32 % 3 - 1, column as i32 / 3 - 1);
+                VoxelCoord::new(c.x + dx, c.y + dy, c.z + dz)
+            };
+            let mut cursors = [0usize; 9];
+            if let Some(first) = chunk.first() {
+                for (column, cursor) in cursors.iter_mut().enumerate() {
+                    let lowest = target(first, column, -1);
+                    *cursor = coords.partition_point(|c| *c < lowest);
                 }
+            }
+            for coord in chunk {
+                let mut taps = [-1i32; 27];
+                for (column, cursor) in cursors.iter_mut().enumerate() {
+                    let lowest = target(coord, column, -1);
+                    let mut i = *cursor;
+                    while i < coords.len() && coords[i] < lowest {
+                        i += 1;
+                    }
+                    *cursor = i;
+                    // The column's targets at dz = -1, 0, 1 are adjacent
+                    // in sort order: a match moves past one site, a miss
+                    // leaves `i` at the first site beyond the target.
+                    for (dz_idx, dz) in (-1..=1).enumerate() {
+                        if i < coords.len() && coords[i] == target(coord, column, dz) {
+                            taps[dz_idx * 9 + column] = i as i32;
+                            i += 1;
+                        }
+                    }
+                }
+                table.extend_from_slice(&taps);
             }
             table
         });

@@ -1,6 +1,7 @@
 //! Smoke test of the `cooper profile` subcommand's engine: the ranked
 //! self-time table must decompose at least 90% of the perceive-phase
-//! CPU time into the named SPOD sub-phases, and the exported Chrome
+//! CPU time into named stages (the SPOD sub-phases, fusion, payload
+//! decode), every SPOD sub-phase must appear, and the exported Chrome
 //! trace must be well-formed JSON with per-thread lanes. Calls
 //! [`cooper_cli::run_profile`] directly so the assertions run on data,
 //! not parsed stdout. One test function owns the global registry (this
@@ -17,11 +18,11 @@ fn profile_decomposes_perceive_and_exports_chrome_trace() {
     assert_eq!(report.steps, 2);
 
     // The acceptance bar: at least 90% of perceive-phase time is
-    // attributed to named SPOD sub-phases, so the table answers "where
-    // does perceive_us go" rather than hiding it in parent spans.
+    // attributed to named stages, so the table answers "where does
+    // perceive_us go" rather than hiding it in the entry-point spans.
     assert!(
         report.coverage_pct >= 90.0,
-        "SPOD sub-phases cover only {:.1}% of perceive time\n{}",
+        "named stages cover only {:.1}% of perceive time\n{}",
         report.coverage_pct,
         report.table
     );
