@@ -1,20 +1,21 @@
-//! Temporal perception benchmark: change-proportional perceive cost.
+//! Temporal perception benchmark: the incremental detection memo
+//! against from-scratch detection.
 //!
 //! The incremental SPOD path (`SpodDetector::detect_incremental`) keeps
-//! a [`FeaturizeCache`] alive across steps so per-step cost scales with
-//! how much the scene *changed*, not how large it is. This binary
-//! drives the from-scratch and incremental paths over three
-//! change-profiles of the same drive and reports amortized perceive
-//! time per step:
+//! a [`FeaturizeCache`] alive across steps: the last input cloud, its
+//! scoring options and its detections. A step whose cloud repeats bit
+//! for bit is answered from that memo; any other step is detected from
+//! scratch. This binary drives the from-scratch and incremental paths
+//! over three change-profiles of the same drive and reports amortized
+//! perceive time per step:
 //!
 //! - **low change** — the scene is static and every step's scan is
-//!   bitwise identical: the cache answers from its memoized detections.
+//!   bitwise identical: the memo answers every step after the first.
 //! - **append change** — each step appends a small cluster of new
-//!   returns to the previous scan: voxelization reuses the unchanged
-//!   chunk prefix and the VFE reuses rows of untouched voxels.
+//!   returns to the previous scan: no step repeats, so every step runs
+//!   from scratch (speedup about 1×).
 //! - **high change** — every step is a fresh scan of an advancing
-//!   world: nothing is reusable and the incremental path degrades to
-//!   roughly from-scratch cost (its overhead is the prefix probe).
+//!   world: likewise from-scratch cost plus one bitwise compare.
 //!
 //! Every incremental detection list is verified bit-identical to the
 //! from-scratch one — the speedup is only admissible because the
@@ -57,7 +58,7 @@ fn arms(azimuth_steps: usize) -> Vec<Arm> {
     };
 
     // Append change: each step adds a small cluster of new returns
-    // (a handful of chunks' worth of suffix) to the previous frame.
+    // to the previous frame.
     let mut appended = Vec::with_capacity(STEPS);
     let mut cloud = base.clone();
     for step in 0..STEPS {
@@ -82,7 +83,7 @@ fn arms(azimuth_steps: usize) -> Vec<Arm> {
     };
 
     // High change: the world advances and the scan seed changes, so
-    // every return moves and no prefix survives.
+    // every return moves.
     let mut world = scene.world.clone();
     let mut high_clouds = Vec::with_capacity(STEPS);
     for step in 0..STEPS {
@@ -205,7 +206,7 @@ fn main() {
         run_check();
         return;
     }
-    println!("=== Temporal perception: change-proportional perceive cost ===\n");
+    println!("=== Temporal perception: incremental detection memo ===\n");
     let results = run_all(500);
     let rows: Vec<Vec<String>> = results
         .iter()
@@ -228,9 +229,9 @@ fn main() {
     ];
     println!("{}", render_table(&headers, &rows));
     println!("Amortized per-step perceive cost over {STEPS} steps. The incremental");
-    println!("path reuses voxelization chunk prefixes, VFE rows of unchanged voxels");
-    println!("and, for bitwise-identical frames, the memoized detections — and is");
-    println!("only admissible because its output is exactly the from-scratch one.");
+    println!("path returns the memoized detections for a bitwise-identical frame and");
+    println!("detects any other frame from scratch; it is only admissible because its");
+    println!("output is exactly the from-scratch one.");
 
     let arms_json: Vec<String> = results
         .iter()

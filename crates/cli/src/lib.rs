@@ -188,9 +188,10 @@ with a track-level temporal filter (nearest-neighbour association,
 confirm-after-2-hits, coast-through-misses): per-vehicle confirmed and
 coasting track counts join the step lines and a per-vehicle tracker
 summary is printed after the run. --incremental keeps a per-vehicle
-perception cache across steps and routes detection through the
-incremental SPOD path, so per-step perceive cost scales with how much
-the scene changed; the printed reports are bit-identical either way.
+detection memo across steps: a scan or fused cloud that repeats bit for
+bit reuses the last step's detections instead of running SPOD again,
+and any other input is detected from scratch; the printed reports are
+bit-identical either way.
 --fault-plan injects faults into the fleet's broadcasts; the spec is
 comma-separated VEHICLE:KIND[:PARAMS][@FROM[..UNTIL]] entries with pose
 kinds drift:SIGMA, bias:EAST:NORTH, yaw:RAD, freeze and stale:AGE, plus
@@ -698,7 +699,7 @@ fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
             }
             let trust_guard = parsed.options.contains_key("--trust-guard");
             // Temporal flags: track-level fusion and incremental
-            // (change-proportional) perception.
+            // (memoized) perception.
             let tracker = parsed.options.contains_key("--tracker");
             let incremental = parsed.options.contains_key("--incremental");
             let icp_iters: usize = get_parse(

@@ -994,7 +994,8 @@ impl FleetSimulation {
             self.vehicles.iter().map(|_| None).collect();
         // Per-vehicle temporal state, persistent across steps: a
         // tracker when the pipeline enables track-level fusion, and a
-        // perception cache when it enables incremental perception. Both
+        // perception cache when it enables incremental perception (the
+        // list is empty otherwise, so `caches.get(i)` is `None`). Both
         // are indexed like `vehicles`; each cache is touched only by
         // its own vehicle's phase-3 tasks, so the parallel fan-out
         // stays deterministic.
@@ -1294,22 +1295,16 @@ impl FleetSimulation {
             let phase3: Vec<PerceiveTaskOutput> = {
                 let _perceive_span = cooper_telemetry::span!(telemetry_names::SPAN_FLEET_PERCEIVE);
                 executor.map_in(&tasks, DetectScratch::new, |_, task, scratch| match *task {
-                    PerceiveTask::Single(i) => {
-                        PerceiveTaskOutput::Single(if pipeline.incremental() {
-                            pipeline
-                                .perceive_single_cached(
-                                    &broadcasts[i].scan,
-                                    &inner,
-                                    scratch,
-                                    &caches[i],
-                                )
-                                .len()
-                        } else {
-                            pipeline
-                                .perceive_single_with(&broadcasts[i].scan, &inner, scratch)
-                                .len()
-                        })
-                    }
+                    PerceiveTask::Single(i) => PerceiveTaskOutput::Single(
+                        pipeline
+                            .perceive_single_with(
+                                &broadcasts[i].scan,
+                                &inner,
+                                scratch,
+                                caches.get(i),
+                            )
+                            .len(),
+                    ),
                     PerceiveTask::Cooperative(i) => {
                         let me = &broadcasts[i];
                         let id = self.vehicles[i].id;
@@ -1422,26 +1417,15 @@ impl FleetSimulation {
                         });
                         let fusion_inbox: &[ExchangePacket] =
                             filtered.as_deref().unwrap_or(&inboxes[i]);
-                        let outcome = if pipeline.incremental() {
-                            pipeline.perceive_cached(
-                                &me.scan,
-                                &my_estimate,
-                                fusion_inbox,
-                                &self.config.origin,
-                                &inner,
-                                scratch,
-                                &caches[i],
-                            )
-                        } else {
-                            pipeline.perceive_with(
-                                &me.scan,
-                                &my_estimate,
-                                fusion_inbox,
-                                &self.config.origin,
-                                &inner,
-                                scratch,
-                            )
-                        };
+                        let outcome = pipeline.perceive_with(
+                            &me.scan,
+                            &my_estimate,
+                            fusion_inbox,
+                            &self.config.origin,
+                            &inner,
+                            scratch,
+                            caches.get(i),
+                        );
                         let mut align_stats = AlignmentVehicleStats::default();
                         for record in &outcome.alignment {
                             align_stats.absorb(record);

@@ -20,9 +20,9 @@ use crate::{
     GuardDecision,
 };
 
-/// Per-receiver carried perception state for the incremental perceive
-/// paths ([`CooperPipeline::perceive_single_cached`] /
-/// [`CooperPipeline::perceive_cached`]).
+/// Per-receiver detection memos for incremental perception, passed as
+/// the `cache` argument of [`CooperPipeline::perceive_single_with`] and
+/// [`CooperPipeline::perceive_with`].
 ///
 /// A receiver runs two detection streams per step — its own scan and
 /// the cooperative fused cloud — whose inputs evolve independently, so
@@ -41,18 +41,6 @@ impl PerceptionCache {
     /// An empty cache; first perceives through it run from scratch.
     pub fn new() -> Self {
         PerceptionCache::default()
-    }
-
-    /// Drops all carried state for both streams.
-    pub fn clear(&self) {
-        self.single
-            .lock()
-            .expect("perception cache poisoned")
-            .clear();
-        self.cooperative
-            .lock()
-            .expect("perception cache poisoned")
-            .clear();
     }
 }
 
@@ -310,8 +298,10 @@ impl CooperPipeline {
 
     /// Enables incremental perception: fleet runs keep one
     /// [`PerceptionCache`] per vehicle and route detection through
-    /// [`SpodDetector::detect_incremental`], so per-step perceive cost
-    /// scales with scene *change* instead of scene *size*. Results are
+    /// [`SpodDetector::detect_incremental`], so a stream whose input
+    /// cloud repeats bit for bit (a static scene seen by a noiseless
+    /// sensor) reuses the last step's detections instead of running SPOD
+    /// again. Any other input is detected from scratch. Results are
     /// bit-identical to the from-scratch path.
     pub fn with_incremental(mut self) -> Self {
         self.incremental = true;
@@ -365,47 +355,61 @@ impl CooperPipeline {
     /// Single-shot perception: detect cars on one vehicle's own scan —
     /// the paper's baseline.
     pub fn perceive_single(&self, cloud: &PointCloud) -> Vec<Detection> {
-        self.perceive_single_with(cloud, &Executor::sequential(), &mut DetectScratch::new())
+        self.perceive_single_with(
+            cloud,
+            &Executor::sequential(),
+            &mut DetectScratch::new(),
+            None,
+        )
     }
 
     /// [`perceive_single`](Self::perceive_single) with an explicit
     /// executor and a caller-owned scratch arena, for callers (the fleet
     /// stepper, benches) that run many perceive calls and want to
     /// parallelize the detector internals while reusing its buffers.
+    ///
+    /// With a `cache`, detection goes through its single-shot stream
+    /// ([`SpodDetector::detect_incremental`]): a scan bitwise-equal to
+    /// the previous one returns the stored detections. Bit-identical to
+    /// the uncached call on any input.
     pub fn perceive_single_with(
         &self,
         cloud: &PointCloud,
         executor: &Executor,
         scratch: &mut DetectScratch,
+        cache: Option<&PerceptionCache>,
     ) -> Vec<Detection> {
-        let _span = cooper_telemetry::span!(telemetry_names::SPAN_PIPELINE_PERCEIVE_SINGLE);
-        let options = DetectOptions::default()
-            .with_class(ObjectClass::Car)
-            .with_threshold(self.score_threshold)
-            .with_executor(*executor);
-        self.detector.detect_with(cloud, &options, scratch)
+        self.detect_cars(cloud, executor, scratch, cache.map(|c| &c.single))
     }
 
-    /// [`perceive_single_with`](Self::perceive_single_with) with
-    /// change-proportional cost: carries perception state in `cache`
-    /// across steps and recomputes only what the scan changed
-    /// ([`SpodDetector::detect_incremental`]). Bit-identical to the
-    /// from-scratch path on any input.
-    pub fn perceive_single_cached(
+    /// Car-only options at the pipeline's score threshold.
+    fn car_options(&self, executor: &Executor) -> DetectOptions {
+        DetectOptions::default()
+            .with_class(ObjectClass::Car)
+            .with_threshold(self.score_threshold)
+            .with_executor(*executor)
+    }
+
+    /// Detects cars in `cloud` under the `pipeline.perceive_single` span,
+    /// through the memo in `stream` when one is given.
+    fn detect_cars(
         &self,
         cloud: &PointCloud,
         executor: &Executor,
         scratch: &mut DetectScratch,
-        cache: &PerceptionCache,
+        stream: Option<&Mutex<FeaturizeCache>>,
     ) -> Vec<Detection> {
         let _span = cooper_telemetry::span!(telemetry_names::SPAN_PIPELINE_PERCEIVE_SINGLE);
-        let options = DetectOptions::default()
-            .with_class(ObjectClass::Car)
-            .with_threshold(self.score_threshold)
-            .with_executor(*executor);
-        let mut stream = cache.single.lock().expect("perception cache poisoned");
-        self.detector
-            .detect_incremental(cloud, &options, scratch, &mut stream)
+        let options = self.car_options(executor);
+        match stream {
+            Some(stream) => self.detector.detect_incremental(
+                cloud,
+                &options,
+                scratch,
+                &mut stream.lock().expect("perception cache poisoned"),
+            ),
+            None => self.detector.detect_with(cloud, &options, scratch),
+        }
     }
 
     /// Temporal self-fusion perception — the paper's Figure-2 procedure
@@ -479,6 +483,7 @@ impl CooperPipeline {
             origin,
             &Executor::sequential(),
             &mut DetectScratch::new(),
+            None,
         )
     }
 
@@ -496,6 +501,16 @@ impl CooperPipeline {
     /// frame carries no raw points to verify with ICP, so its GPS/IMU
     /// transform is trusted as-is. [`FusionOutcome::fused_cloud`] holds
     /// the point-level union only; feature packets contribute no points.
+    ///
+    /// With a `cache`, an inbox of point packets only is detected through
+    /// the cache's cooperative stream
+    /// ([`SpodDetector::detect_incremental`]): a fused cloud
+    /// bitwise-equal to the previous step's returns the stored
+    /// detections. An inbox holding any feature frame takes the BEV path
+    /// above and leaves the cache unused, because feature fusion happens
+    /// past the point cloud the memo keys on. Bit-identical to the
+    /// uncached call on any inbox.
+    #[allow(clippy::too_many_arguments)]
     pub fn perceive_with(
         &self,
         local_cloud: &PointCloud,
@@ -504,6 +519,7 @@ impl CooperPipeline {
         origin: &GpsFix,
         executor: &Executor,
         scratch: &mut DetectScratch,
+        cache: Option<&PerceptionCache>,
     ) -> FusionOutcome {
         let _span = cooper_telemetry::span!(telemetry_names::SPAN_PIPELINE_PERCEIVE);
         // Partition the inbox: v3 payloads fuse at the feature level,
@@ -531,7 +547,12 @@ impl CooperPipeline {
                 origin,
                 self.guard.as_ref(),
             );
-            let detections = self.perceive_single_with(&fused_cloud, executor, scratch);
+            let detections = self.detect_cars(
+                &fused_cloud,
+                executor,
+                scratch,
+                cache.map(|c| &c.cooperative),
+            );
             return FusionOutcome {
                 fused_cloud,
                 detections,
@@ -562,10 +583,7 @@ impl CooperPipeline {
             &mut drops,
         );
         drops.sort_by_key(|d| d.index);
-        let options = DetectOptions::default()
-            .with_class(ObjectClass::Car)
-            .with_threshold(self.score_threshold)
-            .with_executor(*executor);
+        let options = self.car_options(executor);
         let local_bev = self
             .detector
             .featurize_with(&fused_cloud, &options, scratch);
@@ -577,61 +595,6 @@ impl CooperPipeline {
             fuse_bev(&maps, self.fusion_mode)
         };
         let detections = self.detector.detect_bev(&fused_bev, &options);
-        FusionOutcome {
-            fused_cloud,
-            detections,
-            packets_fused: fused_count,
-            drops,
-            alignment,
-        }
-    }
-
-    /// [`perceive_with`](Self::perceive_with) with change-proportional
-    /// cost: the fused point cloud is detected through the cooperative
-    /// stream of `cache`, so steps whose fused cloud is bitwise-stable
-    /// (static scenes, delta-frame reconstructions) skip most of the
-    /// SPOD trunk. Bit-identical to the from-scratch path.
-    ///
-    /// Inboxes containing v3 feature frames fall back to
-    /// [`perceive_with`](Self::perceive_with) — feature fusion happens
-    /// at the BEV level, past the stages the cache carries.
-    #[allow(clippy::too_many_arguments)]
-    pub fn perceive_cached(
-        &self,
-        local_cloud: &PointCloud,
-        local_pose: &PoseEstimate,
-        packets: &[ExchangePacket],
-        origin: &GpsFix,
-        executor: &Executor,
-        scratch: &mut DetectScratch,
-        cache: &PerceptionCache,
-    ) -> FusionOutcome {
-        let any_features = packets.iter().any(|packet| {
-            packet
-                .frame_info()
-                .is_ok_and(|info| info.kind == FrameKind::Features)
-        });
-        if any_features {
-            return self.perceive_with(local_cloud, local_pose, packets, origin, executor, scratch);
-        }
-        let _span = cooper_telemetry::span!(telemetry_names::SPAN_PIPELINE_PERCEIVE);
-        let (fused_cloud, fused_count, drops, alignment) = fuse_packets(
-            local_cloud,
-            local_pose,
-            packets,
-            origin,
-            self.guard.as_ref(),
-        );
-        let detections = {
-            let _single = cooper_telemetry::span!(telemetry_names::SPAN_PIPELINE_PERCEIVE_SINGLE);
-            let options = DetectOptions::default()
-                .with_class(ObjectClass::Car)
-                .with_threshold(self.score_threshold)
-                .with_executor(*executor);
-            let mut stream = cache.cooperative.lock().expect("perception cache poisoned");
-            self.detector
-                .detect_incremental(&fused_cloud, &options, scratch, &mut stream)
-        };
         FusionOutcome {
             fused_cloud,
             detections,
@@ -916,7 +879,7 @@ mod tests {
     }
 
     #[test]
-    fn perceive_cached_matches_perceive_over_steps() {
+    fn cached_perceive_matches_perceive_over_steps() {
         let pipeline = untrained_pipeline().with_score_threshold(0.4);
         let scene = scenario::tj_scenario_1();
         let scanner = LidarScanner::new(scene.kind.beam_model().noiseless());
@@ -933,29 +896,30 @@ mod tests {
             let remote = scanner.scan(&scene.world, &tx_pose, seed);
             let tx_est = PoseEstimate::from_pose(&tx_pose, &origin());
             let packet = ExchangePacket::build(2, 0, &remote, tx_est).unwrap();
-            let cached = pipeline.perceive_cached(
+            let cached = pipeline.perceive_with(
                 &local,
                 &rx_est,
-                &[packet.clone()],
+                std::slice::from_ref(&packet),
                 &origin(),
                 &executor,
                 &mut scratch,
-                &cache,
+                Some(&cache),
             );
             let plain = pipeline.perceive(&local, &rx_est, &[packet], &origin());
             assert_eq!(cached.detections, plain.detections);
             assert_eq!(cached.fused_cloud, plain.fused_cloud);
             assert_eq!(cached.packets_fused, plain.packets_fused);
         }
-        // Clearing resets without changing results.
-        cache.clear();
-        let single_cached =
-            pipeline.perceive_single_cached(&local, &executor, &mut scratch, &cache);
-        assert_eq!(single_cached, pipeline.perceive_single(&local));
+        // The single-shot stream, cold and then repeated.
+        for _ in 0..2 {
+            let single_cached =
+                pipeline.perceive_single_with(&local, &executor, &mut scratch, Some(&cache));
+            assert_eq!(single_cached, pipeline.perceive_single(&local));
+        }
     }
 
     #[test]
-    fn perceive_cached_falls_back_on_feature_packets() {
+    fn cached_perceive_falls_back_on_feature_packets() {
         let pipeline = untrained_pipeline();
         let scene = scenario::tj_scenario_1();
         let scanner = LidarScanner::new(scene.kind.beam_model().noiseless());
@@ -966,18 +930,20 @@ mod tests {
         let frame = pipeline.detector().featurize(&remote).to_feature_frame();
         let packet = ExchangePacket::build_features(2, 0, &frame, tx_est).unwrap();
         let cache = PerceptionCache::new();
-        let cached = pipeline.perceive_cached(
+        let cached = pipeline.perceive_with(
             &local,
             &rx_est,
-            &[packet.clone()],
+            std::slice::from_ref(&packet),
             &origin(),
             &Executor::sequential(),
             &mut DetectScratch::new(),
-            &cache,
+            Some(&cache),
         );
         let plain = pipeline.perceive(&local, &rx_est, &[packet], &origin());
         assert_eq!(cached.detections, plain.detections);
         assert_eq!(cached.packets_fused, plain.packets_fused);
+        // The BEV path leaves the cooperative memo untouched.
+        assert!(!cache.cooperative.lock().unwrap().is_warm());
     }
 
     #[test]

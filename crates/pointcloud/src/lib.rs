@@ -61,6 +61,4 @@ pub use codec::{
 };
 pub use point::Point;
 pub use range_image::{RangeImage, RangeImageConfig};
-pub use voxel::{
-    IncrementalUpdate, IncrementalVoxelizer, Voxel, VoxelCoord, VoxelGrid, VoxelGridConfig,
-};
+pub use voxel::{Voxel, VoxelCoord, VoxelGrid, VoxelGridConfig};

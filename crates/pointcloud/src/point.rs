@@ -53,8 +53,8 @@ impl Point {
     /// Bitwise equality (`to_bits` on every float field).
     ///
     /// Stricter than `PartialEq`: `-0.0 != 0.0` and NaNs never match.
-    /// The incremental perception caches key on this, so reuse only
-    /// ever happens on byte-for-byte identical inputs.
+    /// The incremental detection memo keys on this, so it only ever
+    /// serves byte-for-byte identical inputs.
     #[inline]
     pub fn bits_eq(&self, other: &Point) -> bool {
         self.position.x.to_bits() == other.position.x.to_bits()

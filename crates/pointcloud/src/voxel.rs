@@ -206,27 +206,6 @@ impl Voxel {
         self.max_range_xy = self.max_range_xy.max(range_xy);
     }
 
-    /// Bitwise equality of the aggregate statistics (`to_bits` on every
-    /// float field), ignoring the capped `samples` list.
-    ///
-    /// Feature encoders read only the aggregates, so bitwise-equal
-    /// aggregates guarantee a bit-identical encoding — the invalidation
-    /// rule of the incremental featurize path.
-    pub fn stats_bits_eq(&self, other: &Voxel) -> bool {
-        fn v3_bits_eq(a: cooper_geometry::Vec3, b: cooper_geometry::Vec3) -> bool {
-            a.x.to_bits() == b.x.to_bits()
-                && a.y.to_bits() == b.y.to_bits()
-                && a.z.to_bits() == b.z.to_bits()
-        }
-        self.count == other.count
-            && v3_bits_eq(self.position_sum, other.position_sum)
-            && self.reflectance_sum.to_bits() == other.reflectance_sum.to_bits()
-            && v3_bits_eq(self.min_position, other.min_position)
-            && v3_bits_eq(self.max_position, other.max_position)
-            && self.min_range_xy.to_bits() == other.min_range_xy.to_bits()
-            && self.max_range_xy.to_bits() == other.max_range_xy.to_bits()
-    }
-
     /// Merges another voxel's contents into this one. Samples from
     /// `other` are appended (up to `cap`); the aggregate statistics
     /// combine exactly.
@@ -480,190 +459,6 @@ impl VoxelGrid {
     }
 }
 
-/// Outcome of one [`IncrementalVoxelizer::update`].
-#[derive(Debug)]
-pub struct IncrementalUpdate {
-    /// The grid that was current *before* this update, when the input
-    /// changed; `None` when the input was bitwise-identical to the
-    /// previous update's (the grid was left untouched). Callers diff
-    /// this against [`IncrementalVoxelizer::grid`] to invalidate
-    /// per-voxel caches.
-    pub previous: Option<VoxelGrid>,
-    /// Number of chunks the new cloud partitions into.
-    pub chunks_total: usize,
-    /// Chunks whose cached partial was reused (inside the common
-    /// bitwise prefix).
-    pub chunks_reused: usize,
-    /// Length of the bitwise-common prefix between the previous and the
-    /// new cloud, in points.
-    pub prefix_points: usize,
-}
-
-impl IncrementalUpdate {
-    /// `true` when the input differed from the previous update's.
-    pub fn changed(&self) -> bool {
-        self.previous.is_some()
-    }
-}
-
-/// Incrementally maintained chunk-parallel voxelization.
-///
-/// Keeps the per-chunk sorted-SoA partials of the last input cloud
-/// alive across [`IncrementalVoxelizer::update`] calls. On the next
-/// call, chunks lying entirely inside the bitwise-common prefix of the
-/// old and new clouds reuse their cached partial (skipping the
-/// per-chunk sort/accumulate); only suffix chunks are recomputed. The
-/// partials are then re-folded in chunk order, so the resulting grid is
-/// **bit-identical to [`VoxelGrid::from_cloud_chunked`]** with the same
-/// config and chunk size — reuse changes cost, never output.
-///
-/// Typical producers of prefix-stable clouds are the v2 delta codec's
-/// reconstructed frames (static background first, changes appended) and
-/// any pipeline that concatenates per-sender segments in a fixed order.
-///
-/// # Examples
-///
-/// ```
-/// use cooper_geometry::Vec3;
-/// use cooper_pointcloud::{
-///     IncrementalVoxelizer, Point, PointCloud, VoxelGrid, VoxelGridConfig,
-/// };
-///
-/// let config = VoxelGridConfig::voxelnet_car();
-/// let executor = cooper_exec::Executor::sequential();
-/// let mut cloud: PointCloud = (0..100)
-///     .map(|i| Point::new(Vec3::new(10.0 + (i % 10) as f64, 0.0, 0.0), 0.5))
-///     .collect();
-/// let mut inc = IncrementalVoxelizer::new(config, 32);
-/// inc.update(&cloud, &executor);
-///
-/// // Append a few points: the three full prefix chunks are reused.
-/// cloud.push(Point::new(Vec3::new(50.0, 1.0, 0.0), 0.5));
-/// let update = inc.update(&cloud, &executor);
-/// assert_eq!(update.chunks_reused, 3);
-/// assert_eq!(
-///     inc.grid(),
-///     &VoxelGrid::from_cloud_chunked(&cloud, config, 32, &executor)
-/// );
-/// ```
-#[derive(Debug, Clone)]
-pub struct IncrementalVoxelizer {
-    config: VoxelGridConfig,
-    chunk_size: usize,
-    /// The previous input cloud, kept for the bitwise prefix compare.
-    points: Vec<Point>,
-    /// Cached per-chunk sorted-SoA partials, parallel to the chunk
-    /// partition of `points`.
-    partials: Vec<(Vec<VoxelCoord>, Vec<Voxel>)>,
-    grid: VoxelGrid,
-}
-
-impl IncrementalVoxelizer {
-    /// Creates an empty incremental voxelizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` fails [`VoxelGridConfig::validate`] or
-    /// `chunk_size` is zero.
-    pub fn new(config: VoxelGridConfig, chunk_size: usize) -> Self {
-        if let Err(msg) = config.validate() {
-            panic!("invalid voxel grid config: {msg}");
-        }
-        assert!(chunk_size > 0, "chunk size must be positive");
-        IncrementalVoxelizer {
-            config,
-            chunk_size,
-            points: Vec::new(),
-            partials: Vec::new(),
-            grid: VoxelGrid {
-                config,
-                coords: Vec::new(),
-                voxels: Vec::new(),
-            },
-        }
-    }
-
-    /// The grid configuration.
-    pub fn config(&self) -> &VoxelGridConfig {
-        &self.config
-    }
-
-    /// The chunk size partials are cached at.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk_size
-    }
-
-    /// The grid of the most recent update (empty before the first).
-    pub fn grid(&self) -> &VoxelGrid {
-        &self.grid
-    }
-
-    /// Brings the grid up to date with `cloud`, reusing cached chunk
-    /// partials where the cloud is bitwise-unchanged.
-    ///
-    /// A cached chunk is reusable when it is a full chunk lying
-    /// entirely inside the bitwise-common prefix: its slice of the new
-    /// cloud is then identical to the slice it was computed from.
-    /// Suffix chunks start at a multiple of the chunk size, so their
-    /// boundaries line up with from-scratch chunking and the re-folded
-    /// grid matches [`VoxelGrid::from_cloud_chunked`] bit for bit.
-    pub fn update(
-        &mut self,
-        cloud: &PointCloud,
-        executor: &cooper_exec::Executor,
-    ) -> IncrementalUpdate {
-        let new_points = cloud.as_slice();
-        let prefix = self
-            .points
-            .iter()
-            .zip(new_points.iter())
-            .take_while(|(a, b)| a.bits_eq(b))
-            .count();
-        let cs = self.chunk_size;
-        let chunks_total = new_points.len().div_ceil(cs);
-        if prefix == self.points.len() && prefix == new_points.len() {
-            return IncrementalUpdate {
-                previous: None,
-                chunks_total,
-                chunks_reused: chunks_total,
-                prefix_points: prefix,
-            };
-        }
-        let reusable = prefix / cs;
-        self.partials.truncate(reusable);
-        let suffix_start = reusable * cs;
-        let config = self.config;
-        let fresh = executor.map_chunks_in(
-            &new_points[suffix_start..],
-            cs,
-            Vec::new,
-            |_, points, keys| accumulate_sorted(points, &config, keys),
-        );
-        self.partials.extend(fresh);
-        let mut merged = (Vec::new(), Vec::new());
-        for partial in &self.partials {
-            merged = merge_sorted(merged, partial.clone(), config.max_points_per_voxel);
-        }
-        let (coords, voxels) = merged;
-        self.points.clear();
-        self.points.extend_from_slice(new_points);
-        let previous = std::mem::replace(
-            &mut self.grid,
-            VoxelGrid {
-                config,
-                coords,
-                voxels,
-            },
-        );
-        IncrementalUpdate {
-            previous: Some(previous),
-            chunks_total,
-            chunks_reused: reusable,
-            prefix_points: prefix,
-        }
-    }
-}
-
 impl fmt::Display for VoxelGrid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (nx, ny, nz) = self.config.dimensions();
@@ -876,121 +671,6 @@ mod tests {
             0,
             &cooper_exec::Executor::sequential(),
         );
-    }
-
-    fn drifting_cloud(n: usize, salt: u64) -> PointCloud {
-        (0..n)
-            .map(|i| {
-                let k = i as u64 + salt * 7919;
-                let x = ((k * 7) % 200) as f64 * 0.1 + 0.05;
-                let y = ((k * 13) % 200) as f64 * 0.1 - 10.0;
-                let z = ((k * 3) % 40) as f64 * 0.1 - 2.0;
-                Point::new(Vec3::new(x, y, z), (k % 11) as f32 * 0.09)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn incremental_first_update_matches_from_scratch() {
-        let executor = cooper_exec::Executor::new(Some(2));
-        let cloud = drifting_cloud(500, 0);
-        let mut inc = IncrementalVoxelizer::new(config(), 64);
-        let update = inc.update(&cloud, &executor);
-        assert!(update.changed());
-        assert_eq!(update.chunks_reused, 0);
-        assert_eq!(update.previous.unwrap().occupied_count(), 0);
-        let scratch = VoxelGrid::from_cloud_chunked(&cloud, config(), 64, &executor);
-        assert_eq!(inc.grid(), &scratch);
-    }
-
-    #[test]
-    fn incremental_unchanged_input_reports_no_previous() {
-        let executor = cooper_exec::Executor::sequential();
-        let cloud = drifting_cloud(300, 1);
-        let mut inc = IncrementalVoxelizer::new(config(), 64);
-        inc.update(&cloud, &executor);
-        let before = inc.grid().clone();
-        let update = inc.update(&cloud, &executor);
-        assert!(!update.changed());
-        assert_eq!(update.chunks_reused, update.chunks_total);
-        assert_eq!(update.prefix_points, cloud.len());
-        assert_eq!(inc.grid(), &before);
-    }
-
-    #[test]
-    fn incremental_append_reuses_prefix_chunks() {
-        let executor = cooper_exec::Executor::new(Some(3));
-        let mut cloud = drifting_cloud(256, 2);
-        let mut inc = IncrementalVoxelizer::new(config(), 64);
-        inc.update(&cloud, &executor);
-        cloud.merge(&drifting_cloud(40, 3));
-        let update = inc.update(&cloud, &executor);
-        // All four full chunks of the old cloud sit inside the prefix.
-        assert_eq!(update.chunks_reused, 4);
-        assert_eq!(update.chunks_total, 5);
-        assert_eq!(update.prefix_points, 256);
-        let scratch = VoxelGrid::from_cloud_chunked(&cloud, config(), 64, &executor);
-        assert_eq!(inc.grid(), &scratch);
-        // The returned previous grid is the pre-append state.
-        let prev = update.previous.unwrap();
-        let old = drifting_cloud(256, 2);
-        assert_eq!(
-            prev,
-            VoxelGrid::from_cloud_chunked(&old, config(), 64, &executor)
-        );
-    }
-
-    #[test]
-    fn incremental_midstream_edit_recomputes_suffix() {
-        let executor = cooper_exec::Executor::new(Some(2));
-        let base = drifting_cloud(512, 4);
-        let mut inc = IncrementalVoxelizer::new(config(), 64);
-        inc.update(&base, &executor);
-        // Mutate one point in chunk 2: chunks 0 and 1 stay reusable,
-        // everything from chunk 2 on is recomputed.
-        let mut edited: Vec<Point> = base.as_slice().to_vec();
-        edited[150].position.x += 0.5;
-        let edited: PointCloud = edited.into_iter().collect();
-        let update = inc.update(&edited, &executor);
-        assert_eq!(update.chunks_reused, 2);
-        assert_eq!(update.prefix_points, 150);
-        let scratch = VoxelGrid::from_cloud_chunked(&edited, config(), 64, &executor);
-        assert_eq!(inc.grid(), &scratch);
-    }
-
-    #[test]
-    fn incremental_shrink_matches_from_scratch() {
-        let executor = cooper_exec::Executor::sequential();
-        let base = drifting_cloud(400, 5);
-        let mut inc = IncrementalVoxelizer::new(config(), 64);
-        inc.update(&base, &executor);
-        let shrunk: PointCloud = base.as_slice()[..130].iter().copied().collect();
-        let update = inc.update(&shrunk, &executor);
-        assert_eq!(update.chunks_reused, 2);
-        assert_eq!(update.chunks_total, 3);
-        let scratch = VoxelGrid::from_cloud_chunked(&shrunk, config(), 64, &executor);
-        assert_eq!(inc.grid(), &scratch);
-    }
-
-    #[test]
-    fn incremental_is_thread_count_invariant() {
-        let mut inc1 = IncrementalVoxelizer::new(config(), 128);
-        let mut inc4 = IncrementalVoxelizer::new(config(), 128);
-        let e1 = cooper_exec::Executor::new(Some(1));
-        let e4 = cooper_exec::Executor::new(Some(4));
-        let mut cloud = drifting_cloud(1000, 6);
-        for step in 0..3 {
-            inc1.update(&cloud, &e1);
-            inc4.update(&cloud, &e4);
-            assert_eq!(inc1.grid(), inc4.grid());
-            cloud.merge(&drifting_cloud(90, 7 + step));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be positive")]
-    fn incremental_rejects_zero_chunk() {
-        let _ = IncrementalVoxelizer::new(config(), 0);
     }
 
     #[test]

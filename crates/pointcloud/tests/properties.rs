@@ -304,38 +304,6 @@ proptest! {
     }
 
     #[test]
-    fn incremental_voxelizer_matches_from_scratch_on_delta_stream(
-        clouds in prop::collection::vec(cloud(150), 2..6),
-        keyframe_every in 1u32..4,
-    ) {
-        use cooper_pointcloud::{DeltaDecoder, DeltaEncoder, IncrementalVoxelizer};
-        // Drive the incremental voxelizer with the receiver-side
-        // reconstruction of a v2 delta stream — exactly the clouds the
-        // perception cache sees — and require the maintained grid to be
-        // bit-identical to from-scratch chunked voxelization at every
-        // step, at two executor widths.
-        let config = VoxelGridConfig::voxelnet_car();
-        let e1 = cooper_exec::Executor::new(Some(1));
-        let e4 = cooper_exec::Executor::new(Some(4));
-        let mut enc = DeltaEncoder::new(config, keyframe_every);
-        let mut dec = DeltaDecoder::new();
-        let mut inc1 = IncrementalVoxelizer::new(config, 64);
-        let mut inc4 = IncrementalVoxelizer::new(config, 64);
-        for c in &clouds {
-            let frame = enc.encode_next(c, false).unwrap();
-            let reconstructed = dec.decode_next(&frame.bytes).unwrap();
-            let u1 = inc1.update(&reconstructed, &e1);
-            let u4 = inc4.update(&reconstructed, &e4);
-            let scratch = VoxelGrid::from_cloud_chunked(&reconstructed, config, 64, &e1);
-            prop_assert_eq!(inc1.grid(), &scratch);
-            prop_assert_eq!(inc4.grid(), &scratch);
-            // Reuse accounting is executor-independent too.
-            prop_assert_eq!(u1.chunks_reused, u4.chunks_reused);
-            prop_assert_eq!(u1.prefix_points, u4.prefix_points);
-        }
-    }
-
-    #[test]
     fn cloud_decoder_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..4096)) {
         let _ = decode_cloud(&bytes);
         let _ = cooper_pointcloud::decode_cloud_prefix(&bytes);

@@ -3,7 +3,7 @@
 use cooper_exec::Executor;
 use cooper_geometry::{Aabb3, Obb3, Vec3};
 use cooper_lidar_sim::ObjectClass;
-use cooper_pointcloud::{IncrementalVoxelizer, PointCloud, VoxelGrid, VoxelGridConfig};
+use cooper_pointcloud::{PointCloud, VoxelGrid, VoxelGridConfig};
 use cooper_telemetry::names as telemetry_names;
 use serde::{Deserialize, Serialize};
 
@@ -192,35 +192,29 @@ impl DetectScratch {
     }
 }
 
-/// Carried state slice of [`FeaturizeCache`]: everything derived from
-/// the last input cloud.
+/// The memo [`FeaturizeCache`] carries: the last input cloud and what
+/// detecting it produced.
 #[derive(Debug)]
 struct CachedPerception {
-    /// The raw input cloud the rest of this state was derived from.
+    /// The raw input cloud of the last call.
     input: PointCloud,
     /// Scoring options the cached `detections` were produced under:
     /// `(threshold bits, class restriction)`.
     fingerprint: (u32, Option<ObjectClass>),
-    /// Embedded VFE tensor aligned with the voxelizer's current grid.
-    embedded: crate::tensor::SparseTensor3,
-    /// BEV map collapsed from the current grid's deep features.
-    bev: BevMap,
     /// Detections for `input` under `fingerprint`.
     detections: Vec<Detection>,
 }
 
-/// Persistent per-stream state for [`SpodDetector::detect_incremental`].
+/// Persistent per-stream memo for [`SpodDetector::detect_incremental`].
 ///
 /// Unlike [`DetectScratch`] — whose contents are overwritten before
-/// every read — this cache *carries* results across calls: the
-/// incremental voxelizer's chunk partials and grid, the embedded VFE
-/// tensor, the collapsed BEV map, and the last detections. Keep exactly
-/// one cache per detection stream (e.g. per receiver × input kind);
-/// feeding one cache clouds from different streams destroys all reuse
-/// but never changes any result bit.
+/// every read — this cache *carries* the last call's input cloud,
+/// scoring options and detections across calls. Keep exactly one cache
+/// per detection stream (e.g. per receiver × input kind); feeding one
+/// cache clouds from different streams defeats the memo but never
+/// changes any result bit.
 #[derive(Debug, Default)]
 pub struct FeaturizeCache {
-    voxelizer: Option<IncrementalVoxelizer>,
     state: Option<CachedPerception>,
 }
 
@@ -232,7 +226,6 @@ impl FeaturizeCache {
 
     /// Drops all carried state; the next detection runs from scratch.
     pub fn clear(&mut self) {
-        self.voxelizer = None;
         self.state = None;
     }
 
@@ -391,7 +384,14 @@ impl SpodDetector {
     ) -> BevMap {
         let _span = cooper_telemetry::span!(telemetry_names::SPAN_SPOD_FEATURIZE);
         let executor = &options.executor;
-        let dense = self.preprocess(cloud);
+        let dense = {
+            let _stage = cooper_telemetry::span!(telemetry_names::SPAN_SPOD_PREPROCESS);
+            let cutoff = self
+                .config
+                .ground_removal_margin
+                .map(|margin| -self.config.mount_height + margin);
+            densify_above(cloud, &self.config.preprocess, cutoff)
+        };
         let grid = {
             let _stage = cooper_telemetry::span!(telemetry_names::SPAN_SPOD_VOXELIZE);
             // Chunked even when the executor is sequential: fixed chunk
@@ -414,29 +414,6 @@ impl SpodDetector {
             let _layer = cooper_telemetry::span!(telemetry_names::SPAN_SPOD_VFE);
             self.vfe.encode_with(&grid, executor)
         };
-        self.finish_from_embedded(&embedded, executor, scratch)
-    }
-
-    /// Densify and ground removal — the stage shared verbatim by the
-    /// from-scratch and incremental featurize paths.
-    fn preprocess(&self, cloud: &PointCloud) -> PointCloud {
-        let _stage = cooper_telemetry::span!(telemetry_names::SPAN_SPOD_PREPROCESS);
-        let cutoff = self
-            .config
-            .ground_removal_margin
-            .map(|margin| -self.config.mount_height + margin);
-        densify_above(cloud, &self.config.preprocess, cutoff)
-    }
-
-    /// Rulebook, both sparse convolutions, and the BEV collapse — shared
-    /// verbatim by the from-scratch and incremental featurize paths.
-    /// Callers open [`telemetry_names::SPAN_SPOD_MIDDLE`] around this.
-    fn finish_from_embedded(
-        &self,
-        embedded: &crate::tensor::SparseTensor3,
-        executor: &Executor,
-        scratch: &mut DetectScratch,
-    ) -> BevMap {
         {
             let _layer = cooper_telemetry::span!(telemetry_names::SPAN_SPOD_RULEBOOK);
             // Submanifold convolutions never change the active set, so
@@ -446,7 +423,7 @@ impl SpodDetector {
         let mid = {
             let _layer = cooper_telemetry::span!(telemetry_names::SPAN_SPOD_CONV1);
             self.conv1
-                .forward_with(embedded, &scratch.rulebook, executor)
+                .forward_with(&embedded, &scratch.rulebook, executor)
         };
         let deep = {
             let _layer = cooper_telemetry::span!(telemetry_names::SPAN_SPOD_CONV2);
@@ -456,68 +433,20 @@ impl SpodDetector {
         BevMap::collapse(&deep)
     }
 
-    /// Re-encodes only the voxels that changed between `prev` and
-    /// `grid`, copying cached embedded rows for voxels whose aggregate
-    /// statistics are bitwise-unchanged ([`cooper_pointcloud::Voxel::stats_bits_eq`]).
+    /// [`SpodDetector::detect_with`] behind a one-entry memo in `cache`.
     ///
-    /// Each voxel's encoding is independent of its neighbours, so the
-    /// result is bit-identical to a full [`VoxelFeatureEncoder::encode_with`].
-    fn encode_incremental(
-        &self,
-        grid: &VoxelGrid,
-        prev: &VoxelGrid,
-        prev_embedded: &crate::tensor::SparseTensor3,
-    ) -> crate::tensor::SparseTensor3 {
-        let channels = self.vfe.channels();
-        let coords = grid.coords();
-        let voxels = grid.voxels();
-        let prev_coords = prev.coords();
-        let prev_voxels = prev.voxels();
-        let prev_features = prev_embedded.feature_slice();
-        let mut features = Vec::with_capacity(coords.len() * channels);
-        let mut row = Vec::with_capacity(channels);
-        let mut reused = 0u64;
-        // Both coordinate lists are sorted: one merged walk pairs each
-        // new voxel with its previous incarnation, if any.
-        let mut j = 0usize;
-        for (i, coord) in coords.iter().enumerate() {
-            while j < prev_coords.len() && prev_coords[j] < *coord {
-                j += 1;
-            }
-            if j < prev_coords.len()
-                && prev_coords[j] == *coord
-                && prev_voxels[j].stats_bits_eq(&voxels[i])
-            {
-                features.extend_from_slice(&prev_features[j * channels..(j + 1) * channels]);
-                reused += 1;
-            } else {
-                self.vfe
-                    .encode_voxel_into(grid, *coord, &voxels[i], &mut row);
-                features.extend_from_slice(&row);
-            }
-        }
-        cooper_telemetry::counter_add(telemetry_names::SPOD_INCREMENTAL_VOXELS_REUSED, reused);
-        crate::tensor::SparseTensor3::from_sorted_parts(channels, coords.to_vec(), features)
-    }
-
-    /// [`SpodDetector::detect_with`] with change-proportional cost:
-    /// carries perception state across calls in `cache` and recomputes
-    /// only what the input changed.
+    /// When `cloud` is bitwise-equal to the previous call's input
+    /// ([`cooper_pointcloud::Point::bits_eq`] pointwise) and the scoring
+    /// options (threshold and class) match, the stored detections are
+    /// returned and [`telemetry_names::SPOD_INCREMENTAL_HITS`] is
+    /// counted. Otherwise this runs `detect_with` and stores the input,
+    /// the options and the detections for the next call. The executor is
+    /// not part of the key: it never changes a result bit. Either way the
+    /// output is **bit-identical** to `detect_with`.
     ///
-    /// Reuse tiers, each **bit-identical** to the from-scratch path:
-    ///
-    /// 1. Input cloud bitwise-unchanged and same scoring options —
-    ///    return the cached detections outright.
-    /// 2. Reconstructed grid unchanged (e.g. only out-of-extent points
-    ///    moved) — skip VFE, convolutions and BEV; re-score the cached
-    ///    map.
-    /// 3. Otherwise — reuse voxelization chunk partials inside the
-    ///    bitwise-common prefix and cached VFE rows for unchanged
-    ///    voxels, then rerun the convolutions and heads.
-    ///
-    /// Prefix-stable inputs (v2 delta reconstructions, fixed-order
-    /// fused segments) make tiers 1–3 cheap; adversarial inputs degrade
-    /// to from-scratch cost plus one bitwise compare.
+    /// A repeated input (a static scene seen by a noiseless sensor) costs
+    /// one bitwise compare; any other input costs the full detection plus
+    /// that compare and one copy of the cloud.
     pub fn detect_incremental(
         &self,
         cloud: &PointCloud,
@@ -533,76 +462,13 @@ impl SpodDetector {
                 return state.detections.clone();
             }
         }
-        let executor = &options.executor;
-        let _span = cooper_telemetry::span!(telemetry_names::SPAN_SPOD_FEATURIZE);
-        let dense = self.preprocess(cloud);
-        let voxelizer = cache.voxelizer.get_or_insert_with(|| {
-            IncrementalVoxelizer::new(self.config.voxel_grid, VOXELIZE_CHUNK_POINTS)
+        let detections = self.detect_with(cloud, options, scratch);
+        cache.state = Some(CachedPerception {
+            input: cloud.clone(),
+            fingerprint,
+            detections: detections.clone(),
         });
-        let update = {
-            let _stage = cooper_telemetry::span!(telemetry_names::SPAN_SPOD_VOXELIZE);
-            let update = voxelizer.update(&dense, executor);
-            cooper_telemetry::counter_add(
-                telemetry_names::SPOD_VOXELS_OCCUPIED,
-                voxelizer.grid().occupied_count() as u64,
-            );
-            cooper_telemetry::counter_add(
-                telemetry_names::SPOD_INCREMENTAL_CHUNKS_REUSED,
-                update.chunks_reused as u64,
-            );
-            update
-        };
-        let grid = voxelizer.grid();
-        match (&mut cache.state, update.previous) {
-            (Some(state), None) => {
-                // Grid unchanged: features and BEV carry over; only the
-                // scoring options can have changed.
-                let detections = self.detect_bev(&state.bev, options);
-                state.input = cloud.clone();
-                state.fingerprint = fingerprint;
-                state.detections = detections.clone();
-                detections
-            }
-            (Some(state), Some(prev_grid)) => {
-                let (embedded, bev) = {
-                    let _stage = cooper_telemetry::span!(telemetry_names::SPAN_SPOD_MIDDLE);
-                    let embedded = {
-                        let _layer = cooper_telemetry::span!(telemetry_names::SPAN_SPOD_VFE);
-                        self.encode_incremental(grid, &prev_grid, &state.embedded)
-                    };
-                    let bev = self.finish_from_embedded(&embedded, executor, scratch);
-                    (embedded, bev)
-                };
-                let detections = self.detect_bev(&bev, options);
-                state.input = cloud.clone();
-                state.fingerprint = fingerprint;
-                state.embedded = embedded;
-                state.bev = bev;
-                state.detections = detections.clone();
-                detections
-            }
-            (state @ None, _) => {
-                // Cold cache: full VFE, then the shared back half.
-                let (embedded, bev) = {
-                    let _stage = cooper_telemetry::span!(telemetry_names::SPAN_SPOD_MIDDLE);
-                    let embedded = {
-                        let _layer = cooper_telemetry::span!(telemetry_names::SPAN_SPOD_VFE);
-                        self.vfe.encode_with(grid, executor)
-                    };
-                    let bev = self.finish_from_embedded(&embedded, executor, scratch);
-                    (embedded, bev)
-                };
-                let detections = self.detect_bev(&bev, options);
-                *state = Some(CachedPerception {
-                    input: cloud.clone(),
-                    fingerprint,
-                    embedded,
-                    bev,
-                    detections: detections.clone(),
-                });
-                detections
-            }
-        }
+        detections
     }
 
     /// Detects objects in a sensor-frame cloud.
@@ -1181,8 +1047,7 @@ mod tests {
     }
 
     fn shifted_cloud(offset: f64) -> PointCloud {
-        // The toy blob plus a second blob that moves with `offset` —
-        // the static part stays a bitwise-stable prefix.
+        // The toy blob plus a second blob that moves with `offset`.
         let mut cloud = toy_cloud();
         for i in 0..60 {
             let fx = (i % 10) as f64 * 0.3;
@@ -1243,8 +1108,8 @@ mod tests {
             .with_threshold(0.4)
             .with_executor(Executor::sequential());
         let _ = det.detect_incremental(&cloud, &base, &mut scratch, &mut cache);
-        // Same cloud, different threshold/class: tier-1 must not serve
-        // the stale detections.
+        // Same cloud, different threshold/class: the memo must not
+        // serve the stale detections.
         for options in [
             DetectOptions::default()
                 .with_threshold(0.45)

@@ -109,26 +109,6 @@ impl VoxelFeatureEncoder {
         ]
     }
 
-    /// Encodes one voxel into `out`: raw statistics → linear embed →
-    /// ReLU, overwriting `out` with the embedded channel row.
-    ///
-    /// This is exactly the per-voxel body of
-    /// [`VoxelFeatureEncoder::encode_with`]; because each voxel's
-    /// encoding is independent of its neighbours, re-embedding only the
-    /// voxels an incremental grid update changed yields rows
-    /// bit-identical to a full re-encode.
-    pub fn encode_voxel_into(
-        &self,
-        grid: &VoxelGrid,
-        coord: cooper_pointcloud::VoxelCoord,
-        voxel: &Voxel,
-        out: &mut Vec<f32>,
-    ) {
-        let raw = Self::raw_features(grid, coord, voxel);
-        self.embed.forward_into(&raw, out);
-        relu_in_place(out);
-    }
-
     /// Encodes every occupied voxel of `grid` into a sparse feature
     /// tensor.
     pub fn encode(&self, grid: &VoxelGrid) -> SparseTensor3 {
@@ -256,33 +236,6 @@ mod tests {
         for threads in [2, 4] {
             let parallel = enc.encode_with(&grid, &Executor::new(Some(threads)));
             assert_eq!(sequential, parallel, "diverged at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn per_voxel_encode_matches_full_encode() {
-        let grid = grid_of(
-            (0..300)
-                .map(|i| {
-                    Point::new(
-                        Vec3::new(
-                            2.0 + (i % 30) as f64 * 1.1,
-                            -12.0 + (i / 30) as f64 * 2.7,
-                            -1.5 + (i % 4) as f64 * 0.6,
-                        ),
-                        0.05 + (i % 8) as f32 * 0.11,
-                    )
-                })
-                .collect(),
-        );
-        let enc = VoxelFeatureEncoder::seeded(8, 5);
-        let full = enc.encode(&grid);
-        let channels = enc.channels();
-        let mut row = Vec::with_capacity(channels);
-        for (i, (coord, voxel)) in grid.iter().enumerate() {
-            enc.encode_voxel_into(&grid, *coord, voxel, &mut row);
-            let expected = &full.feature_slice()[i * channels..(i + 1) * channels];
-            assert_eq!(row.as_slice(), expected, "voxel {coord} diverged");
         }
     }
 
