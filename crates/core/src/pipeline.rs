@@ -947,6 +947,35 @@ mod tests {
     }
 
     #[test]
+    fn cached_perceive_routes_each_stream_to_its_own_memo() {
+        let pipeline = untrained_pipeline();
+        let pose = Pose::new(Vec3::new(0.0, 0.0, 1.8), Attitude::level());
+        let est = PoseEstimate::from_pose(&pose, &origin());
+        let mut cloud = PointCloud::new();
+        cloud.push(cooper_pointcloud::Point::new(
+            Vec3::new(5.0, 0.0, -1.0),
+            0.5,
+        ));
+        let packet = ExchangePacket::build(1, 0, &cloud, est).unwrap();
+        let cache = PerceptionCache::new();
+        let warm = |stream: &Mutex<FeaturizeCache>| stream.lock().unwrap().is_warm();
+        let executor = Executor::sequential();
+        let mut scratch = DetectScratch::new();
+        let _ = pipeline.perceive_single_with(&cloud, &executor, &mut scratch, Some(&cache));
+        assert!(warm(&cache.single) && !warm(&cache.cooperative));
+        let _ = pipeline.perceive_with(
+            &cloud,
+            &est,
+            &[packet],
+            &origin(),
+            &executor,
+            &mut scratch,
+            Some(&cache),
+        );
+        assert!(warm(&cache.cooperative));
+    }
+
+    #[test]
     fn tracker_builder_round_trip() {
         let pipeline = untrained_pipeline();
         assert!(pipeline.tracker_config().is_none());

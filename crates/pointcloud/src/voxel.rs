@@ -373,6 +373,25 @@ impl VoxelGrid {
     /// because chunking changes how the sums are grouped; callers that
     /// need thread-invariant output should use one path consistently.
     ///
+    /// # Examples
+    ///
+    /// ```
+    /// use cooper_exec::Executor;
+    /// use cooper_geometry::Vec3;
+    /// use cooper_pointcloud::{Point, PointCloud, VoxelGrid, VoxelGridConfig};
+    ///
+    /// let config = VoxelGridConfig::voxelnet_car();
+    /// let cloud: PointCloud = (0..100)
+    ///     .map(|i| Point::new(Vec3::new(10.0 + (i % 10) as f64, 0.0, 0.0), 0.5))
+    ///     .collect();
+    /// // Four 32-point chunks, merged in chunk order at any width.
+    /// let serial = VoxelGrid::from_cloud_chunked(&cloud, config, 32, &Executor::new(Some(1)));
+    /// let parallel = VoxelGrid::from_cloud_chunked(&cloud, config, 32, &Executor::new(Some(4)));
+    /// assert_eq!(serial, parallel);
+    /// assert_eq!(serial.occupied_count(), 10);
+    /// assert_eq!(serial.total_points(), 100);
+    /// ```
+    ///
     /// # Panics
     ///
     /// Panics if `config` fails [`VoxelGridConfig::validate`] or

@@ -1142,6 +1142,124 @@ mod tests {
         assert_eq!(warm, cold);
     }
 
+    fn memo_options() -> DetectOptions {
+        DetectOptions::default()
+            .with_threshold(0.4)
+            .with_executor(Executor::sequential())
+    }
+
+    /// Runs `detect_incremental` on a warm `cache` and reports whether
+    /// the memo served the call. The stored detections are first swapped
+    /// for a marker no detector run produces, so a served call returns
+    /// the marker; a recomputed one must equal `detect_with`.
+    fn memo_serves(
+        det: &SpodDetector,
+        cache: &mut FeaturizeCache,
+        cloud: &PointCloud,
+        options: &DetectOptions,
+    ) -> bool {
+        let marker = vec![Detection {
+            class: ObjectClass::Background,
+            obb: Obb3::new(Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), 0.0),
+            score: 2.0,
+        }];
+        cache.state.as_mut().expect("memo is cold").detections = marker.clone();
+        let got = det.detect_incremental(cloud, options, &mut DetectScratch::new(), cache);
+        if got == marker {
+            return true;
+        }
+        assert_eq!(
+            got,
+            det.detect_with(cloud, options, &mut DetectScratch::new())
+        );
+        false
+    }
+
+    #[test]
+    fn memo_serves_the_stored_detections_on_a_bitwise_repeat() {
+        let det = SpodDetector::new(SpodConfig::default());
+        let options = memo_options();
+        let cloud = toy_cloud();
+        let mut cache = FeaturizeCache::new();
+        let cold = det.detect_incremental(&cloud, &options, &mut DetectScratch::new(), &mut cache);
+        assert!(!cold.is_empty());
+        // A separately built copy is still a bitwise repeat.
+        let copy: PointCloud = cloud.as_slice().iter().copied().collect();
+        assert!(memo_serves(&det, &mut cache, &copy, &options));
+        // Serving leaves the entry in place for the next repeat.
+        assert!(memo_serves(&det, &mut cache, &cloud, &options));
+    }
+
+    #[test]
+    fn memo_misses_when_the_cloud_grows_or_shrinks() {
+        let det = SpodDetector::new(SpodConfig::default());
+        let options = memo_options();
+        let cloud = shifted_cloud(0.3);
+        let points = cloud.as_slice();
+        // Both edits keep the other cloud as a bitwise prefix.
+        let shrunk: PointCloud = points[..points.len() - 1].iter().copied().collect();
+        let grown: PointCloud = points.iter().chain(&points[..1]).copied().collect();
+        let mut cache = FeaturizeCache::new();
+        for (what, edited) in [("shrunk", &shrunk), ("grown", &grown)] {
+            let _ = det.detect_incremental(&cloud, &options, &mut DetectScratch::new(), &mut cache);
+            assert!(!memo_serves(&det, &mut cache, edited, &options), "{what}");
+        }
+    }
+
+    #[test]
+    fn memo_misses_on_a_signed_zero_or_reflectance_change() {
+        let det = SpodDetector::new(SpodConfig::default());
+        let options = memo_options();
+        let mut points = toy_cloud().as_slice().to_vec();
+        points[0].position.y = 0.0;
+        let cloud: PointCloud = points.iter().copied().collect();
+        // `-0.0 == 0.0`, so only a bitwise key tells these apart.
+        let mut negative_zero = points.clone();
+        negative_zero[0].position.y = -0.0;
+        let mut dimmer = points.clone();
+        dimmer[0].reflectance = f32::from_bits(points[0].reflectance.to_bits() - 1);
+        let mut cache = FeaturizeCache::new();
+        for (what, edited) in [("-0.0", negative_zero), ("reflectance", dimmer)] {
+            let _ = det.detect_incremental(&cloud, &options, &mut DetectScratch::new(), &mut cache);
+            let edited: PointCloud = edited.into_iter().collect();
+            assert!(!memo_serves(&det, &mut cache, &edited, &options), "{what}");
+        }
+    }
+
+    #[test]
+    fn memo_key_ignores_the_executor() {
+        let det = SpodDetector::new(SpodConfig::default());
+        let cloud = toy_cloud();
+        let mut cache = FeaturizeCache::new();
+        let _ = det.detect_incremental(
+            &cloud,
+            &memo_options(),
+            &mut DetectScratch::new(),
+            &mut cache,
+        );
+        // The executor never changes a result bit, so a repeat under a
+        // wider executor is still served.
+        let wider = memo_options().with_executor(Executor::new(Some(2)));
+        assert!(memo_serves(&det, &mut cache, &cloud, &wider));
+    }
+
+    #[test]
+    fn memo_key_uses_the_effective_threshold() {
+        let det = SpodDetector::new(SpodConfig::default());
+        let cloud = toy_cloud();
+        let unset = DetectOptions::default().with_executor(Executor::sequential());
+        assert!(unset.threshold.is_none());
+        let mut cache = FeaturizeCache::new();
+        let _ = det.detect_incremental(&cloud, &unset, &mut DetectScratch::new(), &mut cache);
+        // An unset threshold means the config's, so naming it explicitly
+        // is a repeat; the next float up is not.
+        let configured = det.config().score_threshold;
+        let explicit = unset.clone().with_threshold(configured);
+        assert!(memo_serves(&det, &mut cache, &cloud, &explicit));
+        let next_up = unset.with_threshold(f32::from_bits(configured.to_bits() + 1));
+        assert!(!memo_serves(&det, &mut cache, &cloud, &next_up));
+    }
+
     #[test]
     fn display_detection() {
         let d = Detection {

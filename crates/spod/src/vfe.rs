@@ -240,6 +240,40 @@ mod tests {
     }
 
     #[test]
+    fn encoded_rows_depend_only_on_their_own_voxel() {
+        // Voxels encode independently, which is what lets `encode_with`
+        // split the grid into chunks: encoding two spatially disjoint
+        // halves on their own gives exactly the rows of the whole.
+        let points: Vec<Point> = (0..300)
+            .map(|i| {
+                Point::new(
+                    Vec3::new(
+                        2.0 + (i % 30) as f64 * 1.1,
+                        -12.0 + (i / 30) as f64 * 2.7,
+                        -1.5 + (i % 4) as f64 * 0.6,
+                    ),
+                    0.05 + (i % 8) as f32 * 0.11,
+                )
+            })
+            .collect();
+        let enc = VoxelFeatureEncoder::seeded(8, 5);
+        let whole = enc.encode(&grid_of(points.clone()));
+        let (near, far): (Vec<Point>, Vec<Point>) =
+            points.into_iter().partition(|p| p.position.x < 18.0);
+        let mut rows = 0;
+        for half in [near, far] {
+            let part = enc.encode(&grid_of(half));
+            assert!(!part.is_empty());
+            for (coord, row) in part.iter() {
+                let expected = whole.get(*coord).expect("voxel missing from the whole");
+                assert_eq!(row, expected, "voxel {coord} diverged");
+                rows += 1;
+            }
+        }
+        assert_eq!(rows, whole.active_sites());
+    }
+
+    #[test]
     fn empty_grid_gives_empty_tensor() {
         let grid = grid_of(vec![]);
         let t = VoxelFeatureEncoder::seeded(8, 0).encode(&grid);

@@ -31,6 +31,19 @@ fn detection() -> impl Strategy<Value = Detection> {
     })
 }
 
+fn detection_bits(d: &Detection) -> (ObjectClass, [u64; 7], u32) {
+    let o = &d.obb;
+    let bits = [
+        o.center.x, o.center.y, o.center.z, o.size.x, o.size.y, o.size.z, o.yaw,
+    ]
+    .map(f64::to_bits);
+    (d.class, bits, d.score.to_bits())
+}
+
+fn all_bits(dets: &[Detection]) -> Vec<(ObjectClass, [u64; 7], u32)> {
+    dets.iter().map(detection_bits).collect()
+}
+
 fn sparse_tensor(channels: usize) -> impl Strategy<Value = SparseTensor3> {
     prop::collection::vec(
         (
@@ -217,19 +230,6 @@ mod search_free {
             }
         }
         table
-    }
-
-    fn detection_bits(d: &Detection) -> (ObjectClass, [u64; 7], u32) {
-        let o = &d.obb;
-        let bits = [
-            o.center.x, o.center.y, o.center.z, o.size.x, o.size.y, o.size.z, o.yaw,
-        ]
-        .map(f64::to_bits);
-        (d.class, bits, d.score.to_bits())
-    }
-
-    fn all_bits(dets: &[Detection]) -> Vec<(ObjectClass, [u64; 7], u32)> {
-        dets.iter().map(detection_bits).collect()
     }
 
     /// A value that is often exactly `+0.0` or `-0.0`.
@@ -549,6 +549,80 @@ mod search_free {
             prop_assert!(clouds_bits_eq(&densify(&cloud, &config), &reference));
             reference.retain(|p| p.position.z >= cutoff);
             prop_assert!(clouds_bits_eq(&densify_above(&cloud, &config, Some(cutoff)), &reference));
+        }
+    }
+}
+
+// The incremental detection memo against plain detection, on the clouds
+// a receiver reconstructs from a v2 delta stream.
+
+mod memo {
+    use super::*;
+    use cooper_exec::Executor;
+    use cooper_pointcloud::{DeltaDecoder, DeltaEncoder, Point, PointCloud, VoxelGridConfig};
+    use cooper_spod::{DetectOptions, DetectScratch, FeaturizeCache, SpodConfig, SpodDetector};
+
+    /// Points inside the detector's voxel extent, around sensor height.
+    fn cloud(max: usize) -> impl Strategy<Value = PointCloud> {
+        prop::collection::vec(
+            (2.0..40.0f64, -15.0..15.0f64, -2.5..0.5f64, 0.0..1.0f32),
+            0..max,
+        )
+        .prop_map(|points| {
+            points
+                .into_iter()
+                .map(|(x, y, z, r)| Point::new(Vec3::new(x, y, z), r))
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn detect_incremental_equals_detect_with_on_a_delta_stream(
+            base in cloud(150),
+            steps in prop::collection::vec((0..3u32, any::<u64>(), 1..4usize), 1..6),
+            keyframe_every in 1u32..4,
+        ) {
+            // A drifting scene: each step moves one point by half a
+            // metre, appends a point or drops the last one, then sends
+            // the scene one to three times, as a static scene would be.
+            // Every reconstruction goes through one memo per executor
+            // width and must equal plain detection bit for bit.
+            let det = SpodDetector::new(SpodConfig::default());
+            let mut enc = DeltaEncoder::new(VoxelGridConfig::voxelnet_car(), keyframe_every);
+            let mut dec = DeltaDecoder::new();
+            let mut caches = [FeaturizeCache::new(), FeaturizeCache::new()];
+            let mut scratch = DetectScratch::new();
+            let mut scene = base.as_slice().to_vec();
+            for (step, &(edit, pick, sends)) in steps.iter().enumerate() {
+                match edit {
+                    0 if !scene.is_empty() => {
+                        let i = (pick % scene.len() as u64) as usize;
+                        scene[i].position.x += 0.5;
+                    }
+                    1 => scene.push(Point::new(Vec3::new(5.0 + (pick % 30) as f64, 0.0, -1.0), 0.5)),
+                    _ => {
+                        scene.pop();
+                    }
+                }
+                let cloud: PointCloud = scene.iter().copied().collect();
+                for send in 0..sends {
+                    let frame = enc.encode_next(&cloud, false).unwrap();
+                    let received = dec.decode_next(&frame.bytes).unwrap();
+                    for (threads, cache) in [1, 2].into_iter().zip(caches.iter_mut()) {
+                        let options = DetectOptions::default()
+                            .with_threshold(0.4)
+                            .with_executor(Executor::new(Some(threads)));
+                        let want = det.detect_with(&received, &options, &mut DetectScratch::new());
+                        let got = det.detect_incremental(&received, &options, &mut scratch, cache);
+                        prop_assert!(all_bits(&got) == all_bits(&want),
+                            "step {step} send {send}: {} vs {} detections at {threads} threads",
+                            got.len(), want.len());
+                    }
+                }
+            }
         }
     }
 }
