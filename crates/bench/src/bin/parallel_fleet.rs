@@ -7,7 +7,9 @@
 //!
 //! The speedup numbers are honest wall-clock measurements on whatever
 //! machine runs the benchmark — `hardware_threads` is recorded next to
-//! them. On a single-core host every thread count necessarily costs
+//! them, and every run with more worker threads than hardware threads
+//! is marked `oversubscribed`: its speedup measures contention, not
+//! scaling. On a single-core host every thread count necessarily costs
 //! about the same; the determinism columns are the part of the contract
 //! that holds everywhere.
 
@@ -161,6 +163,7 @@ fn main() {
             rows.push(vec![
                 vehicle_count.to_string(),
                 run.threads.to_string(),
+                (run.threads > hardware_threads).to_string(),
                 format!("{:.1}", run.total_us as f64 / 1e3),
                 format!("{:.1}", run.scan_us as f64 / 1e3),
                 format!("{:.1}", run.exchange_us as f64 / 1e3),
@@ -173,8 +176,13 @@ fn main() {
             .iter()
             .map(|r| {
                 format!(
-                    "{{\"threads\": {}, \"total_us\": {}, \"scan_us\": {}, \"exchange_us\": {}, \"perceive_us\": {}}}",
-                    r.threads, r.total_us, r.scan_us, r.exchange_us, r.perceive_us
+                    "{{\"threads\": {}, \"oversubscribed\": {}, \"total_us\": {}, \"scan_us\": {}, \"exchange_us\": {}, \"perceive_us\": {}}}",
+                    r.threads,
+                    r.threads > hardware_threads,
+                    r.total_us,
+                    r.scan_us,
+                    r.exchange_us,
+                    r.perceive_us
                 )
             })
             .collect();
@@ -193,6 +201,7 @@ fn main() {
     let headers = [
         "vehicles",
         "threads",
+        "oversubscribed",
         "total_ms",
         "scan_ms",
         "exchange_ms",
@@ -203,7 +212,8 @@ fn main() {
     println!("{}", render_table(&headers, &rows));
     println!("Determinism holds by construction (fixed chunk boundaries, ordered");
     println!("merges, per-(vehicle, step) RNG streams); speedup tracks the host's");
-    println!("core count — this run saw {hardware_threads} hardware thread(s).");
+    println!("core count — this run saw {hardware_threads} hardware thread(s); rows with");
+    println!("more threads than that are oversubscribed and measure contention.");
 
     let json = format!(
         "{{\n  \"hardware_threads\": {hardware_threads},\n  \"fleets\": [\n{}\n  ]\n}}\n",

@@ -1043,11 +1043,14 @@ impl FleetSimulation {
                 executor.map_in(&self.vehicles, DetectScratch::new, |idx, v, scratch| {
                     let pose = v.pose_at(step);
                     let scanner = LidarScanner::new(v.beams.clone());
-                    let scan = scanner.scan(
-                        &world,
-                        &pose,
-                        self.config.seed ^ ((step as u64) << 24) ^ idx as u64,
-                    );
+                    let scan = {
+                        let _span = cooper_telemetry::span!(telemetry_names::SPAN_LIDAR_SCAN);
+                        scanner.scan(
+                            &world,
+                            &pose,
+                            self.config.seed ^ ((step as u64) << 24) ^ idx as u64,
+                        )
+                    };
                     let mut rng = StdRng::seed_from_u64(stream_seed(
                         self.config.seed,
                         v.id,

@@ -54,19 +54,23 @@ impl LidarScanner {
         let dropout = self.beam_model.dropout_probability();
         let rotation = pose.attitude.rotation_matrix();
         let steps = self.beam_model.azimuth_steps();
+        let max_range = self.beam_model.max_range();
         let mut cloud = PointCloud::with_capacity(self.beam_model.rays_per_scan() / 4);
+        let caster = world.caster(pose.position);
+        let azimuths: Vec<(f64, f64)> = (0..steps)
+            .map(|step| {
+                let azimuth = -std::f64::consts::PI
+                    + (step as f64 + 0.5) / steps as f64 * std::f64::consts::TAU;
+                azimuth.sin_cos()
+            })
+            .collect();
 
         for &elevation in self.beam_model.vertical_angles() {
             let (sin_el, cos_el) = elevation.sin_cos();
-            for step in 0..steps {
-                let azimuth = -std::f64::consts::PI
-                    + (step as f64 + 0.5) / steps as f64 * std::f64::consts::TAU;
-                let (sin_az, cos_az) = azimuth.sin_cos();
+            for &(sin_az, cos_az) in &azimuths {
                 let local_dir = Vec3::new(cos_el * cos_az, cos_el * sin_az, sin_el);
                 let world_dir = rotation * local_dir;
-                let Some(hit) =
-                    world.cast_ray(pose.position, world_dir, self.beam_model.max_range())
-                else {
+                let Some(hit) = caster.cast(world_dir, max_range) else {
                     continue;
                 };
                 if dropout > 0.0 && rng.gen::<f64>() < dropout {

@@ -5,7 +5,7 @@ use std::fmt;
 use cooper_geometry::{Obb3, Vec3};
 use serde::{Deserialize, Serialize};
 
-use crate::ray::{ray_ground_intersection, ray_obb_intersection, Ray};
+use crate::ray::{ray_ground_intersection, BoxFrame, RayDir};
 use crate::{Entity, EntityId, ObjectClass};
 
 /// A hit returned by [`World::cast_ray`].
@@ -112,25 +112,57 @@ impl World {
     /// important because ground points dominate real LiDAR data and any
     /// detector must cope with them.
     pub fn cast_ray(&self, origin: Vec3, direction: Vec3, max_range: f64) -> Option<RayHit> {
-        let ray = Ray::new(origin, direction);
+        self.caster(origin).cast(direction, max_range)
+    }
+
+    /// A caster for rays from `origin`: every entity's box frame is
+    /// computed once, for all the rays cast from it.
+    pub(crate) fn caster(&self, origin: Vec3) -> RayCaster<'_> {
+        RayCaster {
+            origin,
+            frames: self
+                .entities
+                .iter()
+                .map(|e| BoxFrame::new(origin, &e.shape))
+                .collect(),
+            world: self,
+        }
+    }
+}
+
+/// Casts rays from one origin into a [`World`]; the one casting path
+/// behind [`World::cast_ray`] and the scanner.
+pub(crate) struct RayCaster<'w> {
+    origin: Vec3,
+    /// One frame per entity, in entity order.
+    frames: Vec<BoxFrame>,
+    world: &'w World,
+}
+
+impl RayCaster<'_> {
+    /// The nearest surface along `direction` within `max_range`.
+    /// Entities are tested in order and the ground plane last; a later
+    /// surface wins only when strictly nearer.
+    pub(crate) fn cast(&self, direction: Vec3, max_range: f64) -> Option<RayHit> {
+        let dir = RayDir::new(direction);
         let mut best: Option<RayHit> = None;
         let mut consider = |distance: f64, reflectance: f32, entity: Option<EntityId>| {
             if distance <= max_range && best.is_none_or(|b| distance < b.distance) {
                 best = Some(RayHit {
                     distance,
-                    position: ray.at(distance),
+                    position: self.origin + direction * distance,
                     reflectance,
                     entity,
                 });
             }
         };
-        for e in &self.entities {
-            if let Some(t) = ray_obb_intersection(&ray, &e.shape) {
+        for (frame, e) in self.frames.iter().zip(&self.world.entities) {
+            if let Some(t) = frame.intersect(&dir) {
                 consider(t, e.reflectance, Some(e.id));
             }
         }
-        if let Some(t) = ray_ground_intersection(&ray, 0.0) {
-            consider(t, self.ground_reflectance, None);
+        if let Some(t) = ray_ground_intersection(self.origin, direction, 0.0) {
+            consider(t, self.world.ground_reflectance, None);
         }
         best
     }

@@ -106,9 +106,9 @@ const VOXELIZE_CHUNK_POINTS: usize = 16_384;
 /// identical at any thread count.
 const RPN_CHUNK_CELLS: usize = 512;
 
-/// Options for [`SpodDetector::detect_with`] — the single detection
-/// entry point the old `detect`/`detect_with_threshold`/`detect_class`
-/// trio collapsed into.
+/// Options for [`SpodDetector::detect_with`], the single detection
+/// entry point ([`SpodDetector::detect`] is its default-options
+/// shorthand).
 ///
 /// # Examples
 ///
@@ -478,35 +478,6 @@ impl SpodDetector {
     /// [`SpodDetector::detect_with`] with default options.
     pub fn detect(&self, cloud: &PointCloud) -> Vec<Detection> {
         self.detect_with(cloud, &DetectOptions::default(), &mut DetectScratch::new())
-    }
-
-    /// Detects with an explicit score threshold (used by PR-curve
-    /// evaluation, which sweeps thresholds). Thin shim over
-    /// [`SpodDetector::detect_with`].
-    pub fn detect_with_threshold(&self, cloud: &PointCloud, threshold: f32) -> Vec<Detection> {
-        self.detect_with(
-            cloud,
-            &DetectOptions::default().with_threshold(threshold),
-            &mut DetectScratch::new(),
-        )
-    }
-
-    /// Detects only the given class (cheaper when only cars matter, as
-    /// in the Cooper evaluation). Thin shim over
-    /// [`SpodDetector::detect_with`].
-    pub fn detect_class(
-        &self,
-        cloud: &PointCloud,
-        class: ObjectClass,
-        threshold: f32,
-    ) -> Vec<Detection> {
-        self.detect_with(
-            cloud,
-            &DetectOptions::default()
-                .with_class(class)
-                .with_threshold(threshold),
-            &mut DetectScratch::new(),
-        )
     }
 
     /// The single detection entry point: featurize, score every BEV
@@ -903,7 +874,11 @@ mod tests {
         let det = SpodDetector::new(SpodConfig::default());
         // Zero heads score exactly 0.5 everywhere; with the default 0.5
         // threshold everything passes but NMS bounds the output.
-        let detections = det.detect_with_threshold(&toy_cloud(), 0.6);
+        let detections = det.detect_with(
+            &toy_cloud(),
+            &DetectOptions::default().with_threshold(0.6),
+            &mut DetectScratch::new(),
+        );
         assert!(detections.is_empty(), "untrained head must not clear 0.6");
     }
 
@@ -938,36 +913,45 @@ mod tests {
     #[test]
     fn detect_class_filters() {
         let det = SpodDetector::new(SpodConfig::default());
-        let dets = det.detect_class(&toy_cloud(), ObjectClass::Car, 0.4);
+        let mut scratch = DetectScratch::new();
+        let cars = DetectOptions::default()
+            .with_class(ObjectClass::Car)
+            .with_threshold(0.4);
+        let dets = det.detect_with(&toy_cloud(), &cars, &mut scratch);
         assert!(dets.iter().all(|d| d.class == ObjectClass::Car));
         // A class no head serves scores nothing.
+        let background = DetectOptions::default()
+            .with_class(ObjectClass::Background)
+            .with_threshold(0.0);
         assert!(det
-            .detect_class(&toy_cloud(), ObjectClass::Background, 0.0)
+            .detect_with(&toy_cloud(), &background, &mut scratch)
             .is_empty());
     }
 
     #[test]
-    fn detect_with_matches_shims() {
+    fn detect_with_matches_default_executor_and_fresh_scratch() {
+        // Each options value gives the same detections on a sequential
+        // executor with a reused scratch as on the default executor with
+        // a fresh one.
         let det = SpodDetector::new(SpodConfig::default());
         let cloud = toy_cloud();
         let mut scratch = DetectScratch::new();
-        let via_options = det.detect_with(
-            &cloud,
-            &DetectOptions::default()
+        for options in [
+            DetectOptions::default()
                 .with_class(ObjectClass::Car)
-                .with_threshold(0.4)
-                .with_executor(Executor::sequential()),
-            &mut scratch,
-        );
-        assert_eq!(via_options, det.detect_class(&cloud, ObjectClass::Car, 0.4));
-        let all_classes = det.detect_with(
-            &cloud,
-            &DetectOptions::default()
-                .with_threshold(0.4)
-                .with_executor(Executor::sequential()),
-            &mut scratch,
-        );
-        assert_eq!(all_classes, det.detect_with_threshold(&cloud, 0.4));
+                .with_threshold(0.4),
+            DetectOptions::default().with_threshold(0.4),
+        ] {
+            let sequential = det.detect_with(
+                &cloud,
+                &options.clone().with_executor(Executor::sequential()),
+                &mut scratch,
+            );
+            assert_eq!(
+                sequential,
+                det.detect_with(&cloud, &options, &mut DetectScratch::new())
+            );
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::anchors::{assign_label, AnchorConfig, AnchorLabel};
-use crate::detector::{SpodConfig, SpodDetector};
+use crate::detector::{DetectOptions, DetectScratch, SpodConfig, SpodDetector};
 
 /// Training hyperparameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -128,6 +128,10 @@ fn validate_detector(
     let mut tp = 0usize;
     let mut fp = 0usize;
     let mut fn_ = 0usize;
+    let options = DetectOptions::default()
+        .with_class(ObjectClass::Car)
+        .with_threshold(detector.config().score_threshold);
+    let mut scratch = DetectScratch::new();
     for i in 0..training.validation_scenes {
         let beams = &training.beam_models[i % training.beam_models.len()];
         // Offset the seed far from the training range.
@@ -142,11 +146,7 @@ fn validate_detector(
             .filter(|l| l.class == ObjectClass::Car && scene.cloud.count_in_box(&l.obb) >= 10)
             .map(|l| l.obb)
             .collect();
-        let dets = detector.detect_class(
-            &scene.cloud,
-            ObjectClass::Car,
-            detector.config().score_threshold,
-        );
+        let dets = detector.detect_with(&scene.cloud, &options, &mut scratch);
         let mut claimed = vec![false; gts.len()];
         for d in &dets {
             let mut best: Option<(f64, usize)> = None;
@@ -390,7 +390,13 @@ mod tests {
 
         // Evaluate on a held-out scene.
         let scene = generate_scene(9_999, &SceneConfig::default(), &BeamModel::vlp16());
-        let detections = detector.detect_class(&scene.cloud, ObjectClass::Car, 0.5);
+        let detections = detector.detect_with(
+            &scene.cloud,
+            &DetectOptions::default()
+                .with_class(ObjectClass::Car)
+                .with_threshold(0.5),
+            &mut DetectScratch::new(),
+        );
         // At least one visible car must be detected with IoU > 0.3.
         let visible_cars: Vec<_> = scene
             .labels

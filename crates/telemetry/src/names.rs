@@ -146,6 +146,9 @@ pub const SPAN_FLEET_RUN: &str = "fleet.run";
 pub const SPAN_FLEET_STEP: &str = "fleet.step";
 /// Step phase 1: scan and encode.
 pub const SPAN_FLEET_SCAN: &str = "fleet.scan";
+/// One simulated LiDAR revolution (ray casting and range noise), inside
+/// step phase 1.
+pub const SPAN_LIDAR_SCAN: &str = "lidar.scan";
 /// Step phase 2: packet exchange.
 pub const SPAN_FLEET_EXCHANGE: &str = "fleet.exchange";
 /// Step phase 3: fuse and detect.
@@ -259,6 +262,7 @@ pub const ALL_SPANS: &[&str] = &[
     SPAN_FLEET_RUN,
     SPAN_FLEET_STEP,
     SPAN_FLEET_SCAN,
+    SPAN_LIDAR_SCAN,
     SPAN_FLEET_EXCHANGE,
     SPAN_FLEET_PERCEIVE,
     SPAN_PIPELINE_PERCEIVE,

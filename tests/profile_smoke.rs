@@ -1,11 +1,11 @@
 //! Smoke test of the `cooper profile` subcommand's engine: the ranked
 //! self-time table must decompose at least 90% of the perceive-phase
 //! CPU time into named stages (the SPOD sub-phases, fusion, payload
-//! decode), every SPOD sub-phase must appear, and the exported Chrome
-//! trace must be well-formed JSON with per-thread lanes. Calls
-//! [`cooper_cli::run_profile`] directly so the assertions run on data,
-//! not parsed stdout. One test function owns the global registry (this
-//! file is its own test binary).
+//! decode), every SPOD sub-phase and `lidar.scan` must appear, and the
+//! exported Chrome trace must be well-formed JSON with per-thread lanes.
+//! Calls [`cooper_cli::run_profile`] directly so the assertions run on
+//! data, not parsed stdout. One test function owns the global registry
+//! (this file is its own test binary).
 
 use cooper_cli::run_profile;
 use cooper_telemetry::names;
@@ -27,8 +27,12 @@ fn profile_decomposes_perceive_and_exports_chrome_trace() {
         report.table
     );
 
-    // The ranked table lists every sub-phase.
-    for sub in names::SPOD_SUBPHASES {
+    // The ranked table lists every sub-phase, and ray casting apart
+    // from the rest of phase 1.
+    for sub in names::SPOD_SUBPHASES
+        .iter()
+        .chain([&names::SPAN_LIDAR_SCAN])
+    {
         assert!(
             report.table.contains(sub),
             "self-time table is missing {sub}:\n{}",
