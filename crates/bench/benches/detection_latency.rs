@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use cooper_core::report::EvaluationConfig;
-use cooper_core::{CooperPipeline, ExchangePacket};
+use cooper_core::{CooperPipeline, ExchangePacket, PerceiveCtx};
 use cooper_lidar_sim::scenario::{t_junction, tj_scenario_1, Scenario};
 use cooper_lidar_sim::{LidarScanner, PoseEstimate};
 use cooper_pointcloud::PointCloud;
@@ -50,14 +50,14 @@ fn bench_detection(c: &mut Criterion) {
         group.bench_function(format!("{}_single_shot", case.label), |b| {
             b.iter_batched(
                 || case.scan_a.clone(),
-                |scan| black_box(pipeline.perceive_single(&scan)),
+                |scan| black_box(pipeline.perceive_single(&scan, PerceiveCtx::default())),
                 BatchSize::LargeInput,
             )
         });
         group.bench_function(format!("{}_cooper", case.label), |b| {
             b.iter_batched(
                 || case.fused.clone(),
-                |fused| black_box(pipeline.perceive_single(&fused)),
+                |fused| black_box(pipeline.perceive_single(&fused, PerceiveCtx::default())),
                 BatchSize::LargeInput,
             )
         });

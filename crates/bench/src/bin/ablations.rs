@@ -12,7 +12,7 @@
 
 use cooper_bench::{output_dir, render_csv, render_table, standard_pipeline, write_artifact};
 use cooper_core::report::{match_by_center_distance, EvaluationConfig};
-use cooper_core::{CooperPipeline, ExchangePacket};
+use cooper_core::{CooperPipeline, ExchangePacket, PerceiveCtx};
 use cooper_geometry::{Obb3, RigidTransform};
 use cooper_lidar_sim::scenario::{tj_scenarios, Scenario};
 use cooper_lidar_sim::{LidarScanner, PoseEstimate};
@@ -85,8 +85,8 @@ fn fusion_level(
 ) -> Vec<Vec<String>> {
     let mut rows = Vec::new();
     for case in cases {
-        let dets_a = pipeline.perceive_single(&case.scan_a);
-        let dets_b = pipeline.perceive_single(&case.scan_b);
+        let dets_a = pipeline.perceive_single(&case.scan_a, PerceiveCtx::default());
+        let dets_b = pipeline.perceive_single(&case.scan_b, PerceiveCtx::default());
 
         // Object-level fusion: union the two detection *result* sets
         // (B's boxes aligned into A's frame), deduplicated by NMS.
@@ -99,7 +99,13 @@ fn fusion_level(
 
         // Raw-data fusion: Cooper.
         let packet = ExchangePacket::build(1, 0, &case.scan_b, case.est_b).expect("encodes");
-        let coop = pipeline.perceive(&case.scan_a, &case.est_a, &[packet], &config.origin);
+        let coop = pipeline.perceive(
+            &case.scan_a,
+            &case.est_a,
+            &[packet],
+            &config.origin,
+            PerceiveCtx::default(),
+        );
 
         let m = config.match_distance;
         rows.push(vec![
@@ -134,7 +140,13 @@ fn roi_vs_recall(
             let roi_scan = extract_roi(&case.scan_b, category);
             let packet = ExchangePacket::build(1, 0, &roi_scan, case.est_b).expect("encodes");
             total_bytes += packet.wire_size();
-            let coop = pipeline.perceive(&case.scan_a, &case.est_a, &[packet], &config.origin);
+            let coop = pipeline.perceive(
+                &case.scan_a,
+                &case.est_a,
+                &[packet],
+                &config.origin,
+                PerceiveCtx::default(),
+            );
             let scores =
                 match_by_center_distance(&coop.detections, &case.gt_in_a, config.match_distance);
             total_detected += detected(&scores);
@@ -190,7 +202,7 @@ fn densify_ablation(config: &EvaluationConfig) -> Vec<Vec<String>> {
                     .iter()
                     .map(|g| g.transformed(&world_to_a))
                     .collect();
-                let dets = pipeline.perceive_single(&scan_a);
+                let dets = pipeline.perceive_single(&scan_a, PerceiveCtx::default());
                 let scores = match_by_center_distance(&dets, &gt_in_a, config.match_distance);
                 total_detected += detected(&scores);
                 total_gt += gt_in_a.len();

@@ -15,7 +15,9 @@
 
 use cooper_bench::{ledger, output_dir, render_table, standard_pipeline, write_artifact};
 use cooper_core::report::{match_by_center_distance, EvaluationConfig};
-use cooper_core::{AlignmentGuardConfig, CooperPipeline, ExchangePacket, GuardDecision};
+use cooper_core::{
+    AlignmentGuardConfig, CooperPipeline, ExchangePacket, GuardDecision, PerceiveCtx,
+};
 use cooper_geometry::{Obb3, RigidTransform, Vec3};
 use cooper_lidar_sim::scenario::tj_scenarios;
 use cooper_lidar_sim::{LidarScanner, PoseEstimate};
@@ -94,7 +96,7 @@ fn contexts(config: &EvaluationConfig) -> Vec<PairContext> {
 fn ego_arm(pipeline: &CooperPipeline, pairs: &[PairContext]) -> f64 {
     let mut out = ArmOutcome::default();
     for pair in pairs {
-        let detections = pipeline.perceive_single(&pair.scan_a);
+        let detections = pipeline.perceive_single(&pair.scan_a, PerceiveCtx::default());
         let scores = match_by_center_distance(&detections, &pair.gt_in_a, MATCH_DISTANCE_M);
         out.total += scores.len();
         out.matched += scores.iter().flatten().count();
@@ -119,7 +121,13 @@ fn fused_arm(
             0.0,
         ));
         let packet = ExchangePacket::build(1, 0, &pair.scan_b, est_b).expect("encodes");
-        let result = pipeline.perceive(&pair.scan_a, &pair.est_a, &[packet], &config.origin);
+        let result = pipeline.perceive(
+            &pair.scan_a,
+            &pair.est_a,
+            &[packet],
+            &config.origin,
+            PerceiveCtx::default(),
+        );
         let scores = match_by_center_distance(&result.detections, &pair.gt_in_a, MATCH_DISTANCE_M);
         out.total += scores.len();
         out.matched += scores.iter().flatten().count();

@@ -11,7 +11,7 @@
 
 use cooper_bench::{output_dir, render_csv, render_table, standard_pipeline, write_artifact};
 use cooper_core::report::{match_by_center_distance, EvaluationConfig};
-use cooper_core::{AlignmentGuardConfig, ExchangePacket};
+use cooper_core::{AlignmentGuardConfig, CooperPipeline, ExchangePacket, PerceiveCtx};
 use cooper_geometry::{Obb3, RigidTransform};
 use cooper_lidar_sim::scenario::tj_scenarios;
 use cooper_lidar_sim::{GpsImuModel, LidarScanner, SkewMode};
@@ -57,10 +57,23 @@ fn main() {
             .map(|g| g.transformed(&world_to_a))
             .collect();
 
+        // Receiver A's view is fixed; runs vary the pipeline and the
+        // sender's packet.
+        let perceive = |p: &CooperPipeline, packet: &ExchangePacket| {
+            let inbox = std::slice::from_ref(packet);
+            p.perceive(
+                &scan_a,
+                &est_a,
+                inbox,
+                &config.origin,
+                PerceiveCtx::default(),
+            )
+        };
+
         // Baseline: realistic (unskewed) measurement, guard off.
         let est_b = model.measure(&pose_b, &config.origin, &mut rng);
         let packet = ExchangePacket::build(1, 0, &scan_b, est_b).expect("encodes");
-        let base = pipeline.perceive(&scan_a, &est_a, &[packet], &config.origin);
+        let base = perceive(&pipeline, &packet);
         let base_scores =
             match_by_center_distance(&base.detections, &gt_in_a, config.match_distance);
 
@@ -70,18 +83,13 @@ fn main() {
         for mode in SkewMode::ALL {
             let est_skew = model.measure_skewed(&pose_b, &config.origin, mode, &mut rng);
             let packet = ExchangePacket::build(1, 0, &scan_b, est_skew).expect("encodes");
-            let off = pipeline.perceive(
-                &scan_a,
-                &est_a,
-                std::slice::from_ref(&packet),
-                &config.origin,
-            );
+            let off = perceive(&pipeline, &packet);
             off_scores.push(match_by_center_distance(
                 &off.detections,
                 &gt_in_a,
                 config.match_distance,
             ));
-            let on = guarded.perceive(&scan_a, &est_a, &[packet], &config.origin);
+            let on = perceive(&guarded, &packet);
             on_scores.push(match_by_center_distance(
                 &on.detections,
                 &gt_in_a,

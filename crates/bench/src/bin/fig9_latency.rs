@@ -19,7 +19,7 @@
 
 use cooper_bench::{output_dir, render_csv, render_table, standard_pipeline, write_artifact};
 use cooper_core::report::EvaluationConfig;
-use cooper_core::ExchangePacket;
+use cooper_core::{ExchangePacket, PerceiveCtx};
 use cooper_lidar_sim::scenario::{t_junction, tj_scenario_1, Scenario};
 use cooper_lidar_sim::{GpsImuModel, LidarScanner};
 use cooper_telemetry::TelemetrySnapshot;
@@ -41,16 +41,22 @@ fn run_case(
     let est_b = GpsImuModel::ideal().measure(&scenario.observers[ib], &config.origin, &mut rng);
 
     // Warm up outside the measured window.
-    let _ = pipeline.perceive_single(&scan_a);
+    let _ = pipeline.perceive_single(&scan_a, PerceiveCtx::default());
 
     cooper_telemetry::reset();
     cooper_telemetry::enable();
     for _ in 0..reps {
-        let _ = pipeline.perceive_single(&scan_a);
+        let _ = pipeline.perceive_single(&scan_a, PerceiveCtx::default());
     }
     for _ in 0..reps {
         let packet = ExchangePacket::build(1, 0, &scan_b, est_b).expect("encodes");
-        let _ = pipeline.perceive(&scan_a, &est_a, &[packet], &config.origin);
+        let _ = pipeline.perceive(
+            &scan_a,
+            &est_a,
+            &[packet],
+            &config.origin,
+            PerceiveCtx::default(),
+        );
     }
     cooper_telemetry::disable();
     let snapshot = cooper_telemetry::snapshot();

@@ -13,7 +13,7 @@
 
 use cooper_bench::{output_dir, render_csv, render_table, standard_pipeline, write_artifact};
 use cooper_core::report::{match_by_center_distance, EvaluationConfig};
-use cooper_core::ExchangePacket;
+use cooper_core::{ExchangePacket, PerceiveCtx};
 use cooper_geometry::RigidTransform;
 use cooper_lidar_sim::scenario::all_scenarios;
 use cooper_lidar_sim::{BeamModel, LidarScanner, PoseEstimate};
@@ -52,9 +52,15 @@ fn main() {
                 .map(|g| g.transformed(&world_to_a))
                 .collect();
 
-            let single = pipeline.perceive_single(&scan_a);
+            let single = pipeline.perceive_single(&scan_a, PerceiveCtx::default());
             let packet = ExchangePacket::build(1, 0, &scan_b, est_b).expect("encodes");
-            let coop = pipeline.perceive(&scan_a, &est_a, &[packet], &config.origin);
+            let coop = pipeline.perceive(
+                &scan_a,
+                &est_a,
+                &[packet],
+                &config.origin,
+                PerceiveCtx::default(),
+            );
 
             let count = |dets: &[cooper_core::Detection]| {
                 match_by_center_distance(dets, &gt_in_a, config.match_distance)

@@ -10,7 +10,7 @@
 
 use cooper_bench::{output_dir, render_csv, render_table, standard_pipeline, write_artifact};
 use cooper_core::report::EvaluationConfig;
-use cooper_core::ExchangePacket;
+use cooper_core::{ExchangePacket, PerceiveCtx};
 use cooper_geometry::{Attitude, Pose, Vec3};
 use cooper_lidar_sim::dataset::{generate_scene, SceneConfig};
 use cooper_lidar_sim::{BeamModel, LidarScanner, ObjectClass, PoseEstimate};
@@ -46,9 +46,17 @@ fn main() {
         let est_b = PoseEstimate::from_pose(&second_pose, &config.origin);
         let packet = ExchangePacket::build(1, 0, &second_scan, est_b).expect("encodes");
 
-        let dets_single = pipeline.perceive_single_all_classes(&scene.cloud);
-        let result = pipeline.perceive(&scene.cloud, &est_a, &[packet], &config.origin);
-        let dets_coop: Vec<Detection> = pipeline.perceive_single_all_classes(&result.fused_cloud);
+        // Every class, at the detector's configured threshold (which
+        // `standard_pipeline` keeps).
+        let dets_single = pipeline.detector().detect(&scene.cloud);
+        let result = pipeline.perceive(
+            &scene.cloud,
+            &est_a,
+            &[packet],
+            &config.origin,
+            PerceiveCtx::default(),
+        );
+        let dets_coop: Vec<Detection> = pipeline.detector().detect(&result.fused_cloud);
 
         // Labels live in the first sensor's frame already.
         for class in ObjectClass::TARGETS {

@@ -14,7 +14,7 @@ use std::process::Command;
 
 use cooper_bench::{output_dir, standard_pipeline, write_artifact};
 use cooper_core::report::EvaluationConfig;
-use cooper_core::ExchangePacket;
+use cooper_core::{ExchangePacket, PerceiveCtx};
 use cooper_lidar_sim::scenario::tj_scenario_1;
 use cooper_lidar_sim::{GpsImuModel, LidarScanner};
 use cooper_pointcloud::roi::RoiCategory;
@@ -38,14 +38,20 @@ fn telemetry_baseline() -> cooper_telemetry::TelemetrySnapshot {
     let est_b = GpsImuModel::ideal().measure(&scenario.observers[ib], &config.origin, &mut rng);
 
     // Warm up outside the measured window.
-    let _ = pipeline.perceive_single(&scan_a);
+    let _ = pipeline.perceive_single(&scan_a, PerceiveCtx::default());
 
     cooper_telemetry::reset();
     cooper_telemetry::enable();
     for _ in 0..5 {
-        let _ = pipeline.perceive_single(&scan_a);
+        let _ = pipeline.perceive_single(&scan_a, PerceiveCtx::default());
         let packet = ExchangePacket::build(1, 0, &scan_b, est_b).expect("encodes");
-        let _ = pipeline.perceive(&scan_a, &est_a, &[packet], &config.origin);
+        let _ = pipeline.perceive(
+            &scan_a,
+            &est_a,
+            &[packet],
+            &config.origin,
+            PerceiveCtx::default(),
+        );
     }
     let medium = SharedMedium::new(DsrcChannel::new(DsrcConfig::default()));
     let per_second = vec![(scan_a, scan_b); 3];

@@ -9,7 +9,7 @@
 
 use cooper_bench::{output_dir, render_csv, render_table, standard_pipeline, write_artifact};
 use cooper_core::report::{match_by_center_distance, EvaluationConfig};
-use cooper_core::ExchangePacket;
+use cooper_core::{ExchangePacket, PerceiveCtx};
 use cooper_geometry::{Attitude, Obb3, Pose, RigidTransform, Vec3};
 use cooper_lidar_sim::{BeamModel, Entity, EntityId, LidarScanner, PoseEstimate, World};
 
@@ -72,7 +72,13 @@ fn main() {
         let remote_scan = scanner.scan(&world_at_capture, &remote, 3);
         let local_scan = scanner.scan(&world_now, &receiver, 4);
         let packet = ExchangePacket::build(1, 0, &remote_scan, est_tx).expect("encodes");
-        let result = pipeline.perceive(&local_scan, &est_rx, &[packet], &config.origin);
+        let result = pipeline.perceive(
+            &local_scan,
+            &est_rx,
+            &[packet],
+            &config.origin,
+            PerceiveCtx::default(),
+        );
 
         // Ground truth at detection time, receiver frame.
         let world_to_rx = RigidTransform::from_pose(&receiver).inverse();

@@ -5,15 +5,15 @@
 //! process between two vehicles" (§IV-B). Run forward, the same
 //! machinery is a free upgrade for a single vehicle: aggregate the last
 //! k ego-motion-compensated frames and detect on the union. This binary
-//! drives [`cooper_core::CooperPipeline::perceive_temporal`] — the
-//! pipeline's own
-//! temporal entry point — over a drive through each scenario, sweeping
-//! the window size, and appends the recall curve to the bench
-//! regression ledger.
+//! runs that procedure online — fuse the retained frames into the
+//! current scan's frame, detect on the union, then record the current
+//! frame — over a drive through each scenario, sweeping the window
+//! size, and appends the recall curve to the bench regression ledger.
 
 use cooper_bench::{ledger, output_dir, render_table, standard_pipeline};
 use cooper_core::report::match_by_center_distance;
 use cooper_core::temporal::TemporalAggregator;
+use cooper_core::PerceiveCtx;
 use cooper_geometry::{Obb3, RigidTransform, Vec3};
 use cooper_lidar_sim::scenario::all_scenarios;
 use cooper_lidar_sim::LidarScanner;
@@ -44,7 +44,9 @@ fn main() {
                 let mut pose = base;
                 pose.position += heading * (5.0 * step as f64);
                 let scan = scanner.scan(&scene.world, &pose, 900 + step as u64);
-                dets = pipeline.perceive_temporal(&mut aggregator, &pose, &scan);
+                let fused = aggregator.fused_in(&pose, &scan);
+                dets = pipeline.perceive_single(&fused, PerceiveCtx::default());
+                aggregator.push(pose, scan);
                 final_pose = pose;
             }
             let world_to_local = RigidTransform::from_pose(&final_pose).inverse();

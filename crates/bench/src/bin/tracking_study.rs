@@ -14,7 +14,7 @@
 use cooper_bench::{ledger, output_dir, render_table, standard_pipeline};
 use cooper_core::report::EvaluationConfig;
 use cooper_core::tracking::TrackerConfig;
-use cooper_core::{CooperPipeline, ExchangePacket};
+use cooper_core::{CooperPipeline, ExchangePacket, PerceiveCtx};
 use cooper_lidar_sim::scenario::highway;
 use cooper_lidar_sim::{LidarScanner, PoseEstimate};
 
@@ -43,10 +43,16 @@ fn run_tracking(pipeline: &CooperPipeline, cooperative: bool) -> RunStats {
             let est_tx = PoseEstimate::from_pose(&scene.observers[tx], &config.origin);
             let packet = ExchangePacket::build(1, step as u32, &scan_tx, est_tx).expect("encodes");
             pipeline
-                .perceive(&scan_rx, &est_rx, &[packet], &config.origin)
+                .perceive(
+                    &scan_rx,
+                    &est_rx,
+                    &[packet],
+                    &config.origin,
+                    PerceiveCtx::default(),
+                )
                 .detections
         } else {
-            pipeline.perceive_single(&scan_rx)
+            pipeline.perceive_single(&scan_rx, PerceiveCtx::default())
         };
         tracker.update(&detections, dt);
         world = world.advanced(dt);

@@ -34,7 +34,9 @@ use cooper_core::fleet::{
 use cooper_core::report::{evaluate_pair, EvaluationConfig};
 use cooper_core::tracking::TrackerConfig;
 use cooper_core::viz::{render_bev, BevViewConfig};
-use cooper_core::{AlignmentGuardConfig, CooperPipeline, ExchangePacket, GovernorConfig};
+use cooper_core::{
+    AlignmentGuardConfig, CooperPipeline, ExchangePacket, GovernorConfig, PerceiveCtx,
+};
 use cooper_geometry::{GpsFix, Pose, Vec3};
 use cooper_lidar_sim::scenario::{self, Scenario};
 use cooper_lidar_sim::{BeamModel, FaultPlan, LidarScanner, PoseEstimate};
@@ -752,7 +754,13 @@ fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
             let est_tx = PoseEstimate::from_pose(&scene.observers[tx], &origin);
             let packet = ExchangePacket::build(tx as u32, 0, &scan_tx, est_tx)
                 .map_err(|e| CliError::runtime(format!("cannot build packet: {e}")))?;
-            let result = pipeline.perceive(&scan_rx, &est_rx, &[packet], &origin);
+            let result = pipeline.perceive(
+                &scan_rx,
+                &est_rx,
+                &[packet],
+                &origin,
+                PerceiveCtx::default(),
+            );
             println!(
                 "{}: {} s exchange, peak {:.2} Mbit/s, {} transfers dropped, feasible: {}",
                 scene.name,

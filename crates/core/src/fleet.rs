@@ -51,6 +51,7 @@ use cooper_pointcloud::roi::{blind_sectors, extract_roi, BlindSector, RoiCategor
 use cooper_pointcloud::{
     DeltaDecoder, DeltaEncoder, FeatureFrame, FrameKind, PointCloud, CRC_TRAILER_BYTES,
 };
+use cooper_spod::bev::BevMap;
 use cooper_spod::{filter_bev_roi, DetectOptions, DetectScratch};
 use cooper_telemetry::names as telemetry_names;
 use cooper_telemetry::trace::stage as trace_stage;
@@ -68,7 +69,7 @@ use crate::tracking::{Tracker, TrackerStepSummary};
 use crate::trust::{TrustConfig, TrustLedger, TrustTransition, TrustVehicleStats};
 use crate::{
     alignment_transform, CooperError, CooperPipeline, Detection, ExchangePacket, GuardDecision,
-    PerceptionCache, TransferOffer,
+    PerceiveCtx, PerceptionCache, TransferOffer,
 };
 
 /// One vehicle in the fleet: an id, a pose trajectory (one pose per
@@ -616,6 +617,10 @@ struct Broadcast {
     /// `None` when the probe encode failed (broken pose estimate): the
     /// vehicle sends nothing this step.
     frame: Option<SenderFrame>,
+    /// The honest scan's BEV feature map, kept for the vehicle's own
+    /// phase-3 perception when the feature tier is on. `None` with the
+    /// tier off.
+    ego_bev: Option<BevMap>,
 }
 
 impl Broadcast {
@@ -1115,18 +1120,24 @@ impl FleetSimulation {
                     // features track what it puts on the air, not what
                     // it saw.
                     let tx = tx_scan.as_ref().unwrap_or(&scan);
-                    let feature_frames = if governor.features {
+                    let (feature_frames, ego_bev) = if governor.features {
                         // Sequential internals: the per-vehicle fan-out
                         // of phase 1 already saturates the workers,
                         // exactly like phase 3.
-                        let bev = pipeline.detector().featurize_with(
-                            tx,
-                            &DetectOptions::default().with_executor(Executor::sequential()),
-                            scratch,
-                        );
+                        let options =
+                            DetectOptions::default().with_executor(Executor::sequential());
+                        let tx_bev = pipeline.detector().featurize_with(tx, &options, scratch);
                         let grid = &pipeline.detector().config().voxel_grid;
-                        RoiCategory::ALL
-                            .map(|roi| Some(filter_bev_roi(&bev, grid, roi).to_feature_frame()))
+                        let frames = RoiCategory::ALL
+                            .map(|roi| Some(filter_bev_roi(&tx_bev, grid, roi).to_feature_frame()));
+                        // Phase 3 perceives the honest scan: an honest
+                        // sender's map serves both, a tampering sender
+                        // featurizes its honest scan once more.
+                        let ego_bev = match &tx_scan {
+                            None => tx_bev,
+                            Some(_) => pipeline.detector().featurize_with(&scan, &options, scratch),
+                        };
+                        (frames, Some(ego_bev))
                     } else {
                         Default::default()
                     };
@@ -1199,6 +1210,7 @@ impl FleetSimulation {
                             blind,
                             tx_scan,
                             frame,
+                            ego_bev,
                         },
                         encode_drop,
                     )
@@ -1283,15 +1295,13 @@ impl FleetSimulation {
             // detects, fanned out as 2n independent tasks — each
             // vehicle's ego-only detection and its cooperative perceive
             // are separate work items, dynamically claimed by workers
-            // that each carry a reusable [`DetectScratch`] arena. The
-            // detector runs its internals sequentially here: with 2n
-            // tasks the fan-out already saturates the workers, and
-            // nested spawning would oversubscribe them. Cooperative
-            // tasks also return their alignment-guard fallout (rejection
-            // drops and verdict aggregates), merged serially below in
-            // fleet order to keep the report surface deterministic.
+            // that each carry a reusable [`DetectScratch`] arena. Both
+            // tasks get the phase-1 BEV of the honest scan when the
+            // feature tier kept one. Cooperative tasks also return their
+            // alignment-guard fallout (rejection drops and verdict
+            // aggregates), merged serially below in fleet order to keep
+            // the report surface deterministic.
             let perceive_start = std::time::Instant::now();
-            let inner = Executor::sequential();
             let tasks: Vec<PerceiveTask> = (0..broadcasts.len())
                 .flat_map(|i| [PerceiveTask::Single(i), PerceiveTask::Cooperative(i)])
                 .collect();
@@ -1300,11 +1310,13 @@ impl FleetSimulation {
                 executor.map_in(&tasks, DetectScratch::new, |_, task, scratch| match *task {
                     PerceiveTask::Single(i) => PerceiveTaskOutput::Single(
                         pipeline
-                            .perceive_single_with(
+                            .perceive_single(
                                 &broadcasts[i].scan,
-                                &inner,
-                                scratch,
-                                caches.get(i),
+                                PerceiveCtx {
+                                    scratch: Some(scratch),
+                                    cache: caches.get(i),
+                                    ego_bev: broadcasts[i].ego_bev.as_ref(),
+                                },
                             )
                             .len(),
                     ),
@@ -1338,6 +1350,8 @@ impl FleetSimulation {
                         let mut consistency_drops: Vec<TransportDrop> = Vec::new();
                         let mut history_updates: Vec<((u32, u32), SenderHistory)> = Vec::new();
                         let filtered: Option<Vec<ExchangePacket>> = trust_guard.map(|tg| {
+                            let _span =
+                                cooper_telemetry::span!(telemetry_names::SPAN_GUARD_CONSISTENCY);
                             let ego_index = FreeSpaceIndex::build(&me.scan, &tg.consistency);
                             // Composite (delta-reconstructed) clouds mix
                             // keyframe-step points with current ones; a
@@ -1420,14 +1434,16 @@ impl FleetSimulation {
                         });
                         let fusion_inbox: &[ExchangePacket] =
                             filtered.as_deref().unwrap_or(&inboxes[i]);
-                        let outcome = pipeline.perceive_with(
+                        let outcome = pipeline.perceive(
                             &me.scan,
                             &my_estimate,
                             fusion_inbox,
                             &self.config.origin,
-                            &inner,
-                            scratch,
-                            caches.get(i),
+                            PerceiveCtx {
+                                scratch: Some(scratch),
+                                cache: caches.get(i),
+                                ego_bev: me.ego_bev.as_ref(),
+                            },
                         );
                         let mut align_stats = AlignmentVehicleStats::default();
                         for record in &outcome.alignment {
@@ -1516,7 +1532,10 @@ impl FleetSimulation {
                     histories.insert(key, history);
                 }
                 if let Some(tracker) = tracker_slot.as_mut() {
-                    let summary = tracker.update(&detections, self.config.step_duration_s);
+                    let summary = {
+                        let _span = cooper_telemetry::span!(telemetry_names::SPAN_TRACK_UPDATE);
+                        tracker.update(&detections, self.config.step_duration_s)
+                    };
                     let (_tentative, confirmed, coasting) = tracker.state_counts();
                     report.confirmed_tracks = confirmed;
                     report.coasting_tracks = coasting;

@@ -28,7 +28,7 @@
 //! # Examples
 //!
 //! ```no_run
-//! use cooper_core::{CooperPipeline, ExchangePacket};
+//! use cooper_core::{CooperPipeline, ExchangePacket, PerceiveCtx};
 //! use cooper_geometry::GpsFix;
 //! use cooper_lidar_sim::{scenario, GpsImuModel, LidarScanner};
 //! use cooper_spod::train::TrainingConfig;
@@ -51,7 +51,13 @@
 //! let remote_pose = model.measure(&scene.observers[1], &origin, &mut rng);
 //! let packet = ExchangePacket::build(1, 0, &remote_scan, remote_pose)?;
 //!
-//! let outcome = pipeline.perceive(&local_scan, &local_pose, &[packet], &origin);
+//! let outcome = pipeline.perceive(
+//!     &local_scan,
+//!     &local_pose,
+//!     &[packet],
+//!     &origin,
+//!     PerceiveCtx::default(),
+//! );
 //! println!(
 //!     "{} objects detected, {} packets dropped",
 //!     outcome.detections.len(),
@@ -92,7 +98,7 @@ pub use governor::{
 };
 pub use packet::ExchangePacket;
 pub use pipeline::{
-    AlignmentRecord, CooperPipeline, CooperativeResult, FusionOutcome, PacketDrop, PerceptionCache,
+    AlignmentRecord, CooperPipeline, FusionOutcome, PacketDrop, PerceiveCtx, PerceptionCache,
 };
 pub use request::{requests_from_blind_zones, respond_to_roi_request, RoiRequest};
 pub use stats::{CooperDifficulty, DistanceBand, ScoreImprovement};

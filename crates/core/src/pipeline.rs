@@ -3,7 +3,7 @@
 use std::sync::Mutex;
 
 use cooper_exec::Executor;
-use cooper_geometry::{GpsFix, Pose};
+use cooper_geometry::GpsFix;
 use cooper_lidar_sim::{ObjectClass, PoseEstimate};
 use cooper_pointcloud::{FrameKind, PointCloud};
 use cooper_spod::bev::{BevMap, Z_STRUCTURE_CHANNELS};
@@ -13,16 +13,15 @@ use cooper_spod::{
 };
 use cooper_telemetry::names as telemetry_names;
 
-use crate::temporal::TemporalAggregator;
 use crate::tracking::{Tracker, TrackerConfig};
 use crate::{
     alignment_transform, guard_alignment, AlignmentGuardConfig, CooperError, ExchangePacket,
     GuardDecision,
 };
 
-/// Per-receiver detection memos for incremental perception, passed as
-/// the `cache` argument of [`CooperPipeline::perceive_single_with`] and
-/// [`CooperPipeline::perceive_with`].
+/// Per-receiver detection memos for incremental perception, passed to
+/// [`CooperPipeline::perceive_single`] and [`CooperPipeline::perceive`]
+/// as [`PerceiveCtx::cache`].
 ///
 /// A receiver runs two detection streams per step — its own scan and
 /// the cooperative fused cloud — whose inputs evolve independently, so
@@ -44,26 +43,33 @@ impl PerceptionCache {
     }
 }
 
-/// The outcome of one cooperative perception step.
-#[derive(Debug, Clone)]
-pub struct CooperativeResult {
-    /// The fused cloud in the receiver's sensor frame.
-    pub fused_cloud: PointCloud,
-    /// Detections on the fused cloud.
-    pub detections: Vec<Detection>,
-    /// Number of remote packets successfully fused — derived from the
-    /// merges that actually happened, not from the input length.
-    pub packets_fused: usize,
+/// The context of one [`CooperPipeline::perceive_single`] or
+/// [`CooperPipeline::perceive`] call. `PerceiveCtx::default()` is the
+/// one-shot call: a throwaway scratch arena, no memo and no
+/// precomputed BEV.
+///
+/// Build a context per call. Its memo and BEV belong to one receiver's
+/// one input, so only the scratch arena it borrows outlives the call.
+#[derive(Debug, Default)]
+pub struct PerceiveCtx<'a> {
+    /// A caller-owned scratch arena, reused across calls so its buffers
+    /// stay allocated; `None` allocates one for this call.
+    pub scratch: Option<&'a mut DetectScratch>,
+    /// The receiver's detection memos: a cloud bitwise-equal to the
+    /// previous input of the same stream returns the stored detections
+    /// ([`SpodDetector::detect_incremental`]).
+    pub cache: Option<&'a PerceptionCache>,
+    /// The receiver's own scan already featurized: the
+    /// [`SpodDetector::featurize_with`] map of exactly the call's
+    /// `cloud` / `local_cloud`. It saves running the detector trunk on
+    /// that scan again.
+    pub ego_bev: Option<&'a BevMap>,
 }
 
 /// Everything one call to [`CooperPipeline::perceive`] produced: the
 /// fused cloud, the detections on it, and an explicit account of every
-/// packet that could not be fused.
-///
-/// This replaces the old strict/lossy pair of entry points. A caller
-/// that wants strict semantics checks [`FusionOutcome::drops`] (or uses
-/// [`FusionOutcome::into_strict`]); a robust receiver just uses the
-/// result — fusion never aborts.
+/// packet that could not be fused. Fusion never aborts; a caller that
+/// wants strict semantics checks [`FusionOutcome::drops`].
 #[derive(Debug, Clone)]
 pub struct FusionOutcome {
     /// The fused cloud in the receiver's sensor frame.
@@ -78,26 +84,6 @@ pub struct FusionOutcome {
     /// One entry per packet the alignment guard evaluated, in input
     /// order. Empty when the pipeline runs without a guard.
     pub alignment: Vec<AlignmentRecord>,
-}
-
-impl FusionOutcome {
-    /// Converts to the old strict contract: `Err` with the first drop's
-    /// error when any packet failed, `Ok` with the fused result
-    /// otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first packet decoding error encountered.
-    pub fn into_strict(self) -> Result<CooperativeResult, CooperError> {
-        match self.drops.into_iter().next() {
-            Some(drop) => Err(drop.error),
-            None => Ok(CooperativeResult {
-                fused_cloud: self.fused_cloud,
-                detections: self.detections,
-                packets_fused: self.packets_fused,
-            }),
-        }
-    }
 }
 
 /// Why one received packet was excluded from fusion.
@@ -127,9 +113,10 @@ pub struct AlignmentRecord {
 }
 
 /// Aligns and merges every decodable packet into a copy of
-/// `local_cloud`, collecting a [`PacketDrop`] per failure. All fusion
-/// entry points share this helper so their semantics and telemetry
-/// cannot drift apart.
+/// `local_cloud`, collecting a [`PacketDrop`] per failure. Each packet
+/// comes with its position in the caller's inbox, which the drops and
+/// alignment records carry. All fusion entry points share this helper
+/// so their semantics and telemetry cannot drift apart.
 ///
 /// With a `guard`, every decoded cloud is validated (and possibly
 /// ICP-refined) before merging; guard-rejected clouds surface as
@@ -138,7 +125,7 @@ pub struct AlignmentRecord {
 fn fuse_packets(
     local_cloud: &PointCloud,
     local_pose: &PoseEstimate,
-    packets: &[ExchangePacket],
+    packets: &[(usize, &ExchangePacket)],
     origin: &GpsFix,
     guard: Option<&AlignmentGuardConfig>,
 ) -> (PointCloud, usize, Vec<PacketDrop>, Vec<AlignmentRecord>) {
@@ -150,12 +137,15 @@ fn fuse_packets(
     // Pass 1: decode and (optionally) guard every packet, keeping the
     // accepted clouds with their alignment transforms.
     let mut accepted = Vec::with_capacity(packets.len());
-    for (index, packet) in packets.iter().enumerate() {
+    for &(index, packet) in packets {
         match packet.cloud() {
             Ok(remote_cloud) => {
                 let mut transform = alignment_transform(packet.pose(), local_pose, origin);
                 if let Some(cfg) = guard {
-                    let report = guard_alignment(local_cloud, &remote_cloud, &transform, cfg);
+                    let report = {
+                        let _span = cooper_telemetry::span!(telemetry_names::SPAN_ALIGN_GUARD);
+                        guard_alignment(local_cloud, &remote_cloud, &transform, cfg)
+                    };
                     record_guard_telemetry(&report);
                     alignment.push(AlignmentRecord {
                         index,
@@ -180,19 +170,7 @@ fn fuse_packets(
                 fused_count += 1;
                 accepted.push((remote_cloud, transform));
             }
-            Err(error) => {
-                if cooper_telemetry::is_enabled() {
-                    cooper_telemetry::counter_add(
-                        &format!("{}{}", telemetry_names::PIPELINE_DROP_PREFIX, error.kind()),
-                        1,
-                    );
-                }
-                drops.push(PacketDrop {
-                    index,
-                    vehicle_id: packet.vehicle_id(),
-                    error,
-                });
-            }
+            Err(error) => decode_failed(&mut drops, index, packet, error),
         }
     }
     // Pass 2: one exact-capacity allocation for the union — knowing
@@ -211,6 +189,27 @@ fn fuse_packets(
     );
     cooper_telemetry::counter_add(telemetry_names::PIPELINE_POINTS_MERGED, merged_points);
     (fused, fused_count, drops, alignment)
+}
+
+/// Records a packet that failed to decode as a [`PacketDrop`], counted
+/// under `pipeline.drop.<kind>`.
+fn decode_failed(
+    drops: &mut Vec<PacketDrop>,
+    index: usize,
+    packet: &ExchangePacket,
+    error: CooperError,
+) {
+    if cooper_telemetry::is_enabled() {
+        cooper_telemetry::counter_add(
+            &format!("{}{}", telemetry_names::PIPELINE_DROP_PREFIX, error.kind()),
+            1,
+        );
+    }
+    drops.push(PacketDrop {
+        index,
+        vehicle_id: packet.vehicle_id(),
+        error,
+    });
 }
 
 /// Emits the guard's per-packet telemetry: `align.residual` (the
@@ -354,86 +353,53 @@ impl CooperPipeline {
 
     /// Single-shot perception: detect cars on one vehicle's own scan —
     /// the paper's baseline.
-    pub fn perceive_single(&self, cloud: &PointCloud) -> Vec<Detection> {
-        self.perceive_single_with(
+    ///
+    /// Given [`PerceiveCtx::ego_bev`], only the detector's back half runs,
+    /// on that map; otherwise [`PerceiveCtx::cache`] routes detection
+    /// through its single-shot memo. Every route returns the same bits.
+    pub fn perceive_single(&self, cloud: &PointCloud, ctx: PerceiveCtx<'_>) -> Vec<Detection> {
+        let mut own = DetectScratch::new();
+        self.detect_cars(
             cloud,
-            &Executor::sequential(),
-            &mut DetectScratch::new(),
-            None,
+            ctx.ego_bev,
+            ctx.scratch.unwrap_or(&mut own),
+            ctx.cache.map(|c| &c.single),
         )
     }
 
-    /// [`perceive_single`](Self::perceive_single) with an explicit
-    /// executor and a caller-owned scratch arena, for callers (the fleet
-    /// stepper, benches) that run many perceive calls and want to
-    /// parallelize the detector internals while reusing its buffers.
-    ///
-    /// With a `cache`, detection goes through its single-shot stream
-    /// ([`SpodDetector::detect_incremental`]): a scan bitwise-equal to
-    /// the previous one returns the stored detections. Bit-identical to
-    /// the uncached call on any input.
-    pub fn perceive_single_with(
-        &self,
-        cloud: &PointCloud,
-        executor: &Executor,
-        scratch: &mut DetectScratch,
-        cache: Option<&PerceptionCache>,
-    ) -> Vec<Detection> {
-        self.detect_cars(cloud, executor, scratch, cache.map(|c| &c.single))
-    }
-
-    /// Car-only options at the pipeline's score threshold.
-    fn car_options(&self, executor: &Executor) -> DetectOptions {
+    /// Car-only options at the pipeline's score threshold. The detector
+    /// internals run sequentially: the fleet already fans perception out
+    /// across receivers, and nested spawning would oversubscribe its
+    /// workers.
+    fn car_options(&self) -> DetectOptions {
         DetectOptions::default()
             .with_class(ObjectClass::Car)
             .with_threshold(self.score_threshold)
-            .with_executor(*executor)
+            .with_executor(Executor::sequential())
     }
 
-    /// Detects cars in `cloud` under the `pipeline.perceive_single` span,
-    /// through the memo in `stream` when one is given.
+    /// Detects cars in `cloud` under the `pipeline.perceive_single` span:
+    /// on `bev` when the caller holds `cloud`'s map, else through the memo
+    /// in `stream` when one is given.
     fn detect_cars(
         &self,
         cloud: &PointCloud,
-        executor: &Executor,
+        bev: Option<&BevMap>,
         scratch: &mut DetectScratch,
         stream: Option<&Mutex<FeaturizeCache>>,
     ) -> Vec<Detection> {
         let _span = cooper_telemetry::span!(telemetry_names::SPAN_PIPELINE_PERCEIVE_SINGLE);
-        let options = self.car_options(executor);
-        match stream {
-            Some(stream) => self.detector.detect_incremental(
+        let options = self.car_options();
+        match (bev, stream) {
+            (Some(bev), _) => self.detector.detect_bev(bev, &options),
+            (None, Some(stream)) => self.detector.detect_incremental(
                 cloud,
                 &options,
                 scratch,
                 &mut stream.lock().expect("perception cache poisoned"),
             ),
-            None => self.detector.detect_with(cloud, &options, scratch),
+            (None, None) => self.detector.detect_with(cloud, &options, scratch),
         }
-    }
-
-    /// Temporal self-fusion perception — the paper's Figure-2 procedure
-    /// as an online step: fuse the retained past frames into the
-    /// current scan's frame ([`TemporalAggregator::fused_in`]), detect
-    /// on the densified union, then record the current frame for future
-    /// steps.
-    pub fn perceive_temporal(
-        &self,
-        aggregator: &mut TemporalAggregator,
-        pose: &Pose,
-        scan: &PointCloud,
-    ) -> Vec<Detection> {
-        let fused = aggregator.fused_in(pose, scan);
-        let detections = self.perceive_single(&fused);
-        aggregator.push(*pose, scan.clone());
-        detections
-    }
-
-    /// Single-shot perception over all target classes.
-    pub fn perceive_single_all_classes(&self, cloud: &PointCloud) -> Vec<Detection> {
-        let options = DetectOptions::default().with_threshold(self.score_threshold);
-        self.detector
-            .detect_with(cloud, &options, &mut DetectScratch::new())
     }
 
     /// Fuses remote packets into the receiver's frame (Equations 1–3 +
@@ -451,10 +417,11 @@ impl CooperPipeline {
         packets: &[ExchangePacket],
         origin: &GpsFix,
     ) -> Result<PointCloud, CooperError> {
+        let indexed: Vec<_> = packets.iter().enumerate().collect();
         let (fused, _, drops, _) = fuse_packets(
             local_cloud,
             local_pose,
-            packets,
+            &indexed,
             origin,
             self.guard.as_ref(),
         );
@@ -464,37 +431,14 @@ impl CooperPipeline {
         }
     }
 
-    /// Full cooperative perception — the single entry point: align and
-    /// merge every decodable packet into the receiver's frame
-    /// (Equations 1–3 + Equation 2), run SPOD on the fused cloud, and
-    /// report undecodable packets as [`PacketDrop`]s instead of
-    /// aborting.
-    pub fn perceive(
-        &self,
-        local_cloud: &PointCloud,
-        local_pose: &PoseEstimate,
-        packets: &[ExchangePacket],
-        origin: &GpsFix,
-    ) -> FusionOutcome {
-        self.perceive_with(
-            local_cloud,
-            local_pose,
-            packets,
-            origin,
-            &Executor::sequential(),
-            &mut DetectScratch::new(),
-            None,
-        )
-    }
-
-    /// [`perceive`](Self::perceive) with an explicit executor and a
-    /// caller-owned scratch arena; the executor parallelizes the SPOD
-    /// internals on the fused cloud, and the scratch's rulebook arena is
-    /// reused across calls.
+    /// Full cooperative perception: align and merge every decodable
+    /// packet into the receiver's frame (Equations 1–3 + Equation 2), run
+    /// SPOD on the result, and report undecodable packets as
+    /// [`PacketDrop`]s instead of aborting.
     ///
     /// Inboxes may mix payload levels. Point-cloud packets (v1/v2) fuse
-    /// at the raw level as before; feature-frame packets (v3) are
-    /// decoded, re-binned into the receiver's BEV grid under the GPS/IMU
+    /// at the raw level; feature-frame packets (v3) are decoded,
+    /// re-binned into the receiver's BEV grid under the GPS/IMU
     /// transform, and fused with the receiver's own features by the
     /// configured [`FeatureFusionMode`] before the RPN head (F-Cooper).
     /// The alignment guard only applies to point packets — a feature
@@ -502,103 +446,74 @@ impl CooperPipeline {
     /// transform is trusted as-is. [`FusionOutcome::fused_cloud`] holds
     /// the point-level union only; feature packets contribute no points.
     ///
-    /// With a `cache`, an inbox of point packets only is detected through
-    /// the cache's cooperative stream
-    /// ([`SpodDetector::detect_incremental`]): a fused cloud
-    /// bitwise-equal to the previous step's returns the stored
-    /// detections. An inbox holding any feature frame takes the BEV path
-    /// above and leaves the cache unused, because feature fusion happens
-    /// past the point cloud the memo keys on. Bit-identical to the
-    /// uncached call on any inbox.
-    #[allow(clippy::too_many_arguments)]
-    pub fn perceive_with(
+    /// An inbox without feature frames is detected on the fused cloud
+    /// like [`perceive_single`](Self::perceive_single), through the
+    /// cooperative memo of [`PerceiveCtx::cache`] when one is given.
+    /// [`PerceiveCtx::ego_bev`] stands in for featurizing the fused cloud
+    /// only while no point packet merged, because the fused cloud is
+    /// then a copy of `local_cloud`. Every route returns the same bits.
+    pub fn perceive(
         &self,
         local_cloud: &PointCloud,
         local_pose: &PoseEstimate,
         packets: &[ExchangePacket],
         origin: &GpsFix,
-        executor: &Executor,
-        scratch: &mut DetectScratch,
-        cache: Option<&PerceptionCache>,
+        ctx: PerceiveCtx<'_>,
     ) -> FusionOutcome {
         let _span = cooper_telemetry::span!(telemetry_names::SPAN_PIPELINE_PERCEIVE);
-        // Partition the inbox: v3 payloads fuse at the feature level,
-        // everything else (including undecodable headers, which the
-        // point path reports as drops) at the point level.
-        let mut point_packets = Vec::with_capacity(packets.len());
-        let mut point_indices = Vec::with_capacity(packets.len());
-        let mut feature_packets = Vec::new();
-        for (index, packet) in packets.iter().enumerate() {
-            let is_features = packet
-                .frame_info()
-                .is_ok_and(|info| info.kind == FrameKind::Features);
-            if is_features {
-                feature_packets.push((index, packet));
-            } else {
-                point_indices.push(index);
-                point_packets.push(packet.clone());
-            }
-        }
-        if feature_packets.is_empty() {
-            let (fused_cloud, fused_count, drops, alignment) = fuse_packets(
-                local_cloud,
-                local_pose,
-                packets,
-                origin,
-                self.guard.as_ref(),
-            );
-            let detections = self.detect_cars(
-                &fused_cloud,
-                executor,
-                scratch,
-                cache.map(|c| &c.cooperative),
-            );
-            return FusionOutcome {
-                fused_cloud,
-                detections,
-                packets_fused: fused_count,
-                drops,
-                alignment,
-            };
-        }
-        let (fused_cloud, mut fused_count, mut drops, mut alignment) = fuse_packets(
+        // v3 payloads fuse at the feature level, everything else
+        // (including undecodable headers, which the point path reports
+        // as drops) at the point level.
+        let (feature_packets, point_packets): (Vec<_>, Vec<_>) =
+            packets.iter().enumerate().partition(|(_, packet)| {
+                packet
+                    .frame_info()
+                    .is_ok_and(|info| info.kind == FrameKind::Features)
+            });
+        let (fused_cloud, points_fused, mut drops, alignment) = fuse_packets(
             local_cloud,
             local_pose,
             &point_packets,
             origin,
             self.guard.as_ref(),
         );
-        // fuse_packets saw the point subset; restore input positions.
-        for drop in &mut drops {
-            drop.index = point_indices[drop.index];
-        }
-        for record in &mut alignment {
-            record.index = point_indices[record.index];
-        }
-        let remote_maps = self.decode_feature_maps(
-            &feature_packets,
-            local_pose,
-            origin,
-            &mut fused_count,
-            &mut drops,
-        );
-        drops.sort_by_key(|d| d.index);
-        let options = self.car_options(executor);
-        let local_bev = self
-            .detector
-            .featurize_with(&fused_cloud, &options, scratch);
-        let fused_bev = {
-            let _fuse_span = cooper_telemetry::span!(telemetry_names::SPAN_PIPELINE_FUSE_FEATURES);
-            let mut maps: Vec<&BevMap> = Vec::with_capacity(1 + remote_maps.len());
-            maps.push(&local_bev);
-            maps.extend(remote_maps.iter());
-            fuse_bev(&maps, self.fusion_mode)
+        let ego_bev = ctx.ego_bev.filter(|_| points_fused == 0);
+        let mut own = DetectScratch::new();
+        let scratch = ctx.scratch.unwrap_or(&mut own);
+        let (detections, packets_fused) = if feature_packets.is_empty() {
+            let stream = ctx.cache.map(|c| &c.cooperative);
+            let detections = self.detect_cars(&fused_cloud, ego_bev, scratch, stream);
+            (detections, points_fused)
+        } else {
+            let remote_maps =
+                self.decode_feature_maps(&feature_packets, local_pose, origin, &mut drops);
+            drops.sort_by_key(|d| d.index);
+            let options = self.car_options();
+            let featurized;
+            let local_bev = match ego_bev {
+                Some(bev) => bev,
+                None => {
+                    featurized = self
+                        .detector
+                        .featurize_with(&fused_cloud, &options, scratch);
+                    &featurized
+                }
+            };
+            let fused_bev = {
+                let _fuse_span =
+                    cooper_telemetry::span!(telemetry_names::SPAN_PIPELINE_FUSE_FEATURES);
+                let mut maps: Vec<&BevMap> = Vec::with_capacity(1 + remote_maps.len());
+                maps.push(local_bev);
+                maps.extend(remote_maps.iter());
+                fuse_bev(&maps, self.fusion_mode)
+            };
+            let detections = self.detector.detect_bev(&fused_bev, &options);
+            (detections, points_fused + remote_maps.len())
         };
-        let detections = self.detector.detect_bev(&fused_bev, &options);
         FusionOutcome {
             fused_cloud,
             detections,
-            packets_fused: fused_count,
+            packets_fused,
             drops,
             alignment,
         }
@@ -611,13 +526,12 @@ impl CooperPipeline {
         feature_packets: &[(usize, &ExchangePacket)],
         local_pose: &PoseEstimate,
         origin: &GpsFix,
-        fused_count: &mut usize,
         drops: &mut Vec<PacketDrop>,
     ) -> Vec<BevMap> {
         let expected_channels = self.detector.config().channels + Z_STRUCTURE_CHANNELS;
         let grid = &self.detector.config().voxel_grid;
         let mut remote_maps = Vec::with_capacity(feature_packets.len());
-        let mut dropped = 0u64;
+        let drops_before = drops.len();
         for &(index, packet) in feature_packets {
             let outcome = packet.feature_frame().and_then(|frame| {
                 if frame.channels() == expected_channels {
@@ -637,22 +551,8 @@ impl CooperPipeline {
                         &transform,
                         grid,
                     ));
-                    *fused_count += 1;
                 }
-                Err(error) => {
-                    if cooper_telemetry::is_enabled() {
-                        cooper_telemetry::counter_add(
-                            &format!("{}{}", telemetry_names::PIPELINE_DROP_PREFIX, error.kind()),
-                            1,
-                        );
-                    }
-                    dropped += 1;
-                    drops.push(PacketDrop {
-                        index,
-                        vehicle_id: packet.vehicle_id(),
-                        error,
-                    });
-                }
+                Err(error) => decode_failed(drops, index, packet, error),
             }
         }
         cooper_telemetry::counter_add(
@@ -663,7 +563,10 @@ impl CooperPipeline {
             telemetry_names::PIPELINE_PACKETS_FUSED,
             remote_maps.len() as u64,
         );
-        cooper_telemetry::counter_add(telemetry_names::PIPELINE_PACKETS_DROPPED, dropped);
+        cooper_telemetry::counter_add(
+            telemetry_names::PIPELINE_PACKETS_DROPPED,
+            (drops.len() - drops_before) as u64,
+        );
         remote_maps
     }
 }
@@ -732,7 +635,7 @@ mod tests {
         let cloud = PointCloud::new();
         let p1 = ExchangePacket::build(1, 0, &cloud, est).unwrap();
         let p2 = ExchangePacket::build(2, 0, &cloud, est).unwrap();
-        let outcome = pipeline.perceive(&cloud, &est, &[p1, p2], &origin());
+        let outcome = pipeline.perceive(&cloud, &est, &[p1, p2], &origin(), PerceiveCtx::default());
         assert_eq!(outcome.packets_fused, 2);
         assert!(outcome.detections.is_empty());
         assert!(outcome.drops.is_empty());
@@ -750,39 +653,22 @@ mod tests {
         ));
         let good = ExchangePacket::build(1, 0, &cloud, est).unwrap();
         let bad = corrupt_payload(&good);
-        let outcome = pipeline.perceive(&cloud, &est, &[good, bad], &origin());
+        assert!(pipeline
+            .fuse(&cloud, &est, std::slice::from_ref(&bad), &origin())
+            .is_err());
+        let outcome = pipeline.perceive(
+            &cloud,
+            &est,
+            &[good, bad],
+            &origin(),
+            PerceiveCtx::default(),
+        );
         assert_eq!(outcome.packets_fused, 1);
         assert_eq!(outcome.drops.len(), 1);
         assert_eq!(outcome.drops[0].index, 1);
         assert_eq!(outcome.drops[0].vehicle_id, 1);
         assert_eq!(outcome.drops[0].error.kind(), "codec");
         assert_eq!(outcome.fused_cloud.len(), 2);
-    }
-
-    #[test]
-    fn into_strict_surfaces_first_drop_error() {
-        let pipeline = untrained_pipeline();
-        let pose = Pose::new(Vec3::new(0.0, 0.0, 1.8), Attitude::level());
-        let est = PoseEstimate::from_pose(&pose, &origin());
-        let mut cloud = PointCloud::new();
-        cloud.push(cooper_pointcloud::Point::new(
-            Vec3::new(5.0, 0.0, -1.0),
-            0.5,
-        ));
-        let good = ExchangePacket::build(1, 0, &cloud, est).unwrap();
-        let bad = corrupt_payload(&good);
-        let err = pipeline
-            .perceive(&cloud, &est, &[good.clone(), bad.clone()], &origin())
-            .into_strict()
-            .unwrap_err();
-        assert_eq!(err.kind(), "codec");
-        assert!(pipeline.fuse(&cloud, &est, &[bad], &origin()).is_err());
-        // A clean outcome converts to Ok.
-        let ok = pipeline
-            .perceive(&cloud, &est, &[good], &origin())
-            .into_strict()
-            .unwrap();
-        assert_eq!(ok.packets_fused, 1);
     }
 
     #[test]
@@ -799,7 +685,8 @@ mod tests {
 
         // Clean pose: fused, recorded as accepted.
         let good = ExchangePacket::build(2, 0, &remote, tx_est).unwrap();
-        let outcome = pipeline.perceive(&local, &rx_est, &[good], &origin());
+        let outcome =
+            pipeline.perceive(&local, &rx_est, &[good], &origin(), PerceiveCtx::default());
         assert_eq!(outcome.packets_fused, 1);
         assert_eq!(outcome.alignment.len(), 1);
         assert!(outcome.alignment[0].decision.is_accepted());
@@ -809,13 +696,13 @@ mod tests {
         let mut bad_est = tx_est;
         bad_est.gps = bad_est.gps.offset_by(Vec3::new(40.0, -25.0, 0.0));
         let bad = ExchangePacket::build(2, 1, &remote, bad_est).unwrap();
-        let outcome = pipeline.perceive(&local, &rx_est, &[bad], &origin());
+        let outcome = pipeline.perceive(&local, &rx_est, &[bad], &origin(), PerceiveCtx::default());
         assert_eq!(outcome.packets_fused, 0);
         assert_eq!(outcome.fused_cloud.len(), local.len());
         assert_eq!(outcome.drops.len(), 1);
         assert_eq!(outcome.drops[0].error.kind(), "alignment_rejected");
         assert!(!outcome.alignment[0].decision.is_accepted());
-        let ego = pipeline.perceive_single(&local);
+        let ego = pipeline.perceive_single(&local, PerceiveCtx::default());
         assert_eq!(outcome.detections.len(), ego.len());
     }
 
@@ -827,7 +714,7 @@ mod tests {
         let est = PoseEstimate::from_pose(&pose, &origin());
         let cloud = PointCloud::new();
         let p1 = ExchangePacket::build(1, 0, &cloud, est).unwrap();
-        let outcome = pipeline.perceive(&cloud, &est, &[p1], &origin());
+        let outcome = pipeline.perceive(&cloud, &est, &[p1], &origin(), PerceiveCtx::default());
         assert!(outcome.alignment.is_empty());
     }
 
@@ -848,7 +735,13 @@ mod tests {
         assert!(!frame.is_empty());
         let packet = ExchangePacket::build_features(2, 0, &frame, tx_est).unwrap();
         assert_eq!(packet.frame_info().unwrap().kind, FrameKind::Features);
-        let outcome = pipeline.perceive(&local, &rx_est, &[packet], &origin());
+        let outcome = pipeline.perceive(
+            &local,
+            &rx_est,
+            &[packet],
+            &origin(),
+            PerceiveCtx::default(),
+        );
         assert_eq!(outcome.packets_fused, 1);
         assert!(outcome.drops.is_empty());
         // Feature packets contribute no raw points.
@@ -870,7 +763,13 @@ mod tests {
         let good = ExchangePacket::build(1, 0, &cloud, est).unwrap();
         let frame = cooper_pointcloud::FeatureFrame::new(2, vec![(0, 0)], vec![0.5, 0.25]);
         let bad = ExchangePacket::build_features(3, 0, &frame, est).unwrap();
-        let outcome = pipeline.perceive(&cloud, &est, &[good, bad], &origin());
+        let outcome = pipeline.perceive(
+            &cloud,
+            &est,
+            &[good, bad],
+            &origin(),
+            PerceiveCtx::default(),
+        );
         assert_eq!(outcome.packets_fused, 1);
         assert_eq!(outcome.drops.len(), 1);
         assert_eq!(outcome.drops[0].index, 1);
@@ -887,7 +786,6 @@ mod tests {
         let rx_est = PoseEstimate::from_pose(&rx_pose, &origin());
         let local = scanner.scan(&scene.world, &rx_pose, 1);
         let cache = PerceptionCache::new();
-        let executor = Executor::sequential();
         let mut scratch = DetectScratch::new();
         // Three steps: the sender's scan changes, repeats, then changes
         // again — every step must match the uncached path bit for bit.
@@ -896,25 +794,40 @@ mod tests {
             let remote = scanner.scan(&scene.world, &tx_pose, seed);
             let tx_est = PoseEstimate::from_pose(&tx_pose, &origin());
             let packet = ExchangePacket::build(2, 0, &remote, tx_est).unwrap();
-            let cached = pipeline.perceive_with(
+            let cached = pipeline.perceive(
                 &local,
                 &rx_est,
                 std::slice::from_ref(&packet),
                 &origin(),
-                &executor,
-                &mut scratch,
-                Some(&cache),
+                PerceiveCtx {
+                    scratch: Some(&mut scratch),
+                    cache: Some(&cache),
+                    ego_bev: None,
+                },
             );
-            let plain = pipeline.perceive(&local, &rx_est, &[packet], &origin());
+            let plain = pipeline.perceive(
+                &local,
+                &rx_est,
+                &[packet],
+                &origin(),
+                PerceiveCtx::default(),
+            );
             assert_eq!(cached.detections, plain.detections);
             assert_eq!(cached.fused_cloud, plain.fused_cloud);
             assert_eq!(cached.packets_fused, plain.packets_fused);
         }
         // The single-shot stream, cold and then repeated.
         for _ in 0..2 {
-            let single_cached =
-                pipeline.perceive_single_with(&local, &executor, &mut scratch, Some(&cache));
-            assert_eq!(single_cached, pipeline.perceive_single(&local));
+            let ctx = PerceiveCtx {
+                scratch: Some(&mut scratch),
+                cache: Some(&cache),
+                ego_bev: None,
+            };
+            let single_cached = pipeline.perceive_single(&local, ctx);
+            assert_eq!(
+                single_cached,
+                pipeline.perceive_single(&local, PerceiveCtx::default())
+            );
         }
     }
 
@@ -930,16 +843,23 @@ mod tests {
         let frame = pipeline.detector().featurize(&remote).to_feature_frame();
         let packet = ExchangePacket::build_features(2, 0, &frame, tx_est).unwrap();
         let cache = PerceptionCache::new();
-        let cached = pipeline.perceive_with(
+        let cached = pipeline.perceive(
             &local,
             &rx_est,
             std::slice::from_ref(&packet),
             &origin(),
-            &Executor::sequential(),
-            &mut DetectScratch::new(),
-            Some(&cache),
+            PerceiveCtx {
+                cache: Some(&cache),
+                ..PerceiveCtx::default()
+            },
         );
-        let plain = pipeline.perceive(&local, &rx_est, &[packet], &origin());
+        let plain = pipeline.perceive(
+            &local,
+            &rx_est,
+            &[packet],
+            &origin(),
+            PerceiveCtx::default(),
+        );
         assert_eq!(cached.detections, plain.detections);
         assert_eq!(cached.packets_fused, plain.packets_fused);
         // The BEV path leaves the cooperative memo untouched.
@@ -959,20 +879,95 @@ mod tests {
         let packet = ExchangePacket::build(1, 0, &cloud, est).unwrap();
         let cache = PerceptionCache::new();
         let warm = |stream: &Mutex<FeaturizeCache>| stream.lock().unwrap().is_warm();
-        let executor = Executor::sequential();
-        let mut scratch = DetectScratch::new();
-        let _ = pipeline.perceive_single_with(&cloud, &executor, &mut scratch, Some(&cache));
+        let cached = || PerceiveCtx {
+            cache: Some(&cache),
+            ..PerceiveCtx::default()
+        };
+        let _ = pipeline.perceive_single(&cloud, cached());
         assert!(warm(&cache.single) && !warm(&cache.cooperative));
-        let _ = pipeline.perceive_with(
-            &cloud,
-            &est,
-            &[packet],
-            &origin(),
-            &executor,
-            &mut scratch,
-            Some(&cache),
-        );
+        let _ = pipeline.perceive(&cloud, &est, &[packet], &origin(), cached());
         assert!(warm(&cache.cooperative));
+    }
+
+    /// `perceive` with the receiver's own BEV supplied must equal the
+    /// plain call on every [`FusionOutcome`] field. `Debug` prints each
+    /// float in its shortest round-trip form, so equal text means equal
+    /// bits.
+    fn perceive_reusing_ego_bev(
+        pipeline: &CooperPipeline,
+        local: &PointCloud,
+        rx_est: &PoseEstimate,
+        inbox: &[ExchangePacket],
+    ) -> FusionOutcome {
+        let bev = pipeline.detector().featurize(local);
+        let ctx = PerceiveCtx {
+            ego_bev: Some(&bev),
+            ..PerceiveCtx::default()
+        };
+        let reused = pipeline.perceive(local, rx_est, inbox, &origin(), ctx);
+        let plain = pipeline.perceive(local, rx_est, inbox, &origin(), PerceiveCtx::default());
+        assert_eq!(format!("{reused:?}"), format!("{plain:?}"));
+        reused
+    }
+
+    #[test]
+    fn ego_bev_perceive_matches_plain_perceive_on_every_inbox() {
+        let pipeline = untrained_pipeline().with_score_threshold(0.4);
+        let scene = scenario::tj_scenario_1();
+        let scanner = LidarScanner::new(scene.kind.beam_model().noiseless());
+        let local = scanner.scan(&scene.world, &scene.observers[0], 1);
+        let remote = scanner.scan(&scene.world, &scene.observers[1], 2);
+        let rx_est = PoseEstimate::from_pose(&scene.observers[0], &origin());
+        let tx_est = PoseEstimate::from_pose(&scene.observers[1], &origin());
+        let points = ExchangePacket::build(2, 0, &remote, tx_est).unwrap();
+        let corrupt = corrupt_payload(&points);
+        let frame = pipeline.detector().featurize(&remote).to_feature_frame();
+        let features = ExchangePacket::build_features(3, 0, &frame, tx_est).unwrap();
+        let ego_only = pipeline.perceive_single(&local, PerceiveCtx::default());
+        assert!(!ego_only.is_empty(), "the scene must yield detections");
+
+        // Nothing merges: the fused cloud is the ego scan, whose BEV
+        // the supplied one is.
+        for inbox in [
+            vec![],
+            vec![features.clone()],
+            vec![corrupt.clone()],
+            vec![corrupt, features.clone()],
+        ] {
+            let outcome = perceive_reusing_ego_bev(&pipeline, &local, &rx_est, &inbox);
+            assert_eq!(outcome.fused_cloud, local);
+            assert_eq!(outcome.drops.len() + outcome.packets_fused, inbox.len());
+        }
+        // A point packet merges: the ego BEV no longer describes the
+        // fused cloud, and the merge changes what is detected.
+        for inbox in [vec![points.clone()], vec![points, features]] {
+            let outcome = perceive_reusing_ego_bev(&pipeline, &local, &rx_est, &inbox);
+            assert_eq!(outcome.fused_cloud.len(), local.len() + remote.len());
+            assert_ne!(outcome.detections, ego_only);
+        }
+    }
+
+    #[test]
+    fn ego_bev_single_matches_plain_single() {
+        let pipeline = untrained_pipeline().with_score_threshold(0.4);
+        let scene = scenario::tj_scenario_1();
+        let scanner = LidarScanner::new(scene.kind.beam_model().noiseless());
+        let local = scanner.scan(&scene.world, &scene.observers[0], 1);
+        let bev = pipeline.detector().featurize(&local);
+        let cache = PerceptionCache::new();
+        let reused = pipeline.perceive_single(
+            &local,
+            PerceiveCtx {
+                cache: Some(&cache),
+                ego_bev: Some(&bev),
+                ..PerceiveCtx::default()
+            },
+        );
+        let plain = pipeline.perceive_single(&local, PerceiveCtx::default());
+        assert!(!plain.is_empty());
+        assert_eq!(format!("{reused:?}"), format!("{plain:?}"));
+        // The BEV route skips the memo.
+        assert!(!cache.single.lock().unwrap().is_warm());
     }
 
     #[test]
@@ -1000,25 +995,6 @@ mod tests {
     }
 
     #[test]
-    fn perceive_temporal_fuses_then_records() {
-        let pipeline = untrained_pipeline().with_score_threshold(0.4);
-        let scene = scenario::t_junction();
-        let scanner = LidarScanner::new(scene.kind.beam_model().noiseless());
-        let mut agg = TemporalAggregator::new(3);
-        let past_pose = scene.observers[1];
-        let past_scan = scanner.scan(&scene.world, &past_pose, 7);
-        agg.push(past_pose, past_scan);
-        let pose = scene.observers[0];
-        let scan = scanner.scan(&scene.world, &pose, 8);
-        // Reference: detect on the fused cloud directly.
-        let expected = pipeline.perceive_single(&agg.fused_in(&pose, &scan));
-        let got = pipeline.perceive_temporal(&mut agg, &pose, &scan);
-        assert_eq!(got, expected);
-        // The current frame was recorded for the next step.
-        assert_eq!(agg.len(), 2);
-    }
-
-    #[test]
     fn fusion_mode_builder_selects_adaptive() {
         let pipeline =
             untrained_pipeline().with_fusion_mode(cooper_spod::FeatureFusionMode::Adaptive);
@@ -1038,6 +1014,8 @@ mod tests {
             Vec3::new(5.0, 0.0, -1.0),
             0.5,
         ));
-        assert!(pipeline.perceive_single(&cloud).is_empty());
+        assert!(pipeline
+            .perceive_single(&cloud, PerceiveCtx::default())
+            .is_empty());
     }
 }

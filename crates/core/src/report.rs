@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::stats::{DistanceBand, ScoreImprovement};
-use crate::{CooperPipeline, ExchangePacket};
+use crate::{CooperPipeline, ExchangePacket, PerceiveCtx};
 
 /// Configuration of one experiment run.
 #[derive(Debug, Clone)]
@@ -241,12 +241,18 @@ pub fn evaluate_pair(
         .sensor_model
         .measure(&pose_b, &config.origin, &mut rng);
 
-    let dets_a = pipeline.perceive_single(&scan_a);
-    let dets_b = pipeline.perceive_single(&scan_b);
+    let dets_a = pipeline.perceive_single(&scan_a, PerceiveCtx::default());
+    let dets_b = pipeline.perceive_single(&scan_b, PerceiveCtx::default());
 
     let packet = ExchangePacket::build(ib as u32, 0, &scan_b, est_b)
         .expect("sensor-frame scan always encodes");
-    let coop = pipeline.perceive(&scan_a, &est_a, &[packet], &config.origin);
+    let coop = pipeline.perceive(
+        &scan_a,
+        &est_a,
+        &[packet],
+        &config.origin,
+        PerceiveCtx::default(),
+    );
 
     let ground_truth = scenario.ground_truth_cars();
     let world_to_a = RigidTransform::from_pose(&pose_a).inverse();

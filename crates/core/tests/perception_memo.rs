@@ -5,8 +5,7 @@
 //! its own: no other test can move `spod.incremental.hits` while it
 //! counts.
 
-use cooper_core::{CooperPipeline, ExchangePacket, PerceptionCache};
-use cooper_exec::Executor;
+use cooper_core::{CooperPipeline, ExchangePacket, PerceiveCtx, PerceptionCache};
 use cooper_geometry::GpsFix;
 use cooper_lidar_sim::{scenario, LidarScanner, PoseEstimate};
 use cooper_spod::{DetectScratch, SpodConfig, SpodDetector};
@@ -53,32 +52,30 @@ fn each_perceive_stream_serves_its_own_repeats() {
         ("cooperative new scan", Some(&points), &other_local, true, 0),
     ];
     let cache = PerceptionCache::new();
-    let executor = Executor::sequential();
     let mut scratch = DetectScratch::new();
     for (what, inbox, scan, cached, expected_hits) in calls {
-        let cache = cached.then_some(&cache);
         let before = hits();
+        let ctx = PerceiveCtx {
+            scratch: Some(&mut scratch),
+            cache: cached.then_some(&cache),
+            ego_bev: None,
+        };
         let (got, want) = match inbox {
             None => (
-                pipeline.perceive_single_with(scan, &executor, &mut scratch, cache),
-                pipeline.perceive_single(scan),
+                pipeline.perceive_single(scan, ctx),
+                pipeline.perceive_single(scan, PerceiveCtx::default()),
             ),
-            Some(packet) => (
-                pipeline
-                    .perceive_with(
-                        scan,
-                        &rx_est,
-                        std::slice::from_ref(packet),
-                        &origin,
-                        &executor,
-                        &mut scratch,
-                        cache,
-                    )
-                    .detections,
-                pipeline
-                    .perceive(scan, &rx_est, std::slice::from_ref(packet), &origin)
-                    .detections,
-            ),
+            Some(packet) => {
+                let inbox = std::slice::from_ref(packet);
+                (
+                    pipeline
+                        .perceive(scan, &rx_est, inbox, &origin, ctx)
+                        .detections,
+                    pipeline
+                        .perceive(scan, &rx_est, inbox, &origin, PerceiveCtx::default())
+                        .detections,
+                )
+            }
         };
         assert_eq!(hits() - before, expected_hits, "{what}: memo hit count");
         assert!(!want.is_empty(), "{what}: the scene must yield detections");

@@ -161,6 +161,12 @@ pub const SPAN_PIPELINE_PERCEIVE_SINGLE: &str = "pipeline.perceive_single";
 pub const SPAN_PIPELINE_FUSE: &str = "pipeline.fuse";
 /// BEV-feature fusion of remote feature frames (F-Cooper path).
 pub const SPAN_PIPELINE_FUSE_FEATURES: &str = "pipeline.fuse_features";
+/// Alignment guard over one decoded point packet, inside packet fusion.
+pub const SPAN_ALIGN_GUARD: &str = "align.guard";
+/// Consistency screen of one receiver's inbox (trust layer).
+pub const SPAN_GUARD_CONSISTENCY: &str = "guard.consistency";
+/// One receiver's tracker update, in the fleet's serial merge.
+pub const SPAN_TRACK_UPDATE: &str = "track.update";
 /// Packet encode to wire bytes.
 pub const SPAN_PACKET_ENCODE: &str = "packet.encode";
 /// Packet decode from wire bytes.
@@ -269,6 +275,9 @@ pub const ALL_SPANS: &[&str] = &[
     SPAN_PIPELINE_PERCEIVE_SINGLE,
     SPAN_PIPELINE_FUSE,
     SPAN_PIPELINE_FUSE_FEATURES,
+    SPAN_ALIGN_GUARD,
+    SPAN_GUARD_CONSISTENCY,
+    SPAN_TRACK_UPDATE,
     SPAN_PACKET_ENCODE,
     SPAN_PACKET_DECODE,
     SPAN_PACKET_DECODE_PARTIAL,

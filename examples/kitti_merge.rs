@@ -8,7 +8,7 @@
 //! Run with `cargo run -p cooper-core --example kitti_merge --release`.
 
 use cooper_core::report::{evaluate_pair, EvaluationConfig};
-use cooper_core::CooperPipeline;
+use cooper_core::{CooperPipeline, PerceiveCtx};
 use cooper_lidar_sim::scenario::t_junction;
 use cooper_spod::train::TrainingConfig;
 use cooper_spod::SpodDetector;
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let est_a = PoseEstimate::from_pose(&scene.observers[ia], &origin);
         let est_b = PoseEstimate::from_pose(&scene.observers[ib], &origin);
         let packet = ExchangePacket::build(1, 0, &scan_b, est_b)?;
-        let result = pipeline.perceive(&scan_a, &est_a, &[packet], &origin);
+        let result = pipeline.perceive(&scan_a, &est_a, &[packet], &origin, PerceiveCtx::default());
         let world_to_a = RigidTransform::from_pose(&scene.observers[ia]).inverse();
         let gt: Vec<_> = scene
             .ground_truth_cars()

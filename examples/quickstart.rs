@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run -p cooper-core --example quickstart --release`.
 
-use cooper_core::{CooperPipeline, ExchangePacket};
+use cooper_core::{CooperPipeline, ExchangePacket, PerceiveCtx};
 use cooper_geometry::GpsFix;
 use cooper_lidar_sim::{scenario, GpsImuModel, LidarScanner};
 use cooper_spod::train::TrainingConfig;
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let remote_pose = sensors.measure(&scene.observers[transmitter_idx], &origin, &mut rng);
 
     // 4. Single-shot baseline.
-    let single = pipeline.perceive_single(&local_scan);
+    let single = pipeline.perceive_single(&local_scan, PerceiveCtx::default());
     println!("single shot: {} cars detected", single.len());
 
     // 5. The transmitter builds an exchange packet (cloud + GPS + IMU)…
@@ -51,7 +51,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 6. …and the receiver fuses and re-detects.
-    let result = pipeline.perceive(&local_scan, &local_pose, &[packet], &origin);
+    let result = pipeline.perceive(
+        &local_scan,
+        &local_pose,
+        &[packet],
+        &origin,
+        PerceiveCtx::default(),
+    );
     println!(
         "cooperative: {} cars detected on {} fused points",
         result.detections.len(),

@@ -10,7 +10,7 @@
 //!
 //! Run with `cargo run -p cooper-v2x --example roi_exchange --release`.
 
-use cooper_core::{CooperPipeline, ExchangePacket};
+use cooper_core::{CooperPipeline, ExchangePacket, PerceiveCtx};
 use cooper_geometry::GpsFix;
 use cooper_lidar_sim::{scenario, LidarScanner, PoseEstimate};
 use cooper_pointcloud::roi::{extract_roi, RoiCategory, StaticMap};
@@ -59,11 +59,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         channel.airtime_for(wire.len()) * 1e3
     );
 
-    // Receive side: reassemble, decode, fuse, detect.
+    // Receive side: reassemble, decode, fuse, detect. The receiver's
+    // own view stays fixed while its inbox varies below.
+    let perceive = |inbox: &[ExchangePacket]| {
+        pipeline.perceive(&local_scan, &est_rx, inbox, &origin, PerceiveCtx::default())
+    };
     let received = reassemble(&fragments)?;
     let packet = ExchangePacket::from_bytes(&received)?;
-    let result = pipeline.perceive(&local_scan, &est_rx, &[packet], &origin);
-    let single = pipeline.perceive_single(&local_scan);
+    let result = perceive(&[packet]);
+    let single = pipeline.perceive_single(&local_scan, PerceiveCtx::default());
     println!(
         "detections: {} single-shot -> {} cooperative",
         single.len(),
@@ -78,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let survivors = &fragments[..fragments.len() - fragments.len() * 2 / 5];
     let salvaged = salvage_prefix(survivors)?;
     let (partial, delivered_fraction) = ExchangePacket::from_partial_bytes(&salvaged.bytes)?;
-    let degraded = pipeline.perceive(&local_scan, &est_rx, &[partial], &origin);
+    let degraded = perceive(&[partial]);
     println!(
         "burst loss: {}/{} fragments delivered, {:.0}% of points salvaged, {} detections",
         salvaged.fragments_used,
@@ -107,7 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         demand_bytes += p.wire_size();
         demand_packets.push(p);
     }
-    let demand = pipeline.perceive(&local_scan, &est_rx, &demand_packets, &origin);
+    let demand = perceive(&demand_packets);
     println!(
         "demand-driven exchange: {} bytes across {} wedges, {} detections",
         demand_bytes,

@@ -1,7 +1,7 @@
 //! Invariant tests on the fusion machinery, independent of detector
 //! quality.
 
-use cooper_core::{alignment_transform, CooperPipeline, ExchangePacket};
+use cooper_core::{alignment_transform, CooperPipeline, ExchangePacket, PerceiveCtx};
 use cooper_geometry::{Attitude, GpsFix, Pose, RigidTransform, Vec3};
 use cooper_lidar_sim::{scenario, LidarScanner, PoseEstimate};
 use cooper_pointcloud::{Point, PointCloud};
@@ -144,7 +144,7 @@ fn pipeline_accepts_many_transmitters() {
         let est = PoseEstimate::from_pose(pose, &origin());
         packets.push(ExchangePacket::build(i as u32, 0, &scan, est).expect("encodes"));
     }
-    let result = pipeline.perceive(&local, &est_rx, &packets, &origin());
+    let result = pipeline.perceive(&local, &est_rx, &packets, &origin(), PerceiveCtx::default());
     assert_eq!(result.packets_fused, packets.len());
     assert_eq!(result.fused_cloud.len(), expected);
 }

@@ -4,7 +4,7 @@
 use std::sync::OnceLock;
 
 use cooper_core::report::{evaluate_pair, evaluate_scenario, EvaluationConfig};
-use cooper_core::{CooperPipeline, ExchangePacket};
+use cooper_core::{CooperPipeline, ExchangePacket, PerceiveCtx};
 use cooper_geometry::GpsFix;
 use cooper_lidar_sim::{scenario, GpsImuModel, LidarScanner, PoseEstimate};
 use cooper_spod::train::TrainingConfig;
@@ -36,7 +36,13 @@ fn packet_survives_serialization_across_the_pipeline() {
     let parsed = ExchangePacket::from_bytes(&packet.to_bytes()).expect("parses");
     assert_eq!(parsed.cloud().expect("decodes").len(), remote.len());
 
-    let result = pipeline().perceive(&local, &est_rx, &[parsed], &origin());
+    let result = pipeline().perceive(
+        &local,
+        &est_rx,
+        &[parsed],
+        &origin(),
+        PerceiveCtx::default(),
+    );
     assert_eq!(result.fused_cloud.len(), local.len() + remote.len());
     assert_eq!(result.packets_fused, 1);
 }
@@ -153,8 +159,14 @@ fn fused_cloud_detection_equals_direct_detection() {
     let est_rx = PoseEstimate::from_pose(&scene.observers[rx], &origin());
     let est_tx = PoseEstimate::from_pose(&scene.observers[tx], &origin());
     let packet = ExchangePacket::build(1, 0, &remote, est_tx).expect("encodes");
-    let result = pipeline().perceive(&local, &est_rx, &[packet], &origin());
-    let direct = pipeline().perceive_single(&result.fused_cloud);
+    let result = pipeline().perceive(
+        &local,
+        &est_rx,
+        &[packet],
+        &origin(),
+        PerceiveCtx::default(),
+    );
+    let direct = pipeline().perceive_single(&result.fused_cloud, PerceiveCtx::default());
     assert_eq!(result.detections.len(), direct.len());
 }
 
@@ -200,8 +212,8 @@ fn demand_driven_roi_requests_recover_occluded_objects_cheaply() {
     );
 
     // Fusing only the requested wedges still beats the single shot.
-    let single = pipeline().perceive_single(&local);
-    let result = pipeline().perceive(&local, &est_rx, &packets, &origin());
+    let single = pipeline().perceive_single(&local, PerceiveCtx::default());
+    let result = pipeline().perceive(&local, &est_rx, &packets, &origin(), PerceiveCtx::default());
     assert!(
         result.detections.len() >= single.len(),
         "demand-driven fusion lost detections: {} vs {}",

@@ -1,7 +1,7 @@
 //! Failure-injection tests: lossy channels, truncated frames, missing
 //! fragments, extreme pose errors.
 
-use cooper_core::{AlignmentGuardConfig, CooperError, CooperPipeline, ExchangePacket};
+use cooper_core::{AlignmentGuardConfig, CooperError, CooperPipeline, ExchangePacket, PerceiveCtx};
 use cooper_geometry::{Attitude, GpsFix, Pose, Vec3};
 use cooper_lidar_sim::{scenario, GpsImuModel, LidarScanner, PoseEstimate, SkewMode};
 use cooper_pointcloud::{Point, PointCloud};
@@ -104,7 +104,13 @@ fn lossy_receiver_drops_bad_packets_and_continues() {
         &Pose::new(Vec3::new(0.0, 0.0, 1.9), Attitude::level()),
         &origin(),
     );
-    let outcome = pipeline.perceive(&local, &est, &[good.clone(), bad], &origin());
+    let outcome = pipeline.perceive(
+        &local,
+        &est,
+        &[good.clone(), bad],
+        &origin(),
+        PerceiveCtx::default(),
+    );
     assert_eq!(outcome.drops.len(), 1);
     assert_eq!(outcome.drops[0].index, 1);
     assert_eq!(outcome.drops[0].error.kind(), "codec");
@@ -146,7 +152,13 @@ fn double_drift_skew_degrades_but_does_not_crash() {
         &mut rng,
     );
     let packet = ExchangePacket::build(1, 0, &remote, est_tx).expect("encodes");
-    let result = pipeline.perceive(&local, &est_rx, &[packet], &origin());
+    let result = pipeline.perceive(
+        &local,
+        &est_rx,
+        &[packet],
+        &origin(),
+        PerceiveCtx::default(),
+    );
     assert_eq!(result.fused_cloud.len(), local.len() + remote.len());
     // 20 cm misalignment is well under a car length: detection survives.
     assert!(!result.detections.is_empty());
@@ -167,7 +179,13 @@ fn grossly_wrong_pose_still_fails_safe() {
     let wrong_pose = Pose::new(Vec3::new(500.0, -300.0, 1.9), Attitude::level());
     let est_tx = PoseEstimate::from_pose(&wrong_pose, &origin());
     let packet = ExchangePacket::build(1, 0, &cloud, est_tx).expect("encodes");
-    let result = pipeline.perceive(&cloud, &est_rx, &[packet], &origin());
+    let result = pipeline.perceive(
+        &cloud,
+        &est_rx,
+        &[packet],
+        &origin(),
+        PerceiveCtx::default(),
+    );
     assert_eq!(result.fused_cloud.len(), 200);
 }
 
@@ -189,7 +207,13 @@ fn guard_rejects_extreme_pose_error_and_falls_back_to_ego_only() {
     est_tx.gps = est_tx.gps.offset_by(Vec3::new(40.0, 0.0, 0.0));
     let packet = ExchangePacket::build(1, 0, &remote, est_tx).expect("encodes");
 
-    let coop = guarded.perceive(&local, &est_rx, &[packet], &origin());
+    let coop = guarded.perceive(
+        &local,
+        &est_rx,
+        &[packet],
+        &origin(),
+        PerceiveCtx::default(),
+    );
     assert_eq!(coop.packets_fused, 0);
     assert_eq!(coop.drops.len(), 1);
     assert!(
@@ -201,7 +225,7 @@ fn guard_rejects_extreme_pose_error_and_falls_back_to_ego_only() {
         coop.drops[0].error
     );
 
-    let ego = guarded.perceive(&local, &est_rx, &[], &origin());
+    let ego = guarded.perceive(&local, &est_rx, &[], &origin(), PerceiveCtx::default());
     assert_eq!(coop.fused_cloud.len(), local.len());
     assert_eq!(coop.detections, ego.detections);
 }

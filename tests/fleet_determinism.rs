@@ -154,6 +154,58 @@ fn feature_fused_governed_run_is_thread_count_invariant() {
 }
 
 #[test]
+fn feature_tier_perceives_the_honest_scan_of_tampering_senders() {
+    // Vehicle 2 appends ghost clusters from step 1 and vehicle 1 replays
+    // its step-1 capture from step 2, so both transmit clouds that differ
+    // from what they sensed. Ego-only detection reads the honest scan
+    // alone: with the feature tier on, phase 3 detects on the phase-1
+    // BEV of that scan, and must count what the tier-off run counts.
+    let p = pipeline();
+    let plan = FaultPlan::parse("2:ghost:3@1,1:replay@1").expect("valid plan");
+    let run = |features: bool, threads: Option<usize>| {
+        let scene = scenario::tj_scenario_1();
+        let vehicles: Vec<FleetVehicle> = scene
+            .observers
+            .iter()
+            .enumerate()
+            .map(|(i, pose)| FleetVehicle {
+                id: i as u32 + 1,
+                trajectory: straight_trajectory(*pose, 1.0, 3),
+                beams: BeamModel::vlp16().with_azimuth_steps(300),
+            })
+            .collect();
+        let governor = GovernorConfig {
+            features,
+            ..GovernorConfig::default()
+        };
+        let mut policy = BandwidthGovernor::default().with_features();
+        FleetSimulation::new(
+            scene.world.clone(),
+            vehicles,
+            FleetConfig {
+                seed: 2024,
+                threads,
+                fault_plan: Some(plan.clone()),
+                ..FleetConfig::default()
+            },
+        )
+        .run_governed(&p, 3, &mut PerfectChannel, &mut policy, &governor)
+    };
+    let tier_on = run(true, Some(1));
+    let tier_off = run(false, Some(1));
+    for (on, off) in tier_on.0.iter().zip(&tier_off.0) {
+        for (a, b) in on.per_vehicle.iter().zip(&off.per_vehicle) {
+            assert_eq!(
+                a.single_detections, b.single_detections,
+                "step {} v{}: ego-only detection moved with the feature tier",
+                on.step, a.vehicle_id
+            );
+        }
+    }
+    assert_reports_identical(&tier_on, &run(true, Some(2)));
+}
+
+#[test]
 fn guarded_fault_run_is_thread_count_invariant() {
     // Pose faults draw from per-(vehicle, step) seeded streams and the
     // alignment guard runs inside the parallel fuse phase; neither may

@@ -6,7 +6,7 @@
 //! global, and Rust runs tests in the same binary concurrently —
 //! a single test owns the enable → run → snapshot → reset sequence.
 
-use cooper_core::{CooperPipeline, ExchangePacket};
+use cooper_core::{CooperPipeline, ExchangePacket, PerceiveCtx};
 use cooper_geometry::{Attitude, GpsFix, Pose, Vec3};
 use cooper_lidar_sim::PoseEstimate;
 use cooper_pointcloud::{Point, PointCloud};
@@ -39,7 +39,7 @@ fn perceive_emits_expected_span_tree() {
     cooper_telemetry::reset();
     cooper_telemetry::enable();
     let received = ExchangePacket::from_bytes(&wire).expect("decodes");
-    let result = pipeline.perceive(&local, &est, &[received], &origin());
+    let result = pipeline.perceive(&local, &est, &[received], &origin(), PerceiveCtx::default());
     cooper_telemetry::disable();
     let snapshot = cooper_telemetry::snapshot();
     cooper_telemetry::reset();
