@@ -3,7 +3,10 @@
 //! Runs the same 2/4/8-vehicle fleet simulation at 1/2/4/8 worker
 //! threads, reports per-phase and total step latency, verifies the
 //! determinism contract (reports bit-identical across thread counts)
-//! and emits the measurements as `BENCH_parallel.json`.
+//! and emits the measurements as `BENCH_parallel.json`. These runs have
+//! telemetry on: the phase columns are the `fleet.scan`,
+//! `fleet.exchange` and `fleet.perceive` span totals. `--check` runs
+//! untraced.
 //!
 //! The speedup numbers are honest wall-clock measurements on whatever
 //! machine runs the benchmark — `hardware_threads` is recorded next to
@@ -24,6 +27,7 @@ use cooper_geometry::{Attitude, Pose, Vec3};
 use cooper_lidar_sim::scenario::tj_scenario_1;
 use cooper_lidar_sim::BeamModel;
 use cooper_spod::{SpodConfig, SpodDetector};
+use cooper_telemetry::{names, TelemetrySnapshot};
 
 const STEPS: usize = 2;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -63,6 +67,16 @@ struct Run {
     scan_us: u64,
     exchange_us: u64,
     perceive_us: u64,
+}
+
+/// Σ total time of every span path ending in `name`, microseconds.
+fn span_total_us(snapshot: &TelemetrySnapshot, name: &str) -> u64 {
+    snapshot
+        .spans
+        .iter()
+        .filter(|s| s.name == name)
+        .map(|s| s.total_us)
+        .sum()
 }
 
 fn deterministic_view(reports: &[FleetStepReport]) -> Vec<String> {
@@ -142,9 +156,13 @@ fn main() {
         let mut deterministic = true;
         for threads in THREAD_COUNTS {
             let sim = fleet(vehicle_count, threads);
+            cooper_telemetry::reset();
+            cooper_telemetry::enable();
             let started = Instant::now();
             let (reports, _) = sim.run(&pipeline, STEPS);
             let total_us = started.elapsed().as_micros() as u64;
+            let snapshot = cooper_telemetry::snapshot();
+            cooper_telemetry::disable();
             let view = deterministic_view(&reports);
             match &baseline_view {
                 None => baseline_view = Some(view),
@@ -153,9 +171,9 @@ fn main() {
             runs.push(Run {
                 threads,
                 total_us,
-                scan_us: reports.iter().map(|r| r.timings.scan_us).sum(),
-                exchange_us: reports.iter().map(|r| r.timings.exchange_us).sum(),
-                perceive_us: reports.iter().map(|r| r.timings.perceive_us).sum(),
+                scan_us: span_total_us(&snapshot, names::SPAN_FLEET_SCAN),
+                exchange_us: span_total_us(&snapshot, names::SPAN_FLEET_EXCHANGE),
+                perceive_us: span_total_us(&snapshot, names::SPAN_FLEET_PERCEIVE),
             });
         }
         let t1 = runs[0].total_us.max(1);

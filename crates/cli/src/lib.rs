@@ -777,9 +777,9 @@ fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
             );
 
             // Full fleet loop over every observer. Everything printed
-            // to stdout here is part of the determinism contract —
-            // bit-identical at any --threads value (wall-clock timings
-            // go to stderr).
+            // here is part of the determinism contract — bit-identical
+            // at any --threads value. Wall-clock time per phase is in
+            // the `fleet.*` spans that --telemetry prints.
             let vehicles: Vec<FleetVehicle> = scene
                 .observers
                 .iter()
@@ -928,13 +928,6 @@ fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
                         ),
                     }
                 }
-                eprintln!(
-                    "  step {} timings: scan {} us, exchange {} us, perceive {} us",
-                    report.step,
-                    report.timings.scan_us,
-                    report.timings.exchange_us,
-                    report.timings.perceive_us
-                );
             }
             println!("fleet bytes exchanged: {}", stats.total_bytes);
             if governed {

@@ -59,10 +59,8 @@ fn tracked_incremental_fleet_is_thread_count_invariant() {
     let (r4, s4) = build(Some(4)).run(&p, 3);
     assert_eq!(s1, s2);
     assert_eq!(s1, s4);
-    for ((a, b), c) in r1.iter().zip(&r2).zip(&r4) {
-        assert_eq!(a.deterministic_view(), b.deterministic_view());
-        assert_eq!(a.deterministic_view(), c.deterministic_view());
-    }
+    assert_eq!(r1, r2);
+    assert_eq!(r1, r4);
 }
 
 #[test]
@@ -83,10 +81,8 @@ fn governed_delta_tracked_incremental_fleet_is_thread_count_invariant() {
     assert_eq!(s1, s2);
     assert_eq!(s1, s4);
     assert!(!s1.tracks.is_empty(), "trackers ran for every vehicle");
-    for ((a, b), c) in r1.iter().zip(&r2).zip(&r4) {
-        assert_eq!(a.deterministic_view(), b.deterministic_view());
-        assert_eq!(a.deterministic_view(), c.deterministic_view());
-    }
+    assert_eq!(r1, r2);
+    assert_eq!(r1, r4);
 }
 
 #[test]
@@ -106,7 +102,5 @@ fn incremental_governed_fleet_matches_stateless_pipeline() {
     let (rb, sb) = run(&base);
     let (ri, si) = run(&incremental);
     assert_eq!(sb, si);
-    for (a, b) in rb.iter().zip(&ri) {
-        assert_eq!(a.deterministic_view(), b.deterministic_view());
-    }
+    assert_eq!(rb, ri);
 }

@@ -116,12 +116,6 @@ pub const FLEET_THREADS: &str = "fleet.threads";
 
 // --- value histograms ---------------------------------------------------
 
-/// Scan-phase wall time per step, microseconds.
-pub const FLEET_PHASE_SCAN_US: &str = "fleet.phase.scan_us";
-/// Exchange-phase wall time per step, microseconds.
-pub const FLEET_PHASE_EXCHANGE_US: &str = "fleet.phase.exchange_us";
-/// Perceive-phase wall time per step, microseconds.
-pub const FLEET_PHASE_PERCEIVE_US: &str = "fleet.phase.perceive_us";
 /// v2 codec wire size as a per-mille ratio of the v1 size.
 pub const CODEC_V2_BYTES_RATIO: &str = "codec.v2.bytes_ratio";
 /// v3 feature-frame wire size as a per-mille ratio of the v1 raw size.
@@ -248,9 +242,6 @@ pub const ALL_METRICS: &[&str] = &[
     GUARD_CONSISTENCY_REJECTS,
     GUARD_CONSISTENCY_GHOST_POINTS,
     FLEET_THREADS,
-    FLEET_PHASE_SCAN_US,
-    FLEET_PHASE_EXCHANGE_US,
-    FLEET_PHASE_PERCEIVE_US,
     CODEC_V2_BYTES_RATIO,
     CODEC_V3_BYTES_RATIO,
     ALIGN_RESIDUAL,
@@ -342,7 +333,7 @@ mod tests {
     fn exact_metric_names_are_registered() {
         assert!(is_registered_metric(PIPELINE_PACKETS_FUSED));
         assert!(is_registered_metric(V2X_ARQ_RETRANSMITS));
-        assert!(is_registered_metric(FLEET_PHASE_PERCEIVE_US));
+        assert!(is_registered_metric(CODEC_V2_BYTES_RATIO));
         assert!(!is_registered_metric("pipeline.packets_fussed"));
         assert!(!is_registered_metric(""));
     }

@@ -1,20 +1,28 @@
-//! The alignment guard, the consistency screen and the tracker each run
-//! under a span of their own, so a profile can rank them.
+//! The fleet's phases, the alignment guard, the consistency screen and
+//! the tracker each run under a span of their own, so a profile can
+//! rank them; the phase spans are the only phase timers. Every
+//! vehicle-step also emits one `fleet.vehicle_step` event carrying the
+//! whole report.
 //!
 //! Telemetry is a process-global registry, so this test has a binary of
 //! its own.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use cooper_core::fleet::{
     straight_trajectory, FleetConfig, FleetSimulation, FleetVehicle, TrustGuardConfig,
+    VehicleStepReport,
 };
 use cooper_core::tracking::TrackerConfig;
 use cooper_core::{AlignmentGuardConfig, CooperPipeline};
 use cooper_lidar_sim::{scenario, BeamModel};
 use cooper_spod::{SpodConfig, SpodDetector};
-use cooper_telemetry::names;
+use cooper_telemetry::{names, FieldValue, MemorySink};
 
 #[test]
 fn guard_screen_and_tracker_run_under_their_spans() {
+    const STEPS: usize = 2;
     let scene = scenario::tj_scenario_1();
     let vehicles: Vec<FleetVehicle> = scene
         .observers
@@ -22,11 +30,11 @@ fn guard_screen_and_tracker_run_under_their_spans() {
         .enumerate()
         .map(|(i, pose)| FleetVehicle {
             id: i as u32 + 1,
-            trajectory: straight_trajectory(*pose, 1.0, 2),
+            trajectory: straight_trajectory(*pose, 1.0, STEPS),
             beams: BeamModel::vlp16().with_azimuth_steps(300),
         })
         .collect();
-    let vehicle_steps = (vehicles.len() * 2) as u64;
+    let vehicle_steps = (vehicles.len() * STEPS) as u64;
     let sim = FleetSimulation::new(
         scene.world.clone(),
         vehicles,
@@ -41,14 +49,17 @@ fn guard_screen_and_tracker_run_under_their_spans() {
         .with_alignment_guard(AlignmentGuardConfig::default())
         .with_tracker(TrackerConfig::default());
 
+    let sink = Arc::new(MemorySink::new());
     cooper_telemetry::reset();
+    cooper_telemetry::set_sink(sink.clone());
     cooper_telemetry::enable();
-    let (reports, _) = sim.run(&pipeline, 2);
+    let (reports, _) = sim.run(&pipeline, STEPS);
     let snapshot = cooper_telemetry::snapshot();
     cooper_telemetry::disable();
+    cooper_telemetry::clear_sink();
     cooper_telemetry::reset();
 
-    assert_eq!(reports.len(), 2);
+    assert_eq!(reports.len(), STEPS);
     let count = |name: &str| -> u64 {
         snapshot
             .spans
@@ -64,4 +75,76 @@ fn guard_screen_and_tracker_run_under_their_spans() {
     // One screen and one tracker update per receiver per step.
     assert_eq!(count(names::SPAN_GUARD_CONSISTENCY), vehicle_steps);
     assert_eq!(count(names::SPAN_TRACK_UPDATE), vehicle_steps);
+
+    // One span per step for the step and each of its phases; nothing
+    // else times the phases.
+    for span in [
+        names::SPAN_FLEET_STEP,
+        names::SPAN_FLEET_SCAN,
+        names::SPAN_FLEET_EXCHANGE,
+        names::SPAN_FLEET_PERCEIVE,
+    ] {
+        assert_eq!(count(span), STEPS as u64, "{span}");
+    }
+    let fleet_values: Vec<&str> = snapshot
+        .values
+        .iter()
+        .map(|v| v.name.as_str())
+        .filter(|name| name.starts_with("fleet."))
+        .collect();
+    assert!(
+        fleet_values.is_empty(),
+        "fleet value histograms: {fleet_values:?}"
+    );
+
+    // One event per vehicle-step, in report order, carrying the step and
+    // every report field (the vehicle id under `vehicle`) and nothing
+    // else.
+    let events: Vec<_> = sink
+        .events()
+        .into_iter()
+        .filter(|e| e.kind() == names::EVENT_FLEET_VEHICLE_STEP)
+        .collect();
+    assert_eq!(events.len() as u64, vehicle_steps);
+    let expected = reports
+        .iter()
+        .flat_map(|r| r.per_vehicle.iter().map(move |v| (r.step, v)));
+    for (event, (step, report)) in events.iter().zip(expected) {
+        let fields: BTreeMap<&str, FieldValue> =
+            event.fields().map(|(k, v)| (k, v.clone())).collect();
+        assert_eq!(fields, event_fields(step, report));
+    }
+}
+
+/// The fields a `fleet.vehicle_step` event must carry for `report`. The
+/// destructuring names every report field, so a field added to the
+/// report fails to compile here until the test expects it.
+fn event_fields(step: usize, report: &VehicleStepReport) -> BTreeMap<&'static str, FieldValue> {
+    let VehicleStepReport {
+        vehicle_id,
+        single_detections,
+        cooperative_detections,
+        packets_received,
+        packets_dropped,
+        packets_partial,
+        bytes_received,
+        confirmed_tracks,
+        coasting_tracks,
+        trust_violations,
+        quarantined_peers,
+    } = *report;
+    BTreeMap::from([
+        ("step", step.into()),
+        ("vehicle", vehicle_id.into()),
+        ("single_detections", single_detections.into()),
+        ("cooperative_detections", cooperative_detections.into()),
+        ("packets_received", packets_received.into()),
+        ("packets_dropped", packets_dropped.into()),
+        ("packets_partial", packets_partial.into()),
+        ("bytes_received", bytes_received.into()),
+        ("confirmed_tracks", confirmed_tracks.into()),
+        ("coasting_tracks", coasting_tracks.into()),
+        ("trust_violations", trust_violations.into()),
+        ("quarantined_peers", quarantined_peers.into()),
+    ])
 }
