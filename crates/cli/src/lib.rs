@@ -948,8 +948,7 @@ fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
             }
             if align_guard {
                 for (id, a) in &stats.alignment {
-                    let mean_before = a.residual_before_m_sum / a.evaluated.max(1) as f64;
-                    let mean_after = a.residual_after_m_sum / a.evaluated.max(1) as f64;
+                    let (mean_before, mean_after) = a.mean_residuals_m();
                     println!(
                         "  v{id} alignment guard: {} evaluated, {} refined, {} rejected, \
                          mean residual {:.3} -> {:.3} m",

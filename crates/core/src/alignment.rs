@@ -3,8 +3,6 @@
 //! validates (and, when possible, repairs) a GPS/IMU-derived transform
 //! before fusion.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use cooper_geometry::{GpsFix, Mat3, RigidTransform, Vec3};
 use cooper_lidar_sim::PoseEstimate;
 use cooper_pointcloud::PointCloud;
@@ -52,8 +50,8 @@ pub fn alignment_transform(
 pub struct AlignmentGuardConfig {
     /// Voxel edge used for the occupancy-agreement score, metres.
     pub voxel_size_m: f64,
-    /// Upper bound on points sampled from each cloud; keeps the guard's
-    /// cost independent of scan density.
+    /// Upper bound on points sampled from the remote cloud; keeps the
+    /// guard's per-packet cost independent of scan density.
     pub max_sample_points: usize,
     /// Maximum ICP refinement iterations (`--icp-iters`).
     pub max_icp_iters: usize,
@@ -161,11 +159,11 @@ impl std::fmt::Display for GuardDecision {
 pub struct GuardReport {
     /// The verdict.
     pub decision: GuardDecision,
-    /// Mean matched-correspondence residual under the GPS/IMU
+    /// Median matched-correspondence residual under the GPS/IMU
     /// transform, metres. Infinite when nothing matched.
     pub residual_before_m: f64,
-    /// Residual under the transform actually used (refined when ICP
-    /// ran, otherwise the input), metres. Infinite when nothing
+    /// Median matched residual under the transform ICP reached (the
+    /// input when ICP did not run), metres. Infinite when nothing
     /// matched.
     pub residual_after_m: f64,
     /// Fraction of the remote cloud's occupied voxels (inside the
@@ -189,77 +187,263 @@ fn sample_positions(cloud: &PointCloud, max: usize) -> Vec<Vec3> {
     cloud.iter().step_by(step).map(|p| p.position).collect()
 }
 
-/// A deterministic planar cell-hash grid over the receiver's non-ground
+/// `v.floor() as i64` — saturating, NaN to zero — without the `floor`
+/// library call baseline x86-64 makes: truncate, then step down below a
+/// negative fraction. A truncated value converts back to `f64` exactly.
+fn floor_i64(v: f64) -> i64 {
+    let t = v as i64;
+    if (t as f64) > v {
+        t.saturating_sub(1)
+    } else {
+        t
+    }
+}
+
+/// The planar cell of `p` in a grid of `cell`-metre squares.
+fn key_xy(p: Vec3, cell: f64) -> (i64, i64) {
+    (floor_i64(p.x / cell), floor_i64(p.y / cell))
+}
+
+/// The voxel of `p` in a grid of `cell`-metre cubes.
+fn key_xyz(p: Vec3, cell: f64) -> (i64, i64, i64) {
+    (
+        floor_i64(p.x / cell),
+        floor_i64(p.y / cell),
+        floor_i64(p.z / cell),
+    )
+}
+
+/// The planar distance between two points.
+fn dist_xy(a: Vec3, b: Vec3) -> f64 {
+    let (dx, dy) = (a.x - b.x, a.y - b.y);
+    (dx * dx + dy * dy).sqrt()
+}
+
+/// Index cells per correspondence radius: a 3 m radius searches 0.75 m
+/// cells, unless the cloud is too sparse for cells that small.
+const CELLS_PER_RADIUS: f64 = 4.0;
+
+/// A planar nearest-neighbour index over the receiver's non-ground
 /// points. Matching happens in the xy (bird's-eye) plane: the pose
 /// faults the guard detects — GPS drift, yaw bias — are planar, and a
 /// 3D metric would be dominated by the beam-ring sampling mismatch
 /// between two vantage points rather than by alignment error.
-/// Nearest-neighbour queries scan the surrounding cells in a fixed
-/// order, so results never depend on construction or thread order.
-struct CellGrid {
+///
+/// The points sit in a dense row-major grid of square cells, stored as
+/// one point array plus per-cell offsets. The grid has at most about
+/// `4n + 64` cells for `n` points: a sparse cloud spread over a wide
+/// area gets wider cells, not more of them. Queries scan the grid ring
+/// by ring around the query's cell. Which point wins is fixed by the
+/// tie rule of [`PlanarIndex::nearest`], so results never depend on the
+/// grid, on construction order or on thread order.
+#[derive(Debug)]
+struct PlanarIndex {
+    /// Edge of the coarse cells the tie rule is stated in, metres: the
+    /// correspondence radius.
+    coarse: f64,
+    /// Edge of a grid cell, metres.
     cell: f64,
-    cells: BTreeMap<(i64, i64), Vec<Vec3>>,
+    /// The smallest indexed x and y: the grid's low corner.
+    x0: f64,
+    y0: f64,
+    /// Cells along x and along y.
+    nx: usize,
+    ny: usize,
+    /// `points[starts[c]..starts[c + 1]]` lie in cell `c = j * nx + i`.
+    starts: Vec<usize>,
+    points: Vec<Vec3>,
+    /// Each point's position in the non-ground cloud it was built from.
+    order: Vec<usize>,
 }
 
-impl CellGrid {
-    fn build(points: &[Vec3], cell: f64) -> CellGrid {
-        let mut cells: BTreeMap<(i64, i64), Vec<Vec3>> = BTreeMap::new();
-        for &p in points {
-            cells.entry(Self::key_xy(p, cell)).or_default().push(p);
+impl PlanarIndex {
+    fn build(solid: &[Vec3], coarse: f64) -> PlanarIndex {
+        // A point with a non-finite x or y lies at a NaN or infinite
+        // planar distance from every query, so it can never match.
+        let finite: Vec<(usize, Vec3)> = solid
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|(_, p)| p.x.is_finite() && p.y.is_finite())
+            .collect();
+        if finite.is_empty() {
+            return PlanarIndex {
+                coarse,
+                cell: 1.0,
+                x0: 0.0,
+                y0: 0.0,
+                nx: 0,
+                ny: 0,
+                starts: vec![0],
+                points: Vec::new(),
+                order: Vec::new(),
+            };
         }
-        CellGrid { cell, cells }
+        let (mut x0, mut x1, mut y0, mut y1) = (f64::MAX, f64::MIN, f64::MAX, f64::MIN);
+        for &(_, p) in &finite {
+            (x0, x1) = (x0.min(p.x), x1.max(p.x));
+            (y0, y1) = (y0.min(p.y), y1.max(p.y));
+        }
+        // At most `side` cells along either axis. Dividing before
+        // subtracting keeps the span finite for any finite coordinates.
+        let side = ((4 * finite.len() + 64) as f64).sqrt();
+        let fine = coarse / CELLS_PER_RADIUS;
+        let fine = if fine > 0.0 && fine.is_finite() {
+            fine
+        } else {
+            1.0
+        };
+        let cell = fine.max(x1 / side - x0 / side).max(y1 / side - y0 / side);
+        let axis = |lo: f64, hi: f64| Self::cells_from(hi, lo, cell).floor().min(side) as usize + 1;
+        let (nx, ny) = (axis(x0, x1), axis(y0, y1));
+        let cell_of = |p: Vec3| {
+            let i = floor_i64(Self::cells_from(p.x, x0, cell)).clamp(0, nx as i64 - 1);
+            let j = floor_i64(Self::cells_from(p.y, y0, cell)).clamp(0, ny as i64 - 1);
+            j as usize * nx + i as usize
+        };
+        // Counting sort by cell, keeping cloud order inside each cell.
+        let cells: Vec<usize> = finite.iter().map(|&(_, p)| cell_of(p)).collect();
+        let mut starts = vec![0usize; nx * ny + 1];
+        for &c in &cells {
+            starts[c + 1] += 1;
+        }
+        for c in 0..nx * ny {
+            starts[c + 1] += starts[c];
+        }
+        let mut next = starts.clone();
+        let mut points = vec![Vec3::ZERO; finite.len()];
+        let mut order = vec![0; finite.len()];
+        for (&c, &(i, p)) in cells.iter().zip(&finite) {
+            points[next[c]] = p;
+            order[next[c]] = i;
+            next[c] += 1;
+        }
+        PlanarIndex {
+            coarse,
+            cell,
+            x0,
+            y0,
+            nx,
+            ny,
+            starts,
+            points,
+            order,
+        }
     }
 
-    fn key_xy(p: Vec3, cell: f64) -> (i64, i64) {
-        ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
+    /// `(v - lo) / cell`, the position of `v` along a grid axis in cells.
+    /// Halving both terms first keeps the difference finite for any two
+    /// finite coordinates; the result is monotone in `v`.
+    fn cells_from(v: f64, lo: f64, cell: f64) -> f64 {
+        (v / 2.0 - lo / 2.0) / (cell / 2.0)
     }
 
-    fn key_xyz(p: Vec3, cell: f64) -> (i64, i64, i64) {
-        (
-            (p.x / cell).floor() as i64,
-            (p.y / cell).floor() as i64,
-            (p.z / cell).floor() as i64,
-        )
+    /// The key a point is ranked by among equally near points: its
+    /// coarse cell, then its position in the non-ground cloud.
+    fn rank(&self, slot: usize) -> ((i64, i64), usize) {
+        (key_xy(self.points[slot], self.coarse), self.order[slot])
     }
 
-    /// The planar distance between two points.
-    fn dist_xy(a: Vec3, b: Vec3) -> f64 {
-        let (dx, dy) = (a.x - b.x, a.y - b.y);
-        (dx * dx + dy * dy).sqrt()
-    }
-
-    /// The stored point nearest to `p` in the xy plane within `radius`.
+    /// The indexed point nearest to `p` in the xy plane within `radius`,
+    /// with its distance.
+    ///
+    /// A point is admissible when its distance is at most `radius` and
+    /// its coarse cell (edge [`PlanarIndex::coarse`]) lies within
+    /// `ceil(radius / coarse)` cells of the query's on both axes. Of the
+    /// admissible points, the one with the least (distance, coarse cell,
+    /// position in the non-ground cloud) wins: the point a scan of the
+    /// coarse cells in key order, each in cloud order, keeping the first
+    /// strict minimum, would return. ICP pairs depend on which point wins
+    /// a tie, so the grid's own layout must not decide it.
+    ///
+    /// Ring `k` holds the cells `k` cells from the query's cell, and
+    /// every point in it lies at least `(k - 1) · cell` away, so the scan
+    /// stops once that exceeds the best distance found, plus a rounding
+    /// slack.
     fn nearest(&self, p: Vec3, radius: f64) -> Option<(Vec3, f64)> {
-        let (cx, cy) = Self::key_xy(p, self.cell);
-        let reach = (radius / self.cell).ceil() as i64;
-        let mut best: Option<(Vec3, f64)> = None;
-        for dx in -reach..=reach {
-            for dy in -reach..=reach {
-                let Some(bucket) = self.cells.get(&(cx + dx, cy + dy)) else {
-                    continue;
-                };
-                for &q in bucket {
-                    let d = Self::dist_xy(q, p);
-                    if d <= radius && best.is_none_or(|(_, bd)| d < bd) {
-                        best = Some((q, d));
+        // Nothing lies within a NaN or negative radius, and a non-finite
+        // query lies at a NaN or infinite distance from every point.
+        let unmatchable = radius.is_nan() || radius < 0.0 || !p.x.is_finite() || !p.y.is_finite();
+        if self.points.is_empty() || unmatchable {
+            return None;
+        }
+        let slack = 1e-6 * (1.0 + self.cell);
+        // A point within `radius` lies at most `reach` rings out.
+        let reach = floor_i64((radius + slack) / self.cell) as f64 + 1.0;
+        let tx = floor_i64(Self::cells_from(p.x, self.x0, self.cell)) as f64;
+        let ty = floor_i64(Self::cells_from(p.y, self.y0, self.cell)) as f64;
+        let beyond = |t: f64, n: usize| t + reach < 0.0 || t - reach > (n - 1) as f64;
+        if beyond(tx, self.nx) || beyond(ty, self.ny) {
+            return None;
+        }
+        // Pulling a far query in toward the grid can only understate
+        // ring distances, which keeps the stop rule safe.
+        let pull = reach.min((self.nx + self.ny) as f64) + 1.0;
+        let cx = tx.clamp(-pull, self.nx as f64 + pull) as i64;
+        let cy = ty.clamp(-pull, self.ny as f64 + pull) as i64;
+        let (nx, ny) = (self.nx as i64, self.ny as i64);
+
+        let (kx, ky) = key_xy(p, self.coarse);
+        let window = i128::from((radius / self.coarse).ceil() as i64);
+        let in_window = |q: Vec3| {
+            let (qx, qy) = key_xy(q, self.coarse);
+            (i128::from(qx) - i128::from(kx)).abs() <= window
+                && (i128::from(qy) - i128::from(ky)).abs() <= window
+        };
+        let mut best: Option<(usize, f64)> = None;
+        let scan = |best: &mut Option<(usize, f64)>, row: i64, from: i64, to: i64| {
+            let row = row as usize * self.nx;
+            let slots = self.starts[row + from as usize]..self.starts[row + to as usize + 1];
+            for slot in slots {
+                let q = self.points[slot];
+                let d = dist_xy(q, p);
+                if d <= radius
+                    && best
+                        .is_none_or(|(b, bd)| d < bd || (d == bd && self.rank(slot) < self.rank(b)))
+                    && in_window(q)
+                {
+                    *best = Some((slot, d));
+                }
+            }
+        };
+        for k in 0i64.. {
+            let bound = best.map_or(radius, |(_, d)| d);
+            if (k - 1) as f64 * self.cell > bound + slack {
+                break;
+            }
+            let (x_lo, x_hi) = ((cx - k).max(0), (cx + k).min(nx - 1));
+            for j in (cy - k).max(0)..=(cy + k).min(ny - 1) {
+                if j == cy - k || j == cy + k {
+                    if x_lo <= x_hi {
+                        scan(&mut best, j, x_lo, x_hi);
+                    }
+                } else {
+                    if cx - k >= 0 && cx - k < nx {
+                        scan(&mut best, j, cx - k, cx - k);
+                    }
+                    if cx + k >= 0 && cx + k < nx {
+                        scan(&mut best, j, cx + k, cx + k);
                     }
                 }
             }
+            if cx - k <= 0 && cx + k >= nx - 1 && cy - k <= 0 && cy + k >= ny - 1 {
+                break;
+            }
         }
-        best
+        best.map(|(slot, d)| (self.points[slot], d))
     }
 }
 
 /// Median matched-correspondence residual of `remote` (already in the
-/// receiver frame) against the receiver grid: the guard's core metric.
+/// receiver frame) against the receiver index: the guard's core metric.
 /// The median, not the mean — remote points on surfaces the receiver
 /// cannot see match whatever structure happens to sit within the
 /// search radius, and those junk pairs would otherwise swamp the
 /// alignment signal.
-fn matched_residual(grid: &CellGrid, remote: &[Vec3], radius: f64) -> (f64, usize) {
+fn matched_residual(index: &PlanarIndex, remote: &[Vec3], radius: f64) -> (f64, usize) {
     let mut dists: Vec<f64> = remote
         .iter()
-        .filter_map(|&p| grid.nearest(p, radius).map(|(_, d)| d))
+        .filter_map(|&p| index.nearest(p, radius).map(|(_, d)| d))
         .collect();
     if dists.is_empty() {
         return (f64::INFINITY, 0);
@@ -294,229 +478,364 @@ fn procrustes_step(pairs: &[(Vec3, Vec3)]) -> RigidTransform {
     RigidTransform::new(rotation, translation)
 }
 
+/// The receiver's occupied voxels for the occupancy-agreement score:
+/// its bounding box grown by a margin, and the sorted, deduplicated keys
+/// of the voxels its points occupy inside that box.
+#[derive(Debug)]
+struct VoxelSet {
+    voxel: f64,
+    /// The grown box's corners; `None` for an empty cloud.
+    bounds: Option<(Vec3, Vec3)>,
+    keys: VoxelKeys,
+}
+
+/// Sorted, deduplicated voxel keys.
+#[derive(Debug)]
+enum VoxelKeys {
+    /// Keys packed into one integer each.
+    Packed(Packing, Vec<u64>),
+    /// Key triples, for a box of too many voxels to pack.
+    Wide(Vec<(i64, i64, i64)>),
+}
+
+/// Packs the voxel keys of a box into one integer, in mixed radix from
+/// the box's low-corner voxel.
+#[derive(Debug, Clone, Copy)]
+struct Packing {
+    base: (i64, i64, i64),
+    /// Voxels along y and along z.
+    wy: u64,
+    wz: u64,
+}
+
+impl Packing {
+    /// The packing of the voxels from `a` to `b` (any two opposite
+    /// corners), or `None` when there are more than `u64::MAX`.
+    fn between(a: (i64, i64, i64), b: (i64, i64, i64)) -> Option<Packing> {
+        let width = |a: i64, b: i64| (i128::from(a) - i128::from(b)).unsigned_abs() + 1;
+        let (wx, wy, wz) = (width(a.0, b.0), width(a.1, b.1), width(a.2, b.2));
+        let total = wx.checked_mul(wy)?.checked_mul(wz)?;
+        (total <= u128::from(u64::MAX)).then(|| Packing {
+            base: (a.0.min(b.0), a.1.min(b.1), a.2.min(b.2)),
+            wy: wy as u64,
+            wz: wz as u64,
+        })
+    }
+
+    fn pack(&self, k: (i64, i64, i64)) -> u64 {
+        let offset = |k: i64, base: i64| (i128::from(k) - i128::from(base)) as u64;
+        (offset(k.0, self.base.0) * self.wy + offset(k.1, self.base.1)) * self.wz
+            + offset(k.2, self.base.2)
+    }
+}
+
+impl VoxelSet {
+    fn build(local: &[Vec3], voxel: f64, margin: f64) -> VoxelSet {
+        let bounds = cooper_geometry::Aabb3::from_points(local.iter().copied()).map(|b| {
+            let m = Vec3::new(margin, margin, margin);
+            (b.min() - m, b.max() + m)
+        });
+        let keys = match bounds {
+            None => VoxelKeys::Wide(Vec::new()),
+            // Keys grow with coordinates, so every key inside the box
+            // lies between its corners' keys.
+            Some((lo, hi)) => match Packing::between(key_xyz(lo, voxel), key_xyz(hi, voxel)) {
+                Some(packing) => VoxelKeys::Packed(
+                    packing,
+                    sorted_unique(keys_in(local, (lo, hi), voxel).map(|k| packing.pack(k))),
+                ),
+                None => VoxelKeys::Wide(sorted_unique(keys_in(local, (lo, hi), voxel))),
+            },
+        };
+        VoxelSet {
+            voxel,
+            bounds,
+            keys,
+        }
+    }
+
+    /// Fraction of the voxels `remote` occupies inside the box that the
+    /// receiver also occupies.
+    fn agreement(&self, remote: &[Vec3]) -> f64 {
+        let Some(bounds) = self.bounds else {
+            return 0.0;
+        };
+        let keys = keys_in(remote, bounds, self.voxel);
+        match &self.keys {
+            VoxelKeys::Packed(packing, local) => hit_fraction(local, keys.map(|k| packing.pack(k))),
+            VoxelKeys::Wide(local) => hit_fraction(local, keys),
+        }
+    }
+}
+
+/// The voxel keys of the points of `pts` inside the box `lo..=hi`.
+fn keys_in(
+    pts: &[Vec3],
+    (lo, hi): (Vec3, Vec3),
+    voxel: f64,
+) -> impl Iterator<Item = (i64, i64, i64)> + '_ {
+    let in_bounds = move |p: &&Vec3| {
+        p.x >= lo.x && p.x <= hi.x && p.y >= lo.y && p.y <= hi.y && p.z >= lo.z && p.z <= hi.z
+    };
+    pts.iter()
+        .filter(in_bounds)
+        .map(move |&p| key_xyz(p, voxel))
+}
+
+/// `keys` sorted and deduplicated. Neighbouring scan points often share
+/// a voxel, so dropping adjacent repeats first shrinks the sort.
+fn sorted_unique<K: Ord>(keys: impl Iterator<Item = K>) -> Vec<K> {
+    let mut keys: Vec<K> = keys.collect();
+    keys.dedup();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// The fraction of the distinct `remote` keys found in `local` (sorted
+/// and deduplicated); zero when `remote` is empty.
+fn hit_fraction<K: Ord>(local: &[K], remote: impl Iterator<Item = K>) -> f64 {
+    let remote = sorted_unique(remote);
+    if remote.is_empty() {
+        return 0.0;
+    }
+    let hits = remote
+        .iter()
+        .filter(|k| local.binary_search(k).is_ok())
+        .count();
+    hits as f64 / remote.len() as f64
+}
+
+/// Mean height of the points of `pts` below the ground cut, or `None`
+/// when there are none.
+fn mean_ground(pts: &[Vec3], ground_z_m: f64) -> Option<f64> {
+    let heights: Vec<f64> = pts
+        .iter()
+        .filter(|p| p.z < ground_z_m)
+        .map(|p| p.z)
+        .collect();
+    if heights.is_empty() {
+        None
+    } else {
+        Some(heights.iter().sum::<f64>() / heights.len() as f64)
+    }
+}
+
+/// The receiver's side of the alignment guard: everything the guard
+/// reads from the local cloud, built once and shared by every received
+/// cloud guarded against it.
+///
+/// It holds the local cloud's non-ground points in a planar
+/// nearest-neighbour index, its occupied voxels inside its bounding box
+/// grown by the correspondence radius, and its mean ground height. The
+/// cooperative pipeline builds one per perceive, on the first decoded
+/// point packet. The reference keeps the [`AlignmentGuardConfig`] it was
+/// built with, so it cannot be paired with another.
+#[derive(Debug)]
+pub struct GuardReference {
+    cfg: AlignmentGuardConfig,
+    /// Points in the local cloud.
+    len: usize,
+    /// Non-ground points in the local cloud, non-finite ones included.
+    solid: usize,
+    index: PlanarIndex,
+    voxels: VoxelSet,
+    ground_mean: Option<f64>,
+}
+
+impl GuardReference {
+    /// Indexes `local`, the receiver's own cloud, for guarding clouds
+    /// under `cfg`.
+    ///
+    /// The receiver's cloud stays at full density (minus ground for the
+    /// index) so the nearest-neighbour floor measures alignment error,
+    /// not sampling sparsity. Only the remote side is downsampled.
+    pub fn new(local: &PointCloud, cfg: &AlignmentGuardConfig) -> GuardReference {
+        let positions: Vec<Vec3> = local.iter().map(|p| p.position).collect();
+        let is_ground = |p: &Vec3| p.z < cfg.ground_z_m;
+        let solid: Vec<Vec3> = positions
+            .iter()
+            .copied()
+            .filter(|p| !is_ground(p))
+            .collect();
+        GuardReference {
+            cfg: *cfg,
+            len: positions.len(),
+            solid: solid.len(),
+            index: PlanarIndex::build(&solid, cfg.max_correspondence_m),
+            voxels: VoxelSet::build(&positions, cfg.voxel_size_m, cfg.max_correspondence_m),
+            ground_mean: mean_ground(&positions, cfg.ground_z_m),
+        }
+    }
+
+    /// Absolute difference of mean ground heights in the shared region,
+    /// or zero when either side contributes no ground points.
+    fn ground_dz(&self, remote: &[Vec3]) -> f64 {
+        match (self.ground_mean, mean_ground(remote, self.cfg.ground_z_m)) {
+            (Some(a), Some(b)) => (a - b).abs(),
+            _ => 0.0,
+        }
+    }
+
+    /// Validates — and when recoverable, repairs — `base`, the claimed
+    /// transform of `remote` into the receiver's frame. See
+    /// [`guard_alignment`] for the procedure; this is the same guard
+    /// with the receiver's side built once.
+    pub fn guard(&self, remote: &PointCloud, base: &RigidTransform) -> GuardReport {
+        let cfg = &self.cfg;
+        let fail_safe = |residual: f64| GuardReport {
+            decision: GuardDecision::InsufficientOverlap,
+            residual_before_m: residual,
+            residual_after_m: residual,
+            occupancy_agreement: 0.0,
+            ground_dz_m: 0.0,
+            transform: *base,
+        };
+
+        let sampled = sample_positions(remote, cfg.max_sample_points);
+        let remote_samples: Vec<Vec3> = sampled.iter().map(|&p| base.apply(p)).collect();
+        if self.len == 0 || remote_samples.is_empty() {
+            return fail_safe(f64::INFINITY);
+        }
+        let is_ground = |p: &Vec3| p.z < cfg.ground_z_m;
+        let remote_solid: Vec<Vec3> = remote_samples
+            .iter()
+            .copied()
+            .filter(|p| !is_ground(p))
+            .collect();
+        if self.solid < cfg.min_overlap_points || remote_solid.len() < cfg.min_overlap_points {
+            return fail_safe(f64::INFINITY);
+        }
+
+        let (residual_before, matched_before) =
+            matched_residual(&self.index, &remote_solid, cfg.max_correspondence_m);
+        let occupancy_before = self.voxels.agreement(&remote_samples);
+        let ground_dz_before = self.ground_dz(&remote_samples);
+
+        if matched_before < cfg.min_overlap_points {
+            // The claimed geometry puts the clouds apart: nothing to verify
+            // against, nothing for ICP to pull on. Fail safe.
+            let mut report = fail_safe(residual_before);
+            report.occupancy_agreement = occupancy_before;
+            report.ground_dz_m = ground_dz_before;
+            return report;
+        }
+
+        if residual_before <= cfg.clean_residual_m && ground_dz_before <= cfg.accept_residual_m {
+            return GuardReport {
+                decision: GuardDecision::AcceptedClean,
+                residual_before_m: residual_before,
+                residual_after_m: residual_before,
+                occupancy_agreement: occupancy_before,
+                ground_dz_m: ground_dz_before,
+                transform: *base,
+            };
+        }
+
+        // Bounded planar ICP with an annealing correspondence radius: wide
+        // first pulls gross offsets in, narrow last stops far outliers from
+        // dragging the fit.
+        let mut refined = *base;
+        let mut moved = remote_solid;
+        let mut radius = cfg.max_correspondence_m;
+        for _ in 0..cfg.max_icp_iters {
+            // Adaptive trim: drop pairs matched much farther than the
+            // median — the non-overlap junk that would drag the fit — while
+            // keeping the far-but-informative pairs (structure perpendicular
+            // to the error direction) that a fixed best-k trim would lose.
+            let all_pairs: Vec<(Vec3, Vec3, f64)> = moved
+                .iter()
+                .filter_map(|&p| self.index.nearest(p, radius).map(|(q, d)| (p, q, d)))
+                .collect();
+            let mut dists: Vec<f64> = all_pairs.iter().map(|&(_, _, d)| d).collect();
+            dists.sort_by(f64::total_cmp);
+            let Some(&median) = dists.get(dists.len() / 2) else {
+                break;
+            };
+            let keep = (2.0 * median).max(0.5 * radius);
+            let pairs: Vec<(Vec3, Vec3)> = all_pairs
+                .into_iter()
+                .filter(|&(_, _, d)| d <= keep)
+                .map(|(a, b, _)| (a, b))
+                .collect();
+            if pairs.len() < cfg.min_overlap_points {
+                break;
+            }
+            let delta = procrustes_step(&pairs);
+            refined = delta.compose(&refined);
+            for p in &mut moved {
+                *p = delta.apply(*p);
+            }
+            let step_norm = delta.apply(Vec3::ZERO).norm();
+            radius = (radius * 0.7).max(cfg.accept_residual_m * 2.0);
+            if step_norm < 1e-3 {
+                break;
+            }
+        }
+
+        let (residual_after, matched_after) =
+            matched_residual(&self.index, &moved, cfg.max_correspondence_m);
+        let remote_refined: Vec<Vec3> = sampled.iter().map(|&p| refined.apply(p)).collect();
+        let ground_dz_after = self.ground_dz(&remote_refined);
+        let occupancy_after = self.voxels.agreement(&remote_refined);
+
+        let correction_m = (refined.apply(Vec3::ZERO) - base.apply(Vec3::ZERO)).norm();
+        let decision = if matched_after >= cfg.min_overlap_points
+            && residual_after <= cfg.accept_residual_m
+            && ground_dz_after <= cfg.accept_residual_m
+            && occupancy_after >= occupancy_before * cfg.min_occupancy_recovery
+            && correction_m <= cfg.max_correction_m
+        {
+            GuardDecision::AcceptedRefined
+        } else {
+            GuardDecision::Rejected
+        };
+        GuardReport {
+            decision,
+            residual_before_m: residual_before,
+            residual_after_m: residual_after,
+            occupancy_agreement: occupancy_after,
+            ground_dz_m: ground_dz_after,
+            transform: if decision.is_accepted() {
+                refined
+            } else {
+                *base
+            },
+        }
+    }
+}
+
 /// Validates — and when recoverable, repairs — the claimed transform of
 /// a received cloud before fusion.
 ///
-/// The guard scores the sender/receiver overlap region: it samples both
-/// clouds, matches transformed remote points to their nearest receiver
-/// points, and measures the mean matched residual plus
-/// voxel-occupancy agreement and the ground-plane height gap. Clean
-/// transforms (residual ≤ [`AlignmentGuardConfig::clean_residual_m`])
-/// pass untouched; anything worse gets up to
-/// [`AlignmentGuardConfig::max_icp_iters`] rounds of planar
-/// point-to-point ICP with an annealing correspondence radius, and is
-/// accepted only if the post-refinement residual clears
+/// The guard scores the sender/receiver overlap region: it samples the
+/// remote cloud by index, matches transformed remote points to their
+/// nearest non-ground receiver points, and measures the median matched
+/// residual plus voxel-occupancy agreement and the ground-plane height
+/// gap. Clean transforms (residual ≤
+/// [`AlignmentGuardConfig::clean_residual_m`]) pass untouched; anything
+/// worse gets up to [`AlignmentGuardConfig::max_icp_iters`] rounds of
+/// planar point-to-point ICP with an annealing correspondence radius,
+/// and is accepted only if the post-refinement residual clears
 /// [`AlignmentGuardConfig::accept_residual_m`]. A cloud whose claimed
 /// transform leaves no verifiable overlap fails safe:
 /// [`GuardDecision::InsufficientOverlap`], excluded from fusion.
 ///
-/// Deterministic by construction — uniform index sampling, `BTreeMap`
-/// cell grid, fixed-order neighbour scans — so guarded fleet runs stay
-/// bit-identical at any thread count.
+/// This builds a [`GuardReference`] for one cloud; a receiver guarding
+/// several clouds builds the reference once and calls
+/// [`GuardReference::guard`] for each.
+///
+/// Deterministic by construction — uniform index sampling, a
+/// nearest-neighbour search whose ties are broken by a fixed rank,
+/// sorted voxel keys — so guarded fleet runs stay bit-identical at any
+/// thread count.
 pub fn guard_alignment(
     local: &PointCloud,
     remote: &PointCloud,
     base: &RigidTransform,
     cfg: &AlignmentGuardConfig,
 ) -> GuardReport {
-    let fail_safe = |residual: f64| GuardReport {
-        decision: GuardDecision::InsufficientOverlap,
-        residual_before_m: residual,
-        residual_after_m: residual,
-        occupancy_agreement: 0.0,
-        ground_dz_m: 0.0,
-        transform: *base,
-    };
-
-    // The receiver's own cloud is the reference: it stays at full
-    // density (minus ground) so the nearest-neighbour floor measures
-    // alignment error, not sampling sparsity. Only the remote side is
-    // downsampled.
-    let local_samples: Vec<Vec3> = local.iter().map(|p| p.position).collect();
-    let remote_samples: Vec<Vec3> = sample_positions(remote, cfg.max_sample_points)
-        .iter()
-        .map(|&p| base.apply(p))
-        .collect();
-    if local_samples.is_empty() || remote_samples.is_empty() {
-        return fail_safe(f64::INFINITY);
-    }
-
-    let is_ground = |p: &Vec3| p.z < cfg.ground_z_m;
-    let local_solid: Vec<Vec3> = local_samples
-        .iter()
-        .copied()
-        .filter(|p| !is_ground(p))
-        .collect();
-    let remote_solid: Vec<Vec3> = remote_samples
-        .iter()
-        .copied()
-        .filter(|p| !is_ground(p))
-        .collect();
-    if local_solid.len() < cfg.min_overlap_points || remote_solid.len() < cfg.min_overlap_points {
-        return fail_safe(f64::INFINITY);
-    }
-
-    let grid = CellGrid::build(&local_solid, cfg.max_correspondence_m);
-    let (residual_before, matched_before) =
-        matched_residual(&grid, &remote_solid, cfg.max_correspondence_m);
-
-    let occupancy_before = occupancy_agreement(
-        &local_samples,
-        &remote_samples,
-        cfg.voxel_size_m,
-        cfg.max_correspondence_m,
-    );
-    let ground_dz_before = ground_dz(&local_samples, &remote_samples, cfg);
-
-    if matched_before < cfg.min_overlap_points {
-        // The claimed geometry puts the clouds apart: nothing to verify
-        // against, nothing for ICP to pull on. Fail safe.
-        let mut report = fail_safe(residual_before);
-        report.occupancy_agreement = occupancy_before;
-        report.ground_dz_m = ground_dz_before;
-        return report;
-    }
-
-    if residual_before <= cfg.clean_residual_m && ground_dz_before <= cfg.accept_residual_m {
-        return GuardReport {
-            decision: GuardDecision::AcceptedClean,
-            residual_before_m: residual_before,
-            residual_after_m: residual_before,
-            occupancy_agreement: occupancy_before,
-            ground_dz_m: ground_dz_before,
-            transform: *base,
-        };
-    }
-
-    // Bounded planar ICP with an annealing correspondence radius: wide
-    // first pulls gross offsets in, narrow last stops far outliers from
-    // dragging the fit.
-    let mut refined = *base;
-    let mut moved = remote_solid.clone();
-    let mut radius = cfg.max_correspondence_m;
-    for _ in 0..cfg.max_icp_iters {
-        // Adaptive trim: drop pairs matched much farther than the
-        // median — the non-overlap junk that would drag the fit — while
-        // keeping the far-but-informative pairs (structure perpendicular
-        // to the error direction) that a fixed best-k trim would lose.
-        let mut dists: Vec<f64> = Vec::new();
-        let all_pairs: Vec<(Vec3, Vec3, f64)> = moved
-            .iter()
-            .filter_map(|&p| grid.nearest(p, radius).map(|(q, d)| (p, q, d)))
-            .collect();
-        for &(_, _, d) in &all_pairs {
-            dists.push(d);
-        }
-        dists.sort_by(f64::total_cmp);
-        let Some(&median) = dists.get(dists.len() / 2) else {
-            break;
-        };
-        let keep = (2.0 * median).max(0.5 * radius);
-        let pairs: Vec<(Vec3, Vec3)> = all_pairs
-            .into_iter()
-            .filter(|&(_, _, d)| d <= keep)
-            .map(|(a, b, _)| (a, b))
-            .collect();
-        if pairs.len() < cfg.min_overlap_points {
-            break;
-        }
-        let delta = procrustes_step(&pairs);
-        refined = delta.compose(&refined);
-        for p in &mut moved {
-            *p = delta.apply(*p);
-        }
-        let step_norm = delta.apply(Vec3::ZERO).norm();
-        radius = (radius * 0.7).max(cfg.accept_residual_m * 2.0);
-        if step_norm < 1e-3 {
-            break;
-        }
-    }
-
-    let (residual_after, matched_after) = matched_residual(&grid, &moved, cfg.max_correspondence_m);
-    let remote_refined: Vec<Vec3> = sample_positions(remote, cfg.max_sample_points)
-        .iter()
-        .map(|&p| refined.apply(p))
-        .collect();
-    let ground_dz_after = ground_dz(&local_samples, &remote_refined, cfg);
-    let occupancy_after = occupancy_agreement(
-        &local_samples,
-        &remote_refined,
-        cfg.voxel_size_m,
-        cfg.max_correspondence_m,
-    );
-
-    let correction_m = (refined.apply(Vec3::ZERO) - base.apply(Vec3::ZERO)).norm();
-    if matched_after >= cfg.min_overlap_points
-        && residual_after <= cfg.accept_residual_m
-        && ground_dz_after <= cfg.accept_residual_m
-        && occupancy_after >= occupancy_before * cfg.min_occupancy_recovery
-        && correction_m <= cfg.max_correction_m
-    {
-        GuardReport {
-            decision: GuardDecision::AcceptedRefined,
-            residual_before_m: residual_before,
-            residual_after_m: residual_after,
-            occupancy_agreement: occupancy_after,
-            ground_dz_m: ground_dz_after,
-            transform: refined,
-        }
-    } else {
-        GuardReport {
-            decision: GuardDecision::Rejected,
-            residual_before_m: residual_before,
-            residual_after_m: residual_after,
-            occupancy_agreement: occupancy_after,
-            ground_dz_m: ground_dz_after,
-            transform: *base,
-        }
-    }
-}
-
-/// Fraction of remote-occupied voxels (restricted to the receiver's
-/// bounding box, grown by `margin`) that the receiver also occupies.
-fn occupancy_agreement(local: &[Vec3], remote: &[Vec3], voxel: f64, margin: f64) -> f64 {
-    let Some(bounds) = cooper_geometry::Aabb3::from_points(local.iter().copied()) else {
-        return 0.0;
-    };
-    let lo = bounds.min() - Vec3::new(margin, margin, margin);
-    let hi = bounds.max() + Vec3::new(margin, margin, margin);
-    let in_bounds = |p: &Vec3| {
-        p.x >= lo.x && p.x <= hi.x && p.y >= lo.y && p.y <= hi.y && p.z >= lo.z && p.z <= hi.z
-    };
-    let voxels = |pts: &[Vec3]| -> BTreeSet<(i64, i64, i64)> {
-        pts.iter()
-            .filter(|p| in_bounds(p))
-            .map(|&p| CellGrid::key_xyz(p, voxel))
-            .collect()
-    };
-    let local_vox = voxels(local);
-    let remote_vox = voxels(remote);
-    if remote_vox.is_empty() {
-        return 0.0;
-    }
-    let hits = remote_vox.iter().filter(|v| local_vox.contains(v)).count();
-    hits as f64 / remote_vox.len() as f64
-}
-
-/// Absolute difference of mean ground heights in the shared region, or
-/// zero when either side contributes no ground points.
-fn ground_dz(local: &[Vec3], remote: &[Vec3], cfg: &AlignmentGuardConfig) -> f64 {
-    let mean_ground = |pts: &[Vec3]| {
-        let heights: Vec<f64> = pts
-            .iter()
-            .filter(|p| p.z < cfg.ground_z_m)
-            .map(|p| p.z)
-            .collect();
-        if heights.is_empty() {
-            None
-        } else {
-            Some(heights.iter().sum::<f64>() / heights.len() as f64)
-        }
-    };
-    match (mean_ground(local), mean_ground(remote)) {
-        (Some(a), Some(b)) => (a - b).abs(),
-        _ => 0.0,
-    }
+    GuardReference::new(local, cfg).guard(remote, base)
 }
 
 #[cfg(test)]
@@ -647,6 +966,54 @@ mod tests {
         let a = guard_alignment(&local, &remote, &skewed, &cfg);
         let b = guard_alignment(&local, &remote, &skewed, &cfg);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn floor_i64_matches_the_saturating_cast() {
+        for v in [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            -1.0,
+            2.999_999_999_999_999_6,
+            -2.999_999_999_999_999_6,
+            9_007_199_254_740_993.0,
+            -9_007_199_254_740_993.0,
+            9.223_372_036_854_775e18,
+            -9.223_372_036_854_775e18,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            assert_eq!(floor_i64(v), v.floor() as i64, "{v}");
+        }
+    }
+
+    #[test]
+    fn index_cells_are_bounded_by_point_count() {
+        // Twelve points spread over 2000 km: cells widen instead of
+        // multiplying, and exact matches are still found.
+        let points: Vec<Vec3> = (0..12)
+            .map(|i| {
+                let a = f64::from(i) * 0.5;
+                Vec3::new(1e6 * a.cos(), 1e6 * a.sin(), 0.0)
+            })
+            .collect();
+        let index = PlanarIndex::build(&points, 3.0);
+        let n = points.len() as f64;
+        let side = (4.0 * n + 64.0).sqrt();
+        assert!(((index.nx * index.ny) as f64) <= (side + 1.0) * (side + 1.0));
+        for &p in &points {
+            assert_eq!(index.nearest(p, 3.0), Some((p, 0.0)));
+        }
+        assert_eq!(index.nearest(Vec3::new(5.0, 5.0, 0.0), 3.0), None);
     }
 
     #[test]

@@ -555,10 +555,18 @@ pub struct AlignmentVehicleStats {
     /// from fusion.
     pub rejected: u64,
     /// Sum of finite pre-refinement residuals, metres — divide by
-    /// [`AlignmentVehicleStats::evaluated`] for the mean.
+    /// [`AlignmentVehicleStats::residual_before_count`] for the mean.
     pub residual_before_m_sum: f64,
-    /// Sum of finite post-refinement residuals, metres.
+    /// Sum of finite post-refinement residuals, metres — divide by
+    /// [`AlignmentVehicleStats::residual_after_count`] for the mean.
     pub residual_after_m_sum: f64,
+    /// Finite pre-refinement residuals, the terms of
+    /// [`AlignmentVehicleStats::residual_before_m_sum`]. An unverifiable
+    /// cloud has an infinite residual and counts only in `evaluated`.
+    pub residual_before_count: u64,
+    /// Finite post-refinement residuals, the terms of
+    /// [`AlignmentVehicleStats::residual_after_m_sum`].
+    pub residual_after_count: u64,
 }
 
 impl AlignmentVehicleStats {
@@ -572,10 +580,32 @@ impl AlignmentVehicleStats {
         }
         if record.residual_before_m.is_finite() {
             self.residual_before_m_sum += record.residual_before_m;
+            self.residual_before_count += 1;
         }
         if record.residual_after_m.is_finite() {
             self.residual_after_m_sum += record.residual_after_m;
+            self.residual_after_count += 1;
         }
+    }
+
+    /// Adds another aggregate (a later step's) into this one.
+    fn add(&mut self, other: &AlignmentVehicleStats) {
+        self.evaluated += other.evaluated;
+        self.refined += other.refined;
+        self.rejected += other.rejected;
+        self.residual_before_m_sum += other.residual_before_m_sum;
+        self.residual_after_m_sum += other.residual_after_m_sum;
+        self.residual_before_count += other.residual_before_count;
+        self.residual_after_count += other.residual_after_count;
+    }
+
+    /// Mean finite residual before and after refinement, metres; zero
+    /// when no residual was finite.
+    pub fn mean_residuals_m(&self) -> (f64, f64) {
+        (
+            self.residual_before_m_sum / self.residual_before_count.max(1) as f64,
+            self.residual_after_m_sum / self.residual_after_count.max(1) as f64,
+        )
     }
 }
 
@@ -1666,13 +1696,15 @@ impl StepCtx<'_> {
         tg: &TrustGuardConfig,
     ) -> (Vec<ExchangePacket>, Vec<TransportDrop>, Vec<HistoryUpdate>) {
         let _span = cooper_telemetry::span!(telemetry_names::SPAN_GUARD_CONSISTENCY);
-        let ego_index = FreeSpaceIndex::build(&me.scan, &tg.consistency);
-        // Composite (delta-reconstructed) clouds mix keyframe-step
-        // points with current ones; a moving sender smears those
-        // through space the ego genuinely observed as free. Skip the
-        // free-space sweep for them (an empty index yields zero ghost
-        // evidence) while keeping the replay and teleport checks.
-        let empty_index = FreeSpaceIndex::build(&PointCloud::new(), &tg.consistency);
+        // Both indexes are built on first use, so an inbox with no point
+        // cloud to check pays for neither. Composite (delta-reconstructed)
+        // clouds mix keyframe-step points with current ones; a moving
+        // sender smears those through space the ego genuinely observed
+        // as free. Skip the free-space sweep for them (an empty index
+        // yields zero ghost evidence) while keeping the replay and
+        // teleport checks.
+        let mut ego_index: Option<FreeSpaceIndex> = None;
+        let mut empty_index: Option<FreeSpaceIndex> = None;
         let mut kept = Vec::with_capacity(inbox.packets.len());
         let mut drops = Vec::new();
         let mut history_updates = Vec::new();
@@ -1683,7 +1715,13 @@ impl StepCtx<'_> {
                 kept.push(pkt.clone());
                 continue;
             };
-            let sweep_index = if composite { &empty_index } else { &ego_index };
+            let sweep_index = if composite {
+                empty_index.get_or_insert_with(|| {
+                    FreeSpaceIndex::build(&PointCloud::new(), &tg.consistency)
+                })
+            } else {
+                ego_index.get_or_insert_with(|| FreeSpaceIndex::build(&me.scan, &tg.consistency))
+            };
             cooper_telemetry::counter_add(telemetry_names::GUARD_CONSISTENCY_CHECKS, 1);
             let align = alignment_transform(pkt.pose(), estimate, &self.config.origin);
             let in_ego = cloud.transformed(&align);
@@ -1758,12 +1796,7 @@ impl StepCtx<'_> {
             }
             let align = output.align_stats;
             if align.evaluated > 0 {
-                let entry = stats.alignment.entry(v.id).or_default();
-                entry.evaluated += align.evaluated;
-                entry.refined += align.refined;
-                entry.rejected += align.rejected;
-                entry.residual_before_m_sum += align.residual_before_m_sum;
-                entry.residual_after_m_sum += align.residual_after_m_sum;
+                stats.alignment.entry(v.id).or_default().add(&align);
             }
             transport_drops.extend(output.align_drops);
             transport_drops.extend(output.consistency_drops);

@@ -86,7 +86,8 @@ pub mod trust;
 pub mod viz;
 
 pub use alignment::{
-    alignment_transform, guard_alignment, AlignmentGuardConfig, GuardDecision, GuardReport,
+    alignment_transform, guard_alignment, AlignmentGuardConfig, GuardDecision, GuardReference,
+    GuardReport,
 };
 pub use channel::{ChannelModel, Delivery, PerfectChannel, TransferCtx};
 pub use consistency::{

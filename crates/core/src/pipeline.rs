@@ -15,8 +15,8 @@ use cooper_telemetry::names as telemetry_names;
 
 use crate::tracking::{Tracker, TrackerConfig};
 use crate::{
-    alignment_transform, guard_alignment, AlignmentGuardConfig, CooperError, ExchangePacket,
-    GuardDecision,
+    alignment_transform, AlignmentGuardConfig, CooperError, ExchangePacket, GuardDecision,
+    GuardReference,
 };
 
 /// Per-receiver detection memos for incremental perception, passed to
@@ -121,7 +121,9 @@ pub struct AlignmentRecord {
 /// With a `guard`, every decoded cloud is validated (and possibly
 /// ICP-refined) before merging; guard-rejected clouds surface as
 /// [`CooperError::AlignmentRejected`] drops, and every verdict is
-/// recorded as an [`AlignmentRecord`].
+/// recorded as an [`AlignmentRecord`]. The guard's [`GuardReference`]
+/// on `local_cloud` is built once, on the first decoded packet, and
+/// serves every packet after it.
 fn fuse_packets(
     local_cloud: &PointCloud,
     local_pose: &PoseEstimate,
@@ -137,14 +139,19 @@ fn fuse_packets(
     // Pass 1: decode and (optionally) guard every packet, keeping the
     // accepted clouds with their alignment transforms.
     let mut accepted = Vec::with_capacity(packets.len());
+    let mut reference: Option<GuardReference> = None;
     for &(index, packet) in packets {
         match packet.cloud() {
             Ok(remote_cloud) => {
                 let mut transform = alignment_transform(packet.pose(), local_pose, origin);
                 if let Some(cfg) = guard {
+                    let reference = reference.get_or_insert_with(|| {
+                        let _span = cooper_telemetry::span!(telemetry_names::SPAN_ALIGN_INDEX);
+                        GuardReference::new(local_cloud, cfg)
+                    });
                     let report = {
                         let _span = cooper_telemetry::span!(telemetry_names::SPAN_ALIGN_GUARD);
-                        guard_alignment(local_cloud, &remote_cloud, &transform, cfg)
+                        reference.guard(&remote_cloud, &transform)
                     };
                     record_guard_telemetry(&report);
                     alignment.push(AlignmentRecord {

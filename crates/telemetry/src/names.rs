@@ -157,6 +157,9 @@ pub const SPAN_PIPELINE_FUSE: &str = "pipeline.fuse";
 pub const SPAN_PIPELINE_FUSE_FEATURES: &str = "pipeline.fuse_features";
 /// Alignment guard over one decoded point packet, inside packet fusion.
 pub const SPAN_ALIGN_GUARD: &str = "align.guard";
+/// Build of the receiver's alignment-guard reference, inside packet
+/// fusion: at most once per cooperative perceive.
+pub const SPAN_ALIGN_INDEX: &str = "align.index";
 /// Consistency screen of one receiver's inbox (trust layer).
 pub const SPAN_GUARD_CONSISTENCY: &str = "guard.consistency";
 /// One receiver's tracker update, in the fleet's serial merge.
@@ -267,6 +270,7 @@ pub const ALL_SPANS: &[&str] = &[
     SPAN_PIPELINE_FUSE,
     SPAN_PIPELINE_FUSE_FEATURES,
     SPAN_ALIGN_GUARD,
+    SPAN_ALIGN_INDEX,
     SPAN_GUARD_CONSISTENCY,
     SPAN_TRACK_UPDATE,
     SPAN_PACKET_ENCODE,

@@ -1,8 +1,8 @@
-//! The fleet's phases, the alignment guard, the consistency screen and
-//! the tracker each run under a span of their own, so a profile can
-//! rank them; the phase spans are the only phase timers. Every
-//! vehicle-step also emits one `fleet.vehicle_step` event carrying the
-//! whole report.
+//! The fleet's phases, the alignment guard and its receiver index, the
+//! consistency screen and the tracker each run under a span of their
+//! own, so a profile can rank them; the phase spans are the only phase
+//! timers. Every vehicle-step also emits one `fleet.vehicle_step` event
+//! carrying the whole report.
 //!
 //! Telemetry is a process-global registry, so this test has a binary of
 //! its own.
@@ -68,10 +68,20 @@ fn guard_screen_and_tracker_run_under_their_spans() {
             .map(|s| s.count)
             .sum()
     };
-    // One guard run per evaluated packet.
+    // One guard run per evaluated packet, against a receiver reference
+    // built at most once per receiver-step and shared by its packets.
     let evaluated = snapshot.counter(names::ALIGN_EVALUATED).unwrap_or(0);
     assert!(evaluated > 0, "the guard evaluated received clouds");
     assert_eq!(count(names::SPAN_ALIGN_GUARD), evaluated);
+    let indexed = count(names::SPAN_ALIGN_INDEX);
+    assert!(
+        (1..=vehicle_steps).contains(&indexed),
+        "{indexed} reference builds over {vehicle_steps} receiver-steps"
+    );
+    assert!(
+        indexed < evaluated,
+        "{indexed} reference builds for {evaluated} guarded packets"
+    );
     // One screen and one tracker update per receiver per step.
     assert_eq!(count(names::SPAN_GUARD_CONSISTENCY), vehicle_steps);
     assert_eq!(count(names::SPAN_TRACK_UPDATE), vehicle_steps);
