@@ -21,7 +21,7 @@ fn main() {
 
     let out = output_dir();
     let mut csv_rows = Vec::new();
-    println!("=== Figure 3: T&J scenario score matrices ===\n");
+    println!("=== Figure 6: T&J scenario score matrices ===\n");
     for evals in &evaluations {
         for eval in evals {
             println!("{}", eval.render_matrix());

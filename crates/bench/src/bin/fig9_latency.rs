@@ -13,9 +13,6 @@
 //! telemetry, replays each case `reps` times and reads the per-stage
 //! span distributions (p50/p95/p99/max) out of the snapshot — no
 //! hand-rolled `Instant::now()` pairs.
-//!
-//! `cargo bench -p cooper-bench --bench detection_latency` produces the
-//! Criterion-grade version of this figure.
 
 use cooper_bench::{output_dir, render_csv, render_table, standard_pipeline, write_artifact};
 use cooper_core::report::EvaluationConfig;

@@ -16,7 +16,8 @@
 //!
 //! Every command accepts `--telemetry`, which enables the global
 //! [`cooper_telemetry`] registry for the run and prints the snapshot
-//! table (spans, counters, gauges, value histograms) afterwards.
+//! table (spans, counters, gauges, value histograms) afterwards, and
+//! `--help`. A flag its command does not read is a usage error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -94,28 +95,82 @@ pub struct ParsedArgs {
     pub options: HashMap<String, String>,
 }
 
-/// Bare flags (no value).
-const BARE_FLAGS: &[&str] = &[
-    "--align-guard",
-    "--bev",
-    "--delta-encode",
-    "--features",
-    "--help",
-    "--incremental",
-    "--telemetry",
-    "--tracker",
-    "--trust-guard",
+/// Bare flags every command accepts.
+const GLOBAL_FLAGS: &[&str] = &["--help", "--telemetry"];
+
+/// Per command, the flags it reads besides [`GLOBAL_FLAGS`]: those that
+/// take a value, then the bare ones. Any other flag is a usage error,
+/// so a misspelt flag can neither be ignored nor take the next flag as
+/// its value.
+const COMMAND_FLAGS: &[(&str, &[&str], &[&str])] = &[
+    ("help", &[], &[]),
+    ("scenarios", &[], &[]),
+    ("train", &["--out", "--scenes", "--epochs", "--seed"], &[]),
+    (
+        "scan",
+        &["--scenario", "--observer", "--out", "--beams", "--seed"],
+        &[],
+    ),
+    (
+        "detect",
+        &["--input", "--weights", "--threshold"],
+        &["--bev"],
+    ),
+    ("evaluate", &["--scenario", "--pair", "--weights"], &[]),
+    (
+        "simulate",
+        &[
+            "--scenario",
+            "--seconds",
+            "--seed",
+            "--threads",
+            "--weights",
+            "--channel",
+            "--loss",
+            "--arq-retries",
+            "--roi",
+            "--keyframe-every",
+            "--fusion",
+            "--fault-plan",
+            "--icp-iters",
+            "--corruption",
+        ],
+        &[
+            "--delta-encode",
+            "--features",
+            "--align-guard",
+            "--trust-guard",
+            "--tracker",
+            "--incremental",
+        ],
+    ),
+    (
+        "profile",
+        &[
+            "--scenario",
+            "--scene",
+            "--vehicles",
+            "--steps",
+            "--threads",
+            "--seed",
+            "--trace-out",
+        ],
+        &[],
+    ),
+    ("convert", &["--input", "--out"], &[]),
 ];
 
 /// Parses raw arguments (without the program name).
 ///
+/// An unknown command parses with no options; [`run`] rejects it.
+///
 /// # Errors
 ///
-/// Returns a usage error for missing command, unknown bare-flag usage or
-/// a flag without a value.
+/// Returns a usage error for a missing command, a positional argument,
+/// a flag the command does not read, or a flag without a value.
 pub fn parse_args(args: &[String]) -> Result<ParsedArgs, CliError> {
     let mut parsed = ParsedArgs::default();
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     match it.next() {
         Some(cmd) if !cmd.starts_with("--") => parsed.command = cmd.clone(),
         Some(flag) if flag == "--help" => {
@@ -124,22 +179,32 @@ pub fn parse_args(args: &[String]) -> Result<ParsedArgs, CliError> {
         }
         _ => return Err(CliError::usage(usage())),
     }
+    let Some(&(_, valued, bare)) = COMMAND_FLAGS
+        .iter()
+        .find(|(command, _, _)| *command == parsed.command)
+    else {
+        return Ok(parsed);
+    };
     while let Some(arg) = it.next() {
         if !arg.starts_with("--") {
             return Err(CliError::usage(format!(
                 "unexpected positional argument {arg:?}"
             )));
         }
-        if BARE_FLAGS.contains(&arg.as_str()) {
-            parsed.options.insert(arg.clone(), "true".into());
-            continue;
-        }
-        match it.next() {
-            Some(value) => {
-                parsed.options.insert(arg.clone(), value.clone());
+        let value = if GLOBAL_FLAGS.contains(&arg.as_str()) || bare.contains(&arg.as_str()) {
+            "true".to_string()
+        } else if valued.contains(&arg.as_str()) {
+            match it.next() {
+                Some(value) if !value.starts_with("--") => value.clone(),
+                _ => return Err(CliError::usage(format!("flag {arg} requires a value"))),
             }
-            None => return Err(CliError::usage(format!("flag {arg} requires a value"))),
-        }
+        } else {
+            return Err(CliError::usage(format!(
+                "unknown flag {arg} for `cooper {}`",
+                parsed.command
+            )));
+        };
+        parsed.options.insert(arg.clone(), value);
     }
     Ok(parsed)
 }
@@ -166,7 +231,8 @@ USAGE:
   cooper scenarios
 
 Any command accepts --telemetry to print a span/metric snapshot table
-after the run. `simulate --threads N` sets the worker-pool size for the
+after the run, and --help; any flag a command does not read is a
+usage error. `simulate --threads N` sets the worker-pool size for the
 parallel fleet phases; its stdout is bit-identical at every N.
 `simulate --channel` picks the fleet's transport model: perfect
 (default, every in-range packet arrives), iid (independent per-frame
@@ -482,11 +548,11 @@ pub fn run(parsed: &ParsedArgs) -> Result<(), CliError> {
 }
 
 fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
+    if parsed.command == "help" || parsed.options.contains_key("--help") {
+        println!("{}", usage());
+        return Ok(());
+    }
     match parsed.command.as_str() {
-        "help" => {
-            println!("{}", usage());
-            Ok(())
-        }
         "scenarios" => {
             println!("name     description");
             for (name, scene) in [
@@ -517,6 +583,9 @@ fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
                 seed: get_parse(&parsed.options, "--seed", 42u64)?,
                 ..TrainingConfig::standard()
             };
+            training
+                .validate()
+                .map_err(|msg| CliError::usage(format!("invalid training config: {msg}")))?;
             eprintln!(
                 "training on {} scenes × {} epochs…",
                 training.scenes, training.epochs
@@ -1061,6 +1130,106 @@ mod tests {
         let p = parse_args(&args(&["--help"])).unwrap();
         assert_eq!(p.command, "help");
         run(&p).unwrap();
+        // --help prints the usage for any command, whatever it requires.
+        run(&parse_args(&args(&["train", "--help"])).unwrap()).unwrap();
+    }
+
+    #[test]
+    fn flags_a_command_does_not_read_are_usage_errors() {
+        // A misspelt bare flag used to take the next flag as its value.
+        let e = parse_args(&args(&[
+            "simulate",
+            "--scenario",
+            "tj1",
+            "--seconds",
+            "1",
+            "--align-gaurd",
+            "--tracker",
+        ]))
+        .unwrap_err();
+        assert!(e.usage);
+        assert!(e.message.contains("--align-gaurd"), "{}", e.message);
+        assert!(e.message.contains("simulate"), "{}", e.message);
+        // Another command's flags are not this command's.
+        let e =
+            parse_args(&args(&["simulate", "--scenario", "tj1", "--vehicles", "3"])).unwrap_err();
+        assert!(e.usage);
+        assert!(e.message.contains("--vehicles"), "{}", e.message);
+        let e = parse_args(&args(&["simulate", "--scene", "tj1"])).unwrap_err();
+        assert!(e.message.contains("--scene"), "{}", e.message);
+        // A value flag does not take the next flag as its value.
+        let e = parse_args(&args(&["simulate", "--weights", "--tracker"])).unwrap_err();
+        assert!(e.message.contains("--weights"), "{}", e.message);
+        // --telemetry and --help are valid for every command, and
+        // --scene is profile's alias for --scenario.
+        for (command, _, _) in COMMAND_FLAGS {
+            let p = parse_args(&args(&[command, "--telemetry", "--help"])).unwrap();
+            assert_eq!(p.options["--telemetry"], "true");
+            assert_eq!(p.options["--help"], "true");
+        }
+        let p = parse_args(&args(&["profile", "--scene", "kitti1"])).unwrap();
+        assert_eq!(p.options["--scene"], "kitti1");
+    }
+
+    #[test]
+    fn ci_command_lines_parse() {
+        // The determinism job's RUNS lines (one per golden) and the
+        // profile smoke command, read from the workflow itself.
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let ci = std::fs::read_to_string(format!("{root}/.github/workflows/ci.yml")).unwrap();
+        let runs: Vec<&str> = ci
+            .lines()
+            .map(str::trim)
+            .skip_while(|line| !line.ends_with("<<'RUNS'"))
+            .skip(1)
+            .take_while(|line| *line != "RUNS")
+            .collect();
+        let goldens = std::fs::read_dir(format!("{root}/tests/golden"))
+            .unwrap()
+            .count();
+        assert_eq!(runs.len(), goldens, "one RUNS line per golden");
+        for line in runs {
+            let (name, flags) = line.split_once(' ').unwrap();
+            assert!(
+                Path::new(&format!("{root}/tests/golden/simulate_{name}.txt")).exists(),
+                "no golden for {name}"
+            );
+            let argv: Vec<String> = ["simulate", "--scenario", "tj1"]
+                .into_iter()
+                .chain(flags.split_whitespace())
+                .chain(["--threads", "4"])
+                .map(String::from)
+                .collect();
+            parse_args(&argv).unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+        let profile: Vec<String> = ci
+            .lines()
+            .skip_while(|line| !line.contains("cooper profile"))
+            .take(2)
+            .flat_map(|line| line.trim_end_matches('\\').split_whitespace())
+            .skip(1)
+            .map(String::from)
+            .collect();
+        assert_eq!(profile.first().map(String::as_str), Some("profile"));
+        parse_args(&profile).unwrap();
+    }
+
+    #[test]
+    fn train_rejects_an_invalid_config_and_writes_nothing() {
+        let out = std::env::temp_dir().join("cooper-cli-train-zero-scenes.bin");
+        let _ = std::fs::remove_file(&out);
+        let e = run(&parse_args(&args(&[
+            "train",
+            "--out",
+            out.to_str().unwrap(),
+            "--scenes",
+            "0",
+        ]))
+        .unwrap())
+        .unwrap_err();
+        assert!(e.usage);
+        assert!(e.message.contains("training scene"), "{}", e.message);
+        assert!(!out.exists());
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! the channel about each directed transfer via a [`TransferCtx`], and
 //! the channel answers whether the packet arrives. Stateful media
 //! (air-time budgets, contention, per-link loss) keep their state in
-//! `self`; `cooper-v2x` implements the trait for its `SharedMedium` and
-//! `ExchangeScheduler`.
+//! `self`; `cooper-v2x` implements the trait for its `SharedMedium`.
 //!
 //! Closures still work: any `FnMut(usize, u32, u32, usize) -> bool`
 //! implements `ChannelModel` through a blanket impl, so quick one-off

@@ -1003,8 +1003,8 @@ impl FleetSimulation {
     /// Like [`FleetSimulation::run`], with delivery decided by a
     /// [`ChannelModel`]: for each directed in-range transfer the model
     /// receives a [`TransferCtx`] and returns whether the packet
-    /// arrives. `cooper-v2x` implements the trait for its shared-medium
-    /// and scheduler types; closures with the signature
+    /// arrives. `cooper-v2x` implements the trait for its shared
+    /// medium; closures with the signature
     /// `FnMut(usize, u32, u32, usize) -> bool` also work.
     ///
     /// Delivery is consulted serially in deterministic order — by

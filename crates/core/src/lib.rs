@@ -78,7 +78,6 @@ pub mod governor;
 mod packet;
 mod pipeline;
 pub mod report;
-mod request;
 pub mod stats;
 pub mod temporal;
 pub mod tracking;
@@ -101,7 +100,6 @@ pub use packet::ExchangePacket;
 pub use pipeline::{
     AlignmentRecord, CooperPipeline, FusionOutcome, PacketDrop, PerceiveCtx, PerceptionCache,
 };
-pub use request::{requests_from_blind_zones, respond_to_roi_request, RoiRequest};
 pub use stats::{CooperDifficulty, DistanceBand, ScoreImprovement};
 pub use trust::{TrustConfig, TrustLedger, TrustLevel, TrustState, TrustVehicleStats};
 

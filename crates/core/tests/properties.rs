@@ -102,11 +102,6 @@ proptest! {
     }
 
     #[test]
-    fn roi_request_decoder_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = cooper_core::RoiRequest::from_bytes(&bytes);
-    }
-
-    #[test]
     fn partial_decoder_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..4096)) {
         let _ = ExchangePacket::from_partial_bytes(&bytes);
     }

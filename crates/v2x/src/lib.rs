@@ -11,9 +11,9 @@
 //! * [`fragment`]/[`reassemble`] — splitting an exchange packet into
 //!   MTU-sized fragments and recovering it (with explicit errors for
 //!   missing or mixed fragments — the failure-injection surface).
-//! * [`ExchangeScheduler`] + [`SharedMedium`] — the 1 Hz ROI exchange
-//!   policy between cooperating vehicles, with per-second data-volume
-//!   accounting that regenerates Figure 12.
+//! * [`ExchangeScheduler`] over a [`SharedMedium`] — the 1 Hz ROI
+//!   exchange between two cooperating vehicles, with the per-second
+//!   data-volume accounting that regenerates Figure 12.
 //!
 //! # Examples
 //!

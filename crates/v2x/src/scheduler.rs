@@ -4,13 +4,11 @@
 //! that a sample rate of 1 frame per second is enough to satisfy the
 //! needs of Cooper whilst remaining within our set of constraints"
 //! (§IV-G). The scheduler applies an ROI category to each vehicle's
-//! scan, wraps it in an exchange packet, sends it over a [`SharedMedium`]
-//! and accounts the per-second data volume.
+//! scan, prices the exchange packet that region would fill, sends it
+//! over a [`SharedMedium`] and accounts the per-second data volume.
 
 use cooper_core::{ChannelModel, Delivery, ExchangePacket, TransferCtx};
-use cooper_geometry::{Attitude, GpsFix};
-use cooper_lidar_sim::PoseEstimate;
-use cooper_pointcloud::roi::{extract_roi, RoiCategory};
+use cooper_pointcloud::roi::RoiCategory;
 use cooper_pointcloud::PointCloud;
 use cooper_telemetry::names as telemetry_names;
 use cooper_telemetry::trace::stage as trace_stage;
@@ -424,16 +422,11 @@ impl ExchangeScheduler {
         self.category
     }
 
-    /// The wire size (bytes) of one vehicle's ROI-filtered frame.
+    /// The wire size (bytes) of one vehicle's ROI-filtered frame, priced
+    /// by point count as the bandwidth governor prices its menu.
     pub fn frame_wire_size(&self, scan: &PointCloud) -> usize {
-        let roi = extract_roi(scan, self.category);
-        let pose = PoseEstimate {
-            gps: GpsFix::new(0.0, 0.0, 0.0),
-            attitude: Attitude::level(),
-        };
-        ExchangePacket::build(0, 0, &roi, pose)
-            .expect("sensor-frame cloud always encodes")
-            .wire_size()
+        let points = scan.iter().filter(|p| self.category.contains(p)).count();
+        ExchangePacket::wire_size_for(points)
     }
 
     /// Simulates `per_second_scans.len()` seconds of exchange between
@@ -487,28 +480,6 @@ impl ExchangeScheduler {
             peak_utilization,
             transfers_dropped,
         }
-    }
-}
-
-impl ChannelModel for ExchangeScheduler {
-    /// Applies the scheduler's policy to one fleet transfer: sub-1 Hz
-    /// rates deliver only on every k-th step (one step ≈ one second),
-    /// and one-way ROI categories
-    /// ([`RoiCategory::transfers_per_pair`] `== 1`) carry only the
-    /// lower-id → higher-id direction of each pair.
-    fn deliver(&mut self, tx: &TransferCtx) -> bool {
-        let send_every = if self.rate_hz >= 1.0 {
-            1
-        } else {
-            (1.0 / self.rate_hz).round() as usize
-        };
-        if !tx.step.is_multiple_of(send_every) {
-            return false;
-        }
-        if self.category.transfers_per_pair() == 1 && tx.from > tx.to {
-            return false;
-        }
-        true
     }
 }
 
@@ -581,6 +552,38 @@ mod tests {
             &mut rng,
         );
         assert!(one_way.per_second_mbit[0] < both.per_second_mbit[0]);
+    }
+
+    #[test]
+    fn simulate_airs_each_direction_at_its_priced_size() {
+        // One second at 1 Hz on an uncontended medium: each direction
+        // the category sends goes out once, at the size
+        // `frame_wire_size` prices plus the per-frame link overhead.
+        let (a, b) = (ring_scan(20_000), ring_scan(12_000));
+        let channel = DsrcChannel::new(DsrcConfig::default());
+        let on_air_bits = |bytes: usize| {
+            (bytes + channel.frames_for(bytes) * channel.config().per_frame_overhead) * 8
+        };
+        let mut rng = StdRng::seed_from_u64(0);
+        for cat in RoiCategory::ALL {
+            let scheduler = ExchangeScheduler::paper_default(cat);
+            let trace = scheduler.simulate(&[(a.clone(), b.clone())], &medium(), &mut rng);
+            let senders = if cat.transfers_per_pair() == 1 {
+                vec![&b]
+            } else {
+                vec![&a, &b]
+            };
+            let bits: usize = senders
+                .into_iter()
+                .map(|scan| on_air_bits(scheduler.frame_wire_size(scan)))
+                .sum();
+            assert_eq!(trace.transfers_dropped, 0, "{cat}");
+            assert!(
+                (trace.per_second_mbit[0] - bits as f64 / 1e6).abs() < 1e-9,
+                "{cat}: {} Mbit on air, {bits} bits priced",
+                trace.per_second_mbit[0]
+            );
+        }
     }
 
     #[test]
@@ -771,20 +774,5 @@ mod tests {
         // Same per-transfer outcome whichever transfer asks first (the
         // windows are large enough that neither order saturates).
         assert_eq!(outcome(false), outcome(true));
-    }
-
-    #[test]
-    fn scheduler_channel_model_gates_rate_and_direction() {
-        let mut half_hz = ExchangeScheduler::new(0.5, RoiCategory::FullFrame);
-        assert!(half_hz.deliver(&tx(0, 1, 2, 1000)));
-        assert!(!half_hz.deliver(&tx(1, 1, 2, 1000)), "off-step at 0.5 Hz");
-        assert!(half_hz.deliver(&tx(2, 1, 2, 1000)));
-
-        let mut one_way = ExchangeScheduler::paper_default(RoiCategory::ForwardOneWay);
-        assert!(one_way.deliver(&tx(0, 1, 2, 1000)));
-        assert!(!one_way.deliver(&tx(0, 2, 1, 1000)), "reverse direction");
-
-        let mut two_way = ExchangeScheduler::paper_default(RoiCategory::FrontFov120);
-        assert!(two_way.deliver(&tx(0, 2, 1, 1000)));
     }
 }

@@ -1,12 +1,61 @@
 //! Property-based tests for the V2X substrate.
 
+use cooper_core::ExchangePacket;
+use cooper_geometry::{Attitude, GpsFix, Vec3};
+use cooper_lidar_sim::PoseEstimate;
+use cooper_pointcloud::roi::{extract_roi, BlindSector, RoiCategory};
+use cooper_pointcloud::{Point, PointCloud};
 use cooper_v2x::{
-    fragment, reassemble, salvage_prefix, CsmaConfig, CsmaMedium, DataRate, DsrcChannel,
-    DsrcConfig, ReassemblyError,
+    demand_roi, fragment, reassemble, salvage_prefix, BandwidthGovernor, CsmaConfig, CsmaMedium,
+    DataRate, DsrcChannel, DsrcConfig, ExchangeScheduler, ReassemblyError,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+fn cloud(max: usize) -> impl Strategy<Value = PointCloud> {
+    prop::collection::vec(
+        (-90.0..90.0f64, -90.0..90.0f64, -4.0..4.0f64, 0.0..1.0f32),
+        0..max,
+    )
+    .prop_map(|pts| {
+        pts.into_iter()
+            .map(|(x, y, z, r)| Point::new(Vec3::new(x, y, z), r))
+            .collect()
+    })
+}
+
+fn category() -> impl Strategy<Value = RoiCategory> {
+    (0..RoiCategory::ALL.len()).prop_map(|i| RoiCategory::ALL[i])
+}
+
+/// Narrow blind sectors (0.05–0.5 rad wide) centred anywhere on the
+/// circle.
+fn blind_sectors(max: usize) -> impl Strategy<Value = Vec<BlindSector>> {
+    prop::collection::vec(
+        (
+            -std::f64::consts::PI..std::f64::consts::PI,
+            0.05..0.5f64,
+            2.0..40.0f64,
+        ),
+        0..max,
+    )
+    .prop_map(|sectors| {
+        sectors
+            .into_iter()
+            .map(|(center, width, occluder_range)| BlindSector {
+                start: center - width * 0.5,
+                end: center + width * 0.5,
+                occluder_range,
+            })
+            .collect()
+    })
+}
+
+/// Position of `roi` in [`RoiCategory::ALL`]: 0 is the widest.
+fn narrowness(roi: RoiCategory) -> usize {
+    RoiCategory::ALL.iter().position(|&c| c == roi).unwrap()
+}
 
 proptest! {
     #[test]
@@ -149,5 +198,45 @@ proptest! {
             prop_assert_eq!(report.collisions, 0);
             prop_assert_eq!(report.delivered, 1);
         }
+    }
+
+    #[test]
+    fn frame_wire_size_prices_the_built_packet(c in cloud(300), roi in category()) {
+        // The Figure-12 trace prices a frame by point count; building
+        // and encoding the ROI's packet must come to the same bytes.
+        let pose = PoseEstimate {
+            gps: GpsFix::new(0.0, 0.0, 0.0),
+            attitude: Attitude::level(),
+        };
+        let packet = ExchangePacket::build(0, 0, &extract_roi(&c, roi), pose).unwrap();
+        prop_assert_eq!(
+            ExchangeScheduler::paper_default(roi).frame_wire_size(&c),
+            packet.wire_size()
+        );
+    }
+
+    #[test]
+    fn demanded_roi_covers_every_blind_sector(sectors in blind_sectors(6)) {
+        // Whatever the receiver cannot see, the region it asks for
+        // holds: a return at each blind sector's centre lies inside.
+        let roi = demand_roi(&sectors);
+        for s in &sectors {
+            let (sin, cos) = s.center().sin_cos();
+            let probe = Point::new(Vec3::new(20.0 * cos, 20.0 * sin, 0.0), 0.5);
+            prop_assert!(roi.contains(&probe), "{roi} misses the sector at {:.3} rad", s.center());
+        }
+        // A receiver with no blind sector asks for the narrowest wedge.
+        prop_assert_eq!(sectors.is_empty(), roi == RoiCategory::ForwardOneWay);
+    }
+
+    #[test]
+    fn base_roi_is_the_narrower_of_demand_and_cap(sectors in blind_sectors(6), cap in category()) {
+        // The governor never starts wider than the receiver demands,
+        // nor wider than its cap.
+        let base = BandwidthGovernor::new(cap).base_roi(&sectors);
+        prop_assert_eq!(
+            narrowness(base),
+            narrowness(demand_roi(&sectors)).max(narrowness(cap))
+        );
     }
 }

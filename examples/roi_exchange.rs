@@ -6,18 +6,19 @@
 //! push it through a lossy DSRC channel, reassemble, and fuse — and,
 //! when a burst eats the tail of the transfer, salvage the delivered
 //! prefix with `salvage_prefix` + `ExchangePacket::from_partial_bytes`
-//! instead of discarding the whole scan.
+//! instead of discarding the whole scan. Last, the receiver's blind
+//! sectors choose the ROI it asks for, as in the governed fleet.
 //!
 //! Run with `cargo run -p cooper-v2x --example roi_exchange --release`.
 
-use cooper_core::{CooperPipeline, ExchangePacket, PerceiveCtx};
+use cooper_core::{CooperPipeline, ExchangePacket, GovernorConfig, PerceiveCtx};
 use cooper_geometry::GpsFix;
 use cooper_lidar_sim::{scenario, LidarScanner, PoseEstimate};
-use cooper_pointcloud::roi::{extract_roi, RoiCategory, StaticMap};
+use cooper_pointcloud::roi::{blind_sectors, extract_roi, RoiCategory, StaticMap};
 use cooper_pointcloud::VoxelGridConfig;
 use cooper_spod::train::TrainingConfig;
 use cooper_spod::SpodDetector;
-use cooper_v2x::{fragment, reassemble, salvage_prefix, DsrcChannel, DsrcConfig};
+use cooper_v2x::{demand_roi, fragment, reassemble, salvage_prefix, DsrcChannel, DsrcConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("training SPOD detector…");
@@ -91,32 +92,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         degraded.detections.len()
     );
 
-    // Demand-driven variant (§IV-G): the receiver names only its
-    // blocked wedges and cooperators answer with exactly that content.
-    let requests = cooper_core::requests_from_blind_zones(
-        rx as u32,
+    // Demand-driven variant (§IV-G): the receiver's blind sectors pick
+    // the ROI, exactly as the bandwidth governor's demand path does in
+    // the governed fleet, and the sender ships only that region.
+    let demand = GovernorConfig::default();
+    let blind = blind_sectors(
         &local_scan,
-        est_rx,
-        30.0,
-        5f64.to_radians(),
-        60.0,
-        1.9,
+        demand.blind_bins,
+        demand.occluder_range_m,
+        demand.min_sector_width_rad,
+        demand.ground_z_below_m,
     );
-    println!("\nblind zones found: {}", requests.len());
-    let mut demand_bytes = 0usize;
-    let mut demand_packets = Vec::new();
-    for request in &requests {
-        let wedge = cooper_core::respond_to_roi_request(&remote_scan, &est_tx, request, &origin);
-        let p = ExchangePacket::build(tx as u32, 1, &wedge, est_tx)?;
-        demand_bytes += p.wire_size();
-        demand_packets.push(p);
-    }
-    let demand = perceive(&demand_packets);
+    let demanded = demand_roi(&blind);
+    let packet = ExchangePacket::build(tx as u32, 1, &extract_roi(&remote_scan, demanded), est_tx)?;
+    let demand_bytes = packet.wire_size();
+    let result = perceive(&[packet]);
     println!(
-        "demand-driven exchange: {} bytes across {} wedges, {} detections",
-        demand_bytes,
-        demand_packets.len(),
-        demand.detections.len()
+        "demand-driven exchange: {} blind sectors -> {demanded}, {demand_bytes} bytes, {} detections",
+        blind.len(),
+        result.detections.len()
     );
     Ok(())
 }

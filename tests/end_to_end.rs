@@ -169,55 +169,3 @@ fn fused_cloud_detection_equals_direct_detection() {
     let direct = pipeline().perceive_single(&result.fused_cloud, PerceiveCtx::default());
     assert_eq!(result.detections.len(), direct.len());
 }
-
-#[test]
-fn demand_driven_roi_requests_recover_occluded_objects_cheaply() {
-    use cooper_core::{requests_from_blind_zones, respond_to_roi_request};
-
-    let scene = scenario::t_junction();
-    let scanner = LidarScanner::new(scene.kind.beam_model());
-    let (rx, tx) = scene.pairs[0];
-    let local = scanner.scan(&scene.world, &scene.observers[rx], 1);
-    let remote = scanner.scan(&scene.world, &scene.observers[tx], 2);
-    let est_rx = PoseEstimate::from_pose(&scene.observers[rx], &origin());
-    let est_tx = PoseEstimate::from_pose(&scene.observers[tx], &origin());
-
-    // The receiver identifies its blocked wedges (the corner buildings).
-    let requests = requests_from_blind_zones(
-        rx as u32,
-        &local,
-        est_rx,
-        40.0,
-        4f64.to_radians(),
-        60.0,
-        1.73,
-    );
-    assert!(!requests.is_empty(), "T-junction must produce blind zones");
-
-    // The transmitter answers each request with only the wedge content.
-    let mut packets = Vec::new();
-    let mut demand_bytes = 0;
-    for request in &requests {
-        let response = respond_to_roi_request(&remote, &est_tx, request, &origin());
-        let packet = ExchangePacket::build(tx as u32, 0, &response, est_tx).expect("encodes");
-        demand_bytes += packet.wire_size();
-        packets.push(packet);
-    }
-    let full_bytes = ExchangePacket::build(tx as u32, 0, &remote, est_tx)
-        .expect("encodes")
-        .wire_size();
-    assert!(
-        (demand_bytes as f64) < 0.8 * full_bytes as f64,
-        "demand-driven exchange ({demand_bytes} B) should undercut a full frame ({full_bytes} B)"
-    );
-
-    // Fusing only the requested wedges still beats the single shot.
-    let single = pipeline().perceive_single(&local, PerceiveCtx::default());
-    let result = pipeline().perceive(&local, &est_rx, &packets, &origin(), PerceiveCtx::default());
-    assert!(
-        result.detections.len() >= single.len(),
-        "demand-driven fusion lost detections: {} vs {}",
-        result.detections.len(),
-        single.len()
-    );
-}

@@ -1,9 +1,8 @@
 //! The executor determinism contract, end to end: a fleet simulation
 //! produces bit-identical reports at every thread count — under the
-//! perfect channel, under a stateful [`SharedMedium`], and under the
-//! [`ExchangeScheduler`] policy. This is the same property the CI
-//! determinism job checks across processes via `cooper simulate
-//! --threads {1,4}`.
+//! perfect channel and under a stateful [`SharedMedium`]. This is the
+//! same property the CI determinism job checks across processes via
+//! `cooper simulate --threads {1,4}`.
 
 use cooper_core::fleet::{
     straight_trajectory, FleetConfig, FleetSimulation, FleetStats, FleetStepReport, FleetVehicle,
@@ -17,8 +16,7 @@ use cooper_pointcloud::roi::RoiCategory;
 use cooper_spod::{DetectOptions, DetectScratch, SpodConfig, SpodDetector};
 use cooper_telemetry::names;
 use cooper_v2x::{
-    ArqConfig, BandwidthGovernor, DsrcChannel, DsrcConfig, ExchangeScheduler, GilbertElliott,
-    LossModel, SharedMedium,
+    ArqConfig, BandwidthGovernor, DsrcChannel, DsrcConfig, GilbertElliott, LossModel, SharedMedium,
 };
 
 fn pipeline() -> CooperPipeline {
@@ -345,23 +343,42 @@ fn bursty_arq_medium_stays_thread_count_invariant() {
 }
 
 #[test]
-fn exchange_scheduler_policy_applies_through_the_trait() {
+fn roi_capped_iid_arq_run_is_thread_count_invariant() {
+    // The in-process counterpart of the `simulate_roi` golden: a
+    // governor capped at the 120° front FoV over independent frame loss
+    // with one ARQ retry. Transfers the deadline cuts short arrive as
+    // salvaged prefixes, and none of it may depend on thread count.
     let p = pipeline();
-    // 0.5 Hz: steps 0 and 2 exchange, step 1 is silent.
-    let mut scheduler = ExchangeScheduler::new(0.5, RoiCategory::FullFrame);
-    let (reports, _) = fleet(Some(2)).run_with_channel(&p, 3, &mut scheduler);
-    assert!(reports[0]
-        .per_vehicle
+    let run = |threads: Option<usize>| {
+        let mut medium = SharedMedium::new(DsrcChannel::new(DsrcConfig {
+            loss_probability: 0.2,
+            ..DsrcConfig::default()
+        }))
+        .with_seed(2024)
+        .with_arq(ArqConfig {
+            max_retries: 1,
+            ..ArqConfig::default()
+        });
+        let mut policy = BandwidthGovernor::new(RoiCategory::FrontFov120);
+        fleet_with_beams(threads, 1800).run_governed(
+            &p,
+            3,
+            &mut medium,
+            &mut policy,
+            &GovernorConfig::default(),
+        )
+    };
+    let serial = run(Some(1));
+    for threads in [2usize, 4] {
+        assert_reports_identical(&serial, &run(Some(threads)));
+    }
+    // The cap narrowed what was sent, and the lossy channel forced
+    // salvage.
+    assert!(!serial.1.bytes_saved.is_empty());
+    assert!(serial
+        .0
         .iter()
-        .all(|v| v.packets_received > 0));
-    assert!(reports[1]
-        .per_vehicle
-        .iter()
-        .all(|v| v.packets_received == 0));
-    assert!(reports[2]
-        .per_vehicle
-        .iter()
-        .all(|v| v.packets_received > 0));
+        .any(|r| r.per_vehicle.iter().any(|v| v.packets_partial > 0)));
 }
 
 #[test]
