@@ -1173,8 +1173,9 @@ mod tests {
 
     #[test]
     fn ci_command_lines_parse() {
-        // The determinism job's RUNS lines (one per golden) and the
-        // profile smoke command, read from the workflow itself.
+        // The determinism job's RUNS lines (one per golden), the train
+        // step whose weights the trained run reads, and the profile smoke
+        // command, read from the workflow itself.
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
         let ci = std::fs::read_to_string(format!("{root}/.github/workflows/ci.yml")).unwrap();
         let runs: Vec<&str> = ci
@@ -1202,6 +1203,17 @@ mod tests {
                 .collect();
             parse_args(&argv).unwrap_or_else(|e| panic!("{name}: {e}"));
         }
+        let train: Vec<String> = ci
+            .lines()
+            .find(|line| line.contains("cooper train"))
+            .unwrap()
+            .split_whitespace()
+            .skip_while(|word| !word.ends_with("/cooper"))
+            .skip(1)
+            .map(String::from)
+            .collect();
+        assert_eq!(train.first().map(String::as_str), Some("train"));
+        parse_args(&train).unwrap();
         let profile: Vec<String> = ci
             .lines()
             .skip_while(|line| !line.contains("cooper profile"))

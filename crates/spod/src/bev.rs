@@ -241,7 +241,9 @@ impl BevMap {
 /// y − radius)`. That key only grows as the window centre moves up in
 /// `(x, y)` order, so the walker keeps one cursor per window column and
 /// only advances it. A centre below the previous one (or the first
-/// centre) seeds the cursors by binary search instead.
+/// centre) seeds the cursors by binary search instead. Each run marks
+/// its blocks in a bitset of `side²` bits, which yields the blocks in
+/// layout order.
 ///
 /// # Examples
 ///
@@ -266,11 +268,11 @@ pub struct WindowWalker {
     centre: Option<(i32, i32)>,
     /// Per window column: first cell index not below `(x + dx, y − r)`.
     starts: Vec<usize>,
-    /// Per window column: one past the last cell inside the window.
-    ends: Vec<usize>,
-    /// Per window column: the next cell of the run to place (merge
-    /// scratch).
-    heads: Vec<usize>,
+    /// One bit per block of the current window, set when the block's
+    /// cell is active.
+    occupied: Vec<u64>,
+    /// Per block: the active cell's index, valid where `occupied` is set.
+    slots: Vec<usize>,
     /// `(block, cell index)` of each active cell in the current window,
     /// in window layout order (block = `dy_idx · side + dx_idx`).
     blocks: Vec<(usize, usize)>,
@@ -284,8 +286,8 @@ impl WindowWalker {
             radius,
             centre: None,
             starts: vec![0; side],
-            ends: vec![0; side],
-            heads: vec![0; side],
+            occupied: vec![0; (side * side).div_ceil(64)],
+            slots: vec![0; side * side],
             blocks: Vec::with_capacity(side * side),
         }
     }
@@ -298,9 +300,11 @@ impl WindowWalker {
     /// cells, read back through [`WindowWalker::blocks`].
     pub fn visit(&mut self, bev: &BevMap, x: i32, y: i32) {
         let radius = self.radius;
+        let side = self.side();
         let cells = &bev.cells;
         let reseed = self.centre.is_none_or(|last| (x, y) < last);
         self.centre = Some((x, y));
+        self.occupied.fill(0);
         for (dx_idx, dx) in (-radius..=radius).enumerate() {
             let key = (x + dx, y - radius);
             let mut start = if reseed {
@@ -311,25 +315,23 @@ impl WindowWalker {
             while start < cells.len() && cells[start] < key {
                 start += 1;
             }
-            let mut end = start;
-            while end < cells.len() && cells[end].0 == key.0 && cells[end].1 <= y + radius {
-                end += 1;
-            }
             self.starts[dx_idx] = start;
-            self.ends[dx_idx] = end;
+            let mut i = start;
+            while i < cells.len() && cells[i].0 == key.0 && cells[i].1 <= y + radius {
+                let block = (cells[i].1 - key.1) as usize * side + dx_idx;
+                self.occupied[block / 64] |= 1 << (block % 64);
+                self.slots[block] = i;
+                i += 1;
+            }
         }
-        // Merge the column runs into layout order: row by row, take each
-        // column's next cell when it sits on that row.
-        let side = self.side();
+        // Emit the marked blocks in ascending order: layout order.
         self.blocks.clear();
-        self.heads.copy_from_slice(&self.starts);
-        for dy_idx in 0..side {
-            let row_y = y - radius + dy_idx as i32;
-            for (dx_idx, i) in self.heads.iter_mut().enumerate() {
-                if *i < self.ends[dx_idx] && cells[*i].1 == row_y {
-                    self.blocks.push((dy_idx * side + dx_idx, *i));
-                    *i += 1;
-                }
+        for (word_idx, &word) in self.occupied.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let block = word_idx * 64 + bits.trailing_zeros() as usize;
+                self.blocks.push((block, self.slots[block]));
+                bits &= bits - 1;
             }
         }
     }

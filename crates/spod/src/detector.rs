@@ -587,8 +587,6 @@ fn window_len(radius: i32, channels: usize) -> usize {
 /// Per-worker buffers of the RPN walk.
 struct RpnScratch {
     walker: WindowWalker,
-    /// Lane accumulators of the unit bank being summed.
-    lanes: Vec<Lanes>,
     /// One objectness logit per scored anchor (head × yaw).
     logits: Vec<f32>,
     /// The dense window of the current cell, valid when `window_built`.
@@ -601,7 +599,6 @@ impl RpnScratch {
     fn new(radius: i32) -> Self {
         RpnScratch {
             walker: WindowWalker::new(radius),
-            lanes: Vec::new(),
             logits: Vec::new(),
             window: Vec::new(),
             window_built: false,
@@ -626,19 +623,19 @@ impl RpnScratch {
 }
 
 /// Units summed side by side: one lane each, eight to a row, so the
-/// compiler can keep a row in one vector register. Lanes never mix, so
-/// each unit's sum is the same scalar chain it would be alone.
+/// compiler can keep a row's sums in vector registers. Lanes never mix,
+/// so each unit's sum is the same scalar chain it would be alone.
 const LANES: usize = 8;
 type Lanes = [f32; LANES];
 
-/// Linear units over one RPN window, weights transposed to `[window
-/// index][lane row]` so one walk over the active cells advances every
-/// unit's chain together. Padding lanes have zero weights and are never
-/// read back.
+/// Linear units over one RPN window, eight to a lane row. Each row's
+/// weights run in window index order, so a row's walk over the active
+/// blocks reads one contiguous slice per block. Padding lanes have zero
+/// weights and are never read back.
 struct UnitBank {
     units: usize,
-    /// Lane rows per window index.
-    rows: usize,
+    window_len: usize,
+    /// `[lane row][window index]`.
     weights: Vec<Lanes>,
 }
 
@@ -646,54 +643,45 @@ impl UnitBank {
     /// The units of `layers`, in layer order then output order.
     fn new(layers: &[&crate::nn::Linear], window_len: usize) -> Self {
         let units: usize = layers.iter().map(|l| l.out_dim()).sum();
-        let rows = units.div_ceil(LANES);
-        let mut weights = vec![[0.0; LANES]; window_len * rows];
+        let mut weights = vec![[0.0; LANES]; units.div_ceil(LANES) * window_len];
         let mut unit = 0;
         for layer in layers {
             for o in 0..layer.out_dim() {
                 let row = &layer.weights()[o * window_len..(o + 1) * window_len];
-                for (i, &w) in row.iter().enumerate() {
-                    weights[i * rows + unit / LANES][unit % LANES] = w;
+                let lanes = &mut weights[unit / LANES * window_len..][..window_len];
+                for (lanes, &w) in lanes.iter_mut().zip(row) {
+                    lanes[unit % LANES] = w;
                 }
                 unit += 1;
             }
         }
         UnitBank {
             units,
-            rows,
+            window_len,
             weights,
         }
     }
 
     /// Writes each unit's `Σ w[i] · x[i]` over the visited window's
     /// active cells to `out`, terms in window index order (block, then
-    /// channel), starting from `-0.0` like `Iterator::sum`.
-    fn sum_active(
-        &self,
-        bev: &BevMap,
-        walker: &WindowWalker,
-        acc: &mut Vec<Lanes>,
-        out: &mut Vec<f32>,
-    ) {
-        acc.clear();
-        acc.resize(self.rows, [-0.0; LANES]);
-        let block_len = bev.channels() * self.rows;
-        for &(block, cell) in walker.blocks() {
-            let weights = &self.weights[block * block_len..(block + 1) * block_len];
-            for (&x, rows) in bev
-                .feature_at(cell)
-                .iter()
-                .zip(weights.chunks_exact(self.rows))
-            {
-                for (lanes, w) in acc.iter_mut().zip(rows) {
-                    for (a, &w) in lanes.iter_mut().zip(w) {
-                        *a += w * x;
+    /// channel), starting from `-0.0` like `Iterator::sum`. Each lane row
+    /// sums into a local array, which stays in registers.
+    fn sum_active(&self, bev: &BevMap, walker: &WindowWalker, out: &mut Vec<f32>) {
+        out.clear();
+        let channels = bev.channels();
+        for weights in self.weights.chunks_exact(self.window_len) {
+            let mut sums: Lanes = [-0.0; LANES];
+            for &(block, cell) in walker.blocks() {
+                let weights = &weights[block * channels..(block + 1) * channels];
+                for (&x, w) in bev.feature_at(cell).iter().zip(weights) {
+                    for (sum, &w) in sums.iter_mut().zip(w) {
+                        *sum += w * x;
                     }
                 }
             }
+            out.extend_from_slice(&sums);
         }
-        out.clear();
-        out.extend(acc.iter().flatten().take(self.units));
+        out.truncate(self.units);
     }
 }
 
@@ -772,12 +760,8 @@ impl<'a> RpnHeads<'a> {
         if self.anchors.is_empty() {
             // A class filter no head serves: nothing to score.
         } else if self.sparse {
-            self.objectness.sum_active(
-                bev,
-                &scratch.walker,
-                &mut scratch.lanes,
-                &mut scratch.logits,
-            );
+            self.objectness
+                .sum_active(bev, &scratch.walker, &mut scratch.logits);
             add_biases(&mut scratch.logits, &self.biases);
         } else {
             scratch.ensure_window(bev);
@@ -795,7 +779,7 @@ impl<'a> RpnHeads<'a> {
         let (head, yaw) = self.anchors[k];
         if self.sparse {
             let residual = &mut scratch.residual;
-            self.regression[k].sum_active(bev, &scratch.walker, &mut scratch.lanes, residual);
+            self.regression[k].sum_active(bev, &scratch.walker, residual);
             // A `-0.0` sum is the one value the dense sum may not share
             // (it could be `+0.0`); every other sum is exact.
             if !residual.iter().any(|&s| s == 0.0 && s.is_sign_negative()) {

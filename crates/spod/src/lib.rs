@@ -68,5 +68,5 @@ pub use detector::{
     DetectOptions, DetectScratch, Detection, FeaturizeCache, SpodConfig, SpodDetector,
 };
 pub use fusion::{filter_bev_roi, fuse_bev, transform_bev, FeatureFusionMode};
-pub use nms::non_max_suppression;
+pub use nms::{non_max_suppression, non_max_suppression_with_distance};
 pub use tensor::SparseTensor3;

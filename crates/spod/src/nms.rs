@@ -68,16 +68,18 @@ pub fn non_max_suppression_with_distance(
             if survivor.class != det.class {
                 continue;
             }
+            // Either rule suppresses, so the cheap distance rule goes
+            // first and the polygon clip runs only when it does not fire.
+            let scale = survivor.obb.size.x.min(det.obb.size.x);
+            if min_center_distance > 0.0
+                && survivor.obb.center_distance_bev(&det.obb) < min_center_distance * scale
+            {
+                continue 'candidates;
+            }
             // IoU is 0 when the footprints are apart, and 0 never
             // exceeds a threshold in [0, 1]: skip the polygon clip.
             if !bev_apart(&survivor.obb, &det.obb, survivor_reach + reach)
                 && survivor.obb.iou_bev(&det.obb) > iou_threshold
-            {
-                continue 'candidates;
-            }
-            let scale = survivor.obb.size.x.min(det.obb.size.x);
-            if min_center_distance > 0.0
-                && survivor.obb.center_distance_bev(&det.obb) < min_center_distance * scale
             {
                 continue 'candidates;
             }

@@ -257,6 +257,9 @@ pub fn detector_from_bytes(bytes: &[u8]) -> Result<SpodDetector, PersistError> {
     let score_threshold = r.f32()?;
     let nms_iou = r.f64()?;
     let nms_distance_factor = r.f64()?;
+    if !(0.0..=1.0).contains(&nms_iou) || nms_distance_factor < 0.0 {
+        return Err(PersistError::Corrupt("implausible NMS parameters"));
+    }
     let window_radius = r.u32()? as i32;
     if !(0..=64).contains(&window_radius) {
         return Err(PersistError::Corrupt("implausible window radius"));
@@ -443,6 +446,30 @@ mod tests {
             matches!(err, PersistError::Corrupt(_) | PersistError::Truncated),
             "unexpected {err}"
         );
+    }
+
+    #[test]
+    fn out_of_range_nms_parameters_are_rejected() {
+        let bytes = |nms_iou: f64, nms_distance_factor: f64| {
+            detector_to_bytes(&SpodDetector::new(SpodConfig {
+                nms_iou,
+                nms_distance_factor,
+                ..SpodConfig::default()
+            }))
+        };
+        for (iou, factor) in [(2.0, 0.5), (-0.1, 0.5), (0.2, -1.0), (1.5, -0.5)] {
+            assert_eq!(
+                detector_from_bytes(&bytes(iou, factor)).unwrap_err(),
+                PersistError::Corrupt("implausible NMS parameters"),
+                "iou {iou}, factor {factor}"
+            );
+        }
+        // The closed ends still load, and detection runs NMS with them.
+        let empty = cooper_pointcloud::PointCloud::new();
+        for (iou, factor) in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)] {
+            let loaded = detector_from_bytes(&bytes(iou, factor)).expect("loads");
+            assert!(loaded.detect(&empty).is_empty());
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@ use cooper_spod::anchors::{decode_box, encode_box};
 use cooper_spod::eval::{average_precision, match_detections, precision_recall_curve};
 use cooper_spod::nn::{bce_with_logit, sigmoid, smooth_l1};
 use cooper_spod::sparse_conv::{dense_reference_conv, SparseConv3};
-use cooper_spod::{non_max_suppression, Detection, SparseTensor3};
+use cooper_spod::{
+    non_max_suppression, non_max_suppression_with_distance, Detection, SparseTensor3,
+};
 use proptest::prelude::*;
 
 fn obb() -> impl Strategy<Value = Obb3> {
@@ -264,7 +266,6 @@ mod search_free {
         let mut rng = StdRng::seed_from_u64(seed);
         let side = (2 * config.window_radius + 1) as usize;
         let dim = (config.channels + cooper_spod::bev::Z_STRUCTURE_CHANNELS) * side * side;
-        let base = SpodDetector::new(config);
         let heads = ObjectClass::TARGETS
             .iter()
             .map(|&class| {
@@ -278,6 +279,12 @@ mod search_free {
                 )
             })
             .collect();
+        with_heads(config, heads)
+    }
+
+    /// The default trunk for `config` under `heads`.
+    fn with_heads(config: SpodConfig, heads: Vec<DetectionHead>) -> SpodDetector {
+        let base = SpodDetector::new(config);
         SpodDetector::from_parts(
             config,
             cooper_spod::vfe::VoxelFeatureEncoder::seeded(config.channels, config.seed),
@@ -285,6 +292,32 @@ mod search_free {
             base.conv2_layer().clone(),
             heads,
         )
+    }
+
+    /// `det` with one head weight, drawn from `pick`, set to `value`.
+    fn with_weight(det: &SpodDetector, pick: u64, value: f32) -> SpodDetector {
+        let mut rng = StdRng::seed_from_u64(pick);
+        let mut heads = det.heads().to_vec();
+        let h = rng.gen_range(0..heads.len());
+        let yaw = rng.gen_range(0..AnchorConfig::YAWS.len());
+        let mut objectness = heads[h].objectness_layers().to_vec();
+        let mut regression = heads[h].regression_layers().to_vec();
+        let layer = if rng.gen_bool(0.5) {
+            &mut objectness[yaw]
+        } else {
+            &mut regression[yaw]
+        };
+        let mut weights = layer.weights().to_vec();
+        let i = rng.gen_range(0..weights.len());
+        weights[i] = value;
+        *layer = Linear::from_parameters(
+            layer.in_dim(),
+            layer.out_dim(),
+            weights,
+            layer.biases().to_vec(),
+        );
+        heads[h] = DetectionHead::from_parts(*heads[h].config(), objectness, regression);
+        with_heads(*det.config(), heads)
     }
 
     /// A sparse map over a 40×40 patch: clustered cells, some isolated;
@@ -467,7 +500,7 @@ mod search_free {
         #[test]
         fn window_walker_equals_probed_windows(
             seed in any::<u64>(),
-            radius in 1..4i32,
+            radius in 0..6i32,
             jumps in prop::collection::vec((-22..22i32, -22..22i32), 0..8),
         ) {
             let bev = random_bev(seed, 3);
@@ -513,18 +546,56 @@ mod search_free {
         }
 
         #[test]
+        fn non_finite_weight_heads_equal_dense_window_scoring(
+            seed in any::<u64>(),
+            value_kind in 0..3usize,
+            threshold_kind in 0..4u32,
+            random_threshold in 0.2..0.8f32,
+        ) {
+            // One non-finite weight sends every window down the dense
+            // path (`w · 0` is NaN, not `±0`).
+            let value = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][value_kind];
+            let det = with_weight(&random_detector(seed), seed ^ 0xbad, value);
+            let bev = random_bev(seed ^ 0x5eed, det.config().channels
+                + cooper_spod::bev::Z_STRUCTURE_CHANNELS);
+            let threshold = match threshold_kind {
+                0 => 0.5,
+                1 => 0.0,
+                _ => random_threshold,
+            };
+            let reference = all_bits(&dense_detect_bev(&det, &bev, threshold));
+            for threads in [1, 2] {
+                let options = DetectOptions::default()
+                    .with_threshold(threshold)
+                    .with_executor(Executor::new(Some(threads)));
+                let got = all_bits(&det.detect_bev(&bev, &options));
+                prop_assert!(got == reference,
+                    "{} vs {} detections at {threads} threads", got.len(), reference.len());
+            }
+        }
+
+        #[test]
         fn nms_circle_prereject_keeps_the_same_set(
             dets in prop::collection::vec(nms_detection(), 0..40),
             threshold_kind in 0..4u32,
             random_threshold in 0.0..1.0f64,
+            factor_kind in 0..3u32,
+            random_factor in 0.0..2.0f64,
         ) {
             let threshold = match threshold_kind {
                 0 => 0.0,
                 1 => 1.0,
                 _ => random_threshold,
             };
-            let reference = all_bits(&plain_nms_with_distance(dets.clone(), threshold, 0.0));
-            prop_assert!(all_bits(&non_max_suppression(dets, threshold)) == reference);
+            // 0 turns the centre-distance rule off; 0.5 is the default.
+            let factor = match factor_kind {
+                0 => 0.0,
+                1 => SpodConfig::default().nms_distance_factor,
+                _ => random_factor,
+            };
+            let reference = all_bits(&plain_nms_with_distance(dets.clone(), threshold, factor));
+            let got = all_bits(&non_max_suppression_with_distance(dets, threshold, factor));
+            prop_assert!(got == reference, "{} vs {} kept", got.len(), reference.len());
         }
 
         #[test]
