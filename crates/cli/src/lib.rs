@@ -1174,7 +1174,7 @@ mod tests {
     #[test]
     fn ci_command_lines_parse() {
         // The determinism job's RUNS lines (one per golden), the train
-        // step whose weights the trained run reads, and the profile smoke
+        // step whose weights the trained runs read, and the profile smoke
         // command, read from the workflow itself.
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
         let ci = std::fs::read_to_string(format!("{root}/.github/workflows/ci.yml")).unwrap();
@@ -1189,7 +1189,7 @@ mod tests {
             .unwrap()
             .count();
         assert_eq!(runs.len(), goldens, "one RUNS line per golden");
-        for line in runs {
+        for line in &runs {
             let (name, flags) = line.split_once(' ').unwrap();
             assert!(
                 Path::new(&format!("{root}/tests/golden/simulate_{name}.txt")).exists(),
@@ -1213,7 +1213,16 @@ mod tests {
             .map(String::from)
             .collect();
         assert_eq!(train.first().map(String::as_str), Some("train"));
-        parse_args(&train).unwrap();
+        let trained = parse_args(&train).unwrap();
+        // Both trained runs, one fusing features and one fusing raw
+        // clouds, read the weights the train step writes.
+        let reads_them = format!("--weights {}", trained.options["--out"]);
+        let readers: Vec<(&str, bool)> = runs
+            .iter()
+            .filter(|line| line.contains("--weights"))
+            .map(|line| (line.split_once(' ').unwrap().0, line.contains(&reads_them)))
+            .collect();
+        assert_eq!(readers, [("trained", true), ("trained_raw", true)]);
         let profile: Vec<String> = ci
             .lines()
             .skip_while(|line| !line.contains("cooper profile"))

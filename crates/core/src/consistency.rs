@@ -27,7 +27,7 @@
 //! clouds, the stamp and the per-sender [`SenderHistory`] snapshot, so
 //! fleet runs keep the bit-identical-at-any-thread-count contract.
 
-use cooper_geometry::Vec3;
+use cooper_geometry::{AngleBins, Vec3};
 use cooper_pointcloud::PointCloud;
 
 /// Tuning knobs of the consistency guard.
@@ -181,13 +181,14 @@ impl FreeSpaceIndex {
     /// filtering happens at query time for candidacy.
     pub fn build(ego_cloud: &PointCloud, cfg: &ConsistencyConfig) -> Self {
         let n = cfg.azimuth_bins.max(8);
+        let azimuth = AngleBins::full_circle(n);
         let mut bins = vec![Vec::new(); n];
         for p in ego_cloud.iter() {
             let r = planar_range(p.position);
             if r < cfg.min_range_m {
                 continue;
             }
-            bins[bin_of(p.position, n)].push((r, p.position.z));
+            bins[bin_of(p.position, &azimuth)].push((r, p.position.z));
         }
         FreeSpaceIndex { bins }
     }
@@ -199,13 +200,14 @@ impl FreeSpaceIndex {
     /// the point.
     pub fn ghost_points(&self, remote_in_ego: &PointCloud, cfg: &ConsistencyConfig) -> usize {
         let n = self.bins.len();
+        let azimuth = AngleBins::full_circle(n);
         let mut flagged = 0usize;
         for p in remote_in_ego.iter() {
             let r = planar_range(p.position);
             if r < cfg.min_range_m || p.position.z <= cfg.ground_z_m {
                 continue;
             }
-            let b = bin_of(p.position, n);
+            let b = bin_of(p.position, &azimuth);
             let mut evidence = false;
             let mut corroborated = false;
             for nb in [(b + n - 1) % n, b, (b + 1) % n] {
@@ -293,10 +295,11 @@ fn planar_range(p: Vec3) -> f64 {
     (p.x * p.x + p.y * p.y).sqrt()
 }
 
-fn bin_of(p: Vec3, bins: usize) -> usize {
-    let azimuth = p.y.atan2(p.x);
-    let unit = (azimuth + std::f64::consts::PI) / std::f64::consts::TAU;
-    ((unit * bins as f64) as usize).min(bins - 1)
+/// The azimuth bin of `p` among `bins`' equal bins over `[−π, π]`.
+fn bin_of(p: Vec3, bins: &AngleBins) -> usize {
+    // `atan2` never leaves [−π, π], so every direction has a bin (NaN
+    // bins to 0).
+    bins.bin_of(p.y, p.x).unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -342,6 +345,42 @@ mod tests {
             out.push(*p);
         }
         out
+    }
+
+    #[test]
+    fn azimuth_bins_match_the_atan2_expression() {
+        use std::f64::consts::{PI, TAU};
+        let atan2_bin = |p: Vec3, n: usize| {
+            let unit = (p.y.atan2(p.x) + PI) / TAU;
+            ((unit * n as f64) as usize).min(n - 1)
+        };
+        for n in [8, 72, 360, 721] {
+            let bins = AngleBins::full_circle(n);
+            for k in 0..=n {
+                let edge = -PI + k as f64 * TAU / n as f64;
+                for d in [0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9] {
+                    for r in [1e-3, 1.0, 45.0, 1e5] {
+                        let p = Vec3::new(r * (edge + d).cos(), r * (edge + d).sin(), 0.0);
+                        assert_eq!(bin_of(p, &bins), atan2_bin(p, n), "{p:?}, {n} bins");
+                    }
+                }
+            }
+            let specials = [
+                0.0,
+                -0.0,
+                5e-324,
+                -1.0,
+                f64::INFINITY,
+                -f64::INFINITY,
+                f64::NAN,
+            ];
+            for &x in &specials {
+                for &y in &specials {
+                    let p = Vec3::new(x, y, 0.0);
+                    assert_eq!(bin_of(p, &bins), atan2_bin(p, n), "{p:?}, {n} bins");
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //!   3-D IoU, used to match detections against ground truth.
 //! * [`GpsFix`] and [`enu_offset`] — GPS fixes and their conversion to the
 //!   local east-north-up frame that vehicles fuse in.
+//! * [`AngleBins`] and [`atan2_approx`] — equal-width angle bins, binned
+//!   without `atan2` away from the bin edges.
 //!
 //! # Examples
 //!
@@ -36,6 +38,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod angle_bins;
 mod angles;
 mod boxes;
 mod gps;
@@ -43,6 +46,7 @@ mod mat3;
 mod pose;
 mod vec3;
 
+pub use angle_bins::{atan2_approx, AngleBins, ApproxBin, ATAN2_APPROX_ERROR};
 pub use angles::{normalize_angle, Degrees, Radians};
 pub use boxes::{Aabb3, Obb3};
 pub use gps::{enu_offset, GpsFix, EARTH_RADIUS_M};

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use cooper_geometry::Vec3;
+use cooper_geometry::{atan2_approx, AngleBins, ApproxBin, Vec3};
 use serde::{Deserialize, Serialize};
 
 use crate::{Point, PointCloud};
@@ -60,10 +60,25 @@ impl RangeImageConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message when dimensions are zero or angle ranges empty.
+    /// Returns a message when dimensions are zero, an angle is not
+    /// finite, or an angle range is empty or spans an infinite width.
     pub fn validate(&self) -> Result<(), String> {
         if self.rows == 0 || self.cols == 0 {
             return Err("range image must have non-zero dimensions".into());
+        }
+        let angles = [
+            self.elevation_min,
+            self.elevation_max,
+            self.azimuth_min,
+            self.azimuth_max,
+        ];
+        if !angles.iter().all(|a| a.is_finite()) {
+            return Err("range image angles must be finite".into());
+        }
+        if !(self.elevation_max - self.elevation_min).is_finite()
+            || !(self.azimuth_max - self.azimuth_min).is_finite()
+        {
+            return Err("range image angle span overflows".into());
         }
         if self.elevation_max <= self.elevation_min {
             return Err("elevation range is empty".into());
@@ -74,23 +89,24 @@ impl RangeImageConfig {
         Ok(())
     }
 
-    /// Maps a direction to `(row, col)`, or `None` when outside the grid.
+    /// Maps a direction to `(row, col)`, or `None` when outside the grid:
+    /// the [`AngleBins::bin`] of its libm elevation and azimuth. This is
+    /// the exact definition; [`RangeImage::project`] reaches the same
+    /// cells with fewer `atan2` calls.
     pub fn cell_of(&self, position: Vec3) -> Option<(usize, usize)> {
-        let az = position.azimuth();
-        let el = position.elevation();
-        if az < self.azimuth_min || az > self.azimuth_max {
-            return None;
-        }
-        if el < self.elevation_min || el > self.elevation_max {
-            return None;
-        }
-        let row_f = (el - self.elevation_min) / (self.elevation_max - self.elevation_min)
-            * self.rows as f64;
-        let col_f =
-            (az - self.azimuth_min) / (self.azimuth_max - self.azimuth_min) * self.cols as f64;
-        let row = (row_f as usize).min(self.rows - 1);
-        let col = (col_f as usize).min(self.cols - 1);
+        let col = self.azimuth_bins().bin(position.azimuth())?;
+        let row = self.elevation_bins().bin(position.elevation())?;
         Some((row, col))
+    }
+
+    /// The column bins: `cols` over `[azimuth_min, azimuth_max]`.
+    fn azimuth_bins(&self) -> AngleBins {
+        AngleBins::new(self.azimuth_min, self.azimuth_max, self.cols)
+    }
+
+    /// The row bins: `rows` over `[elevation_min, elevation_max]`.
+    fn elevation_bins(&self) -> AngleBins {
+        AngleBins::new(self.elevation_min, self.elevation_max, self.rows)
     }
 
     /// The direction unit-vector at the center of a cell.
@@ -100,6 +116,24 @@ impl RangeImageConfig {
         let az = self.azimuth_min
             + (col as f64 + 0.5) / self.cols as f64 * (self.azimuth_max - self.azimuth_min);
         Vec3::new(el.cos() * az.cos(), el.cos() * az.sin(), el.sin())
+    }
+}
+
+/// [`RangeImageConfig::cell_of`], with `atan2` only where an approximate
+/// angle lands near an edge; `az_bins` and `el_bins` are the config's.
+#[inline]
+fn fast_cell_of(
+    config: &RangeImageConfig,
+    az_bins: &AngleBins,
+    el_bins: &AngleBins,
+    p: Vec3,
+) -> Option<(usize, usize)> {
+    let col = az_bins.classify(atan2_approx(p.y, p.x));
+    let row = el_bins.classify(atan2_approx(p.z, p.range_xy()));
+    match (row, col) {
+        (ApproxBin::Inside(row), ApproxBin::Inside(col)) => Some((row, col)),
+        (ApproxBin::Outside, _) | (_, ApproxBin::Outside) => None,
+        _ => config.cell_of(p),
     }
 }
 
@@ -150,7 +184,14 @@ pub struct RangeImage {
 }
 
 impl RangeImage {
-    /// Projects a cloud onto the spherical grid.
+    /// Projects a cloud onto the spherical grid, into the cells
+    /// [`RangeImageConfig::cell_of`] gives.
+    ///
+    /// Each point's angles come from [`atan2_approx`]; a point whose
+    /// approximate angle [`AngleBins::classify`] cannot bin for certain
+    /// (near an edge, or NaN) goes through `cell_of`. On a VLP-16 scan
+    /// that is mostly the −15° beam, which lies on the grid's bottom
+    /// edge up to rounding.
     ///
     /// # Panics
     ///
@@ -159,13 +200,14 @@ impl RangeImage {
         if let Err(msg) = config.validate() {
             panic!("invalid range image config: {msg}");
         }
+        let (az_bins, el_bins) = (config.azimuth_bins(), config.elevation_bins());
         let mut cells = vec![Cell::default(); config.rows * config.cols];
         for point in cloud.iter() {
             let range = point.range();
             if range < 1e-6 {
                 continue;
             }
-            let Some((row, col)) = config.cell_of(point.position) else {
+            let Some((row, col)) = fast_cell_of(&config, &az_bins, &el_bins, point.position) else {
                 continue;
             };
             let cell = &mut cells[row * config.cols + col];
@@ -259,29 +301,35 @@ impl RangeImage {
     /// SPOD applies to make sparse (16-beam) input usable by the detector.
     ///
     /// Returns the number of cells filled.
+    ///
+    /// A cell is filled only between two occupied cells, and occupied
+    /// cells never change, so no decision reads a cell the pass has
+    /// filled: the pass works in place and decides as it would on a copy
+    /// of the image. The row wraps around (column 0's left neighbour is
+    /// the last column); the walk carries the left cell and the row's
+    /// first cell instead of wrapping an index.
     pub fn densify_pass(&mut self) -> usize {
-        let cols = self.config.cols;
         let mut filled = 0;
-        for row in 0..self.config.rows {
-            let base = row * cols;
-            let snapshot: Vec<Cell> = self.cells[base..base + cols].to_vec();
-            for col in 0..cols {
-                if snapshot[col].range > 0.0 {
-                    continue;
-                }
-                let left = snapshot[(col + cols - 1) % cols];
-                let right = snapshot[(col + 1) % cols];
-                if left.range > 0.0 && right.range > 0.0 {
+        for row in self.cells.chunks_exact_mut(self.config.cols) {
+            let first = row[0];
+            let mut left = row[row.len() - 1];
+            for col in 0..row.len() {
+                let here = row[col];
+                let right = row.get(col + 1).copied().unwrap_or(first);
+                // A NaN range fails `> 0.0`, so such a cell counts as empty.
+                let occupied = here.range > 0.0;
+                if !occupied && left.range > 0.0 && right.range > 0.0 {
                     // Only interpolate across small gaps on the same
                     // surface; a large range discontinuity is a real edge.
                     if (left.range - right.range).abs() < 0.5 {
-                        self.cells[base + col] = Cell {
+                        row[col] = Cell {
                             range: (left.range + right.range) * 0.5,
                             reflectance: (left.reflectance + right.reflectance) * 0.5,
                         };
                         filled += 1;
                     }
                 }
+                left = here;
             }
         }
         filled
@@ -295,24 +343,30 @@ impl RangeImage {
     /// would have measured.
     ///
     /// Returns the number of cells filled.
+    ///
+    /// As in [`RangeImage::densify_pass`], a cell is filled only between
+    /// two occupied cells, which never change, so the pass works in place
+    /// and decides as it would on a copy of the image.
     pub fn densify_vertical_pass(&mut self) -> usize {
         let cols = self.config.cols;
         let rows = self.config.rows;
         if rows < 3 {
             return 0;
         }
-        let snapshot = self.cells.clone();
         let mut filled = 0;
         for row in 1..rows - 1 {
-            for col in 0..cols {
-                if snapshot[row * cols + col].range > 0.0 {
-                    continue;
-                }
-                let below = snapshot[(row - 1) * cols + col];
-                let above = snapshot[(row + 1) * cols + col];
-                if below.range > 0.0 && above.range > 0.0 && (below.range - above.range).abs() < 1.0
+            let (lower, upper) = self.cells.split_at_mut(row * cols);
+            let below_row = &lower[(row - 1) * cols..];
+            let (current, above_row) = upper.split_at_mut(cols);
+            for ((cell, below), above) in current.iter_mut().zip(below_row).zip(&*above_row) {
+                // A NaN range fails `> 0.0`, so such a cell counts as empty.
+                let occupied = cell.range > 0.0;
+                if !occupied
+                    && below.range > 0.0
+                    && above.range > 0.0
+                    && (below.range - above.range).abs() < 1.0
                 {
-                    self.cells[row * cols + col] = Cell {
+                    *cell = Cell {
                         range: (below.range + above.range) * 0.5,
                         reflectance: (below.reflectance + above.reflectance) * 0.5,
                     };
@@ -371,6 +425,202 @@ mod tests {
         let mut c3 = small_config();
         c3.azimuth_max = c3.azimuth_min - 1.0;
         assert!(c3.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_angles() {
+        let mut nan_elevation = small_config();
+        nan_elevation.elevation_min = f64::NAN;
+        assert!(nan_elevation.validate().is_err());
+        let mut infinite_azimuth = small_config();
+        infinite_azimuth.azimuth_max = f64::INFINITY;
+        assert!(infinite_azimuth.validate().is_err());
+        let mut overflowing_span = small_config();
+        overflowing_span.azimuth_min = -f64::MAX;
+        overflowing_span.azimuth_max = f64::MAX;
+        assert!(overflowing_span.validate().is_err());
+    }
+
+    /// The grids the fast path is checked on: both presets, a coarse one
+    /// and one whose bin edges fall at no round angle.
+    fn edge_configs() -> [RangeImageConfig; 4] {
+        [
+            RangeImageConfig::vlp16(),
+            RangeImageConfig::hdl64(),
+            small_config(),
+            RangeImageConfig {
+                rows: 7,
+                cols: 333,
+                elevation_min: -0.4,
+                elevation_max: 0.25,
+                azimuth_min: -1.2,
+                azimuth_max: 2.3,
+            },
+        ]
+    }
+
+    fn assert_fast_cell_is_cell_of(c: &RangeImageConfig, p: Vec3) {
+        let (az, el) = (c.azimuth_bins(), c.elevation_bins());
+        assert_eq!(fast_cell_of(c, &az, &el, p), c.cell_of(p), "{p:?} on {c:?}");
+    }
+
+    #[test]
+    fn fast_cell_matches_cell_of_on_special_values() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            5e-324,
+            -5e-324,
+            1.0,
+            -1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1e300,
+            -1e300,
+            f64::MAX,
+            -f64::MAX,
+        ];
+        for c in edge_configs() {
+            for &x in &specials {
+                for &y in &specials {
+                    for &z in &specials {
+                        assert_fast_cell_is_cell_of(&c, Vec3::new(x, y, z));
+                    }
+                }
+            }
+        }
+        // A NaN elevation is row 0 to `cell_of`, never "outside".
+        let c = RangeImageConfig::vlp16();
+        assert_eq!(c.cell_of(Vec3::new(0.0, 1.0, f64::NAN)), Some((0, 675)));
+        assert_fast_cell_is_cell_of(&c, Vec3::new(0.0, 1.0, f64::NAN));
+    }
+
+    #[test]
+    fn fast_cell_matches_cell_of_beside_every_edge() {
+        let offsets = [
+            0.0, 1e-15, -1e-15, 1e-13, -1e-13, 1e-11, -1e-11, 1e-9, -1e-9,
+        ];
+        for c in edge_configs() {
+            let az_edge = |k: usize| {
+                c.azimuth_min + k as f64 / c.cols as f64 * (c.azimuth_max - c.azimuth_min)
+            };
+            let el_edge = |k: usize| {
+                c.elevation_min + k as f64 / c.rows as f64 * (c.elevation_max - c.elevation_min)
+            };
+            let mid_el = 0.5 * (c.elevation_min + c.elevation_max);
+            let mid_az = 0.5 * (c.azimuth_min + c.azimuth_max);
+            for r in [1e-3, 1.0, 37.0, 1e5] {
+                let point = |el: f64, az: f64| {
+                    Vec3::new(el.cos() * az.cos(), el.cos() * az.sin(), el.sin()) * r
+                };
+                for d in offsets {
+                    for k in 0..=c.cols {
+                        assert_fast_cell_is_cell_of(&c, point(mid_el + 0.01, az_edge(k) + d));
+                    }
+                    for k in 0..=c.rows {
+                        assert_fast_cell_is_cell_of(&c, point(el_edge(k) + d, mid_az + 0.01));
+                        for j in (0..=c.cols).step_by(c.cols / 8 + 1) {
+                            assert_fast_cell_is_cell_of(&c, point(el_edge(k) + d, az_edge(j) + d));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Both densification passes as they were: decisions read a copy of
+    /// the row (horizontal, wrapping with `%`) or of the whole image
+    /// (vertical) taken before the pass.
+    fn snapshot_densify(img: &mut RangeImage) -> (usize, usize) {
+        let (rows, cols) = (img.config.rows, img.config.cols);
+        let mut horizontal = 0;
+        for row in 0..rows {
+            let base = row * cols;
+            let snapshot: Vec<Cell> = img.cells[base..base + cols].to_vec();
+            for col in 0..cols {
+                if snapshot[col].range > 0.0 {
+                    continue;
+                }
+                let left = snapshot[(col + cols - 1) % cols];
+                let right = snapshot[(col + 1) % cols];
+                if left.range > 0.0 && right.range > 0.0 && (left.range - right.range).abs() < 0.5 {
+                    img.cells[base + col] = Cell {
+                        range: (left.range + right.range) * 0.5,
+                        reflectance: (left.reflectance + right.reflectance) * 0.5,
+                    };
+                    horizontal += 1;
+                }
+            }
+        }
+        let mut vertical = 0;
+        let snapshot = img.cells.clone();
+        for row in 1..rows.saturating_sub(1) {
+            for col in 0..cols {
+                if snapshot[row * cols + col].range > 0.0 {
+                    continue;
+                }
+                let below = snapshot[(row - 1) * cols + col];
+                let above = snapshot[(row + 1) * cols + col];
+                if below.range > 0.0 && above.range > 0.0 && (below.range - above.range).abs() < 1.0
+                {
+                    img.cells[row * cols + col] = Cell {
+                        range: (below.range + above.range) * 0.5,
+                        reflectance: (below.reflectance + above.reflectance) * 0.5,
+                    };
+                    vertical += 1;
+                }
+            }
+        }
+        (horizontal, vertical)
+    }
+
+    #[test]
+    fn in_place_densify_equals_snapshot_densify() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(21);
+        let shapes = [(1, 1), (1, 5), (2, 3), (3, 1), (5, 7), (16, 90)];
+        for case in 0..400 {
+            let (rows, cols) = shapes[case % shapes.len()];
+            let config = RangeImageConfig {
+                rows,
+                cols,
+                ..small_config()
+            };
+            // Dense, nearly flat ranges so that most gaps are bridged;
+            // some NaN, infinite and negative ranges.
+            let cells = (0..rows * cols)
+                .map(|_| {
+                    let range = match rng.gen_range(0..20u32) {
+                        0..=8 => 0.0,
+                        9 => f32::NAN,
+                        10 => f32::INFINITY,
+                        11 => -1.0,
+                        _ => 10.0 + rng.gen_range(-0.6..0.6f32),
+                    };
+                    Cell {
+                        range,
+                        reflectance: rng.gen_range(0.0..1.0),
+                    }
+                })
+                .collect();
+            let mut fast = RangeImage { config, cells };
+            let mut reference = fast.clone();
+            for _ in 0..2 {
+                let counts = (fast.densify_pass(), fast.densify_vertical_pass());
+                assert_eq!(counts, snapshot_densify(&mut reference), "case {case}");
+                let bits = |img: &RangeImage| -> Vec<(u32, u32)> {
+                    img.cells
+                        .iter()
+                        .map(|c| (c.range.to_bits(), c.reflectance.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(&fast), bits(&reference), "case {case}");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! seen consistently across many past scans are classified static and
 //! removed from exchanged frames.
 
-use cooper_geometry::{normalize_angle, Vec3};
+use cooper_geometry::{normalize_angle, AngleBins, Vec3};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -177,13 +177,14 @@ pub fn blind_sectors(
     assert!(occluder_range > 0.0, "occluder range must be positive");
     assert!(min_width > 0.0, "minimum width must be positive");
     let two_pi = std::f64::consts::TAU;
+    let azimuth = AngleBins::full_circle(bins);
     let mut nearest = vec![f64::INFINITY; bins];
     for p in cloud.iter() {
         if p.position.z < ground_z_below {
             continue; // ground returns do not occlude
         }
-        let az = p.position.azimuth(); // (-π, π]
-        let idx = (((az + std::f64::consts::PI) / two_pi * bins as f64) as usize).min(bins - 1);
+        // `atan2` never leaves [−π, π], so every direction has a bin.
+        let idx = azimuth.bin_of(p.position.y, p.position.x).unwrap_or(0);
         let r = p.range_xy();
         if r < nearest[idx] {
             nearest[idx] = r;

@@ -49,6 +49,11 @@ impl fmt::Display for VoxelCoord {
     }
 }
 
+/// The most voxels a grid may span, `2³²`. The voxelizer sorts one `u64`
+/// key per point: the point's row-major voxel index in the high 32 bits
+/// and its position in the chunk in the low 32.
+pub const MAX_GRID_VOXELS: u64 = 1 << 32;
+
 /// Configuration of a voxel grid: spatial extent and voxel size.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct VoxelGridConfig {
@@ -56,20 +61,15 @@ pub struct VoxelGridConfig {
     pub extent: Aabb3,
     /// Edge lengths of one voxel, metres (strictly positive).
     pub voxel_size: Vec3,
-    /// Maximum number of raw points retained per voxel for feature
-    /// encoding (VoxelNet's `T`); additional points still contribute to
-    /// the aggregate statistics. `0` means keep none (aggregates only).
-    pub max_points_per_voxel: usize,
 }
 
 impl VoxelGridConfig {
     /// A VoxelNet-style default: 70.4 m forward, ±40 m lateral, 4 m tall,
-    /// 0.2 × 0.2 × 0.4 m voxels, up to 35 points kept per voxel.
+    /// 0.2 × 0.2 × 0.4 m voxels.
     pub fn voxelnet_car() -> Self {
         VoxelGridConfig {
             extent: Aabb3::new(Vec3::new(0.0, -40.0, -3.0), Vec3::new(70.4, 40.0, 1.0)),
             voxel_size: Vec3::new(0.2, 0.2, 0.4),
-            max_points_per_voxel: 35,
         }
     }
 
@@ -77,18 +77,36 @@ impl VoxelGridConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message when any voxel dimension is non-positive or the
-    /// extent is degenerate.
+    /// Returns a message when a coordinate is not finite, any voxel
+    /// dimension is non-positive, the extent is degenerate, an axis's
+    /// voxel count is not in `1..=i32::MAX` (a [`VoxelCoord`] is `i32`),
+    /// or the grid spans more than [`MAX_GRID_VOXELS`] voxels.
     pub fn validate(&self) -> Result<(), String> {
-        if self.voxel_size.x <= 0.0 || self.voxel_size.y <= 0.0 || self.voxel_size.z <= 0.0 {
-            return Err(format!(
-                "voxel size must be positive, got {}",
-                self.voxel_size
-            ));
+        let (min, max, voxel) = (self.extent.min(), self.extent.max(), self.voxel_size);
+        if !(min.is_finite() && max.is_finite() && voxel.is_finite()) {
+            return Err("voxel grid extent and voxel size must be finite".to_string());
+        }
+        if voxel.x <= 0.0 || voxel.y <= 0.0 || voxel.z <= 0.0 {
+            return Err(format!("voxel size must be positive, got {voxel}"));
         }
         let size = self.extent.size();
-        if size.x <= 0.0 || size.y <= 0.0 || size.z <= 0.0 {
+        if size.x <= 0.0 || size.y <= 0.0 || size.z <= 0.0 || !size.is_finite() {
             return Err("voxel grid extent is degenerate".to_string());
+        }
+        let counts = [size.x / voxel.x, size.y / voxel.y, size.z / voxel.z].map(f64::ceil);
+        if !counts
+            .iter()
+            .all(|n| (1.0..=f64::from(i32::MAX)).contains(n))
+        {
+            return Err(format!(
+                "voxel counts per axis must lie in 1..={}, got {counts:?}",
+                i32::MAX
+            ));
+        }
+        if counts.iter().product::<f64>() > MAX_GRID_VOXELS as f64 {
+            return Err(format!(
+                "voxel grid spans {counts:?} voxels, more than {MAX_GRID_VOXELS}"
+            ));
         }
         Ok(())
     }
@@ -106,14 +124,21 @@ impl VoxelGridConfig {
     /// Maps a position to its voxel coordinate, or `None` when outside the
     /// extent.
     pub fn coord_of(&self, position: Vec3) -> Option<VoxelCoord> {
+        let (nx, ny, nz) = self.dimensions();
+        self.coord_in(position, [nx as i32, ny as i32, nz as i32])
+    }
+
+    /// [`VoxelGridConfig::coord_of`] with [`VoxelGridConfig::dimensions`]
+    /// already computed, as `i32`.
+    #[inline]
+    fn coord_in(&self, position: Vec3, [nx, ny, nz]: [i32; 3]) -> Option<VoxelCoord> {
         if !self.extent.contains(position) {
             return None;
         }
         let rel = position - self.extent.min();
-        let (nx, ny, nz) = self.dimensions();
-        let cx = ((rel.x / self.voxel_size.x) as i32).min(nx as i32 - 1);
-        let cy = ((rel.y / self.voxel_size.y) as i32).min(ny as i32 - 1);
-        let cz = ((rel.z / self.voxel_size.z) as i32).min(nz as i32 - 1);
+        let cx = ((rel.x / self.voxel_size.x) as i32).min(nx - 1);
+        let cy = ((rel.y / self.voxel_size.y) as i32).min(ny - 1);
+        let cz = ((rel.z / self.voxel_size.z) as i32).min(nz - 1);
         Some(VoxelCoord::new(cx, cy, cz))
     }
 
@@ -128,17 +153,15 @@ impl VoxelGridConfig {
     }
 }
 
-/// One occupied voxel: retained sample points plus aggregate statistics.
+/// One occupied voxel: aggregate statistics over every point that fell
+/// in it.
 ///
-/// The aggregates (`count`, sums, minima/maxima) cover *every* point
-/// that fell in the voxel and are insertion-order independent; only the
-/// capped `samples` list depends on order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Every field is an order-independent aggregate except the float sums,
+/// whose last bits depend on the order the points were added in; the
+/// voxelizer adds them in cloud order.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Voxel {
-    /// Up to `max_points_per_voxel` raw points (in sensor-frame metres).
-    pub samples: Vec<Point>,
-    /// Total number of points that fell in this voxel (may exceed
-    /// `samples.len()`).
+    /// Total number of points that fell in this voxel.
     pub count: usize,
     /// Sum of point positions (for centroid computation).
     pub position_sum: Vec3,
@@ -157,7 +180,6 @@ pub struct Voxel {
 impl Default for Voxel {
     fn default() -> Self {
         Voxel {
-            samples: Vec::new(),
             count: 0,
             position_sum: Vec3::ZERO,
             reflectance_sum: 0.0,
@@ -191,11 +213,8 @@ impl Voxel {
         self.reflectance_sum / self.count as f64
     }
 
-    /// Accumulates one point into the voxel's samples and statistics.
-    fn accumulate(&mut self, point: &Point, cap: usize) {
-        if self.samples.len() < cap {
-            self.samples.push(*point);
-        }
+    /// Accumulates one point into the voxel's statistics.
+    fn accumulate(&mut self, point: &Point) {
         self.count += 1;
         self.position_sum += point.position;
         self.reflectance_sum += f64::from(point.reflectance);
@@ -206,16 +225,8 @@ impl Voxel {
         self.max_range_xy = self.max_range_xy.max(range_xy);
     }
 
-    /// Merges another voxel's contents into this one. Samples from
-    /// `other` are appended (up to `cap`); the aggregate statistics
-    /// combine exactly.
-    fn absorb(&mut self, other: Voxel, cap: usize) {
-        for point in other.samples {
-            if self.samples.len() >= cap {
-                break;
-            }
-            self.samples.push(point);
-        }
+    /// Merges another voxel's statistics into this one.
+    fn absorb(&mut self, other: &Voxel) {
         self.count += other.count;
         self.position_sum += other.position_sum;
         self.reflectance_sum += other.reflectance_sum;
@@ -228,35 +239,56 @@ impl Voxel {
 
 /// Accumulates a run of points into sorted SoA voxel arrays.
 ///
-/// `keys` is reusable scratch for the `(coordinate, point index)` sort
-/// buffer. The stable sort groups points by voxel while preserving cloud
-/// order within each voxel, so each voxel's accumulator sees exactly the
-/// point sequence a per-point map insertion would have fed it — float
-/// sums and the capped sample list come out identical, but without any
-/// per-point tree-node traffic.
+/// `keys` is reusable scratch: one `u64` per in-extent point, its
+/// row-major voxel index (`(x · ny + y) · nz + z`, which orders like
+/// [`VoxelCoord`]) above its position in `points`. Sorting the keys
+/// groups points by voxel with cloud order kept within each voxel, so
+/// each voxel's accumulator sees exactly the point sequence a per-point
+/// map insertion would have fed it, and the float sums come out
+/// identical.
+///
+/// # Panics
+///
+/// Panics when `points` holds more than `2³²` points.
 fn accumulate_sorted(
     points: &[Point],
     config: &VoxelGridConfig,
-    keys: &mut Vec<(VoxelCoord, u32)>,
+    keys: &mut Vec<u64>,
 ) -> (Vec<VoxelCoord>, Vec<Voxel>) {
+    assert!(
+        points.len() as u64 <= 1 << 32,
+        "a voxelization chunk holds at most 2^32 points"
+    );
+    let (nx, ny, nz) = config.dimensions();
+    let dims = [nx as i32, ny as i32, nz as i32];
+    let (ny, nz) = (ny as u64, nz as u64);
     keys.clear();
     keys.reserve(points.len());
     for (i, point) in points.iter().enumerate() {
-        if let Some(coord) = config.coord_of(point.position) {
-            keys.push((coord, i as u32));
+        if let Some(c) = config.coord_in(point.position, dims) {
+            let index = (c.x as u64 * ny + c.y as u64) * nz + c.z as u64;
+            keys.push(index << 32 | i as u64);
         }
     }
-    keys.sort_by_key(|&(coord, _)| coord);
+    keys.sort_unstable();
 
     let mut coords = Vec::new();
     let mut voxels: Vec<Voxel> = Vec::new();
-    for &(coord, index) in keys.iter() {
-        if coords.last() != Some(&coord) {
-            coords.push(coord);
+    let mut current = u64::MAX;
+    for &key in keys.iter() {
+        let index = key >> 32;
+        if index != current {
+            current = index;
+            let (x, yz) = (index / (ny * nz), index % (ny * nz));
+            coords.push(VoxelCoord::new(
+                x as i32,
+                (yz / nz) as i32,
+                (yz % nz) as i32,
+            ));
             voxels.push(Voxel::default());
         }
         let voxel = voxels.last_mut().expect("pushed above");
-        voxel.accumulate(&points[index as usize], config.max_points_per_voxel);
+        voxel.accumulate(&points[(key & u64::from(u32::MAX)) as usize]);
     }
     (coords, voxels)
 }
@@ -268,7 +300,6 @@ fn accumulate_sorted(
 fn merge_sorted(
     base: (Vec<VoxelCoord>, Vec<Voxel>),
     other: (Vec<VoxelCoord>, Vec<Voxel>),
-    cap: usize,
 ) -> (Vec<VoxelCoord>, Vec<Voxel>) {
     let (a_coords, a_voxels) = base;
     let (b_coords, b_voxels) = other;
@@ -280,40 +311,30 @@ fn merge_sorted(
     }
     let mut coords = Vec::with_capacity(a_coords.len() + b_coords.len());
     let mut voxels = Vec::with_capacity(a_voxels.len() + b_voxels.len());
-    let mut a = a_coords.into_iter().zip(a_voxels).peekable();
-    let mut b = b_coords.into_iter().zip(b_voxels).peekable();
-    loop {
-        match (a.peek(), b.peek()) {
-            (Some((ca, _)), Some((cb, _))) => {
-                if ca < cb {
-                    let (c, v) = a.next().expect("peeked");
-                    coords.push(c);
-                    voxels.push(v);
-                } else if cb < ca {
-                    let (c, v) = b.next().expect("peeked");
-                    coords.push(c);
-                    voxels.push(v);
-                } else {
-                    let (c, mut v) = a.next().expect("peeked");
-                    let (_, vb) = b.next().expect("peeked");
-                    v.absorb(vb, cap);
-                    coords.push(c);
-                    voxels.push(v);
-                }
-            }
-            (Some(_), None) => {
-                let (c, v) = a.next().expect("peeked");
-                coords.push(c);
-                voxels.push(v);
-            }
-            (None, Some(_)) => {
-                let (c, v) = b.next().expect("peeked");
-                coords.push(c);
-                voxels.push(v);
-            }
-            (None, None) => break,
+    let (mut i, mut j) = (0, 0);
+    while i < a_coords.len() && j < b_coords.len() {
+        let (ca, cb) = (a_coords[i], b_coords[j]);
+        if ca < cb {
+            coords.push(ca);
+            voxels.push(a_voxels[i]);
+            i += 1;
+        } else if cb < ca {
+            coords.push(cb);
+            voxels.push(b_voxels[j]);
+            j += 1;
+        } else {
+            let mut v = a_voxels[i];
+            v.absorb(&b_voxels[j]);
+            coords.push(ca);
+            voxels.push(v);
+            i += 1;
+            j += 1;
         }
     }
+    coords.extend_from_slice(&a_coords[i..]);
+    voxels.extend_from_slice(&a_voxels[i..]);
+    coords.extend_from_slice(&b_coords[j..]);
+    voxels.extend_from_slice(&b_voxels[j..]);
     (coords, voxels)
 }
 
@@ -348,7 +369,8 @@ impl VoxelGrid {
     ///
     /// # Panics
     ///
-    /// Panics if `config` fails [`VoxelGridConfig::validate`].
+    /// Panics if `config` fails [`VoxelGridConfig::validate`] or the
+    /// cloud holds more than `2³²` points.
     pub fn from_cloud(cloud: &PointCloud, config: VoxelGridConfig) -> Self {
         if let Err(msg) = config.validate() {
             panic!("invalid voxel grid config: {msg}");
@@ -394,8 +416,8 @@ impl VoxelGrid {
     ///
     /// # Panics
     ///
-    /// Panics if `config` fails [`VoxelGridConfig::validate`] or
-    /// `chunk_size` is zero.
+    /// Panics if `config` fails [`VoxelGridConfig::validate`],
+    /// `chunk_size` is zero, or a chunk holds more than `2³²` points.
     pub fn from_cloud_chunked(
         cloud: &PointCloud,
         config: VoxelGridConfig,
@@ -412,7 +434,7 @@ impl VoxelGrid {
             });
         let mut merged = (Vec::new(), Vec::new());
         for partial in partials {
-            merged = merge_sorted(merged, partial, config.max_points_per_voxel);
+            merged = merge_sorted(merged, partial);
         }
         let (coords, voxels) = merged;
         VoxelGrid {
@@ -501,7 +523,6 @@ mod tests {
         VoxelGridConfig {
             extent: Aabb3::new(Vec3::new(0.0, -10.0, -2.0), Vec3::new(20.0, 10.0, 2.0)),
             voxel_size: Vec3::new(1.0, 1.0, 1.0),
-            max_points_per_voxel: 5,
         }
     }
 
@@ -573,14 +594,13 @@ mod tests {
     }
 
     #[test]
-    fn sample_cap_respected_but_count_exact() {
+    fn count_and_aggregates_cover_every_point() {
         let cloud: PointCloud = (0..50)
             .map(|_| Point::new(Vec3::new(5.2, 0.3, 0.1), 0.4))
             .collect();
         let grid = VoxelGrid::from_cloud(&cloud, config());
         assert_eq!(grid.occupied_count(), 1);
         let (_, voxel) = grid.iter().next().unwrap();
-        assert_eq!(voxel.samples.len(), 5);
         assert_eq!(voxel.count, 50);
         assert!((voxel.mean_reflectance() - 0.4).abs() < 1e-6);
         assert!((voxel.centroid() - Vec3::new(5.2, 0.3, 0.1)).norm() < 1e-9);
@@ -661,7 +681,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_respects_sample_cap_in_cloud_order() {
+    fn chunked_sums_follow_cloud_order() {
         let cloud: PointCloud = (0..50)
             .map(|i| Point::new(Vec3::new(5.2, 0.3, 0.1), i as f32 * 0.01))
             .collect();
@@ -673,12 +693,108 @@ mod tests {
         );
         let (_, voxel) = grid.iter().next().unwrap();
         assert_eq!(voxel.count, 50);
-        assert_eq!(voxel.samples.len(), 5);
-        // The retained samples are the first five points in cloud order,
-        // regardless of which worker voxelized which chunk.
-        for (i, sample) in voxel.samples.iter().enumerate() {
-            assert!((sample.reflectance - i as f32 * 0.01).abs() < 1e-9);
+        // Each chunk sums its points in cloud order, and the chunk sums
+        // add in chunk order, whichever worker voxelized which chunk.
+        let expected = cloud.as_slice().chunks(10).fold(0.0, |total, chunk| {
+            total
+                + chunk
+                    .iter()
+                    .fold(0.0, |sum, p| sum + f64::from(p.reflectance))
+        });
+        assert_eq!(voxel.reflectance_sum.to_bits(), expected.to_bits());
+    }
+
+    #[test]
+    fn keys_order_voxels_like_coordinates() {
+        // Points visit the voxels in descending order; the grid lists
+        // them ascending by (x, y, z), the order the row-major key sorts.
+        let cloud: PointCloud = (0..20 * 20 * 4)
+            .rev()
+            .map(|i| {
+                let (x, y, z) = (i / 80, (i / 4) % 20, i % 4);
+                let p = Vec3::new(f64::from(x) + 0.5, f64::from(y) - 9.5, f64::from(z) - 1.5);
+                Point::new(p, 0.5)
+            })
+            .collect();
+        let grid = VoxelGrid::from_cloud(&cloud, config());
+        assert_eq!(grid.occupied_count(), 1600);
+        assert!(grid.coords().windows(2).all(|w| w[0] < w[1]));
+        for (coord, voxel) in grid.iter() {
+            assert_eq!(config().coord_of(voxel.centroid()), Some(*coord));
         }
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_grids() {
+        let nan_size = VoxelGridConfig {
+            voxel_size: Vec3::new(f64::NAN, 1.0, 1.0),
+            ..config()
+        };
+        assert!(nan_size.validate().is_err());
+        let infinite_extent = VoxelGridConfig {
+            extent: Aabb3::new(Vec3::new(0.0, 0.0, 0.0), Vec3::new(f64::INFINITY, 1.0, 1.0)),
+            ..config()
+        };
+        assert!(infinite_extent.validate().is_err());
+        let overflowing_extent = VoxelGridConfig {
+            extent: Aabb3::new(Vec3::splat(-f64::MAX), Vec3::splat(f64::MAX)),
+            voxel_size: Vec3::splat(f64::MAX),
+        };
+        assert!(overflowing_extent.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_grids_too_fine_to_index() {
+        // 1e-300 m voxels: the per-axis count saturates `usize`.
+        let fine = VoxelGridConfig {
+            voxel_size: Vec3::splat(1e-300),
+            ..config()
+        };
+        assert!(fine.validate().is_err());
+        // An axis count just past i32::MAX.
+        let long_axis = VoxelGridConfig {
+            extent: Aabb3::new(Vec3::ZERO, Vec3::new(f64::from(i32::MAX) + 1.0, 1.0, 1.0)),
+            voxel_size: Vec3::splat(1.0),
+        };
+        assert!(long_axis.validate().is_err());
+        let widest_axis = VoxelGridConfig {
+            extent: Aabb3::new(Vec3::ZERO, Vec3::new(f64::from(i32::MAX), 1.0, 1.0)),
+            voxel_size: Vec3::splat(1.0),
+        };
+        assert!(widest_axis.validate().is_ok());
+        // Per-axis counts that fit, but 2^33 voxels in all.
+        let too_many = VoxelGridConfig {
+            extent: Aabb3::new(Vec3::ZERO, Vec3::new(65_536.0, 65_536.0, 2.0)),
+            voxel_size: Vec3::splat(1.0),
+        };
+        assert!(too_many.validate().is_err());
+        let at_limit = VoxelGridConfig {
+            extent: Aabb3::new(Vec3::ZERO, Vec3::new(65_536.0, 65_536.0, 1.0)),
+            voxel_size: Vec3::splat(1.0),
+        };
+        assert!(at_limit.validate().is_ok());
+        // Counts that round to zero.
+        let coarse = VoxelGridConfig {
+            extent: Aabb3::new(Vec3::ZERO, Vec3::splat(1e-300)),
+            voxel_size: Vec3::splat(1e300),
+        };
+        assert!(coarse.validate().is_err());
+    }
+
+    #[test]
+    fn grid_at_the_voxel_limit_keys_its_last_voxel() {
+        let config = VoxelGridConfig {
+            extent: Aabb3::new(Vec3::ZERO, Vec3::new(65_536.0, 65_536.0, 1.0)),
+            voxel_size: Vec3::splat(1.0),
+        };
+        let corner = Point::new(Vec3::new(65_535.5, 65_535.5, 0.5), 0.2);
+        let origin = Point::new(Vec3::new(0.5, 0.5, 0.5), 0.7);
+        let grid = VoxelGrid::from_cloud(&PointCloud::from_points(vec![corner, origin]), config);
+        assert_eq!(
+            grid.coords(),
+            [VoxelCoord::new(0, 0, 0), VoxelCoord::new(65_535, 65_535, 0)]
+        );
+        assert_eq!(grid.voxels()[1].reflectance_sum, f64::from(0.2f32));
     }
 
     #[test]

@@ -76,23 +76,22 @@ proptest! {
     fn voxelization_never_creates_points(c in cloud(400)) {
         let grid = VoxelGrid::from_cloud(&c, VoxelGridConfig::voxelnet_car());
         prop_assert!(grid.total_points() <= c.len());
-        // Every sample retained must be within the extent.
+        // Every voxel holds at least one point, and its points' extremes
+        // lie within the extent.
         for (_, v) in grid.iter() {
-            prop_assert!(v.count >= v.samples.len());
             prop_assert!(v.count >= 1);
-            for s in &v.samples {
-                prop_assert!(grid.config().extent.contains(s.position));
-            }
+            prop_assert!(grid.config().extent.contains(v.min_position));
+            prop_assert!(grid.config().extent.contains(v.max_position));
         }
     }
 
     #[test]
     fn soa_voxelization_matches_btreemap_reference(c in cloud(500)) {
         // The SoA grid (sorted coordinate + payload arrays) replaced a
-        // per-point BTreeMap accumulation. The stable sort keeps cloud
+        // per-point BTreeMap accumulation. The key sort keeps cloud
         // order within each voxel, so the result — including every
-        // floating-point aggregate and the capped sample list — must
-        // equal the old map's output bit for bit.
+        // floating-point aggregate — must equal the old map's output bit
+        // for bit.
         use std::collections::BTreeMap;
         use cooper_pointcloud::{Voxel, VoxelCoord};
         let config = VoxelGridConfig::voxelnet_car();
@@ -100,9 +99,6 @@ proptest! {
         for p in c.iter() {
             if let Some(coord) = config.coord_of(p.position) {
                 let v = reference.entry(coord).or_default();
-                if v.samples.len() < config.max_points_per_voxel {
-                    v.samples.push(*p);
-                }
                 v.count += 1;
                 v.position_sum += p.position;
                 v.reflectance_sum += f64::from(p.reflectance);

@@ -79,7 +79,6 @@ impl Default for SpodConfig {
             voxel_grid: VoxelGridConfig {
                 extent: Aabb3::new(Vec3::new(-80.0, -80.0, -3.0), Vec3::new(80.0, 80.0, 3.0)),
                 voxel_size: Vec3::new(0.5, 0.5, 0.5),
-                max_points_per_voxel: 35,
             },
             channels: 8,
             preprocess: PreprocessConfig::sparse_default(),

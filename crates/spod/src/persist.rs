@@ -19,7 +19,9 @@ use crate::sparse_conv::SparseConv3;
 use crate::vfe::VoxelFeatureEncoder;
 
 const MAGIC: &[u8; 4] = b"SPOD";
-const VERSION: u8 = 1;
+/// Version 2 dropped version 1's per-voxel sample cap (a `u32` after the
+/// voxel size), which nothing read.
+const VERSION: u8 = 2;
 
 /// Errors loading a persisted detector.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,7 +161,6 @@ pub fn detector_to_bytes(detector: &SpodDetector) -> Bytes {
     put_vec3(&mut buf, c.voxel_grid.extent.min());
     put_vec3(&mut buf, c.voxel_grid.extent.max());
     put_vec3(&mut buf, c.voxel_grid.voxel_size);
-    buf.put_u32(c.voxel_grid.max_points_per_voxel as u32);
     buf.put_u32(c.channels as u32);
     buf.put_u32(c.preprocess.range_image.rows as u32);
     buf.put_u32(c.preprocess.range_image.cols as u32);
@@ -239,9 +240,8 @@ pub fn detector_from_bytes(bytes: &[u8]) -> Result<SpodDetector, PersistError> {
     let extent_min = r.vec3()?;
     let extent_max = r.vec3()?;
     let voxel_size = r.vec3()?;
-    let max_points_per_voxel = r.u32()? as usize;
     let channels = r.u32()? as usize;
-    if channels == 0 || channels > 1024 || max_points_per_voxel > 1 << 20 {
+    if channels == 0 || channels > 1024 {
         return Err(PersistError::Corrupt("implausible channel configuration"));
     }
     let rows = r.u32()? as usize;
@@ -273,7 +273,6 @@ pub fn detector_from_bytes(bytes: &[u8]) -> Result<SpodDetector, PersistError> {
         voxel_grid: VoxelGridConfig {
             extent: Aabb3::new(extent_min, extent_max),
             voxel_size,
-            max_points_per_voxel,
         },
         channels,
         preprocess: PreprocessConfig {
@@ -470,6 +469,24 @@ mod tests {
             let loaded = detector_from_bytes(&bytes(iou, factor)).expect("loads");
             assert!(loaded.detect(&empty).is_empty());
         }
+    }
+
+    #[test]
+    fn grid_too_fine_to_index_is_rejected() {
+        // 1e-300 m voxels saturate the per-axis count; such a file used to
+        // load and then bin every point into voxel x = -2.
+        let defaults = SpodConfig::default();
+        let fine = SpodDetector::new(SpodConfig {
+            voxel_grid: VoxelGridConfig {
+                voxel_size: Vec3::splat(1e-300),
+                ..defaults.voxel_grid
+            },
+            ..defaults
+        });
+        assert_eq!(
+            detector_from_bytes(&detector_to_bytes(&fine)).unwrap_err(),
+            PersistError::Corrupt("invalid configuration")
+        );
     }
 
     #[test]

@@ -30,6 +30,43 @@ use rand::{Rng, SeedableRng};
 /// any parallelism.
 const CONV_CHUNK_SITES: usize = 1024;
 
+/// Outputs summed side by side: one lane each, eight to a row, so the
+/// compiler can keep a row's sums in vector registers. Lanes never mix,
+/// so each output's sum is the same scalar chain it would be alone.
+const LANES: usize = 8;
+type Lanes = [f32; LANES];
+
+/// A layer's weights regrouped for [`SparseConv3::forward_with`]: output
+/// lane rows of eight, `[lane row][tap][input]`, so a row's weights for
+/// one tap are one contiguous slice. Padding lanes hold zero weights and
+/// bias and are never read back.
+struct LaneKernel {
+    /// `rows × 27 × in_channels`.
+    weights: Vec<Lanes>,
+    /// One per lane row.
+    bias: Vec<Lanes>,
+}
+
+impl LaneKernel {
+    fn new(layer: &SparseConv3) -> Self {
+        let (in_c, out_c) = (layer.in_channels, layer.out_channels);
+        let rows = out_c.div_ceil(LANES);
+        let mut weights = vec![[0.0; LANES]; rows * 27 * in_c];
+        for (k, tap) in layer.kernel.iter().enumerate() {
+            for (o, row) in tap.chunks_exact(in_c).enumerate() {
+                for (i, &w) in row.iter().enumerate() {
+                    weights[(o / LANES * 27 + k) * in_c + i][o % LANES] = w;
+                }
+            }
+        }
+        let mut bias = vec![[0.0; LANES]; rows];
+        for (o, &b) in layer.bias.iter().enumerate() {
+            bias[o / LANES][o % LANES] = b;
+        }
+        LaneKernel { weights, bias }
+    }
+}
+
 /// A 3×3×3 submanifold sparse convolution layer with ReLU.
 ///
 /// # Examples
@@ -263,6 +300,13 @@ impl SparseConv3 {
     /// bit-identical at any thread count and to the sequential
     /// [`SparseConv3::forward`].
     ///
+    /// Each output's chain is `bias`, then, for each active tap in
+    /// kernel-offset order, `acc + (-0.0 + w₀·x₀ + w₁·x₁ + …)` over the
+    /// inputs in order: the chain of a per-output `Iterator::sum`, so
+    /// every result that is not NaN has the same bits. (Which payload
+    /// an add of two NaNs keeps, the language leaves open.) Outputs run
+    /// eight at a time in lanes.
+    ///
     /// # Panics
     ///
     /// Panics when the input channel count or the rulebook's site count
@@ -282,31 +326,36 @@ impl SparseConv3 {
         let in_c = self.in_channels;
         let out_c = self.out_channels;
         let feats = input.feature_slice();
+        let kernel = LaneKernel::new(self);
         let parts = executor.map_chunks(input.coord_slice(), CONV_CHUNK_SITES, |ci, chunk| {
             let base = ci * CONV_CHUNK_SITES;
-            let mut out_chunk = vec![0.0f32; chunk.len() * out_c];
-            for s in 0..chunk.len() {
-                let site = base + s;
-                let acc = &mut out_chunk[s * out_c..(s + 1) * out_c];
-                acc.copy_from_slice(&self.bias);
+            let mut out_chunk = Vec::with_capacity(chunk.len() * out_c);
+            for site in base..base + chunk.len() {
                 let taps = &rulebook.neighbors[site * 27..site * 27 + 27];
-                for (k, &j) in taps.iter().enumerate() {
-                    if j < 0 {
-                        continue;
+                let start = out_chunk.len();
+                let row_weights = kernel.weights.chunks_exact(27 * in_c);
+                for (row, (&bias, row_weights)) in kernel.bias.iter().zip(row_weights).enumerate() {
+                    let mut acc = bias;
+                    for (k, &j) in taps.iter().enumerate() {
+                        if j < 0 {
+                            continue;
+                        }
+                        let features = &feats[j as usize * in_c..][..in_c];
+                        let weights = &row_weights[k * in_c..][..in_c];
+                        let mut sums: Lanes = [-0.0; LANES];
+                        for (&x, w) in features.iter().zip(weights) {
+                            for (sum, &w) in sums.iter_mut().zip(w) {
+                                *sum += w * x;
+                            }
+                        }
+                        for (a, sum) in acc.iter_mut().zip(sums) {
+                            *a += sum;
+                        }
                     }
-                    let j = j as usize;
-                    let features = &feats[j * in_c..(j + 1) * in_c];
-                    let w = &self.kernel[k];
-                    for (o, a) in acc.iter_mut().enumerate() {
-                        let row = &w[o * in_c..(o + 1) * in_c];
-                        *a += row
-                            .iter()
-                            .zip(features)
-                            .map(|(wi, xi)| wi * xi)
-                            .sum::<f32>();
-                    }
+                    let live = (out_c - row * LANES).min(LANES);
+                    out_chunk.extend_from_slice(&acc[..live]);
                 }
-                relu_in_place(acc);
+                relu_in_place(&mut out_chunk[start..]);
             }
             out_chunk
         });
