@@ -58,10 +58,7 @@ fn run_point(loss_rate: f64, arq_on: bool, seed_base: u64) -> SweepPoint {
     let config = if arq_on {
         ArqConfig::default()
     } else {
-        ArqConfig {
-            max_retries: 0,
-            ..ArqConfig::default()
-        }
+        ArqConfig { max_retries: 0 }
     };
     let mut complete = 0usize;
     let mut salvaged = 0usize;

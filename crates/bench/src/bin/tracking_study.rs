@@ -88,7 +88,6 @@ fn main() {
         gate_distance: 14.0,
         alpha: 0.8,
         beta: 0.7,
-        ..TrackerConfig::default()
     });
 
     println!("=== Extension: tracking moving traffic (highway, 8 frames) ===\n");

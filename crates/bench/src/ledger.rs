@@ -5,8 +5,8 @@
 //! Every bench binary's `--check` mode appends one [`BenchRecord`] per
 //! run — the bench name plus a flat map of scalar metrics. The ledger
 //! reuses the [`TelemetryEvent`] JSON-lines codec (kind = bench name,
-//! fields = metrics), so the file is greppable, `jq`-able and parseable
-//! with the same tooling as telemetry sinks. `bench_check` then
+//! fields = metrics), so the file is greppable and `jq`-able.
+//! `bench_check` then
 //! compares the *latest* record of each bench against its *baseline*
 //! (the oldest record on file) with per-metric tolerance: quality
 //! metrics regress the build, timing/throughput metrics are recorded

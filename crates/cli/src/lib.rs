@@ -883,7 +883,6 @@ fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
                     if arq_retries > 0 {
                         medium = medium.with_arq(ArqConfig {
                             max_retries: arq_retries,
-                            ..ArqConfig::default()
                         });
                     }
                     Box::new(medium)

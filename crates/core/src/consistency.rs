@@ -30,54 +30,55 @@
 use cooper_geometry::{AngleBins, Vec3};
 use cooper_pointcloud::PointCloud;
 
-/// Tuning knobs of the consistency guard.
+/// Azimuth bins the receiver's scan is indexed into for the free-space
+/// test.
+const AZIMUTH_BINS: usize = 360;
+
+/// A remote point only counts as ghost evidence when an ego beam reached
+/// at least this much farther through its location, metres.
+const FREE_SPACE_MARGIN_M: f64 = 3.0;
+
+/// Remote points within this planar range of an ego return (same bin
+/// neighborhood) are corroborated, never ghost evidence.
+const MATCH_TOLERANCE_M: f64 = 2.0;
+
+/// Vertical half-window for deciding an ego beam passed *through* a
+/// remote point's location, metres.
+const HEIGHT_TOLERANCE_M: f64 = 0.6;
+
+/// Remote points nearer than this are ignored — the receiver cannot
+/// observe its own footprint, so the zone carries no evidence.
+const MIN_RANGE_M: f64 = 4.0;
+
+/// Points at or below this sensor-frame height are treated as ground
+/// returns and excluded from both evidence and candidacy.
+const GROUND_Z_M: f64 = -1.4;
+
+/// Fastest plausible sender motion for the teleport bound, m/s.
+const MAX_SPEED_M_PER_S: f64 = 40.0;
+
+/// Slack added to the teleport bound, metres — absorbs scene churn at
+/// the edges of the remote's sensing range.
+const TELEPORT_SLACK_M: f64 = 8.0;
+
+/// The consistency guard's setting: how much ghost evidence convicts a
+/// packet. The test geometry is fixed by this module's constants.
 ///
-/// Defaults are calibrated on the synthetic scenario library: honest
-/// packets under rated GPS noise pass, while a single injected ghost
-/// cluster ([`cooper_lidar_sim::FaultKind::GhostClusters`]) trips
+/// Calibrated on the synthetic scenario library: honest packets under
+/// rated GPS noise pass, while a single injected ghost cluster
+/// ([`cooper_lidar_sim::FaultKind::GhostClusters`]) trips
 /// [`ConsistencyVerdict::GhostSuspected`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConsistencyConfig {
-    /// Azimuth bins the receiver's scan is indexed into for the
-    /// free-space test.
-    pub azimuth_bins: usize,
-    /// A remote point only counts as ghost evidence when an ego beam
-    /// reached at least this much farther through its location, metres.
-    pub free_space_margin_m: f64,
-    /// Remote points within this planar range of an ego return (same
-    /// bin neighborhood) are corroborated, never ghost evidence.
-    pub match_tolerance_m: f64,
-    /// Vertical half-window for deciding an ego beam passed *through* a
-    /// remote point's location, metres.
-    pub height_tolerance_m: f64,
-    /// Remote points nearer than this are ignored — the receiver cannot
-    /// observe its own footprint, so the zone carries no evidence.
-    pub min_range_m: f64,
-    /// Points at or below this sensor-frame height are treated as
-    /// ground returns and excluded from both evidence and candidacy.
-    pub ground_z_m: f64,
     /// Flag the packet once this many remote points sit in observed
     /// free space.
     pub min_ghost_points: usize,
-    /// Fastest plausible sender motion for the teleport bound, m/s.
-    pub max_speed_m_per_s: f64,
-    /// Slack added to the teleport bound, metres — absorbs scene churn
-    /// at the edges of the remote's sensing range.
-    pub teleport_slack_m: f64,
 }
 
 impl Default for ConsistencyConfig {
     fn default() -> Self {
         ConsistencyConfig {
-            azimuth_bins: 360,
-            free_space_margin_m: 3.0,
-            match_tolerance_m: 2.0,
-            height_tolerance_m: 0.6,
-            min_range_m: 4.0,
-            ground_z_m: -1.4,
             min_ghost_points: 15,
-            max_speed_m_per_s: 40.0,
-            teleport_slack_m: 8.0,
         }
     }
 }
@@ -89,19 +90,6 @@ impl ConsistencyConfig {
     ///
     /// Returns a human-readable message for the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
-        if self.azimuth_bins < 8 {
-            return Err("consistency guard needs at least 8 azimuth bins".into());
-        }
-        for (value, name) in [
-            (self.free_space_margin_m, "free-space margin"),
-            (self.match_tolerance_m, "match tolerance"),
-            (self.height_tolerance_m, "height tolerance"),
-            (self.max_speed_m_per_s, "max speed"),
-        ] {
-            if !(value > 0.0 && value.is_finite()) {
-                return Err(format!("consistency {name} must be positive and finite"));
-            }
-        }
         if self.min_ghost_points == 0 {
             return Err("min ghost points must be at least 1".into());
         }
@@ -174,18 +162,17 @@ pub struct FreeSpaceIndex {
 }
 
 impl FreeSpaceIndex {
-    /// Indexes `ego_cloud` (receiver sensor frame) into `bins` azimuth
-    /// bins. Ground-level returns still count as beam-path evidence —
-    /// a beam that hit the ground at 20 m flew through every car-height
-    /// location on the way — but [`ConsistencyConfig::ground_z_m`]
-    /// filtering happens at query time for candidacy.
-    pub fn build(ego_cloud: &PointCloud, cfg: &ConsistencyConfig) -> Self {
-        let n = cfg.azimuth_bins.max(8);
-        let azimuth = AngleBins::full_circle(n);
-        let mut bins = vec![Vec::new(); n];
+    /// Indexes `ego_cloud` (receiver sensor frame) into the guard's
+    /// azimuth bins. Ground-level returns still count as beam-path
+    /// evidence — a beam that hit the ground at 20 m flew through every
+    /// car-height location on the way — but the ground cut applies at
+    /// query time, for candidacy.
+    pub fn build(ego_cloud: &PointCloud) -> Self {
+        let azimuth = AngleBins::full_circle(AZIMUTH_BINS);
+        let mut bins = vec![Vec::new(); AZIMUTH_BINS];
         for p in ego_cloud.iter() {
             let r = planar_range(p.position);
-            if r < cfg.min_range_m {
+            if r < MIN_RANGE_M {
                 continue;
             }
             bins[bin_of(p.position, &azimuth)].push((r, p.position.z));
@@ -198,13 +185,13 @@ impl FreeSpaceIndex {
     /// neighborhood passed through the point's range *and height* and
     /// returned from beyond the margin, while no ego return corroborates
     /// the point.
-    pub fn ghost_points(&self, remote_in_ego: &PointCloud, cfg: &ConsistencyConfig) -> usize {
+    pub fn ghost_points(&self, remote_in_ego: &PointCloud) -> usize {
         let n = self.bins.len();
         let azimuth = AngleBins::full_circle(n);
         let mut flagged = 0usize;
         for p in remote_in_ego.iter() {
             let r = planar_range(p.position);
-            if r < cfg.min_range_m || p.position.z <= cfg.ground_z_m {
+            if r < MIN_RANGE_M || p.position.z <= GROUND_Z_M {
                 continue;
             }
             let b = bin_of(p.position, &azimuth);
@@ -215,17 +202,17 @@ impl FreeSpaceIndex {
                     // Only above-ground ego returns corroborate an
                     // object claim — a ground ring at the same range
                     // says nothing about a car floating above it.
-                    if ez > cfg.ground_z_m
-                        && (er - r).abs() <= cfg.match_tolerance_m
-                        && (ez - p.position.z).abs() <= 2.0 * cfg.match_tolerance_m
+                    if ez > GROUND_Z_M
+                        && (er - r).abs() <= MATCH_TOLERANCE_M
+                        && (ez - p.position.z).abs() <= 2.0 * MATCH_TOLERANCE_M
                     {
                         corroborated = true;
                         break;
                     }
                     // The beam to (er, ez) crossed range r at height
                     // ez * r / er (rays leave the sensor origin).
-                    if er > r + cfg.free_space_margin_m
-                        && (ez * r / er - p.position.z).abs() <= cfg.height_tolerance_m
+                    if er > r + FREE_SPACE_MARGIN_M
+                        && (ez * r / er - p.position.z).abs() <= HEIGHT_TOLERANCE_M
                     {
                         evidence = true;
                     }
@@ -272,7 +259,7 @@ pub fn check_consistency(
             return (ConsistencyVerdict::ReplayedStamp { stamp }, *prev);
         }
         let elapsed = u64::from(stamp - prev.last_stamp) as f64;
-        let bound = cfg.max_speed_m_per_s * step_duration_s * elapsed + cfg.teleport_slack_m;
+        let bound = MAX_SPEED_M_PER_S * step_duration_s * elapsed + TELEPORT_SLACK_M;
         let jump = (remote_world_centroid - prev.last_centroid).norm();
         if jump > bound {
             return (
@@ -284,7 +271,7 @@ pub fn check_consistency(
             );
         }
     }
-    let ghost_points = ego_index.ghost_points(remote_in_ego, cfg);
+    let ghost_points = ego_index.ghost_points(remote_in_ego);
     if ghost_points >= cfg.min_ghost_points {
         return (ConsistencyVerdict::GhostSuspected { ghost_points }, next);
     }
@@ -385,7 +372,7 @@ mod tests {
 
     #[test]
     fn ghost_in_observed_free_space_is_flagged() {
-        let index = FreeSpaceIndex::build(&ground_scan(), &cfg());
+        let index = FreeSpaceIndex::build(&ground_scan());
         // A fabricated car at 12 m where the ego's beams reach 18-40 m.
         let ghost = car_cluster(12.0, 0.0, 60);
         let (verdict, _) = check_consistency(&index, &ghost, Vec3::ZERO, 1, None, 1.0, &cfg());
@@ -396,11 +383,27 @@ mod tests {
     }
 
     #[test]
+    fn near_and_ground_points_are_never_ghost_evidence() {
+        // The ego's beams reach 18–40 m in every direction, so a car at
+        // 12 m is a ghost; the same car inside the 4 m blind zone around
+        // the sensor, or flattened to the 1.4 m ground cut, is not.
+        let index = FreeSpaceIndex::build(&ground_scan());
+        assert!(index.ghost_points(&car_cluster(12.0, 0.0, 60)) >= 15);
+        let near = car_cluster(2.0, 0.0, 60);
+        assert_eq!(index.ghost_points(&near), 0);
+        let flat: PointCloud = car_cluster(12.0, 0.0, 60)
+            .iter()
+            .map(|p| Point::new(Vec3::new(p.position.x, p.position.y, -1.4), 0.5))
+            .collect();
+        assert_eq!(index.ghost_points(&flat), 0);
+    }
+
+    #[test]
     fn corroborated_object_is_consistent() {
         // Ego sees the same car the remote reports: corroborated.
         let car = car_cluster(12.0, 0.0, 60);
         let ego = merged(&ground_scan(), &car);
-        let index = FreeSpaceIndex::build(&ego, &cfg());
+        let index = FreeSpaceIndex::build(&ego);
         let (verdict, _) = check_consistency(&index, &car, Vec3::ZERO, 1, None, 1.0, &cfg());
         assert!(verdict.is_consistent(), "{verdict:?}");
     }
@@ -421,7 +424,7 @@ mod tests {
                 ));
             }
         }
-        let index = FreeSpaceIndex::build(&ego, &cfg());
+        let index = FreeSpaceIndex::build(&ego);
         let hidden = car_cluster(12.0, 0.0, 60);
         let (verdict, _) = check_consistency(&index, &hidden, Vec3::ZERO, 1, None, 1.0, &cfg());
         assert!(verdict.is_consistent(), "{verdict:?}");
@@ -429,7 +432,7 @@ mod tests {
 
     #[test]
     fn replayed_stamp_is_flagged_and_history_is_kept() {
-        let index = FreeSpaceIndex::build(&ground_scan(), &cfg());
+        let index = FreeSpaceIndex::build(&ground_scan());
         let empty = PointCloud::new();
         let prev = SenderHistory {
             last_stamp: 7,
@@ -452,7 +455,7 @@ mod tests {
 
     #[test]
     fn teleport_beyond_speed_envelope_is_flagged() {
-        let index = FreeSpaceIndex::build(&ground_scan(), &cfg());
+        let index = FreeSpaceIndex::build(&ground_scan());
         let empty = PointCloud::new();
         let prev = SenderHistory {
             last_stamp: 4,
@@ -487,7 +490,7 @@ mod tests {
 
     #[test]
     fn honest_first_contact_is_consistent() {
-        let index = FreeSpaceIndex::build(&ground_scan(), &cfg());
+        let index = FreeSpaceIndex::build(&ground_scan());
         let (verdict, history) = check_consistency(
             &index,
             &PointCloud::new(),
@@ -504,26 +507,10 @@ mod tests {
     #[test]
     fn config_validation_catches_nonsense() {
         assert!(cfg().validate().is_ok());
-        for bad in [
-            ConsistencyConfig {
-                azimuth_bins: 2,
-                ..cfg()
-            },
-            ConsistencyConfig {
-                free_space_margin_m: 0.0,
-                ..cfg()
-            },
-            ConsistencyConfig {
-                min_ghost_points: 0,
-                ..cfg()
-            },
-            ConsistencyConfig {
-                max_speed_m_per_s: f64::NAN,
-                ..cfg()
-            },
-        ] {
-            assert!(bad.validate().is_err());
-        }
+        let bad = ConsistencyConfig {
+            min_ghost_points: 0,
+        };
+        assert!(bad.validate().is_err());
     }
 
     #[test]

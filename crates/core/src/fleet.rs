@@ -63,7 +63,7 @@ use cooper_spod::bev::BevMap;
 use cooper_spod::{filter_bev_roi, DetectOptions, DetectScratch};
 use cooper_telemetry::names as telemetry_names;
 use cooper_telemetry::trace::stage as trace_stage;
-use cooper_telemetry::{TelemetryEvent, TraceId};
+use cooper_telemetry::TraceId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -72,6 +72,7 @@ use crate::channel::{ChannelModel, Delivery, PerfectChannel, TransferCtx};
 use crate::consistency::{check_consistency, ConsistencyConfig, FreeSpaceIndex, SenderHistory};
 use crate::governor::{
     GovernorConfig, GovernorPolicy, GovernorVerdict, SendFirstPolicy, TransferCandidate,
+    BLIND_BINS, GROUND_Z_BELOW_M, MIN_SECTOR_WIDTH_RAD, OCCLUDER_RANGE_M,
 };
 use crate::tracking::{Tracker, TrackerStepSummary};
 use crate::trust::{TrustConfig, TrustLedger, TrustTransition, TrustVehicleStats};
@@ -258,41 +259,6 @@ pub struct VehicleStepReport {
     /// Senders this vehicle currently holds in quarantine (after this
     /// step's trust update). Zero when the trust layer is off.
     pub quarantined_peers: u32,
-}
-
-impl VehicleStepReport {
-    /// The `fleet.vehicle_step` telemetry event: the step and every
-    /// report field, the vehicle id under the key `vehicle`. The
-    /// destructuring names every field, so a field added to the report
-    /// does not compile until it is added here too.
-    fn event(&self, step: usize) -> TelemetryEvent {
-        let VehicleStepReport {
-            vehicle_id,
-            single_detections,
-            cooperative_detections,
-            packets_received,
-            packets_dropped,
-            packets_partial,
-            bytes_received,
-            confirmed_tracks,
-            coasting_tracks,
-            trust_violations,
-            quarantined_peers,
-        } = *self;
-        TelemetryEvent::new(telemetry_names::EVENT_FLEET_VEHICLE_STEP)
-            .with("step", step)
-            .with("vehicle", vehicle_id)
-            .with("single_detections", single_detections)
-            .with("cooperative_detections", cooperative_detections)
-            .with("packets_received", packets_received)
-            .with("packets_dropped", packets_dropped)
-            .with("packets_partial", packets_partial)
-            .with("bytes_received", bytes_received)
-            .with("confirmed_tracks", confirmed_tracks)
-            .with("coasting_tracks", coasting_tracks)
-            .with("trust_violations", trust_violations)
-            .with("quarantined_peers", quarantined_peers)
-    }
 }
 
 /// Why an in-range transfer the channel was asked about did not arrive
@@ -665,11 +631,15 @@ struct VehicleState {
     tracker: Option<Tracker>,
 }
 
+/// Scans a voxel must appear in before a sender's static map classifies
+/// it as background (delta encoding only).
+const STATIC_THRESHOLD: u32 = 3;
+
 impl VehicleState {
     fn new(pipeline: &CooperPipeline, governor: &GovernorConfig) -> Self {
         let codec = governor.delta_encode.then(|| {
             (
-                StaticMap::new(governor.grid, governor.static_threshold),
+                StaticMap::new(governor.grid, STATIC_THRESHOLD),
                 DeltaEncoder::new(governor.grid, governor.keyframe_every),
             )
         });
@@ -1186,10 +1156,10 @@ impl StepCtx<'_> {
         // Receive-side demand: the vehicle's blind sectors.
         let blind = blind_sectors(
             &scan,
-            governor.blind_bins,
-            governor.occluder_range_m,
-            governor.min_sector_width_rad,
-            governor.ground_z_below_m,
+            BLIND_BINS,
+            OCCLUDER_RANGE_M,
+            MIN_SECTOR_WIDTH_RAD,
+            GROUND_Z_BELOW_M,
         );
         let tx = tx_scan.as_ref().unwrap_or(&scan);
         let (feature_frames, ego_bev) = if governor.features {
@@ -1716,11 +1686,9 @@ impl StepCtx<'_> {
                 continue;
             };
             let sweep_index = if composite {
-                empty_index.get_or_insert_with(|| {
-                    FreeSpaceIndex::build(&PointCloud::new(), &tg.consistency)
-                })
+                empty_index.get_or_insert_with(|| FreeSpaceIndex::build(&PointCloud::new()))
             } else {
-                ego_index.get_or_insert_with(|| FreeSpaceIndex::build(&me.scan, &tg.consistency))
+                ego_index.get_or_insert_with(|| FreeSpaceIndex::build(&me.scan))
             };
             cooper_telemetry::counter_add(telemetry_names::GUARD_CONSISTENCY_CHECKS, 1);
             let align = alignment_transform(pkt.pose(), estimate, &self.config.origin);
@@ -1856,8 +1824,8 @@ impl StepCtx<'_> {
         per_vehicle
     }
 
-    /// Step-level telemetry: the worker count, the bytes each vehicle
-    /// received and one `fleet.vehicle_step` event per vehicle.
+    /// Step-level telemetry: the worker count and the bytes each vehicle
+    /// received.
     fn record(&self, per_vehicle: &[VehicleStepReport]) {
         if !cooper_telemetry::is_enabled() {
             return;
@@ -1867,7 +1835,6 @@ impl StepCtx<'_> {
         for v in per_vehicle {
             let bytes = v.bytes_received as u64;
             cooper_telemetry::counter_add(telemetry_names::FLEET_BYTES_RECEIVED, bytes);
-            cooper_telemetry::emit(v.event(self.step));
         }
     }
 }
@@ -2168,7 +2135,7 @@ mod tests {
     #[test]
     fn governed_static_fleet_saves_bytes_and_still_delivers() {
         use crate::governor::SendFirstPolicy;
-        // Parked vehicles: after `static_threshold` scans the static
+        // Parked vehicles: after `STATIC_THRESHOLD` scans the static
         // map absorbs the scene and delta frames shrink to the noise
         // floor, so the governed run moves far fewer bytes.
         let scene = scenario::tj_scenario_1();

@@ -111,10 +111,26 @@ impl GovernorPolicy for SendFirstPolicy {
     }
 }
 
+/// Azimuth bins a receiver's scan is split into for blind-sector
+/// detection ([`cooper_pointcloud::roi::blind_sectors`]).
+pub const BLIND_BINS: usize = 360;
+
+/// A bin is blocked when its nearest above-ground return is closer than
+/// this, metres.
+pub const OCCLUDER_RANGE_M: f64 = 15.0;
+
+/// Minimum angular width of a reported blind sector, radians (10°).
+pub const MIN_SECTOR_WIDTH_RAD: f64 = 10f64.to_radians();
+
+/// Returns below this sensor-frame height are ground, not occluders,
+/// metres.
+pub const GROUND_Z_BELOW_M: f64 = -1.0;
+
 /// Configuration of the governed exchange path
 /// ([`crate::fleet::FleetSimulation::run_governed`]): the sender-side
-/// codec state every vehicle maintains, and the blind-sector detection
-/// the receivers' demand is computed from.
+/// codec state every vehicle maintains and the tiers on offer. The
+/// receivers' demand comes from the blind sectors of their scans, found
+/// with this module's constants.
 #[derive(Debug, Clone)]
 pub struct GovernorConfig {
     /// Enable wire-format v2 delta encoding (background subtraction via
@@ -124,21 +140,8 @@ pub struct GovernorConfig {
     /// Keyframe cadence: every `keyframe_every`-th frame is a keyframe
     /// (1 = all keyframes). Ignored unless `delta_encode`.
     pub keyframe_every: u32,
-    /// Scans a voxel must appear in before it is classified as static
-    /// background. Ignored unless `delta_encode`.
-    pub static_threshold: u32,
     /// Voxel grid keying both the static map and the delta reference.
     pub grid: VoxelGridConfig,
-    /// Azimuth bins used for blind-sector detection.
-    pub blind_bins: usize,
-    /// A bin is blocked when its nearest above-ground return is closer
-    /// than this, metres.
-    pub occluder_range_m: f64,
-    /// Minimum angular width of a reported blind sector, radians.
-    pub min_sector_width_rad: f64,
-    /// Returns below this sensor-frame height are ground, not
-    /// occluders, metres.
-    pub ground_z_below_m: f64,
     /// Offer the feature-exchange tier: senders run the SPOD front half
     /// over their own scan and the candidate menu gains wire-format v3
     /// quantized BEV feature frames per ROI (F-Cooper), priced by their
@@ -152,12 +155,7 @@ impl Default for GovernorConfig {
         GovernorConfig {
             delta_encode: true,
             keyframe_every: 5,
-            static_threshold: 3,
             grid: VoxelGridConfig::voxelnet_car(),
-            blind_bins: 360,
-            occluder_range_m: 15.0,
-            min_sector_width_rad: 10f64.to_radians(),
-            ground_z_below_m: -1.0,
             features: false,
         }
     }
@@ -172,18 +170,6 @@ impl GovernorConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.keyframe_every == 0 {
             return Err("keyframe_every must be positive".to_string());
-        }
-        if self.static_threshold == 0 {
-            return Err("static_threshold must be positive".to_string());
-        }
-        if self.blind_bins == 0 {
-            return Err("blind_bins must be positive".to_string());
-        }
-        if self.occluder_range_m <= 0.0 || self.occluder_range_m.is_nan() {
-            return Err("occluder_range_m must be positive".to_string());
-        }
-        if self.min_sector_width_rad <= 0.0 || self.min_sector_width_rad.is_nan() {
-            return Err("min_sector_width_rad must be positive".to_string());
         }
         self.grid.validate()
     }
@@ -251,11 +237,6 @@ mod tests {
         assert!(GovernorConfig::default().validate().is_ok());
         let bad = GovernorConfig {
             keyframe_every: 0,
-            ..GovernorConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = GovernorConfig {
-            occluder_range_m: -1.0,
             ..GovernorConfig::default()
         };
         assert!(bad.validate().is_err());

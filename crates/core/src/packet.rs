@@ -322,54 +322,21 @@ impl ExchangePacket {
     /// Returns [`CooperError::Truncated`], [`CooperError::BadMagic`],
     /// [`CooperError::UnsupportedVersion`] or [`CooperError::InvalidPose`]
     /// for malformed input.
-    pub fn from_bytes(mut bytes: &[u8]) -> Result<Self, CooperError> {
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CooperError> {
         let _span = cooper_telemetry::span!(telemetry_names::SPAN_PACKET_DECODE);
-        if bytes.len() < HEADER_BYTES {
+        let header = Header::parse(bytes)?;
+        let payload = &bytes[HEADER_BYTES..];
+        if payload.len() < header.payload_len {
             return Err(CooperError::Truncated {
-                expected: HEADER_BYTES,
+                expected: HEADER_BYTES + header.payload_len,
                 actual: bytes.len(),
             });
         }
-        let mut magic = [0u8; 4];
-        bytes.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(CooperError::BadMagic);
-        }
-        let version = bytes.get_u8();
-        if version != VERSION {
-            return Err(CooperError::UnsupportedVersion(version));
-        }
-        let vehicle_id = bytes.get_u32();
-        let sequence = bytes.get_u32();
-        let latitude = bytes.get_f64();
-        let longitude = bytes.get_f64();
-        let altitude = bytes.get_f64();
-        let yaw = bytes.get_f64();
-        let pitch = bytes.get_f64();
-        let roll = bytes.get_f64();
-        let payload_len = bytes.get_u32() as usize;
-        if bytes.remaining() < payload_len {
-            return Err(CooperError::Truncated {
-                expected: HEADER_BYTES + payload_len,
-                actual: HEADER_BYTES + bytes.remaining(),
-            });
-        }
-        let pose = PoseEstimate {
-            gps: GpsFix::new(
-                latitude.clamp(-90.0, 90.0),
-                longitude.clamp(-180.0, 180.0),
-                altitude,
-            ),
-            attitude: Attitude::new(yaw, pitch, roll),
-        };
-        if !pose_is_finite(&pose) {
-            return Err(CooperError::InvalidPose);
-        }
         Ok(ExchangePacket {
-            vehicle_id,
-            sequence,
-            pose,
-            payload: Bytes::copy_from_slice(&bytes[..payload_len]),
+            vehicle_id: header.vehicle_id,
+            sequence: header.sequence,
+            pose: header.finite_pose()?,
+            payload: Bytes::copy_from_slice(&payload[..header.payload_len]),
         })
     }
 
@@ -390,43 +357,10 @@ impl ExchangePacket {
     /// when not even the payload's own header survived.
     pub fn from_partial_bytes(bytes: &[u8]) -> Result<(Self, f64), CooperError> {
         let _span = cooper_telemetry::span!(telemetry_names::SPAN_PACKET_DECODE_PARTIAL);
-        if bytes.len() < HEADER_BYTES {
-            return Err(CooperError::Truncated {
-                expected: HEADER_BYTES,
-                actual: bytes.len(),
-            });
-        }
-        let mut header = &bytes[..HEADER_BYTES];
-        let mut magic = [0u8; 4];
-        header.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(CooperError::BadMagic);
-        }
-        let version = header.get_u8();
-        if version != VERSION {
-            return Err(CooperError::UnsupportedVersion(version));
-        }
-        let vehicle_id = header.get_u32();
-        let sequence = header.get_u32();
-        let latitude = header.get_f64();
-        let longitude = header.get_f64();
-        let altitude = header.get_f64();
-        let yaw = header.get_f64();
-        let pitch = header.get_f64();
-        let roll = header.get_f64();
-        let payload_len = header.get_u32() as usize;
-        let pose = PoseEstimate {
-            gps: GpsFix::new(
-                latitude.clamp(-90.0, 90.0),
-                longitude.clamp(-180.0, 180.0),
-                altitude,
-            ),
-            attitude: Attitude::new(yaw, pitch, roll),
-        };
-        if !pose_is_finite(&pose) {
-            return Err(CooperError::InvalidPose);
-        }
-        let available = payload_len.min(bytes.len() - HEADER_BYTES);
+        let header = Header::parse(bytes)?;
+        let (vehicle_id, sequence) = (header.vehicle_id, header.sequence);
+        let pose = header.finite_pose()?;
+        let available = header.payload_len.min(bytes.len() - HEADER_BYTES);
         let payload = &bytes[HEADER_BYTES..HEADER_BYTES + available];
         let info = cooper_pointcloud::frame_info(payload)?;
         if info.kind == FrameKind::Features {
@@ -463,6 +397,76 @@ impl ExchangePacket {
             ExchangePacket::build(vehicle_id, sequence, &prefix_cloud, pose)?
         };
         Ok((packet, fraction))
+    }
+}
+
+/// The fixed header at the front of every exchange packet, as read
+/// before its payload is checked.
+struct Header {
+    vehicle_id: u32,
+    sequence: u32,
+    /// The GPS fix is clamped to valid latitudes and longitudes; the
+    /// pose is not yet checked for finite fields.
+    pose: PoseEstimate,
+    payload_len: usize,
+}
+
+impl Header {
+    /// Reads the header: its length, magic and version, then the fields.
+    ///
+    /// # Errors
+    ///
+    /// [`CooperError::Truncated`] when `bytes` is shorter than a header,
+    /// [`CooperError::BadMagic`] or [`CooperError::UnsupportedVersion`].
+    fn parse(bytes: &[u8]) -> Result<Self, CooperError> {
+        if bytes.len() < HEADER_BYTES {
+            return Err(CooperError::Truncated {
+                expected: HEADER_BYTES,
+                actual: bytes.len(),
+            });
+        }
+        let mut header = &bytes[..HEADER_BYTES];
+        let mut magic = [0u8; 4];
+        header.copy_to_slice(&mut magic);
+        if &magic != MAGIC {
+            return Err(CooperError::BadMagic);
+        }
+        let version = header.get_u8();
+        if version != VERSION {
+            return Err(CooperError::UnsupportedVersion(version));
+        }
+        let vehicle_id = header.get_u32();
+        let sequence = header.get_u32();
+        let latitude = header.get_f64();
+        let longitude = header.get_f64();
+        let altitude = header.get_f64();
+        let yaw = header.get_f64();
+        let pitch = header.get_f64();
+        let roll = header.get_f64();
+        let payload_len = header.get_u32() as usize;
+        Ok(Header {
+            vehicle_id,
+            sequence,
+            pose: PoseEstimate {
+                gps: GpsFix::new(
+                    latitude.clamp(-90.0, 90.0),
+                    longitude.clamp(-180.0, 180.0),
+                    altitude,
+                ),
+                attitude: Attitude::new(yaw, pitch, roll),
+            },
+            payload_len,
+        })
+    }
+
+    /// The pose, or [`CooperError::InvalidPose`] when a field is not
+    /// finite.
+    fn finite_pose(&self) -> Result<PoseEstimate, CooperError> {
+        if pose_is_finite(&self.pose) {
+            Ok(self.pose)
+        } else {
+            Err(CooperError::InvalidPose)
+        }
     }
 }
 
@@ -533,6 +537,38 @@ mod tests {
         assert_eq!(
             ExchangePacket::from_bytes(&bytes2).unwrap_err(),
             CooperError::UnsupportedVersion(200)
+        );
+    }
+
+    #[test]
+    fn both_decoders_reject_bad_headers_alike() {
+        let packet = ExchangePacket::build(1, 1, &sample_cloud(3), sample_pose()).unwrap();
+        let good = packet.to_bytes().to_vec();
+        let mut bad_magic = good.clone();
+        bad_magic[0] = b'X';
+        let mut bad_version = good.clone();
+        bad_version[4] = 200;
+        let mut nan_yaw = good.clone();
+        // The yaw field sits at offset 13 + 24 = 37.
+        nan_yaw[37..45].copy_from_slice(&f64::NAN.to_be_bytes());
+        for (bytes, want) in [
+            (&bad_magic, CooperError::BadMagic),
+            (&bad_version, CooperError::UnsupportedVersion(200)),
+            (&nan_yaw, CooperError::InvalidPose),
+        ] {
+            assert_eq!(ExchangePacket::from_bytes(bytes).unwrap_err(), want);
+            assert_eq!(ExchangePacket::from_partial_bytes(bytes).unwrap_err(), want);
+        }
+        // A whole packet is checked for a truncated payload before its
+        // pose; a partial one has no whole payload to check.
+        let cut = &nan_yaw[..nan_yaw.len() - 1];
+        assert!(matches!(
+            ExchangePacket::from_bytes(cut).unwrap_err(),
+            CooperError::Truncated { .. }
+        ));
+        assert_eq!(
+            ExchangePacket::from_partial_bytes(cut).unwrap_err(),
+            CooperError::InvalidPose
         );
     }
 

@@ -59,36 +59,37 @@ pub struct Track {
     pub last_score: f32,
 }
 
-/// Tracker parameters.
+/// Consecutive hits that confirm a track.
+const CONFIRM_AFTER: u32 = 2;
+
+/// Consecutive misses that drop a track.
+const DROP_AFTER: u32 = 3;
+
+/// Confidence decay applied to [`Track::last_score`] on every missed
+/// frame. A hit restores the carried confidence to at least the new
+/// detection's score (see [`Tracker::update`]).
+const SCORE_DECAY: f32 = 0.9;
+
+/// Tracker parameters. A track confirms after two consecutive hits and
+/// is dropped after three consecutive misses.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrackerConfig {
     /// Maximum association distance between a predicted track position
     /// and a detection center, metres.
     pub gate_distance: f64,
-    /// Hits needed to confirm a track.
-    pub confirm_after: u32,
-    /// Misses tolerated before a track is dropped.
-    pub drop_after: u32,
     /// Position smoothing gain (alpha), `0..=1`; higher trusts the
     /// measurement more.
     pub alpha: f64,
     /// Velocity gain (beta), `0..=1`.
     pub beta: f64,
-    /// Confidence decay applied to [`Track::last_score`] on every missed
-    /// frame, `(0, 1]`. A hit restores the carried confidence to at
-    /// least the new detection's score (see [`Tracker::update`]).
-    pub score_decay: f32,
 }
 
 impl Default for TrackerConfig {
     fn default() -> Self {
         TrackerConfig {
             gate_distance: 3.0,
-            confirm_after: 2,
-            drop_after: 3,
             alpha: 0.6,
             beta: 0.3,
-            score_decay: 0.9,
         }
     }
 }
@@ -103,14 +104,8 @@ impl TrackerConfig {
         if self.gate_distance <= 0.0 {
             return Err("gate distance must be positive".into());
         }
-        if self.confirm_after == 0 || self.drop_after == 0 {
-            return Err("confirm/drop thresholds must be positive".into());
-        }
         if !(0.0..=1.0).contains(&self.alpha) || !(0.0..=1.0).contains(&self.beta) {
             return Err("alpha/beta must be in [0, 1]".into());
-        }
-        if !(self.score_decay > 0.0 && self.score_decay <= 1.0) {
-            return Err("score decay must be in (0, 1]".into());
         }
         Ok(())
     }
@@ -212,8 +207,8 @@ impl Tracker {
     ///
     /// Confidence is carried across frames: a hit raises
     /// [`Track::last_score`] to at least the new detection's score but
-    /// never lowers it, and every miss decays it by
-    /// [`TrackerConfig::score_decay`] — so a briefly occluded object
+    /// never lowers it, and every miss decays it by a factor of 0.9 — so
+    /// a briefly occluded object
     /// keeps most of the confidence its evidence earned.
     ///
     /// # Panics
@@ -259,10 +254,10 @@ impl Tracker {
             t.misses = 0;
             t.last_score = d.score.max(t.last_score);
             // A Coasting track was already confirmed once; the preceding
-            // miss zeroed `hits`, so waiting for `confirm_after` fresh
+            // miss zeroed `hits`, so waiting for `CONFIRM_AFTER` fresh
             // hits would strand it in Coasting under alternating
             // hit/miss. Re-association restores Confirmed immediately.
-            if t.state == TrackState::Coasting || t.hits >= self.config.confirm_after {
+            if t.state == TrackState::Coasting || t.hits >= CONFIRM_AFTER {
                 if t.state != TrackState::Confirmed {
                     summary.promoted += 1;
                 }
@@ -275,16 +270,15 @@ impl Tracker {
                 let t = &mut self.tracks[ti];
                 t.misses += 1;
                 t.hits = 0;
-                t.last_score *= self.config.score_decay;
+                t.last_score *= SCORE_DECAY;
                 if t.state == TrackState::Confirmed {
                     t.state = TrackState::Coasting;
                     summary.coasted += 1;
                 }
             }
         }
-        let drop_after = self.config.drop_after;
         let before = self.tracks.len();
-        self.tracks.retain(|t| t.misses < drop_after);
+        self.tracks.retain(|t| t.misses < DROP_AFTER);
         summary.dropped = before - self.tracks.len();
         // Unmatched detections spawn tentative tracks.
         for (di, d) in detections.iter().enumerate() {
@@ -368,6 +362,21 @@ mod tests {
     }
 
     #[test]
+    fn tentative_track_drops_after_three_misses() {
+        // One hit leaves a track tentative; misses never promote it, and
+        // the third consecutive miss retires it.
+        let mut tr = Tracker::new(TrackerConfig::default());
+        tr.update(&[det(10.0, 0.0)], 0.1);
+        for _ in 0..2 {
+            tr.update(&[], 0.1);
+            assert_eq!(tr.state_counts(), (1, 0, 0));
+        }
+        let summary = tr.update(&[], 0.1);
+        assert_eq!(summary.dropped, 1);
+        assert!(tr.tracks().is_empty());
+    }
+
+    #[test]
     fn classes_do_not_cross_associate() {
         let mut tr = Tracker::new(TrackerConfig::default());
         tr.update(&[det(10.0, 0.0)], 0.1);
@@ -419,7 +428,7 @@ mod tests {
     #[test]
     fn coasting_track_reconfirms_on_rehit() {
         // Regression: hit → hit (confirm) → miss (coast) → hit. The miss
-        // zeroes `hits`, so the re-hit leaves `hits = 1 < confirm_after`;
+        // zeroes `hits`, so the re-hit leaves `hits = 1 < CONFIRM_AFTER`;
         // before the fix the track stayed Coasting forever under
         // alternating hit/miss even though it was already confirmed.
         let mut tr = Tracker::new(TrackerConfig::default());
@@ -488,15 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn config_rejects_bad_score_decay() {
-        let bad = TrackerConfig {
-            score_decay: 0.0,
-            ..TrackerConfig::default()
-        };
-        assert!(bad.validate().unwrap_err().contains("score decay"));
-    }
-
-    #[test]
     #[should_panic(expected = "invalid tracker config")]
     fn bad_config_panics() {
         let _ = Tracker::new(TrackerConfig {
@@ -519,10 +519,5 @@ mod tests {
             ..TrackerConfig::default()
         };
         assert!(bad_alpha.validate().unwrap_err().contains("alpha"));
-        let bad_confirm = TrackerConfig {
-            confirm_after: 0,
-            ..TrackerConfig::default()
-        };
-        assert!(bad_confirm.validate().unwrap_err().contains("confirm"));
     }
 }

@@ -838,27 +838,6 @@ pub fn decode_features_prefix(bytes: &[u8]) -> Result<(FeatureFrame, usize), Cod
     ))
 }
 
-/// One frame produced by [`DeltaEncoder::encode_next`].
-#[derive(Debug, Clone)]
-pub struct EncodedFrame {
-    /// The v2 wire bytes.
-    pub bytes: Bytes,
-    /// Keyframe or delta.
-    pub kind: FrameKind,
-    /// Points the frame carries (after delta filtering).
-    pub points_sent: usize,
-    /// Points of the input cloud.
-    pub points_total: usize,
-}
-
-impl EncodedFrame {
-    /// Wire bytes of this frame over the wire bytes of a v1 full frame
-    /// of the same input — the compression the delta mode bought.
-    pub fn bytes_ratio(&self) -> f64 {
-        self.bytes.len() as f64 / encoded_size(self.points_total) as f64
-    }
-}
-
 /// Sender-side state machine of the v2 delta mode: every
 /// `keyframe_every`-th frame is a keyframe; the frames between carry
 /// only points in voxels the previous keyframe left unoccupied.
@@ -872,9 +851,13 @@ impl EncodedFrame {
 ///
 /// # Examples
 ///
+/// The encoder keeps the cadence and the reference; the caller encodes
+/// each frame with [`encode_cloud_v2`], as the fleet does when it prices
+/// several ROIs of one frame.
+///
 /// ```
 /// use cooper_geometry::Vec3;
-/// use cooper_pointcloud::codec::{DeltaDecoder, DeltaEncoder, FrameKind};
+/// use cooper_pointcloud::codec::{encode_cloud_v2, DeltaDecoder, DeltaEncoder, FrameKind};
 /// use cooper_pointcloud::{Point, PointCloud, VoxelGridConfig};
 ///
 /// # fn main() -> Result<(), cooper_pointcloud::CodecError> {
@@ -883,14 +866,19 @@ impl EncodedFrame {
 /// let scan: PointCloud = (0..10)
 ///     .map(|i| Point::new(Vec3::new(20.0, i as f64 - 5.0, 0.0), 0.5))
 ///     .collect();
-/// let key = enc.encode_next(&scan, false)?;
-/// assert_eq!(key.kind, FrameKind::Keyframe);
-/// let delta = enc.encode_next(&scan, false)?;
-/// assert_eq!(delta.kind, FrameKind::Delta);
-/// assert_eq!(delta.points_sent, 0); // nothing moved
+/// // The first frame is a keyframe; its voxels become the reference.
+/// assert!(enc.keyframe_due());
+/// let key = encode_cloud_v2(&scan, FrameKind::Keyframe, false)?;
+/// enc.note_keyframe(&scan);
+/// // The next is a delta of the points in voxels the keyframe left empty.
+/// assert!(!enc.keyframe_due());
+/// let novel = enc.novel_points(&scan);
+/// assert_eq!(novel.len(), 0); // nothing moved
+/// let delta = encode_cloud_v2(&novel, FrameKind::Delta, false)?;
+/// enc.note_delta();
 /// // The decoder reconstructs the full view from keyframe + delta.
-/// assert_eq!(dec.decode_next(&key.bytes)?.len(), 10);
-/// assert_eq!(dec.decode_next(&delta.bytes)?.len(), 10);
+/// assert_eq!(dec.decode_next(&key)?.len(), 10);
+/// assert_eq!(dec.decode_next(&delta)?.len(), 10);
 /// # Ok(())
 /// # }
 /// ```
@@ -962,40 +950,6 @@ impl DeltaEncoder {
     pub fn note_delta(&mut self) {
         if let Some(n) = self.since_keyframe.as_mut() {
             *n += 1;
-        }
-    }
-
-    /// Encodes the next frame of the stream: a keyframe when the
-    /// cadence demands one, a delta frame otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`encode_cloud`]; on error the cadence state is
-    /// unchanged.
-    pub fn encode_next(
-        &mut self,
-        cloud: &PointCloud,
-        background_subtracted: bool,
-    ) -> Result<EncodedFrame, CodecError> {
-        if self.keyframe_due() {
-            let bytes = encode_cloud_v2(cloud, FrameKind::Keyframe, background_subtracted)?;
-            self.note_keyframe(cloud);
-            Ok(EncodedFrame {
-                bytes,
-                kind: FrameKind::Keyframe,
-                points_sent: cloud.len(),
-                points_total: cloud.len(),
-            })
-        } else {
-            let novel = self.novel_points(cloud);
-            let bytes = encode_cloud_v2(&novel, FrameKind::Delta, background_subtracted)?;
-            self.note_delta();
-            Ok(EncodedFrame {
-                bytes,
-                kind: FrameKind::Delta,
-                points_sent: novel.len(),
-                points_total: cloud.len(),
-            })
         }
     }
 }
@@ -1455,13 +1409,28 @@ mod tests {
         let _ = encode_cloud_v2(&sample_cloud(1), FrameKind::Features, false);
     }
 
+    /// Sends the next frame of `enc`'s stream as the fleet composes it:
+    /// the whole cloud as a keyframe when the cadence calls for one, its
+    /// novel points as a delta frame otherwise. Returns the frame kind,
+    /// the points sent and the wire bytes.
+    fn send_next(enc: &mut DeltaEncoder, cloud: &PointCloud) -> (FrameKind, usize, Bytes) {
+        let (kind, sent) = if enc.keyframe_due() {
+            enc.note_keyframe(cloud);
+            (FrameKind::Keyframe, cloud.clone())
+        } else {
+            let novel = enc.novel_points(cloud);
+            enc.note_delta();
+            (FrameKind::Delta, novel)
+        };
+        let bytes = encode_cloud_v2(&sent, kind, false).unwrap();
+        (kind, sent.len(), bytes)
+    }
+
     #[test]
     fn delta_encoder_follows_cadence() {
         let mut enc = DeltaEncoder::new(VoxelGridConfig::voxelnet_car(), 3);
         let cloud = sample_cloud(50);
-        let kinds: Vec<FrameKind> = (0..7)
-            .map(|_| enc.encode_next(&cloud, false).unwrap().kind)
-            .collect();
+        let kinds: Vec<FrameKind> = (0..7).map(|_| send_next(&mut enc, &cloud).0).collect();
         use FrameKind::{Delta, Keyframe};
         assert_eq!(
             kinds,
@@ -1475,33 +1444,33 @@ mod tests {
         let stat: PointCloud = (0..30)
             .map(|i| Point::new(Vec3::new(10.0 + (i % 5) as f64, 3.0, 0.5), 0.4))
             .collect();
-        let key = enc.encode_next(&stat, false).unwrap();
-        assert_eq!(key.points_sent, 30);
+        let (_, key_sent, key) = send_next(&mut enc, &stat);
+        assert_eq!(key_sent, 30);
 
         // Same scene plus one new object: the delta sends only the object.
         let mut moved = stat.clone();
         moved.push(Point::new(Vec3::new(25.0, -4.0, 0.5), 0.9));
-        let delta = enc.encode_next(&moved, false).unwrap();
-        assert_eq!(delta.kind, FrameKind::Delta);
-        assert_eq!(delta.points_sent, 1);
-        assert!(delta.bytes_ratio() < 0.2);
+        let (kind, sent, delta) = send_next(&mut enc, &moved);
+        assert_eq!(kind, FrameKind::Delta);
+        assert_eq!(sent, 1);
+        assert!((delta.len() as f64) < 0.2 * encoded_size(moved.len()) as f64);
 
         // The decoder reconstructs all 31 points.
         let mut dec = DeltaDecoder::new();
-        dec.decode_next(&key.bytes).unwrap();
-        assert_eq!(dec.decode_next(&delta.bytes).unwrap().len(), 31);
+        dec.decode_next(&key).unwrap();
+        assert_eq!(dec.decode_next(&delta).unwrap().len(), 31);
     }
 
     #[test]
     fn delta_decoder_degrades_without_keyframe() {
         let mut enc = DeltaEncoder::new(VoxelGridConfig::voxelnet_car(), 2);
         let cloud = sample_cloud(40);
-        let _lost_keyframe = enc.encode_next(&cloud, false).unwrap();
-        let delta = enc.encode_next(&cloud, false).unwrap();
+        let _lost_keyframe = send_next(&mut enc, &cloud);
+        let (_, sent, delta) = send_next(&mut enc, &cloud);
         let mut dec = DeltaDecoder::new();
         // No keyframe cached: the delta decodes to its own points only.
-        let got = dec.decode_next(&delta.bytes).unwrap();
-        assert_eq!(got.len(), delta.points_sent);
+        let got = dec.decode_next(&delta).unwrap();
+        assert_eq!(got.len(), sent);
         assert!(dec.keyframe().is_none());
     }
 
@@ -1638,9 +1607,9 @@ mod tests {
         // voxelnet_car's extent does not reach x = −60.
         let outside: PointCloud =
             std::iter::once(Point::new(Vec3::new(-60.0, 0.0, 0.0), 0.5)).collect();
-        enc.encode_next(&outside, false).unwrap();
-        let delta = enc.encode_next(&outside, false).unwrap();
-        assert_eq!(delta.kind, FrameKind::Delta);
-        assert_eq!(delta.points_sent, 1);
+        send_next(&mut enc, &outside);
+        let (kind, sent, _) = send_next(&mut enc, &outside);
+        assert_eq!(kind, FrameKind::Delta);
+        assert_eq!(sent, 1);
     }
 }

@@ -102,13 +102,7 @@ pub fn read_xyz<R: BufRead>(reader: R) -> Result<PointCloud, IoFormatError> {
         } else {
             0.5
         };
-        if !(x.is_finite() && y.is_finite() && z.is_finite()) {
-            return Err(IoFormatError::Parse {
-                line: idx + 1,
-                message: "non-finite coordinate".into(),
-            });
-        }
-        cloud.push(Point::new(Vec3::new(x, y, z), reflectance));
+        cloud.push(Point::new(finite_position(x, y, z, idx + 1)?, reflectance));
     }
     Ok(cloud)
 }
@@ -243,12 +237,12 @@ pub fn read_ply<R: BufRead>(reader: R) -> Result<PointCloud, IoFormatError> {
                 message: format!("invalid {what}: {:?}", fields[i]),
             })
         };
-        let position = Vec3::new(get(ix, "x")?, get(iy, "y")?, get(iz, "z")?);
+        let (x, y, z) = (get(ix, "x")?, get(iy, "y")?, get(iz, "z")?);
         let reflectance = match ii {
             Some(i) => get(i, "intensity")? as f32,
             None => 0.5,
         };
-        cloud.push(Point::new(position, reflectance));
+        cloud.push(Point::new(finite_position(x, y, z, line_no)?, reflectance));
     }
     Ok(cloud)
 }
@@ -367,7 +361,7 @@ pub fn read_pcd<R: BufRead>(reader: R) -> Result<PointCloud, IoFormatError> {
             Some(v) => v? as f32,
             None => 0.5,
         };
-        cloud.push(Point::new(Vec3::new(x, y, z), reflectance));
+        cloud.push(Point::new(finite_position(x, y, z, line_no)?, reflectance));
         read_so_far += 1;
     }
     match points {
@@ -380,6 +374,20 @@ pub fn read_pcd<R: BufRead>(reader: R) -> Result<PointCloud, IoFormatError> {
             line: 0,
             message: "missing DATA ascii section".into(),
         }),
+    }
+}
+
+/// The position `(x, y, z)`, or a parse error at `line` when a
+/// coordinate is NaN or infinite: such a point has no range or bearing
+/// the range image and the voxelizer can bin.
+fn finite_position(x: f64, y: f64, z: f64, line: usize) -> Result<Vec3, IoFormatError> {
+    if x.is_finite() && y.is_finite() && z.is_finite() {
+        Ok(Vec3::new(x, y, z))
+    } else {
+        Err(IoFormatError::Parse {
+            line,
+            message: "non-finite coordinate".into(),
+        })
     }
 }
 
@@ -473,6 +481,22 @@ mod tests {
     }
 
     #[test]
+    fn ply_rejects_non_finite_coordinates() {
+        for (x, y, z) in [("nan", "2", "3"), ("1", "inf", "3"), ("1", "2", "-inf")] {
+            let text = format!(
+                "ply\nformat ascii 1.0\nelement vertex 1\n\
+                 property float x\nproperty float y\nproperty float z\n\
+                 end_header\n{x} {y} {z}\n"
+            );
+            let err = read_ply(BufReader::new(text.as_bytes())).unwrap_err();
+            assert!(
+                matches!(&err, IoFormatError::Parse { message, .. } if message == "non-finite coordinate"),
+                "{x} {y} {z}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn pcd_round_trip() {
         let cloud = sample();
         let mut buf = Vec::new();
@@ -497,6 +521,18 @@ mod tests {
         assert!(err.to_string().contains("expected 2 points"));
         let no_data = "FIELDS x y z\nPOINTS 1\n".replace("\\n", "\n");
         assert!(read_pcd(BufReader::new(no_data.as_bytes())).is_err());
+    }
+
+    #[test]
+    fn pcd_rejects_non_finite_coordinates() {
+        for (x, y, z) in [("nan", "2", "3"), ("1", "inf", "3"), ("1", "2", "-inf")] {
+            let text = format!("FIELDS x y z\nPOINTS 1\nDATA ascii\n{x} {y} {z}\n");
+            let err = read_pcd(BufReader::new(text.as_bytes())).unwrap_err();
+            assert!(
+                matches!(&err, IoFormatError::Parse { message, .. } if message == "non-finite coordinate"),
+                "{x} {y} {z}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -204,7 +204,9 @@ impl RangeImage {
         let mut cells = vec![Cell::default(); config.rows * config.cols];
         for point in cloud.iter() {
             let range = point.range();
-            if range < 1e-6 {
+            // A NaN range would claim its cell for good: no later return
+            // compares nearer than NaN.
+            if range.is_nan() || range < 1e-6 {
                 continue;
             }
             let Some((row, col)) = fast_cell_of(&config, &az_bins, &el_bins, point.position) else {
@@ -741,6 +743,23 @@ mod tests {
         cloud.push(Point::new(c.direction_of(0, 0) * 5.0, 0.5));
         let img = RangeImage::project(&cloud, c);
         assert!((img.fill_ratio() - 1.0 / 64.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn nan_point_does_not_claim_its_cell() {
+        // (0, 1, NaN) bins to column 675 (+y) and, by its NaN elevation,
+        // to row 0: the cell of the return that follows it.
+        let c = RangeImageConfig::vlp16();
+        let behind = c.direction_of(0, 675) * 10.0;
+        assert_eq!(c.cell_of(Vec3::new(0.0, 1.0, f64::NAN)), Some((0, 675)));
+        assert_eq!(c.cell_of(behind), Some((0, 675)));
+        let mut cloud = PointCloud::new();
+        cloud.push(Point::new(Vec3::new(0.0, 1.0, f64::NAN), 0.5));
+        cloud.push(Point::new(behind, 0.5));
+        let img = RangeImage::project(&cloud, c);
+        assert_eq!(img.occupied_cells(), 1);
+        let range = img.range_at(0, 675).expect("the return keeps its cell");
+        assert!((range - 10.0).abs() < 1e-5, "range {range}");
     }
 
     #[test]

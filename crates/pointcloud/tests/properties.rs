@@ -278,23 +278,23 @@ proptest! {
         keyframe_every in 1u32..6,
         frames in 1usize..8,
     ) {
-        use cooper_pointcloud::{DeltaDecoder, DeltaEncoder, FrameKind};
+        use cooper_pointcloud::{encode_cloud_v2, DeltaDecoder, DeltaEncoder, FrameKind};
         let mut enc = DeltaEncoder::new(VoxelGridConfig::voxelnet_car(), keyframe_every);
         let mut dec = DeltaDecoder::new();
         for i in 0..frames {
-            let frame = enc.encode_next(&c, false).unwrap();
-            prop_assert_eq!(
-                frame.kind,
-                if (i as u32).is_multiple_of(keyframe_every) {
-                    FrameKind::Keyframe
-                } else {
-                    FrameKind::Delta
-                }
-            );
-            prop_assert!(frame.points_sent <= c.len());
+            prop_assert_eq!(enc.keyframe_due(), (i as u32).is_multiple_of(keyframe_every));
+            let (kind, sent) = if enc.keyframe_due() {
+                enc.note_keyframe(&c);
+                (FrameKind::Keyframe, c.clone())
+            } else {
+                let novel = enc.novel_points(&c);
+                enc.note_delta();
+                (FrameKind::Delta, novel)
+            };
+            prop_assert!(sent.len() <= c.len());
             // A static scene reconstructs to at least the keyframe's view.
-            let got = dec.decode_next(&frame.bytes).unwrap();
-            prop_assert!(got.len() >= frame.points_sent);
+            let got = dec.decode_next(&encode_cloud_v2(&sent, kind, false).unwrap()).unwrap();
+            prop_assert!(got.len() >= sent.len());
             prop_assert!(got.len() <= 2 * c.len());
         }
     }

@@ -630,7 +630,9 @@ mod search_free {
 mod memo {
     use super::*;
     use cooper_exec::Executor;
-    use cooper_pointcloud::{DeltaDecoder, DeltaEncoder, Point, PointCloud, VoxelGridConfig};
+    use cooper_pointcloud::{
+        encode_cloud_v2, DeltaDecoder, DeltaEncoder, FrameKind, Point, PointCloud, VoxelGridConfig,
+    };
     use cooper_spod::{DetectOptions, DetectScratch, FeaturizeCache, SpodConfig, SpodDetector};
 
     /// Points inside the detector's voxel extent, around sensor height.
@@ -680,8 +682,16 @@ mod memo {
                 }
                 let cloud: PointCloud = scene.iter().copied().collect();
                 for send in 0..sends {
-                    let frame = enc.encode_next(&cloud, false).unwrap();
-                    let received = dec.decode_next(&frame.bytes).unwrap();
+                    let (kind, sent) = if enc.keyframe_due() {
+                        enc.note_keyframe(&cloud);
+                        (FrameKind::Keyframe, cloud.clone())
+                    } else {
+                        let novel = enc.novel_points(&cloud);
+                        enc.note_delta();
+                        (FrameKind::Delta, novel)
+                    };
+                    let bytes = encode_cloud_v2(&sent, kind, false).unwrap();
+                    let received = dec.decode_next(&bytes).unwrap();
                     for (threads, cache) in [1, 2].into_iter().zip(caches.iter_mut()) {
                         let options = DetectOptions::default()
                             .with_threshold(0.4)

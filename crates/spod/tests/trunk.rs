@@ -48,7 +48,7 @@ fn reference_preprocess(cloud: &PointCloud, config: &SpodConfig) -> PointCloud {
     let mut cells = vec![Cell::default(); rows * cols];
     for point in cloud.iter() {
         let range = point.range();
-        if range < 1e-6 {
+        if range.is_nan() || range < 1e-6 {
             continue;
         }
         let Some((row, col)) = c.cell_of(point.position) else {

@@ -1,5 +1,5 @@
-//! `cooper-telemetry`: pipeline-wide tracing spans, a metrics
-//! registry, and structured event export for the Cooper workspace.
+//! `cooper-telemetry`: pipeline-wide tracing spans and a metrics
+//! registry for the Cooper workspace.
 //!
 //! The crate is deliberately tiny and dependency-free (std plus the
 //! workspace's existing `serde` marker derives and `parking_lot`): the
@@ -19,8 +19,8 @@
 //! - **Gauges** keep their latest value (`fleet.connected_ratio`).
 //! - **Value histograms** aggregate non-duration observations
 //!   (`v2x.frame_bytes`).
-//! - **Events** are structured records forwarded to a pluggable
-//!   [`TelemetrySink`] and exportable as JSON lines.
+//! - **Events** ([`TelemetryEvent`]) are structured records with a
+//!   JSON-lines form; the bench ledger stores its records in it.
 //!
 //! # Naming scheme
 //!
@@ -51,18 +51,14 @@ pub mod event;
 pub mod histogram;
 pub mod names;
 pub mod registry;
-pub mod sink;
 pub mod snapshot;
 pub mod trace;
 
 pub use event::{FieldValue, TelemetryEvent};
 pub use histogram::Histogram;
 pub use registry::{Registry, SpanGuard};
-pub use sink::{JsonLinesSink, MemorySink, TelemetrySink};
 pub use snapshot::{SelfTimeEntry, SpanSummary, TelemetrySnapshot, ValueSummary};
 pub use trace::{ChromeTrace, TraceEvent, TraceId};
-
-use std::sync::Arc;
 
 static GLOBAL: Registry = Registry::new();
 
@@ -106,21 +102,6 @@ pub fn record_value(name: &str, value: u64) {
     GLOBAL.record_value(name, value);
 }
 
-/// Emits an event to the global sink.
-pub fn emit(event: TelemetryEvent) {
-    GLOBAL.emit(event);
-}
-
-/// Installs the global event sink.
-pub fn set_sink(sink: Arc<dyn TelemetrySink>) {
-    GLOBAL.set_sink(sink);
-}
-
-/// Removes the global event sink.
-pub fn clear_sink() {
-    GLOBAL.clear_sink();
-}
-
 /// Snapshots the global registry.
 pub fn snapshot() -> TelemetrySnapshot {
     GLOBAL.snapshot()
@@ -152,7 +133,7 @@ pub fn take_trace() -> ChromeTrace {
     GLOBAL.take_trace()
 }
 
-/// Clears all global recordings (keeps the enabled flag and sink).
+/// Clears all global recordings (keeps the enabled and tracing flags).
 pub fn reset() {
     GLOBAL.reset();
 }
@@ -190,18 +171,5 @@ mod tests {
         assert_eq!(snap.counter("lib_test.counter"), Some(2));
         assert_eq!(snap.gauge("lib_test.gauge"), Some(1.5));
         assert_eq!(snap.value("lib_test.value").unwrap().count, 1);
-    }
-
-    #[test]
-    fn global_sink_receives_events() {
-        let sink = Arc::new(MemorySink::new());
-        set_sink(sink.clone());
-        enable();
-        emit(TelemetryEvent::new("lib_test.event").with("ok", true));
-        clear_sink();
-        assert!(sink
-            .events()
-            .iter()
-            .any(|event| event.kind() == "lib_test.event"));
     }
 }

@@ -127,11 +127,6 @@ pub const PACKET_WIRE_BYTES: &str = "packet.wire_bytes";
 /// Delivered fraction of partial transfers, per mille.
 pub const V2X_PARTIAL_FRACTION: &str = "v2x.partial.fraction";
 
-// --- event kinds --------------------------------------------------------
-
-/// Per-vehicle per-step structured event emitted by the fleet runner.
-pub const EVENT_FLEET_VEHICLE_STEP: &str = "fleet.vehicle_step";
-
 // --- spans --------------------------------------------------------------
 
 /// Whole fleet run.
@@ -200,8 +195,8 @@ pub const SPAN_V2X_TRY_SEND: &str = "v2x.try_send";
 /// Channel round-trip simulation.
 pub const SPAN_V2X_SIMULATE: &str = "v2x.simulate";
 
-/// Every exact (non-dynamic) counter, gauge, value-histogram, and event
-/// name the workspace emits.
+/// Every exact (non-dynamic) counter, gauge and value-histogram name
+/// the workspace records.
 pub const ALL_METRICS: &[&str] = &[
     PIPELINE_PACKETS_FUSED,
     PIPELINE_PACKETS_DROPPED,
@@ -250,7 +245,6 @@ pub const ALL_METRICS: &[&str] = &[
     ALIGN_RESIDUAL,
     PACKET_WIRE_BYTES,
     V2X_PARTIAL_FRACTION,
-    EVENT_FLEET_VEHICLE_STEP,
 ];
 
 /// Counter families whose full name carries a dynamic `<kind>` suffix.

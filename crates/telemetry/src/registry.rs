@@ -1,20 +1,17 @@
-//! The telemetry registry: span timing, counters, gauges, value
-//! histograms, and event fan-out, behind one enable switch.
+//! The telemetry registry: span timing, counters, gauges and value
+//! histograms, behind one enable switch.
 //!
 //! Disabled (the default) the cost of every instrumentation point is a
 //! single relaxed atomic load — no clock read, no allocation, no lock.
 //! Enabled, recording takes one short mutex hold; contention is
 //! negligible next to the millisecond-scale stages being measured.
 
-use crate::event::TelemetryEvent;
 use crate::histogram::Histogram;
-use crate::sink::TelemetrySink;
 use crate::snapshot::{SpanSummary, TelemetrySnapshot, ValueSummary};
 use crate::trace::{ChromeTrace, TraceEvent, TraceId};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::thread::ThreadId;
 use std::time::Instant;
 
@@ -28,7 +25,6 @@ struct Inner {
     /// Per-thread stacks of open span names; linear scan is fine for
     /// the handful of threads a simulation run uses.
     stacks: Vec<(ThreadId, Vec<&'static str>)>,
-    sink: Option<Arc<dyn TelemetrySink>>,
     /// Time zero of the trace buffer, set lazily at the first traced
     /// event so timestamps start near zero.
     trace_epoch: Option<Instant>,
@@ -87,7 +83,6 @@ impl Registry {
                 gauges: BTreeMap::new(),
                 values: BTreeMap::new(),
                 stacks: Vec::new(),
-                sink: None,
                 trace_epoch: None,
                 trace_events: Vec::new(),
                 trace_lanes: Vec::new(),
@@ -264,33 +259,9 @@ impl Registry {
         }
     }
 
-    /// Forwards an event to the configured sink, if any. Dropped
-    /// silently when disabled or sinkless.
-    pub fn emit(&self, event: TelemetryEvent) {
-        if !self.is_enabled() {
-            return;
-        }
-        // Clone the sink handle out of the lock so slow sinks (file
-        // writers) never block other instrumentation points.
-        let sink = self.inner.lock().sink.clone();
-        if let Some(sink) = sink {
-            sink.record(&event);
-        }
-    }
-
-    /// Installs the event sink, replacing any previous one.
-    pub fn set_sink(&self, sink: Arc<dyn TelemetrySink>) {
-        self.inner.lock().sink = Some(sink);
-    }
-
-    /// Removes the event sink.
-    pub fn clear_sink(&self) {
-        self.inner.lock().sink = None;
-    }
-
     /// Clears all recorded data (spans, counters, gauges, values, open
     /// span stacks, and the trace buffer). The enabled and tracing
-    /// flags and the sink are kept.
+    /// flags are kept.
     pub fn reset(&self) {
         let mut inner = self.inner.lock();
         inner.spans.clear();
@@ -567,18 +538,5 @@ mod tests {
         assert!(trace.events.is_empty());
         assert_eq!(trace.lane_count, 0);
         assert!(reg.is_tracing(), "tracing flag survives reset");
-    }
-
-    #[test]
-    fn emit_reaches_sink_only_when_enabled() {
-        let reg = Registry::new();
-        let sink = Arc::new(crate::sink::MemorySink::new());
-        reg.set_sink(sink.clone());
-        reg.emit(TelemetryEvent::new("dropped"));
-        assert!(sink.is_empty());
-        reg.enable();
-        reg.emit(TelemetryEvent::new("kept").with("n", 1u64));
-        assert_eq!(sink.len(), 1);
-        assert_eq!(sink.events()[0].kind(), "kept");
     }
 }

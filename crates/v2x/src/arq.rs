@@ -13,52 +13,36 @@
 //! per-(sender, receiver, step) seeded stream keeps fleet runs
 //! bit-identical at any thread count.
 
-use crate::dsrc::DsrcChannel;
+use crate::dsrc::{DsrcChannel, MTU, PER_FRAME_OVERHEAD};
 use cooper_telemetry as telemetry;
 use cooper_telemetry::names as telemetry_names;
 use rand::Rng;
 
+/// Wait before the first retransmission round, seconds — models the
+/// receiver's NACK turnaround.
+const INITIAL_TIMEOUT_S: f64 = 0.02;
+
+/// Timeout multiplier applied between successive rounds (exponential
+/// backoff).
+const BACKOFF_FACTOR: f64 = 2.0;
+
 /// Retransmission policy for one (sender, receiver, message) transfer.
+/// Rounds are separated by a timeout of 20 ms that doubles each round.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ArqConfig {
     /// Maximum retransmission rounds after the initial transmission.
     /// Zero disables retransmission (the transfer still honours the
     /// deadline).
     pub max_retries: usize,
-    /// Wait before the first retransmission round, seconds — models the
-    /// receiver's NACK turnaround.
-    pub initial_timeout_s: f64,
-    /// Timeout multiplier applied between successive rounds
-    /// (exponential backoff).
-    pub backoff_factor: f64,
 }
 
 impl Default for ArqConfig {
     fn default() -> Self {
-        ArqConfig {
-            max_retries: 4,
-            initial_timeout_s: 0.02,
-            backoff_factor: 2.0,
-        }
+        ArqConfig { max_retries: 4 }
     }
 }
 
 impl ArqConfig {
-    /// Validates the parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.initial_timeout_s >= 0.0 && self.initial_timeout_s.is_finite()) {
-            return Err("initial timeout must be non-negative and finite".into());
-        }
-        if !(self.backoff_factor >= 1.0 && self.backoff_factor.is_finite()) {
-            return Err("backoff factor must be >= 1".into());
-        }
-        Ok(())
-    }
-
     /// The per-step delivery deadline budget for a periodic exchange:
     /// everything must land before the next scan, i.e. within
     /// `1/rate_hz` seconds.
@@ -93,7 +77,7 @@ pub struct ArqReport {
     pub retransmits: usize,
     /// Bytes put on the air (payload + per-frame overhead, all rounds).
     pub bytes_on_air: usize,
-    /// Time consumed: air time, jitter and backoff waits, seconds.
+    /// Time consumed: air time and backoff waits, seconds.
     pub elapsed_s: f64,
     /// `true` when every fragment was delivered within the deadline.
     pub complete: bool,
@@ -128,8 +112,7 @@ impl ArqReport {
 ///
 /// # Panics
 ///
-/// Panics when `config` fails [`ArqConfig::validate`] or `deadline_s`
-/// is not positive.
+/// Panics when `deadline_s` is not positive.
 pub fn transmit_with_arq<R: Rng + ?Sized>(
     channel: &DsrcChannel,
     payload_bytes: usize,
@@ -137,22 +120,19 @@ pub fn transmit_with_arq<R: Rng + ?Sized>(
     config: &ArqConfig,
     rng: &mut R,
 ) -> ArqReport {
-    if let Err(msg) = config.validate() {
-        panic!("invalid ARQ config: {msg}");
-    }
     assert!(deadline_s > 0.0, "deadline must be positive");
     let cfg = channel.config();
     let fragments = channel.frames_for(payload_bytes);
     // Per-fragment payload sizes: full MTU except a ragged tail.
     let frag_payload = |i: usize| -> usize {
         if i + 1 < fragments {
-            cfg.mtu
+            MTU
         } else {
-            payload_bytes - cfg.mtu * (fragments - 1)
+            payload_bytes - MTU * (fragments - 1)
         }
     };
     let frame_airtime = |payload: usize| -> f64 {
-        (payload + cfg.per_frame_overhead) as f64 * 8.0 / cfg.data_rate.bits_per_second()
+        (payload + PER_FRAME_OVERHEAD) as f64 * 8.0 / cfg.data_rate.bits_per_second()
             + cfg.per_frame_access_time
     };
 
@@ -162,7 +142,7 @@ pub fn transmit_with_arq<R: Rng + ?Sized>(
     let mut frames_sent = 0usize;
     let mut bytes_on_air = 0usize;
     let mut rounds = 0usize;
-    let mut timeout = config.initial_timeout_s;
+    let mut timeout = INITIAL_TIMEOUT_S;
     let mut deadline_exceeded = false;
 
     'transfer: loop {
@@ -177,9 +157,9 @@ pub fn transmit_with_arq<R: Rng + ?Sized>(
                 deadline_exceeded = true;
                 break 'transfer;
             }
-            elapsed += airtime + channel.frame_jitter(rng);
+            elapsed += airtime;
             frames_sent += 1;
-            bytes_on_air += payload + cfg.per_frame_overhead;
+            bytes_on_air += payload + PER_FRAME_OVERHEAD;
             if !process.frame_lost(rng) {
                 *slot = true;
             }
@@ -191,7 +171,7 @@ pub fn transmit_with_arq<R: Rng + ?Sized>(
             break;
         }
         elapsed += timeout;
-        timeout *= config.backoff_factor;
+        timeout *= BACKOFF_FACTOR;
         if elapsed >= deadline_s {
             deadline_exceeded = true;
             break;
@@ -246,6 +226,26 @@ mod tests {
         assert!(!r.deadline_exceeded);
         assert_eq!(r.contiguous_prefix, r.fragments);
         assert!((r.salvage_fraction() - 1.0).abs() < 1e-12);
+        assert!((r.elapsed_s - ch.airtime_for(100_000)).abs() < 1e-12);
+        // Nothing was lost, so nothing was drawn: the caller's stream is
+        // where it started.
+        assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(0).gen::<u64>());
+    }
+
+    #[test]
+    fn retransmission_rounds_wait_a_doubling_timeout() {
+        // One fragment lost in all three rounds: the sender waits 20 ms
+        // after the first round and 40 ms after the second.
+        let ch = lossy(0.99);
+        let cfg = ArqConfig { max_retries: 2 };
+        let mut rng = StdRng::seed_from_u64(5);
+        let r = transmit_with_arq(&ch, 1000, 1.0, &cfg, &mut rng);
+        assert_eq!((r.rounds, r.frames_sent, r.retransmits), (3, 3, 2));
+        assert!(!r.complete && !r.deadline_exceeded);
+        assert_eq!(r.bytes_on_air, 3 * (1000 + PER_FRAME_OVERHEAD));
+        let frame = ch.airtime_for(1000);
+        let waits = 0.02 + 0.04;
+        assert!((r.elapsed_s - (3.0 * frame + waits)).abs() < 1e-12, "{r:?}");
     }
 
     #[test]
@@ -280,10 +280,7 @@ mod tests {
     #[test]
     fn zero_retries_sends_each_fragment_once() {
         let ch = lossy(0.3);
-        let cfg = ArqConfig {
-            max_retries: 0,
-            ..ArqConfig::default()
-        };
+        let cfg = ArqConfig { max_retries: 0 };
         let mut rng = StdRng::seed_from_u64(3);
         let r = transmit_with_arq(&ch, 50_000, 1.0, &cfg, &mut rng);
         assert_eq!(r.rounds, 1);
@@ -330,17 +327,5 @@ mod tests {
     fn deadline_for_rate_is_reciprocal() {
         assert!((ArqConfig::deadline_for_rate(1.0) - 1.0).abs() < 1e-12);
         assert!((ArqConfig::deadline_for_rate(10.0) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid ARQ config")]
-    fn invalid_config_panics() {
-        let cfg = ArqConfig {
-            backoff_factor: 0.5,
-            ..ArqConfig::default()
-        };
-        let ch = lossy(0.0);
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = transmit_with_arq(&ch, 10, 1.0, &cfg, &mut rng);
     }
 }

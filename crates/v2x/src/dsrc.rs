@@ -189,15 +189,19 @@ impl LossProcess {
     }
 }
 
-/// Channel model parameters.
+/// Maximum payload bytes per link-layer frame (the 802.11 MSDU bound
+/// a LiDAR payload is fragmented to).
+pub const MTU: usize = 1460;
+
+/// MAC + PHY header overhead per frame, bytes.
+pub(crate) const PER_FRAME_OVERHEAD: usize = 64;
+
+/// Channel model parameters. Every frame carries at most [`MTU`]
+/// payload bytes plus a fixed MAC + PHY header.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DsrcConfig {
     /// PHY data rate.
     pub data_rate: DataRate,
-    /// Maximum payload bytes per frame (802.11 MSDU bound).
-    pub mtu: usize,
-    /// MAC + PHY header overhead per frame, bytes.
-    pub per_frame_overhead: usize,
     /// Fixed per-frame channel-access time (preamble, SIFS, contention),
     /// seconds.
     pub per_frame_access_time: f64,
@@ -206,11 +210,6 @@ pub struct DsrcConfig {
     pub loss_probability: f64,
     /// How per-frame loss is sampled (independent vs burst).
     pub loss_model: LossModel,
-    /// Maximum extra per-frame latency (queueing / contention jitter),
-    /// seconds; each frame adds a uniform draw from `[0, jitter_s]` to
-    /// the delivery latency. Zero (the default) disables jitter and
-    /// consumes no randomness.
-    pub jitter_s: f64,
     /// Probability that a *delivered* frame arrives damaged (bit flips
     /// or mid-frame truncation that slipped past the PHY) — sampled
     /// independently of loss, per frame. Zero (the default) disables
@@ -223,12 +222,9 @@ impl Default for DsrcConfig {
     fn default() -> Self {
         DsrcConfig {
             data_rate: DataRate::Mbps6,
-            mtu: 1460,
-            per_frame_overhead: 64,
             per_frame_access_time: 110e-6,
             loss_probability: 0.0,
             loss_model: LossModel::Independent,
-            jitter_s: 0.0,
             corruption_probability: 0.0,
         }
     }
@@ -241,17 +237,11 @@ impl DsrcConfig {
     ///
     /// Returns a message for the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
-        if self.mtu == 0 {
-            return Err("MTU must be positive".into());
-        }
         if !(0.0..1.0).contains(&self.loss_probability) {
             return Err("loss probability must be in [0, 1)".into());
         }
         if self.per_frame_access_time < 0.0 {
             return Err("access time must be non-negative".into());
-        }
-        if !(self.jitter_s >= 0.0 && self.jitter_s.is_finite()) {
-            return Err("jitter must be non-negative and finite".into());
         }
         if !(0.0..1.0).contains(&self.corruption_probability) {
             return Err("corruption probability must be in [0, 1)".into());
@@ -274,10 +264,6 @@ pub struct TransmissionReport {
     pub bytes_on_air: usize,
     /// Total air time consumed, seconds.
     pub airtime_s: f64,
-    /// End-to-end delivery latency: air time plus any sampled
-    /// per-frame jitter, seconds. Equals `airtime_s` when
-    /// [`DsrcConfig::jitter_s`] is zero.
-    pub latency_s: f64,
     /// `true` when every frame was delivered.
     pub complete: bool,
 }
@@ -320,13 +306,13 @@ impl DsrcChannel {
 
     /// Number of link-layer frames needed for `payload_bytes`.
     pub fn frames_for(&self, payload_bytes: usize) -> usize {
-        payload_bytes.div_ceil(self.config.mtu).max(1)
+        payload_bytes.div_ceil(MTU).max(1)
     }
 
     /// Air time (seconds) to move `payload_bytes`, ignoring loss.
     pub fn airtime_for(&self, payload_bytes: usize) -> f64 {
         let frames = self.frames_for(payload_bytes);
-        let bytes_on_air = payload_bytes + frames * self.config.per_frame_overhead;
+        let bytes_on_air = payload_bytes + frames * PER_FRAME_OVERHEAD;
         bytes_on_air as f64 * 8.0 / self.config.data_rate.bits_per_second()
             + frames as f64 * self.config.per_frame_access_time
     }
@@ -356,18 +342,8 @@ impl DsrcChannel {
         }
     }
 
-    /// Samples the extra latency jitter for one frame; zero (and no
-    /// randomness consumed) when [`DsrcConfig::jitter_s`] is zero.
-    pub fn frame_jitter<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        if self.config.jitter_s == 0.0 {
-            0.0
-        } else {
-            rng.gen::<f64>() * self.config.jitter_s
-        }
-    }
-
     /// Transmits a payload of the given size, sampling per-frame loss
-    /// (with the configured loss model) and latency jitter.
+    /// with the configured loss model.
     pub fn transmit_sized<R: Rng + ?Sized>(
         &self,
         payload_bytes: usize,
@@ -376,20 +352,16 @@ impl DsrcChannel {
         let frames = self.frames_for(payload_bytes);
         let mut process = self.loss_process(rng);
         let mut delivered = 0usize;
-        let mut jitter = 0.0;
         for _ in 0..frames {
             if !process.frame_lost(rng) {
                 delivered += 1;
             }
-            jitter += self.frame_jitter(rng);
         }
-        let airtime_s = self.airtime_for(payload_bytes);
         TransmissionReport {
             frames,
             frames_delivered: delivered,
-            bytes_on_air: payload_bytes + frames * self.config.per_frame_overhead,
-            airtime_s,
-            latency_s: airtime_s + jitter,
+            bytes_on_air: payload_bytes + frames * PER_FRAME_OVERHEAD,
+            airtime_s: self.airtime_for(payload_bytes),
             complete: delivered == frames,
         }
     }
@@ -475,6 +447,29 @@ mod tests {
     }
 
     #[test]
+    fn transmission_report_prices_every_frame() {
+        // 3000 bytes fill two 1460-byte frames and a 80-byte tail, each
+        // with 64 bytes of MAC + PHY header.
+        let ch = DsrcChannel::new(DsrcConfig::default());
+        let r = ch.transmit_sized(3000, &mut StdRng::seed_from_u64(0));
+        assert_eq!(r.frames, 3);
+        assert_eq!(r.bytes_on_air, 3000 + 3 * 64);
+        assert_eq!(r.airtime_s, ch.airtime_for(3000));
+        let bits = (3000 + 3 * 64) as f64 * 8.0;
+        assert!((r.airtime_s - (bits / 6.0e6 + 3.0 * 110e-6)).abs() < 1e-15);
+    }
+
+    #[test]
+    fn lossless_transfer_draws_no_randomness() {
+        // Only loss is random, so a transfer over a loss-free channel
+        // leaves the per-transfer stream where it found it.
+        let ch = DsrcChannel::new(DsrcConfig::default());
+        let mut rng = StdRng::seed_from_u64(3);
+        ch.transmit_sized(50_000, &mut rng);
+        assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(3).gen::<u64>());
+    }
+
+    #[test]
     fn lossy_channel_drops_frames() {
         let ch = DsrcChannel::new(DsrcConfig {
             loss_probability: 0.5,
@@ -503,7 +498,7 @@ mod tests {
     #[should_panic(expected = "invalid DSRC config")]
     fn invalid_config_panics() {
         let _ = DsrcChannel::new(DsrcConfig {
-            mtu: 0,
+            corruption_probability: 1.0,
             ..DsrcConfig::default()
         });
     }
@@ -558,21 +553,6 @@ mod tests {
             "GE {ge_incomplete} vs iid {iid_incomplete}"
         );
         assert!(ge_incomplete > 0);
-    }
-
-    #[test]
-    fn jitter_extends_latency_only_when_enabled() {
-        let quiet = DsrcChannel::new(DsrcConfig::default());
-        let mut rng = StdRng::seed_from_u64(5);
-        let r = quiet.transmit_sized(50_000, &mut rng);
-        assert_eq!(r.latency_s, r.airtime_s);
-        let jittery = DsrcChannel::new(DsrcConfig {
-            jitter_s: 1e-3,
-            ..DsrcConfig::default()
-        });
-        let r = jittery.transmit_sized(50_000, &mut rng);
-        assert!(r.latency_s > r.airtime_s);
-        assert!(r.latency_s < r.airtime_s + r.frames as f64 * 1e-3);
     }
 
     #[test]

@@ -41,6 +41,7 @@ pub use arq::{transmit_with_arq, ArqConfig, ArqReport};
 pub use csma::{CsmaConfig, CsmaMedium, CsmaReport};
 pub use dsrc::{
     DataRate, DsrcChannel, DsrcConfig, GilbertElliott, LossModel, LossProcess, TransmissionReport,
+    MTU,
 };
 pub use frag::{fragment, reassemble, salvage_prefix, Fragment, ReassemblyError, SalvagedPrefix};
 pub use governor::{demand_roi, BandwidthGovernor};

@@ -19,6 +19,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::arq::transmit_with_arq;
+use crate::dsrc::MTU;
 use crate::{ArqConfig, DsrcChannel, TransmissionReport};
 
 /// Length of one air-time accounting window, seconds. The paper's
@@ -82,9 +83,6 @@ impl SharedMedium {
     /// within the delivery deadline, and an expired deadline yields a
     /// partial (salvageable) delivery instead of a drop.
     pub fn with_arq(mut self, config: ArqConfig) -> Self {
-        if let Err(msg) = config.validate() {
-            panic!("invalid ARQ config: {msg}");
-        }
         self.arq = Some(config);
         self
     }
@@ -324,7 +322,7 @@ impl ChannelModel for SharedMedium {
                 Delivery::Dropped
             };
         }
-        let delivered_bytes = (clean_prefix * self.channel.config().mtu).min(tx.wire_bytes);
+        let delivered_bytes = (clean_prefix * MTU).min(tx.wire_bytes);
         let verdict = Delivery::Partial {
             delivered_bytes,
             total_bytes: tx.wire_bytes,
@@ -486,6 +484,7 @@ impl ExchangeScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dsrc::PER_FRAME_OVERHEAD;
     use crate::{DataRate, DsrcConfig};
     use cooper_geometry::Vec3;
     use cooper_pointcloud::Point;
@@ -561,9 +560,8 @@ mod tests {
         // `frame_wire_size` prices plus the per-frame link overhead.
         let (a, b) = (ring_scan(20_000), ring_scan(12_000));
         let channel = DsrcChannel::new(DsrcConfig::default());
-        let on_air_bits = |bytes: usize| {
-            (bytes + channel.frames_for(bytes) * channel.config().per_frame_overhead) * 8
-        };
+        let on_air_bits =
+            |bytes: usize| (bytes + channel.frames_for(bytes) * PER_FRAME_OVERHEAD) * 8;
         let mut rng = StdRng::seed_from_u64(0);
         for cat in RoiCategory::ALL {
             let scheduler = ExchangeScheduler::paper_default(cat);

@@ -11,14 +11,15 @@
 //!
 //! Run with `cargo run -p cooper-v2x --example roi_exchange --release`.
 
-use cooper_core::{CooperPipeline, ExchangePacket, GovernorConfig, PerceiveCtx};
+use cooper_core::governor::{BLIND_BINS, GROUND_Z_BELOW_M, MIN_SECTOR_WIDTH_RAD, OCCLUDER_RANGE_M};
+use cooper_core::{CooperPipeline, ExchangePacket, PerceiveCtx};
 use cooper_geometry::GpsFix;
 use cooper_lidar_sim::{scenario, LidarScanner, PoseEstimate};
 use cooper_pointcloud::roi::{blind_sectors, extract_roi, RoiCategory, StaticMap};
 use cooper_pointcloud::VoxelGridConfig;
 use cooper_spod::train::TrainingConfig;
 use cooper_spod::SpodDetector;
-use cooper_v2x::{demand_roi, fragment, reassemble, salvage_prefix, DsrcChannel, DsrcConfig};
+use cooper_v2x::{demand_roi, fragment, reassemble, salvage_prefix, DsrcChannel, DsrcConfig, MTU};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("training SPOD detector…");
@@ -52,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let packet = ExchangePacket::build(tx as u32, 0, &dynamic, est_tx)?;
     let wire = packet.to_bytes();
     let channel = DsrcChannel::new(DsrcConfig::default());
-    let fragments = fragment(1, &wire, channel.config().mtu);
+    let fragments = fragment(1, &wire, MTU);
     println!(
         "packet: {} bytes -> {} DSRC fragments, {:.1} ms air time",
         wire.len(),
@@ -95,13 +96,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Demand-driven variant (§IV-G): the receiver's blind sectors pick
     // the ROI, exactly as the bandwidth governor's demand path does in
     // the governed fleet, and the sender ships only that region.
-    let demand = GovernorConfig::default();
     let blind = blind_sectors(
         &local_scan,
-        demand.blind_bins,
-        demand.occluder_range_m,
-        demand.min_sector_width_rad,
-        demand.ground_z_below_m,
+        BLIND_BINS,
+        OCCLUDER_RANGE_M,
+        MIN_SECTOR_WIDTH_RAD,
+        GROUND_Z_BELOW_M,
     );
     let demanded = demand_roi(&blind);
     let packet = ExchangePacket::build(tx as u32, 1, &extract_roi(&remote_scan, demanded), est_tx)?;

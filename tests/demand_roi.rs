@@ -4,7 +4,8 @@
 //! scan, and fusing that region restores what the receiver cannot see
 //! for a fraction of a full frame's bytes.
 
-use cooper_core::{CooperPipeline, ExchangePacket, GovernorConfig, PerceiveCtx};
+use cooper_core::governor::{BLIND_BINS, GROUND_Z_BELOW_M, MIN_SECTOR_WIDTH_RAD, OCCLUDER_RANGE_M};
+use cooper_core::{CooperPipeline, ExchangePacket, PerceiveCtx};
 use cooper_geometry::GpsFix;
 use cooper_lidar_sim::{scenario, LidarScanner, PoseEstimate};
 use cooper_pointcloud::roi::{blind_sectors, extract_roi, RoiCategory};
@@ -26,13 +27,12 @@ fn demand_driven_roi_recovers_occluded_objects_cheaply() {
     // The receiver finds the wedges nearby obstacles block with the
     // governed fleet's parameters, and an uncapped governor starts
     // from exactly the region they demand.
-    let demand = GovernorConfig::default();
     let blind = blind_sectors(
         &local,
-        demand.blind_bins,
-        demand.occluder_range_m,
-        demand.min_sector_width_rad,
-        demand.ground_z_below_m,
+        BLIND_BINS,
+        OCCLUDER_RANGE_M,
+        MIN_SECTOR_WIDTH_RAD,
+        GROUND_Z_BELOW_M,
     );
     assert!(!blind.is_empty(), "the receiver must have blind sectors");
     let roi = demand_roi(&blind);

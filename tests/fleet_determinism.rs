@@ -4,16 +4,22 @@
 //! same property the CI determinism job checks across processes via
 //! `cooper simulate --threads {1,4}`.
 
+use std::collections::BTreeMap;
+
 use cooper_core::fleet::{
     straight_trajectory, FleetConfig, FleetSimulation, FleetStats, FleetStepReport, FleetVehicle,
+    TransportDropReason,
 };
+use cooper_core::tracking::TrackerConfig;
 use cooper_core::{
-    AlignmentGuardConfig, ChannelModel, CooperPipeline, GovernorConfig, PerfectChannel,
+    AlignmentGuardConfig, ChannelModel, CooperPipeline, GovernorConfig, GovernorPolicy,
+    GovernorVerdict, PerfectChannel, TransferOffer,
 };
 use cooper_exec::Executor;
 use cooper_lidar_sim::{scenario, BeamModel, FaultPlan, LidarScanner};
 use cooper_pointcloud::roi::RoiCategory;
-use cooper_spod::{DetectOptions, DetectScratch, SpodConfig, SpodDetector};
+use cooper_pointcloud::FrameKind;
+use cooper_spod::{DetectOptions, DetectScratch, FeatureFusionMode, SpodConfig, SpodDetector};
 use cooper_telemetry::names;
 use cooper_v2x::{
     ArqConfig, BandwidthGovernor, DsrcChannel, DsrcConfig, GilbertElliott, LossModel, SharedMedium,
@@ -355,10 +361,7 @@ fn roi_capped_iid_arq_run_is_thread_count_invariant() {
             ..DsrcConfig::default()
         }))
         .with_seed(2024)
-        .with_arq(ArqConfig {
-            max_retries: 1,
-            ..ArqConfig::default()
-        });
+        .with_arq(ArqConfig { max_retries: 1 });
         let mut policy = BandwidthGovernor::new(RoiCategory::FrontFov120);
         fleet_with_beams(threads, 1800).run_governed(
             &p,
@@ -379,6 +382,94 @@ fn roi_capped_iid_arq_run_is_thread_count_invariant() {
         .0
         .iter()
         .any(|r| r.per_vehicle.iter().any(|v| v.packets_partial > 0)));
+}
+
+/// Delegates to a bandwidth governor and records the frame kind of every
+/// transfer it sends, keyed by (step, sender, receiver).
+struct KindLog {
+    governor: BandwidthGovernor,
+    sent: BTreeMap<(usize, u32, u32), FrameKind>,
+}
+
+impl GovernorPolicy for KindLog {
+    fn decide(&mut self, offer: &TransferOffer<'_>) -> GovernorVerdict {
+        let verdict = self.governor.decide(offer);
+        if let GovernorVerdict::Send(candidate) = verdict {
+            self.sent
+                .insert((offer.step, offer.from, offer.to), candidate.kind);
+        }
+        verdict
+    }
+}
+
+#[test]
+fn feature_frames_over_bursty_arq_are_thread_count_invariant() {
+    // The in-process counterpart of the `simulate_features_lossy` golden:
+    // a governed, feature-preferring run with delta encoding, adaptive
+    // fusion and the tracker over a Gilbert–Elliott medium with ARQ and
+    // corruption, on the scenario's own beams and the CLI's seed. A
+    // feature frame the deadline cuts short arrives as a salvaged prefix
+    // of whole cells, and none of it may depend on thread count.
+    let p = pipeline()
+        .with_fusion_mode(FeatureFusionMode::Adaptive)
+        .with_tracker(TrackerConfig::default());
+    let governor = GovernorConfig {
+        delta_encode: true,
+        keyframe_every: 2,
+        features: true,
+        ..GovernorConfig::default()
+    };
+    let run = |threads: Option<usize>| {
+        let scene = scenario::tj_scenario_1();
+        let vehicles: Vec<FleetVehicle> = scene
+            .observers
+            .iter()
+            .enumerate()
+            .map(|(i, pose)| FleetVehicle {
+                id: i as u32 + 1,
+                trajectory: straight_trajectory(*pose, 1.0, 3),
+                beams: scene.kind.beam_model(),
+            })
+            .collect();
+        let config = FleetConfig {
+            seed: 1,
+            threads,
+            ..FleetConfig::default()
+        };
+        let sim = FleetSimulation::new(scene.world.clone(), vehicles, config);
+        let mut medium = SharedMedium::new(DsrcChannel::new(DsrcConfig {
+            loss_model: LossModel::GilbertElliott(GilbertElliott::from_loss_rate(0.1)),
+            corruption_probability: 0.01,
+            ..DsrcConfig::default()
+        }))
+        .with_seed(1)
+        .with_arq(ArqConfig { max_retries: 2 });
+        let mut policy = KindLog {
+            governor: BandwidthGovernor::new(RoiCategory::FullFrame).with_features(),
+            sent: BTreeMap::new(),
+        };
+        let outcome = sim.run_governed(&p, 3, &mut medium, &mut policy, &governor);
+        (outcome, policy.sent)
+    };
+    let (serial, sent) = run(Some(1));
+    for threads in [2usize, 4] {
+        let (parallel, parallel_sent) = run(Some(threads));
+        assert_reports_identical(&serial, &parallel);
+        assert_eq!(sent, parallel_sent);
+    }
+    let salvaged_features = serial
+        .0
+        .iter()
+        .flat_map(|r| r.transport_drops.iter().map(move |d| (r.step, d)))
+        .filter(|(step, d)| {
+            matches!(d.reason, TransportDropReason::PartialDelivery { .. })
+                && sent.get(&(*step, d.from, d.to)) == Some(&FrameKind::Features)
+        })
+        .count();
+    assert!(
+        salvaged_features > 0,
+        "no feature frame arrived as a partial"
+    );
 }
 
 #[test]

@@ -1,24 +1,19 @@
 //! The fleet's phases, the alignment guard and its receiver index, the
 //! consistency screen and the tracker each run under a span of their
 //! own, so a profile can rank them; the phase spans are the only phase
-//! timers. Every vehicle-step also emits one `fleet.vehicle_step` event
-//! carrying the whole report.
+//! timers.
 //!
 //! Telemetry is a process-global registry, so this test has a binary of
 //! its own.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
 use cooper_core::fleet::{
     straight_trajectory, FleetConfig, FleetSimulation, FleetVehicle, TrustGuardConfig,
-    VehicleStepReport,
 };
 use cooper_core::tracking::TrackerConfig;
 use cooper_core::{AlignmentGuardConfig, CooperPipeline};
 use cooper_lidar_sim::{scenario, BeamModel};
 use cooper_spod::{SpodConfig, SpodDetector};
-use cooper_telemetry::{names, FieldValue, MemorySink};
+use cooper_telemetry::names;
 
 #[test]
 fn guard_screen_and_tracker_run_under_their_spans() {
@@ -49,14 +44,11 @@ fn guard_screen_and_tracker_run_under_their_spans() {
         .with_alignment_guard(AlignmentGuardConfig::default())
         .with_tracker(TrackerConfig::default());
 
-    let sink = Arc::new(MemorySink::new());
     cooper_telemetry::reset();
-    cooper_telemetry::set_sink(sink.clone());
     cooper_telemetry::enable();
     let (reports, _) = sim.run(&pipeline, STEPS);
     let snapshot = cooper_telemetry::snapshot();
     cooper_telemetry::disable();
-    cooper_telemetry::clear_sink();
     cooper_telemetry::reset();
 
     assert_eq!(reports.len(), STEPS);
@@ -106,55 +98,4 @@ fn guard_screen_and_tracker_run_under_their_spans() {
         fleet_values.is_empty(),
         "fleet value histograms: {fleet_values:?}"
     );
-
-    // One event per vehicle-step, in report order, carrying the step and
-    // every report field (the vehicle id under `vehicle`) and nothing
-    // else.
-    let events: Vec<_> = sink
-        .events()
-        .into_iter()
-        .filter(|e| e.kind() == names::EVENT_FLEET_VEHICLE_STEP)
-        .collect();
-    assert_eq!(events.len() as u64, vehicle_steps);
-    let expected = reports
-        .iter()
-        .flat_map(|r| r.per_vehicle.iter().map(move |v| (r.step, v)));
-    for (event, (step, report)) in events.iter().zip(expected) {
-        let fields: BTreeMap<&str, FieldValue> =
-            event.fields().map(|(k, v)| (k, v.clone())).collect();
-        assert_eq!(fields, event_fields(step, report));
-    }
-}
-
-/// The fields a `fleet.vehicle_step` event must carry for `report`. The
-/// destructuring names every report field, so a field added to the
-/// report fails to compile here until the test expects it.
-fn event_fields(step: usize, report: &VehicleStepReport) -> BTreeMap<&'static str, FieldValue> {
-    let VehicleStepReport {
-        vehicle_id,
-        single_detections,
-        cooperative_detections,
-        packets_received,
-        packets_dropped,
-        packets_partial,
-        bytes_received,
-        confirmed_tracks,
-        coasting_tracks,
-        trust_violations,
-        quarantined_peers,
-    } = *report;
-    BTreeMap::from([
-        ("step", step.into()),
-        ("vehicle", vehicle_id.into()),
-        ("single_detections", single_detections.into()),
-        ("cooperative_detections", cooperative_detections.into()),
-        ("packets_received", packets_received.into()),
-        ("packets_dropped", packets_dropped.into()),
-        ("packets_partial", packets_partial.into()),
-        ("bytes_received", bytes_received.into()),
-        ("confirmed_tracks", confirmed_tracks.into()),
-        ("coasting_tracks", coasting_tracks.into()),
-        ("trust_violations", trust_violations.into()),
-        ("quarantined_peers", quarantined_peers.into()),
-    ])
 }
