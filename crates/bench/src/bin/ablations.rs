@@ -11,8 +11,8 @@
 //!    (the paper settles on 1 Hz).
 
 use cooper_bench::{output_dir, render_csv, render_table, standard_pipeline, write_artifact};
-use cooper_core::report::{match_by_center_distance, EvaluationConfig};
-use cooper_core::{CooperPipeline, ExchangePacket, PerceiveCtx};
+use cooper_core::report::{match_by_center_distance, MATCH_DISTANCE_M};
+use cooper_core::{CooperPipeline, ExchangePacket, PerceiveCtx, GPS_ANCHOR};
 use cooper_geometry::{Obb3, RigidTransform};
 use cooper_lidar_sim::scenario::{tj_scenarios, Scenario};
 use cooper_lidar_sim::{LidarScanner, PoseEstimate};
@@ -34,7 +34,7 @@ struct Case {
     b_to_a: RigidTransform,
 }
 
-fn build_cases(config: &EvaluationConfig) -> Vec<Case> {
+fn build_cases() -> Vec<Case> {
     tj_scenarios()
         .into_iter()
         .map(|scenario| {
@@ -44,8 +44,8 @@ fn build_cases(config: &EvaluationConfig) -> Vec<Case> {
             let pose_b = scenario.observers[ib];
             let scan_a = scanner.scan(&scenario.world, &pose_a, 21);
             let scan_b = scanner.scan(&scenario.world, &pose_b, 22);
-            let est_a = PoseEstimate::from_pose(&pose_a, &config.origin);
-            let est_b = PoseEstimate::from_pose(&pose_b, &config.origin);
+            let est_a = PoseEstimate::from_pose(&pose_a, &GPS_ANCHOR);
+            let est_b = PoseEstimate::from_pose(&pose_b, &GPS_ANCHOR);
             let world_to_a = RigidTransform::from_pose(&pose_a).inverse();
             let world_to_b = RigidTransform::from_pose(&pose_b).inverse();
             let gt_in_a = scenario
@@ -78,11 +78,7 @@ fn detected(scores: &[Option<f32>]) -> usize {
 }
 
 /// Ablation 1: raw-data fusion vs object-level fusion.
-fn fusion_level(
-    pipeline: &CooperPipeline,
-    cases: &[Case],
-    config: &EvaluationConfig,
-) -> Vec<Vec<String>> {
+fn fusion_level(pipeline: &CooperPipeline, cases: &[Case]) -> Vec<Vec<String>> {
     let mut rows = Vec::new();
     for case in cases {
         let dets_a = pipeline.perceive_single(&case.scan_a, PerceiveCtx::default());
@@ -103,11 +99,11 @@ fn fusion_level(
             &case.scan_a,
             &case.est_a,
             &[packet],
-            &config.origin,
+            &GPS_ANCHOR,
             PerceiveCtx::default(),
         );
 
-        let m = config.match_distance;
+        let m = MATCH_DISTANCE_M;
         rows.push(vec![
             case.scenario.name.clone(),
             detected(&match_by_center_distance(&dets_a, &case.gt_in_a, m)).to_string(),
@@ -126,11 +122,7 @@ fn fusion_level(
 }
 
 /// Ablation 2: ROI category vs cooperative recall and payload size.
-fn roi_vs_recall(
-    pipeline: &CooperPipeline,
-    cases: &[Case],
-    config: &EvaluationConfig,
-) -> Vec<Vec<String>> {
+fn roi_vs_recall(pipeline: &CooperPipeline, cases: &[Case]) -> Vec<Vec<String>> {
     let mut rows = Vec::new();
     for category in RoiCategory::ALL {
         let mut total_detected = 0usize;
@@ -144,11 +136,11 @@ fn roi_vs_recall(
                 &case.scan_a,
                 &case.est_a,
                 &[packet],
-                &config.origin,
+                &GPS_ANCHOR,
                 PerceiveCtx::default(),
             );
             let scores =
-                match_by_center_distance(&coop.detections, &case.gt_in_a, config.match_distance);
+                match_by_center_distance(&coop.detections, &case.gt_in_a, MATCH_DISTANCE_M);
             total_detected += detected(&scores);
             total_gt += case.gt_in_a.len();
         }
@@ -166,7 +158,7 @@ fn roi_vs_recall(
 /// azimuth resolution. Interpolation can only help when the raw scan
 /// actually has gaps, so the reduced-resolution rows are where the
 /// design choice shows.
-fn densify_ablation(config: &EvaluationConfig) -> Vec<Vec<String>> {
+fn densify_ablation() -> Vec<Vec<String>> {
     use cooper_lidar_sim::scenario::tj_scenarios;
     use cooper_lidar_sim::{BeamModel, LidarScanner};
     use cooper_spod::preprocess::PreprocessConfig;
@@ -203,7 +195,7 @@ fn densify_ablation(config: &EvaluationConfig) -> Vec<Vec<String>> {
                     .map(|g| g.transformed(&world_to_a))
                     .collect();
                 let dets = pipeline.perceive_single(&scan_a, PerceiveCtx::default());
-                let scores = match_by_center_distance(&dets, &gt_in_a, config.match_distance);
+                let scores = match_by_center_distance(&dets, &gt_in_a, MATCH_DISTANCE_M);
                 total_detected += detected(&scores);
                 total_gt += gt_in_a.len();
             }
@@ -245,9 +237,8 @@ fn rate_sweep(cases: &[Case]) -> Vec<Vec<String>> {
 fn main() {
     eprintln!("training SPOD detector…");
     let pipeline = standard_pipeline();
-    let config = EvaluationConfig::default();
     eprintln!("scanning T&J scenarios…");
-    let cases = build_cases(&config);
+    let cases = build_cases();
     let out = output_dir();
 
     println!("=== Ablation 1: fusion level (paper §I-B) ===\n");
@@ -259,7 +250,7 @@ fn main() {
         "raw_cooper",
         "gt_cars",
     ];
-    let rows1 = fusion_level(&pipeline, &cases, &config);
+    let rows1 = fusion_level(&pipeline, &cases);
     println!("{}", render_table(&headers1, &rows1));
     println!("Object-level fusion can only union what the singles found;");
     println!("raw fusion also detects cars neither vehicle saw alone.\n");
@@ -271,7 +262,7 @@ fn main() {
 
     println!("=== Ablation 2: ROI category vs cooperative recall ===\n");
     let headers2 = ["category", "avg_payload_KiB", "detected", "gt_cars"];
-    let rows2 = roi_vs_recall(&pipeline, &cases, &config);
+    let rows2 = roi_vs_recall(&pipeline, &cases);
     println!("{}", render_table(&headers2, &rows2));
     write_artifact(
         out.as_deref(),
@@ -281,7 +272,7 @@ fn main() {
 
     println!("=== Ablation 3: spherical densification (SPOD preprocessing) ===\n");
     let headers3 = ["preprocessing", "detected", "gt_cars"];
-    let rows3 = densify_ablation(&config);
+    let rows3 = densify_ablation();
     println!("{}", render_table(&headers3, &rows3));
     write_artifact(
         out.as_deref(),

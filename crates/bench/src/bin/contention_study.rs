@@ -11,7 +11,7 @@ use cooper_bench::{output_dir, render_csv, render_table, write_artifact};
 use cooper_lidar_sim::scenario::tj_scenario_2;
 use cooper_lidar_sim::LidarScanner;
 use cooper_pointcloud::roi::{extract_roi, RoiCategory};
-use cooper_v2x::{CsmaConfig, CsmaMedium, DsrcChannel, DsrcConfig};
+use cooper_v2x::{CsmaMedium, DsrcChannel, DsrcConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -19,10 +19,7 @@ fn main() {
     let scenario = tj_scenario_2();
     let scanner = LidarScanner::new(scenario.kind.beam_model());
     let scan = scanner.scan(&scenario.world, &scenario.observers[0], 1);
-    let medium = CsmaMedium::new(
-        DsrcChannel::new(DsrcConfig::default()),
-        CsmaConfig::default(),
-    );
+    let medium = CsmaMedium::new(DsrcChannel::new(DsrcConfig::default()));
     let mut rng = StdRng::seed_from_u64(9);
 
     println!("=== Extension: CSMA/CA contention vs fleet size ===\n");

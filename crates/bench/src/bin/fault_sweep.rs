@@ -14,9 +14,9 @@
 //! acceptance subset.
 
 use cooper_bench::{ledger, output_dir, render_table, standard_pipeline, write_artifact};
-use cooper_core::report::{match_by_center_distance, EvaluationConfig};
+use cooper_core::report::match_by_center_distance;
 use cooper_core::{
-    AlignmentGuardConfig, CooperPipeline, ExchangePacket, GuardDecision, PerceiveCtx,
+    AlignmentGuardConfig, CooperPipeline, ExchangePacket, GuardDecision, PerceiveCtx, GPS_ANCHOR,
 };
 use cooper_geometry::{Obb3, RigidTransform, Vec3};
 use cooper_lidar_sim::scenario::tj_scenarios;
@@ -68,7 +68,7 @@ struct SweepPoint {
     rejected: u64,
 }
 
-fn contexts(config: &EvaluationConfig) -> Vec<PairContext> {
+fn contexts() -> Vec<PairContext> {
     tj_scenarios()
         .into_iter()
         .map(|scenario| {
@@ -79,9 +79,9 @@ fn contexts(config: &EvaluationConfig) -> Vec<PairContext> {
             let world_to_a = RigidTransform::from_pose(&pose_a).inverse();
             PairContext {
                 scan_a: scanner.scan(&scenario.world, &pose_a, 11),
-                est_a: PoseEstimate::from_pose(&pose_a, &config.origin),
+                est_a: PoseEstimate::from_pose(&pose_a, &GPS_ANCHOR),
                 scan_b: scanner.scan(&scenario.world, &pose_b, 12),
-                est_b: PoseEstimate::from_pose(&pose_b, &config.origin),
+                est_b: PoseEstimate::from_pose(&pose_b, &GPS_ANCHOR),
                 gt_in_a: scenario
                     .ground_truth_cars()
                     .iter()
@@ -106,12 +106,7 @@ fn ego_arm(pipeline: &CooperPipeline, pairs: &[PairContext]) -> f64 {
 
 /// Pooled fused recall with the transmitter's GPS biased `drift_m`
 /// metres; `pipeline` decides whether the guard is in the loop.
-fn fused_arm(
-    pipeline: &CooperPipeline,
-    pairs: &[PairContext],
-    config: &EvaluationConfig,
-    drift_m: f64,
-) -> ArmOutcome {
+fn fused_arm(pipeline: &CooperPipeline, pairs: &[PairContext], drift_m: f64) -> ArmOutcome {
     let mut out = ArmOutcome::default();
     for pair in pairs {
         let mut est_b = pair.est_b;
@@ -125,7 +120,7 @@ fn fused_arm(
             &pair.scan_a,
             &pair.est_a,
             &[packet],
-            &config.origin,
+            &GPS_ANCHOR,
             PerceiveCtx::default(),
         );
         let scores = match_by_center_distance(&result.detections, &pair.gt_in_a, MATCH_DISTANCE_M);
@@ -146,15 +141,14 @@ fn run_sweep(
     plain: &CooperPipeline,
     guarded: &CooperPipeline,
     pairs: &[PairContext],
-    config: &EvaluationConfig,
 ) -> Vec<SweepPoint> {
     let ego = ego_arm(plain, pairs);
-    let clean = fused_arm(plain, pairs, config, 0.0).recall();
+    let clean = fused_arm(plain, pairs, 0.0).recall();
     DRIFTS_M
         .iter()
         .map(|&drift_m| {
-            let off = fused_arm(plain, pairs, config, drift_m);
-            let on = fused_arm(guarded, pairs, config, drift_m);
+            let off = fused_arm(plain, pairs, drift_m);
+            let on = fused_arm(guarded, pairs, drift_m);
             SweepPoint {
                 drift_m,
                 ego,
@@ -188,13 +182,12 @@ fn point_passes(p: &SweepPoint) -> bool {
 fn run_check() {
     let plain = standard_pipeline();
     let guarded = guarded_pipeline(&plain);
-    let config = EvaluationConfig::default();
-    let pairs = contexts(&config);
+    let pairs = contexts();
     let drift = 2.0 * MAX_DRIFT_M;
     let ego = ego_arm(&plain, &pairs);
-    let clean = fused_arm(&plain, &pairs, &config, 0.0).recall();
-    let off = fused_arm(&plain, &pairs, &config, drift);
-    let on = fused_arm(&guarded, &pairs, &config, drift);
+    let clean = fused_arm(&plain, &pairs, 0.0).recall();
+    let off = fused_arm(&plain, &pairs, drift);
+    let on = fused_arm(&guarded, &pairs, drift);
     let point = SweepPoint {
         drift_m: drift,
         ego,
@@ -238,9 +231,8 @@ fn main() {
     eprintln!("training SPOD detector…");
     let plain = standard_pipeline();
     let guarded = guarded_pipeline(&plain);
-    let config = EvaluationConfig::default();
-    let pairs = contexts(&config);
-    let points = run_sweep(&plain, &guarded, &pairs, &config);
+    let pairs = contexts();
+    let points = run_sweep(&plain, &guarded, &pairs);
 
     let headers = [
         "drift_m",
@@ -317,13 +309,12 @@ mod tests {
     fn guard_recovers_half_the_drift_gap_at_double_max_drift() {
         let plain = standard_pipeline();
         let guarded = guarded_pipeline(&plain);
-        let config = EvaluationConfig::default();
-        let pairs = contexts(&config);
+        let pairs = contexts();
         let drift = 2.0 * MAX_DRIFT_M;
         let ego = ego_arm(&plain, &pairs);
-        let clean = fused_arm(&plain, &pairs, &config, 0.0).recall();
-        let off = fused_arm(&plain, &pairs, &config, drift);
-        let on = fused_arm(&guarded, &pairs, &config, drift);
+        let clean = fused_arm(&plain, &pairs, 0.0).recall();
+        let off = fused_arm(&plain, &pairs, drift);
+        let on = fused_arm(&guarded, &pairs, drift);
         let point = SweepPoint {
             drift_m: drift,
             ego,
@@ -354,10 +345,9 @@ mod tests {
     fn guard_is_transparent_at_zero_drift() {
         let plain = standard_pipeline();
         let guarded = guarded_pipeline(&plain);
-        let config = EvaluationConfig::default();
-        let pairs = contexts(&config);
-        let off = fused_arm(&plain, &pairs, &config, 0.0);
-        let on = fused_arm(&guarded, &pairs, &config, 0.0);
+        let pairs = contexts();
+        let off = fused_arm(&plain, &pairs, 0.0);
+        let on = fused_arm(&guarded, &pairs, 0.0);
         assert_eq!(on.rejected, 0, "clean alignment must never be rejected");
         assert!(
             on.recall() + 1e-9 >= off.recall(),

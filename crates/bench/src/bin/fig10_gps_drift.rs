@@ -10,8 +10,8 @@
 //! fallback.
 
 use cooper_bench::{output_dir, render_csv, render_table, standard_pipeline, write_artifact};
-use cooper_core::report::{match_by_center_distance, EvaluationConfig};
-use cooper_core::{AlignmentGuardConfig, CooperPipeline, ExchangePacket, PerceiveCtx};
+use cooper_core::report::{match_by_center_distance, MATCH_DISTANCE_M};
+use cooper_core::{AlignmentGuardConfig, CooperPipeline, ExchangePacket, PerceiveCtx, GPS_ANCHOR};
 use cooper_geometry::{Obb3, RigidTransform};
 use cooper_lidar_sim::scenario::tj_scenarios;
 use cooper_lidar_sim::{GpsImuModel, LidarScanner, SkewMode};
@@ -24,7 +24,6 @@ fn main() {
     let guarded = pipeline
         .clone()
         .with_alignment_guard(AlignmentGuardConfig::default());
-    let config = EvaluationConfig::default();
     let model = GpsImuModel::realistic();
 
     // Pool per-car scores over the T&J scenarios (the paper's Figure 10
@@ -48,7 +47,7 @@ fn main() {
         let scan_a = scanner.scan(&scenario.world, &pose_a, 11);
         let scan_b = scanner.scan(&scenario.world, &pose_b, 12);
         let mut rng = StdRng::seed_from_u64(99);
-        let est_a = model.measure(&pose_a, &config.origin, &mut rng);
+        let est_a = model.measure(&pose_a, &GPS_ANCHOR, &mut rng);
 
         let world_to_a = RigidTransform::from_pose(&pose_a).inverse();
         let gt_in_a: Vec<Obb3> = scenario
@@ -61,39 +60,32 @@ fn main() {
         // sender's packet.
         let perceive = |p: &CooperPipeline, packet: &ExchangePacket| {
             let inbox = std::slice::from_ref(packet);
-            p.perceive(
-                &scan_a,
-                &est_a,
-                inbox,
-                &config.origin,
-                PerceiveCtx::default(),
-            )
+            p.perceive(&scan_a, &est_a, inbox, &GPS_ANCHOR, PerceiveCtx::default())
         };
 
         // Baseline: realistic (unskewed) measurement, guard off.
-        let est_b = model.measure(&pose_b, &config.origin, &mut rng);
+        let est_b = model.measure(&pose_b, &GPS_ANCHOR, &mut rng);
         let packet = ExchangePacket::build(1, 0, &scan_b, est_b).expect("encodes");
         let base = perceive(&pipeline, &packet);
-        let base_scores =
-            match_by_center_distance(&base.detections, &gt_in_a, config.match_distance);
+        let base_scores = match_by_center_distance(&base.detections, &gt_in_a, MATCH_DISTANCE_M);
 
         // The three skew modes, each guard off and guard on.
         let mut off_scores = Vec::new();
         let mut on_scores = Vec::new();
         for mode in SkewMode::ALL {
-            let est_skew = model.measure_skewed(&pose_b, &config.origin, mode, &mut rng);
+            let est_skew = model.measure_skewed(&pose_b, &GPS_ANCHOR, mode, &mut rng);
             let packet = ExchangePacket::build(1, 0, &scan_b, est_skew).expect("encodes");
             let off = perceive(&pipeline, &packet);
             off_scores.push(match_by_center_distance(
                 &off.detections,
                 &gt_in_a,
-                config.match_distance,
+                MATCH_DISTANCE_M,
             ));
             let on = perceive(&guarded, &packet);
             on_scores.push(match_by_center_distance(
                 &on.detections,
                 &gt_in_a,
-                config.match_distance,
+                MATCH_DISTANCE_M,
             ));
             for record in &on.alignment {
                 if record.decision == cooper_core::GuardDecision::AcceptedRefined {

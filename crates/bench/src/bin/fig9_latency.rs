@@ -15,8 +15,7 @@
 //! hand-rolled `Instant::now()` pairs.
 
 use cooper_bench::{output_dir, render_csv, render_table, standard_pipeline, write_artifact};
-use cooper_core::report::EvaluationConfig;
-use cooper_core::{ExchangePacket, PerceiveCtx};
+use cooper_core::{ExchangePacket, PerceiveCtx, GPS_ANCHOR};
 use cooper_lidar_sim::scenario::{t_junction, tj_scenario_1, Scenario};
 use cooper_lidar_sim::{GpsImuModel, LidarScanner};
 use cooper_telemetry::TelemetrySnapshot;
@@ -32,10 +31,9 @@ fn run_case(
     let (ia, ib) = scenario.pairs[0];
     let scan_a = scanner.scan(&scenario.world, &scenario.observers[ia], 1);
     let scan_b = scanner.scan(&scenario.world, &scenario.observers[ib], 2);
-    let config = EvaluationConfig::default();
     let mut rng = rand::thread_rng();
-    let est_a = GpsImuModel::ideal().measure(&scenario.observers[ia], &config.origin, &mut rng);
-    let est_b = GpsImuModel::ideal().measure(&scenario.observers[ib], &config.origin, &mut rng);
+    let est_a = GpsImuModel::ideal().measure(&scenario.observers[ia], &GPS_ANCHOR, &mut rng);
+    let est_b = GpsImuModel::ideal().measure(&scenario.observers[ib], &GPS_ANCHOR, &mut rng);
 
     // Warm up outside the measured window.
     let _ = pipeline.perceive_single(&scan_a, PerceiveCtx::default());
@@ -51,7 +49,7 @@ fn run_case(
             &scan_a,
             &est_a,
             &[packet],
-            &config.origin,
+            &GPS_ANCHOR,
             PerceiveCtx::default(),
         );
     }

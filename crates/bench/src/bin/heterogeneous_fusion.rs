@@ -12,8 +12,8 @@
 //! a dense receiver still gains viewpoint diversity from a sparse one.
 
 use cooper_bench::{output_dir, render_csv, render_table, standard_pipeline, write_artifact};
-use cooper_core::report::{match_by_center_distance, EvaluationConfig};
-use cooper_core::{ExchangePacket, PerceiveCtx};
+use cooper_core::report::{match_by_center_distance, MATCH_DISTANCE_M};
+use cooper_core::{ExchangePacket, PerceiveCtx, GPS_ANCHOR};
 use cooper_geometry::RigidTransform;
 use cooper_lidar_sim::scenario::all_scenarios;
 use cooper_lidar_sim::{BeamModel, LidarScanner, PoseEstimate};
@@ -21,7 +21,6 @@ use cooper_lidar_sim::{BeamModel, LidarScanner, PoseEstimate};
 fn main() {
     eprintln!("training SPOD detector…");
     let pipeline = standard_pipeline();
-    let config = EvaluationConfig::default();
 
     let combos: [(&str, BeamModel, BeamModel); 4] = [
         ("16+16", BeamModel::vlp16(), BeamModel::vlp16()),
@@ -43,8 +42,8 @@ fn main() {
             let pose_b = scene.observers[ib];
             let scan_a = LidarScanner::new(rx_beams.clone()).scan(&scene.world, &pose_a, 31);
             let scan_b = LidarScanner::new(tx_beams.clone()).scan(&scene.world, &pose_b, 32);
-            let est_a = PoseEstimate::from_pose(&pose_a, &config.origin);
-            let est_b = PoseEstimate::from_pose(&pose_b, &config.origin);
+            let est_a = PoseEstimate::from_pose(&pose_a, &GPS_ANCHOR);
+            let est_b = PoseEstimate::from_pose(&pose_b, &GPS_ANCHOR);
             let world_to_a = RigidTransform::from_pose(&pose_a).inverse();
             let gt_in_a: Vec<_> = scene
                 .ground_truth_cars()
@@ -58,12 +57,12 @@ fn main() {
                 &scan_a,
                 &est_a,
                 &[packet],
-                &config.origin,
+                &GPS_ANCHOR,
                 PerceiveCtx::default(),
             );
 
             let count = |dets: &[cooper_core::Detection]| {
-                match_by_center_distance(dets, &gt_in_a, config.match_distance)
+                match_by_center_distance(dets, &gt_in_a, MATCH_DISTANCE_M)
                     .iter()
                     .filter(|s| s.is_some())
                     .count()

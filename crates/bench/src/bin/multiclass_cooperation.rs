@@ -9,8 +9,7 @@
 //! per class over random two-vehicle scenes.
 
 use cooper_bench::{output_dir, render_csv, render_table, standard_pipeline, write_artifact};
-use cooper_core::report::EvaluationConfig;
-use cooper_core::{ExchangePacket, PerceiveCtx};
+use cooper_core::{ExchangePacket, PerceiveCtx, GPS_ANCHOR};
 use cooper_geometry::{Attitude, Pose, Vec3};
 use cooper_lidar_sim::dataset::{generate_scene, SceneConfig};
 use cooper_lidar_sim::{BeamModel, LidarScanner, ObjectClass, PoseEstimate};
@@ -19,7 +18,6 @@ use cooper_spod::Detection;
 fn main() {
     eprintln!("training SPOD detector…");
     let pipeline = standard_pipeline();
-    let config = EvaluationConfig::default();
     let scene_config = SceneConfig {
         cars: (2, 5),
         pedestrians: (2, 5),
@@ -42,8 +40,8 @@ fn main() {
             Attitude::from_yaw(bearing + 1.2),
         );
         let second_scan = scanner.scan(&scene.world, &second_pose, 700 + seed);
-        let est_a = PoseEstimate::from_pose(&scene.sensor_pose, &config.origin);
-        let est_b = PoseEstimate::from_pose(&second_pose, &config.origin);
+        let est_a = PoseEstimate::from_pose(&scene.sensor_pose, &GPS_ANCHOR);
+        let est_b = PoseEstimate::from_pose(&second_pose, &GPS_ANCHOR);
         let packet = ExchangePacket::build(1, 0, &second_scan, est_b).expect("encodes");
 
         // Every class, at the detector's configured threshold (which
@@ -53,7 +51,7 @@ fn main() {
             &scene.cloud,
             &est_a,
             &[packet],
-            &config.origin,
+            &GPS_ANCHOR,
             PerceiveCtx::default(),
         );
         let dets_coop: Vec<Detection> = pipeline.detector().detect(&result.fused_cloud);

@@ -13,8 +13,7 @@
 use std::process::Command;
 
 use cooper_bench::{output_dir, standard_pipeline, write_artifact};
-use cooper_core::report::EvaluationConfig;
-use cooper_core::{ExchangePacket, PerceiveCtx};
+use cooper_core::{ExchangePacket, PerceiveCtx, GPS_ANCHOR};
 use cooper_lidar_sim::scenario::tj_scenario_1;
 use cooper_lidar_sim::{GpsImuModel, LidarScanner};
 use cooper_pointcloud::roi::RoiCategory;
@@ -32,10 +31,9 @@ fn telemetry_baseline() -> cooper_telemetry::TelemetrySnapshot {
     let (ia, ib) = scenario.pairs[0];
     let scan_a = scanner.scan(&scenario.world, &scenario.observers[ia], 1);
     let scan_b = scanner.scan(&scenario.world, &scenario.observers[ib], 2);
-    let config = EvaluationConfig::default();
     let mut rng = rand::thread_rng();
-    let est_a = GpsImuModel::ideal().measure(&scenario.observers[ia], &config.origin, &mut rng);
-    let est_b = GpsImuModel::ideal().measure(&scenario.observers[ib], &config.origin, &mut rng);
+    let est_a = GpsImuModel::ideal().measure(&scenario.observers[ia], &GPS_ANCHOR, &mut rng);
+    let est_b = GpsImuModel::ideal().measure(&scenario.observers[ib], &GPS_ANCHOR, &mut rng);
 
     // Warm up outside the measured window.
     let _ = pipeline.perceive_single(&scan_a, PerceiveCtx::default());
@@ -49,7 +47,7 @@ fn telemetry_baseline() -> cooper_telemetry::TelemetrySnapshot {
             &scan_a,
             &est_a,
             &[packet],
-            &config.origin,
+            &GPS_ANCHOR,
             PerceiveCtx::default(),
         );
     }

@@ -8,8 +8,8 @@
 //! measures detection of moving vs parked cars as staleness grows.
 
 use cooper_bench::{output_dir, render_csv, render_table, standard_pipeline, write_artifact};
-use cooper_core::report::{match_by_center_distance, EvaluationConfig};
-use cooper_core::{ExchangePacket, PerceiveCtx};
+use cooper_core::report::{match_by_center_distance, MATCH_DISTANCE_M};
+use cooper_core::{ExchangePacket, PerceiveCtx, GPS_ANCHOR};
 use cooper_geometry::{Attitude, Obb3, Pose, RigidTransform, Vec3};
 use cooper_lidar_sim::{BeamModel, Entity, EntityId, LidarScanner, PoseEstimate, World};
 
@@ -52,14 +52,13 @@ fn build_world() -> World {
 fn main() {
     eprintln!("training SPOD detector…");
     let pipeline = standard_pipeline();
-    let config = EvaluationConfig::default();
     let scanner = LidarScanner::new(BeamModel::vlp16());
 
     let receiver = Pose::new(Vec3::new(0.0, 0.0, 1.9), Attitude::level());
     // The remote vehicle sits past the wall with a clear view of the lane.
     let remote = Pose::new(Vec3::new(30.0, -15.0, 1.9), Attitude::from_yaw(2.0));
-    let est_rx = PoseEstimate::from_pose(&receiver, &config.origin);
-    let est_tx = PoseEstimate::from_pose(&remote, &config.origin);
+    let est_rx = PoseEstimate::from_pose(&receiver, &GPS_ANCHOR);
+    let est_tx = PoseEstimate::from_pose(&remote, &GPS_ANCHOR);
 
     println!("=== Extension: exchange staleness vs moving objects ===\n");
     let mut rows = Vec::new();
@@ -76,7 +75,7 @@ fn main() {
             &local_scan,
             &est_rx,
             &[packet],
-            &config.origin,
+            &GPS_ANCHOR,
             PerceiveCtx::default(),
         );
 
@@ -91,7 +90,7 @@ fn main() {
                 .collect()
         };
         let count = |gts: &Vec<Obb3>| {
-            match_by_center_distance(&result.detections, gts, config.match_distance)
+            match_by_center_distance(&result.detections, gts, MATCH_DISTANCE_M)
                 .iter()
                 .filter(|s| s.is_some())
                 .count()

@@ -12,9 +12,8 @@
 //! regression ledger.
 
 use cooper_bench::{ledger, output_dir, render_table, standard_pipeline};
-use cooper_core::report::EvaluationConfig;
 use cooper_core::tracking::TrackerConfig;
-use cooper_core::{CooperPipeline, ExchangePacket, PerceiveCtx};
+use cooper_core::{CooperPipeline, ExchangePacket, PerceiveCtx, GPS_ANCHOR};
 use cooper_lidar_sim::scenario::highway;
 use cooper_lidar_sim::{LidarScanner, PoseEstimate};
 
@@ -26,7 +25,6 @@ struct RunStats {
 
 fn run_tracking(pipeline: &CooperPipeline, cooperative: bool) -> RunStats {
     let scene = highway();
-    let config = EvaluationConfig::default();
     let scanner = LidarScanner::new(scene.kind.beam_model());
     let (rx, tx) = scene.pairs[0];
     let dt = 0.5f64;
@@ -39,15 +37,15 @@ fn run_tracking(pipeline: &CooperPipeline, cooperative: bool) -> RunStats {
         let scan_rx = scanner.scan(&world, &scene.observers[rx], 100 + step);
         let detections = if cooperative {
             let scan_tx = scanner.scan(&world, &scene.observers[tx], 200 + step);
-            let est_rx = PoseEstimate::from_pose(&scene.observers[rx], &config.origin);
-            let est_tx = PoseEstimate::from_pose(&scene.observers[tx], &config.origin);
+            let est_rx = PoseEstimate::from_pose(&scene.observers[rx], &GPS_ANCHOR);
+            let est_tx = PoseEstimate::from_pose(&scene.observers[tx], &GPS_ANCHOR);
             let packet = ExchangePacket::build(1, step as u32, &scan_tx, est_tx).expect("encodes");
             pipeline
                 .perceive(
                     &scan_rx,
                     &est_rx,
                     &[packet],
-                    &config.origin,
+                    &GPS_ANCHOR,
                     PerceiveCtx::default(),
                 )
                 .detections

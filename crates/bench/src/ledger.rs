@@ -3,21 +3,19 @@
 //! comparison logic `bench_check` runs in CI.
 //!
 //! Every bench binary's `--check` mode appends one [`BenchRecord`] per
-//! run — the bench name plus a flat map of scalar metrics. The ledger
-//! reuses the [`TelemetryEvent`] JSON-lines codec (kind = bench name,
-//! fields = metrics), so the file is greppable and `jq`-able.
-//! `bench_check` then
+//! run: the bench name plus a flat map of scalar metrics, one JSON
+//! object per line (`{"kind":"<bench>","<metric>":<number>,...}`), so
+//! the file is greppable and `jq`-able. `bench_check` then
 //! compares the *latest* record of each bench against its *baseline*
 //! (the oldest record on file) with per-metric tolerance: quality
 //! metrics regress the build, timing/throughput metrics are recorded
 //! but informational, because CI machines are not a benchmarking lab.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-
-use cooper_telemetry::event::{FieldValue, TelemetryEvent};
 
 /// File name of the ledger inside the results directory.
 pub const HISTORY_FILE: &str = "BENCH_history.jsonl";
@@ -32,12 +30,14 @@ pub fn default_history_path() -> PathBuf {
 pub struct BenchRecord {
     /// The bench binary that produced the record (e.g. `fault_sweep`).
     pub bench: String,
-    /// Metric name → value, in insertion order.
-    pub metrics: Vec<(String, f64)>,
+    /// Metric name → value, in name order. A non-finite value is
+    /// written as `null` and reads back as NaN.
+    pub metrics: BTreeMap<String, f64>,
 }
 
 impl BenchRecord {
-    /// Creates a record for `bench` with the given metrics.
+    /// Creates a record for `bench` with the given metrics; of two
+    /// metrics with one name, the later wins.
     pub fn new(bench: impl Into<String>, metrics: &[(&str, f64)]) -> Self {
         BenchRecord {
             bench: bench.into(),
@@ -50,41 +50,188 @@ impl BenchRecord {
 
     /// Looks up a metric value.
     pub fn metric(&self, name: &str) -> Option<f64> {
-        self.metrics
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
+        self.metrics.get(name).copied()
     }
 
-    /// Encodes as one JSON line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        let mut event = TelemetryEvent::new(self.bench.clone());
-        for (key, value) in &self.metrics {
-            event = event.with(key.clone(), *value);
+    /// Encodes as one JSON line (no trailing newline): `kind` first,
+    /// then the metrics in name order, every finite value with a
+    /// decimal point or exponent and every other one as `null`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when a metric is named `kind`, the member that
+    /// holds the bench name.
+    pub fn to_json_line(&self) -> Result<String, String> {
+        if self.metrics.contains_key("kind") {
+            return Err("metric name \"kind\" is reserved for the bench name".into());
         }
-        event.to_json_line()
-    }
-
-    /// Decodes a ledger line. Integer-encoded metrics are widened to
-    /// `f64`; non-numeric fields are rejected.
-    pub fn from_json_line(line: &str) -> Result<Self, String> {
-        let event = TelemetryEvent::from_json_line(line).map_err(|e| e.to_string())?;
-        let mut metrics = Vec::new();
-        for (key, value) in event.fields() {
-            let v = match value {
-                FieldValue::F64(v) => *v,
-                FieldValue::U64(v) => *v as f64,
-                FieldValue::I64(v) => *v as f64,
-                other => {
-                    return Err(format!("metric {key:?} is not numeric: {other:?}"));
+        let mut out = String::from("{\"kind\":");
+        push_json_string(&self.bench, &mut out);
+        for (name, value) in &self.metrics {
+            out.push(',');
+            push_json_string(name, &mut out);
+            out.push(':');
+            if value.is_finite() {
+                let text = value.to_string();
+                out.push_str(&text);
+                if !text.contains(['.', 'e', 'E']) {
+                    out.push_str(".0");
                 }
-            };
-            metrics.push((key.to_string(), v));
+            } else {
+                out.push_str("null");
+            }
         }
-        Ok(BenchRecord {
-            bench: event.kind().to_string(),
-            metrics,
-        })
+        out.push('}');
+        Ok(out)
+    }
+
+    /// Decodes a ledger line: a flat JSON object with one string `kind`
+    /// member and otherwise only number or `null` members, each name
+    /// once.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message with the byte offset of the first problem.
+    pub fn from_json_line(line: &str) -> Result<Self, String> {
+        let mut cursor = Cursor {
+            text: line.trim(),
+            pos: 0,
+        };
+        cursor.expect('{')?;
+        let mut bench = None;
+        let mut metrics = BTreeMap::new();
+        if !cursor.eat('}') {
+            loop {
+                let name = cursor.string()?;
+                cursor.expect(':')?;
+                if name == "kind" {
+                    cursor.skip_ws();
+                    if !cursor.rest().starts_with('"') {
+                        return Err(cursor.error("\"kind\" must be a string"));
+                    }
+                    if bench.replace(cursor.string()?).is_some() {
+                        return Err(cursor.error("duplicate \"kind\" member"));
+                    }
+                } else if metrics.insert(name, cursor.number()?).is_some() {
+                    return Err(cursor.error("duplicate metric"));
+                }
+                if cursor.eat('}') {
+                    break;
+                }
+                cursor.expect(',')?;
+            }
+        }
+        cursor.skip_ws();
+        if !cursor.rest().is_empty() {
+            return Err(cursor.error("trailing bytes after object"));
+        }
+        let bench = bench.ok_or_else(|| "missing \"kind\" member".to_string())?;
+        Ok(BenchRecord { bench, metrics })
+    }
+}
+
+fn push_json_string(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// A read position in one ledger line.
+struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl Cursor<'_> {
+    fn rest(&self) -> &str {
+        &self.text[self.pos..]
+    }
+
+    fn error(&self, message: &str) -> String {
+        format!("byte {}: {message}", self.pos)
+    }
+
+    fn skip_ws(&mut self) {
+        let rest = self.rest();
+        self.pos += rest.len() - rest.trim_start_matches([' ', '\t', '\n', '\r']).len();
+    }
+
+    fn eat(&mut self, c: char) -> bool {
+        self.skip_ws();
+        let found = self.rest().starts_with(c);
+        if found {
+            self.pos += c.len_utf8();
+        }
+        found
+    }
+
+    fn expect(&mut self, c: char) -> Result<(), String> {
+        if self.eat(c) {
+            Ok(())
+        } else {
+            Err(self.error(&format!("expected {c:?}")))
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect('"')?;
+        let mut out = String::new();
+        let mut chars = self.rest().char_indices();
+        while let Some((i, c)) = chars.next() {
+            match c {
+                '"' => {
+                    self.pos += i + 1;
+                    return Ok(out);
+                }
+                '\\' => out.push(match chars.next().map(|(_, e)| e) {
+                    Some('"') => '"',
+                    Some('\\') => '\\',
+                    Some('/') => '/',
+                    Some('n') => '\n',
+                    Some('r') => '\r',
+                    Some('t') => '\t',
+                    Some('u') => {
+                        let hex: String = chars.by_ref().take(4).map(|(_, h)| h).collect();
+                        u32::from_str_radix(&hex, 16)
+                            .ok()
+                            .filter(|_| hex.len() == 4)
+                            .and_then(char::from_u32)
+                            .ok_or_else(|| self.error("bad \\u escape"))?
+                    }
+                    _ => return Err(self.error("bad escape")),
+                }),
+                c => out.push(c),
+            }
+        }
+        Err(self.error("unterminated string"))
+    }
+
+    /// A JSON number, or `null` as NaN.
+    fn number(&mut self) -> Result<f64, String> {
+        self.skip_ws();
+        let rest = self.rest();
+        if rest.starts_with("null") {
+            self.pos += 4;
+            return Ok(f64::NAN);
+        }
+        let len = rest
+            .find(|c: char| !matches!(c, '-' | '+' | '.' | 'e' | 'E' | '0'..='9'))
+            .unwrap_or(rest.len());
+        let value = rest[..len]
+            .parse()
+            .map_err(|_| self.error("expected a number or null"))?;
+        self.pos += len;
+        Ok(value)
     }
 }
 
@@ -94,8 +241,11 @@ pub fn append(path: &Path, record: &BenchRecord) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
+    let line = record
+        .to_json_line()
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
     let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-    writeln!(file, "{}", record.to_json_line())
+    writeln!(file, "{line}")
 }
 
 /// Reads every record from the ledger at `path`, oldest first. Blank
@@ -141,12 +291,16 @@ impl Tolerance {
         (self.rel * baseline.abs()).max(self.abs)
     }
 
-    /// `true` when `latest` has regressed past the slack window.
+    /// `true` when `latest` has regressed past the slack window, or
+    /// when either value is NaN (a `null` in the ledger): a gate that
+    /// cannot compare fails closed.
     pub fn regressed(&self, baseline: f64, latest: f64) -> bool {
-        match self.direction {
-            Direction::HigherIsBetter => latest < baseline - self.slack(baseline),
-            Direction::LowerIsBetter => latest > baseline + self.slack(baseline),
-        }
+        let slack = self.slack(baseline);
+        let within = match self.direction {
+            Direction::HigherIsBetter => latest >= baseline - slack,
+            Direction::LowerIsBetter => latest <= baseline + slack,
+        };
+        !within
     }
 }
 
@@ -214,6 +368,11 @@ pub struct Floor {
 }
 
 impl Floor {
+    /// An ungated floor at `min`.
+    const fn at(min: f64) -> Floor {
+        Floor { min, gate: None }
+    }
+
     /// `true` when this floor applies to `record` — its gate metric,
     /// if any, is present and at or above the threshold.
     pub fn applies(&self, record: &BenchRecord) -> bool {
@@ -223,56 +382,54 @@ impl Floor {
         }
     }
 
-    /// `true` when `latest` falls below the floor.
+    /// `true` when `latest` falls below the floor or is NaN.
     pub fn violated(&self, latest: f64) -> bool {
-        latest < self.min
+        let clears = latest >= self.min;
+        !clears
     }
 }
 
-/// Absolute floors, applied to the newest record of each bench only
-/// (see [`Floor`]). The parallel-fleet speedup floor backs the PR 7
-/// chunk-parallel SPOD hot path: on a host with at least 4 hardware
-/// threads, the 8-vehicle fleet must run at least 2.5x faster at 4
-/// worker threads than at 1.
-pub fn floor_for(bench: &str, metric: &str) -> Option<Floor> {
-    match (bench, metric) {
-        ("parallel_fleet", "speedup_4_threads") => Some(Floor {
+/// Absolute floors as `(bench, metric, floor)`, applied to the newest
+/// record of each bench only (see [`Floor`]); a floored metric that
+/// record lacks, where its floor applies, fails the check.
+///
+/// The parallel-fleet speedup floor backs the chunk-parallel SPOD hot
+/// path: on a host with at least 4 hardware threads, the 8-vehicle
+/// fleet must run at least 2.5x faster at 4 worker threads than at 1.
+///
+/// The incremental-perception cache must make an unchanged scene at
+/// least 2x cheaper per step than re-perceiving from scratch. Pure
+/// algorithmic reuse on a fixed workload — no hardware gate: any host
+/// can express it.
+///
+/// The chaos campaign's defense floors: under composed burst loss +
+/// drift + corruption + ghost injection, the trust-guarded fleet
+/// must reject at least 80% of the ghost sender's delivered broadcasts,
+/// never fall below ego-only detections, quarantine the attacker within
+/// the bench's bound, and stay bit-identical across thread counts.
+/// Absolute requirements of the build, not relative baselines.
+pub const FLOORS: [(&str, &str, Floor); 6] = [
+    (
+        "parallel_fleet",
+        "speedup_4_threads",
+        Floor {
             min: 2.5,
             gate: Some(("hardware_threads", 4.0)),
-        }),
-        // The incremental-perception cache must make an unchanged scene
-        // at least 2x cheaper per step than re-perceiving from scratch.
-        // Pure algorithmic reuse on a fixed workload — no hardware
-        // gate: any host can express it.
-        ("temporal_sweep", "low_change_speedup") => Some(Floor {
-            min: 2.0,
-            gate: None,
-        }),
-        // The chaos campaign's defense floors (ISSUE 10): under
-        // composed burst loss + drift + corruption + ghost injection,
-        // the trust-guarded fleet must reject at least 80% of the
-        // ghost sender's delivered broadcasts, never fall below
-        // ego-only detections, quarantine the attacker within the
-        // bench's bound, and stay bit-identical across thread counts.
-        // Absolute requirements of the build, not relative baselines.
-        ("chaos_sweep", "ghost_rejection_rate") => Some(Floor {
-            min: 0.8,
-            gate: None,
-        }),
-        ("chaos_sweep", "recall_delta") => Some(Floor {
-            min: 0.0,
-            gate: None,
-        }),
-        ("chaos_sweep", "quarantine_within_bound") => Some(Floor {
-            min: 1.0,
-            gate: None,
-        }),
-        ("chaos_sweep", "deterministic") => Some(Floor {
-            min: 1.0,
-            gate: None,
-        }),
-        _ => None,
-    }
+        },
+    ),
+    ("temporal_sweep", "low_change_speedup", Floor::at(2.0)),
+    ("chaos_sweep", "ghost_rejection_rate", Floor::at(0.8)),
+    ("chaos_sweep", "recall_delta", Floor::at(0.0)),
+    ("chaos_sweep", "quarantine_within_bound", Floor::at(1.0)),
+    ("chaos_sweep", "deterministic", Floor::at(1.0)),
+];
+
+/// The entry of [`FLOORS`] for `metric` of `bench`, if any.
+pub fn floor_for(bench: &str, metric: &str) -> Option<Floor> {
+    FLOORS
+        .iter()
+        .find(|(b, m, _)| *b == bench && *m == metric)
+        .map(|&(_, _, floor)| floor)
 }
 
 /// The comparison of one metric: latest vs baseline under its policy.
@@ -284,7 +441,8 @@ pub struct MetricVerdict {
     pub metric: String,
     /// Value in the oldest record on file.
     pub baseline: f64,
-    /// Value in the newest record on file.
+    /// Value in the newest record on file; NaN when it is `null` there,
+    /// or when that record lacks a floored metric.
     pub latest: f64,
     /// `None` when the metric is informational.
     pub tolerance: Option<Tolerance>,
@@ -299,7 +457,8 @@ pub struct MetricVerdict {
 /// The full `bench_check` comparison across every bench in the ledger.
 #[derive(Clone, Debug, Default)]
 pub struct CheckReport {
-    /// One verdict per (bench, metric) present in the latest records.
+    /// One verdict per (bench, metric) present in the latest records,
+    /// plus one per floored metric a latest record lacks.
     pub verdicts: Vec<MetricVerdict>,
 }
 
@@ -336,8 +495,9 @@ impl fmt::Display for CheckReport {
 
 /// Compares the latest record of each bench against its baseline (the
 /// oldest record of the same bench), applying [`tolerance_for`] per
-/// metric. Benches with a single record compare against themselves and
-/// trivially pass — the first run *defines* the baseline.
+/// metric and [`FLOORS`] to the latest record. Benches with a single
+/// record compare against themselves and pass their tolerances — the
+/// first run *defines* the baseline — but not a floor they miss.
 pub fn check_history(records: &[BenchRecord]) -> CheckReport {
     let mut benches: Vec<&str> = Vec::new();
     for r in records {
@@ -356,21 +516,30 @@ pub fn check_history(records: &[BenchRecord]) -> CheckReport {
             .rev()
             .find(|r| r.bench == bench)
             .expect("bench came from records");
-        for (metric, latest_value) in &latest.metrics {
+        // Every metric the latest record carries, then, as NaN, every
+        // floored metric it lacks where the floor applies.
+        let present = latest.metrics.iter().map(|(m, v)| (m.as_str(), *v));
+        let missing = FLOORS
+            .iter()
+            .filter(|(b, m, floor)| {
+                *b == bench && floor.applies(latest) && latest.metric(m).is_none()
+            })
+            .map(|&(_, m, _)| (m, f64::NAN));
+        for (metric, latest_value) in present.chain(missing) {
             // A metric absent from the baseline has no reference point
             // yet; treat the latest value as its baseline.
-            let baseline_value = baseline.metric(metric).unwrap_or(*latest_value);
+            let baseline_value = baseline.metric(metric).unwrap_or(latest_value);
             let tolerance = tolerance_for(bench, metric);
             let floor = floor_for(bench, metric).filter(|f| f.applies(latest));
             let regressed = tolerance
-                .map(|t| t.regressed(baseline_value, *latest_value))
+                .map(|t| t.regressed(baseline_value, latest_value))
                 .unwrap_or(false)
-                || floor.is_some_and(|f| f.violated(*latest_value));
+                || floor.is_some_and(|f| f.violated(latest_value));
             report.verdicts.push(MetricVerdict {
                 bench: bench.to_string(),
-                metric: metric.clone(),
+                metric: metric.to_string(),
                 baseline: baseline_value,
-                latest: *latest_value,
+                latest: latest_value,
                 regressed,
                 tolerance,
                 floor,
@@ -390,11 +559,103 @@ mod tests {
             "bandwidth_sweep",
             &[("reduction", 3.41), ("detection_drift", 0.0)],
         );
-        let line = record.to_json_line();
+        let line = record.to_json_line().expect("encodes");
         let back = BenchRecord::from_json_line(&line).expect("parses");
         assert_eq!(back.bench, "bandwidth_sweep");
         assert_eq!(back.metric("reduction"), Some(3.41));
         assert_eq!(back.metric("detection_drift"), Some(0.0));
+    }
+
+    #[test]
+    fn committed_ledger_lines_re_encode_byte_for_byte() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_history.jsonl");
+        let text = std::fs::read_to_string(path).expect("the committed ledger reads");
+        assert!(text.lines().count() > 0);
+        for line in text.lines() {
+            let record = BenchRecord::from_json_line(line).expect("parses");
+            assert_eq!(record.to_json_line().expect("encodes"), line);
+        }
+    }
+
+    #[test]
+    fn lines_are_kind_first_name_ordered_floats_or_null() {
+        let record = BenchRecord::new(
+            "k",
+            &[
+                ("whole", 3.0),
+                ("dx", -42.0),
+                ("gone", f64::NAN),
+                ("inf", f64::INFINITY),
+            ],
+        );
+        assert_eq!(
+            record.to_json_line().expect("encodes"),
+            r#"{"kind":"k","dx":-42.0,"gone":null,"inf":null,"whole":3.0}"#
+        );
+    }
+
+    #[test]
+    fn integer_negative_exponent_and_null_numbers_parse() {
+        let line = r#" { "kind" : "k", "u": 7, "i":-42, "e":1.5e3, "E":-2E-2, "n":null } "#;
+        let record = BenchRecord::from_json_line(line).expect("parses");
+        assert_eq!(record.bench, "k");
+        assert_eq!(record.metric("u"), Some(7.0));
+        assert_eq!(record.metric("i"), Some(-42.0));
+        assert_eq!(record.metric("e"), Some(1500.0));
+        assert_eq!(record.metric("E"), Some(-0.02));
+        assert!(record.metric("n").expect("present").is_nan());
+    }
+
+    #[test]
+    fn names_escape_and_round_trip() {
+        let name = "line one\nline \"two\" \\ done\t\u{1}";
+        let record = BenchRecord::new(name, &[(name, 1.0)]);
+        let line = record.to_json_line().expect("encodes");
+        assert!(line.contains("\\u0001"), "line = {line}");
+        assert_eq!(BenchRecord::from_json_line(&line).expect("parses"), record);
+        let escaped = BenchRecord::from_json_line(r#"{"kind":"a\/b\u0041"}"#).expect("parses");
+        assert_eq!(escaped.bench, "a/bA");
+    }
+
+    #[test]
+    fn malformed_lines_are_rejected() {
+        for line in [
+            "",
+            "not json",
+            "{}",
+            r#"{"m":1.0}"#,
+            r#"{"kind":3}"#,
+            r#"{"kind":"k"} extra"#,
+            r#"{"kind":"k","a":}"#,
+            r#"{"kind":"k","a":1.0,}"#,
+            r#"{"kind":"k","a":"text"}"#,
+            r#"{"kind":"k","a":true}"#,
+            r#"{"kind":"k","a":1.0,"a":2.0}"#,
+            r#"{"kind":"k","kind":"j"}"#,
+            r#"{"kind":"k","kind":1.0}"#,
+            r#"{"kind":"k\q"}"#,
+            r#"{"kind":"k\u00"}"#,
+            r#"{"kind":"k"#,
+        ] {
+            assert!(
+                BenchRecord::from_json_line(line).is_err(),
+                "accepted {line:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_metric_named_kind_is_never_written() {
+        let record = BenchRecord::new("k", &[("kind", 1.0)]);
+        assert!(record.to_json_line().is_err());
+        let dir = std::env::temp_dir().join("cooper-ledger-test-kind");
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join(HISTORY_FILE);
+        assert!(append(&path, &record).is_err());
+        assert!(std::fs::read_to_string(&path)
+            .unwrap_or_default()
+            .is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -595,21 +856,83 @@ mod tests {
         assert!(!check_history(&healthy).failed());
     }
 
+    /// A chaos record that clears every floor, with its quarantine
+    /// latency.
+    fn chaos(latency_steps: f64) -> BenchRecord {
+        BenchRecord::new(
+            "chaos_sweep",
+            &[
+                ("deterministic", 1.0),
+                ("ghost_rejection_rate", 0.95),
+                ("recall_delta", 0.4),
+                ("quarantine_within_bound", 1.0),
+                ("quarantine_latency_steps", latency_steps),
+            ],
+        )
+    }
+
     #[test]
     fn chaos_quarantine_latency_gates_upward_movement() {
-        let history = [
-            BenchRecord::new("chaos_sweep", &[("quarantine_latency_steps", 2.0)]),
-            BenchRecord::new("chaos_sweep", &[("quarantine_latency_steps", 6.0)]),
-        ];
         assert!(
-            check_history(&history).failed(),
+            check_history(&[chaos(2.0), chaos(6.0)]).failed(),
             "a 4-step latency regression must gate"
         );
-        let within = [
-            BenchRecord::new("chaos_sweep", &[("quarantine_latency_steps", 2.0)]),
-            BenchRecord::new("chaos_sweep", &[("quarantine_latency_steps", 3.0)]),
-        ];
-        assert!(!check_history(&within).failed(), "one step of slack");
+        assert!(
+            !check_history(&[chaos(2.0), chaos(3.0)]).failed(),
+            "one step of slack"
+        );
+    }
+
+    #[test]
+    fn nan_fails_every_gate_it_reaches() {
+        // A `null` in the ledger reads back as NaN.
+        let line = r#"{"kind":"fault_sweep","guard_on_recall":null,"guard_off_recall":null}"#;
+        let nan = BenchRecord::from_json_line(line).expect("parses");
+        let clean = BenchRecord::new(
+            "fault_sweep",
+            &[("guard_on_recall", 0.8), ("guard_off_recall", 0.4)],
+        );
+        let report = check_history(&[clean.clone(), nan]);
+        assert!(report.failed(), "a NaN recall must gate");
+        let failed: Vec<&str> = report
+            .verdicts
+            .iter()
+            .filter(|v| v.regressed)
+            .map(|v| v.metric.as_str())
+            .collect();
+        // The guard-off arm stays informational.
+        assert_eq!(failed, ["guard_on_recall"]);
+        // A NaN baseline cannot vouch for anything either.
+        let line = r#"{"kind":"fault_sweep","guard_on_recall":null}"#;
+        let nan_baseline = BenchRecord::from_json_line(line).expect("parses");
+        assert!(check_history(&[nan_baseline, clean]).failed());
+        // A NaN never clears a floor, on a first record too.
+        let mut floored = chaos(1.0);
+        floored
+            .metrics
+            .insert("ghost_rejection_rate".into(), f64::NAN);
+        let report = check_history(&[floored]);
+        assert!(report.failed());
+        assert!(format!("{report}").contains("BELOW FLOOR"));
+    }
+
+    #[test]
+    fn a_floored_metric_the_latest_record_lacks_fails() {
+        let mut partial = chaos(1.0);
+        partial.metrics.remove("ghost_rejection_rate");
+        let report = check_history(&[chaos(1.0), partial]);
+        assert!(report.failed());
+        let v = report
+            .verdicts
+            .iter()
+            .find(|v| v.metric == "ghost_rejection_rate")
+            .expect("the missing floored metric gets a verdict");
+        assert!(v.regressed && v.latest.is_nan() && v.baseline == 0.95);
+        // A gated floor applies only where its gate does.
+        let wide = BenchRecord::new("parallel_fleet", &[("hardware_threads", 8.0)]);
+        assert!(check_history(&[wide]).failed());
+        let narrow = BenchRecord::new("parallel_fleet", &[("hardware_threads", 2.0)]);
+        assert!(!check_history(&[narrow]).failed());
     }
 
     #[test]

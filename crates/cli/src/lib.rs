@@ -36,9 +36,9 @@ use cooper_core::report::{evaluate_pair, EvaluationConfig};
 use cooper_core::tracking::TrackerConfig;
 use cooper_core::viz::{render_bev, BevViewConfig};
 use cooper_core::{
-    AlignmentGuardConfig, CooperPipeline, ExchangePacket, GovernorConfig, PerceiveCtx,
+    AlignmentGuardConfig, CooperPipeline, ExchangePacket, GovernorConfig, PerceiveCtx, GPS_ANCHOR,
 };
-use cooper_geometry::{GpsFix, Pose, Vec3};
+use cooper_geometry::{Pose, Vec3};
 use cooper_lidar_sim::scenario::{self, Scenario};
 use cooper_lidar_sim::{BeamModel, FaultPlan, LidarScanner, PoseEstimate};
 use cooper_pointcloud::io::{read_pcd, read_ply, read_xyz, write_pcd, write_ply, write_xyz};
@@ -281,6 +281,8 @@ senders that keep failing are quarantined per receiver — their
 transfers are skipped until the quarantine elapses and a clean
 probation earns them back. Step lines gain per-vehicle violation and
 quarantine columns, and a per-vehicle trust summary follows the run.
+Both guards screen point-cloud packets only: --features frames pass the
+alignment guard and the consistency screen unchecked.
 `profile` runs a fleet (default 4 vehicles, 2 steps) with the tracing
 profiler on: it prints a ranked self-time table over the SPOD sub-phases
 (preprocess, voxelize, vfe, conv1, conv2, bev, rpn, nms) and the
@@ -818,16 +820,15 @@ fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
             if incremental {
                 pipeline = pipeline.with_incremental();
             }
-            let origin = GpsFix::new(33.2075, -97.1526, 190.0);
-            let est_rx = PoseEstimate::from_pose(&scene.observers[rx], &origin);
-            let est_tx = PoseEstimate::from_pose(&scene.observers[tx], &origin);
+            let est_rx = PoseEstimate::from_pose(&scene.observers[rx], &GPS_ANCHOR);
+            let est_tx = PoseEstimate::from_pose(&scene.observers[tx], &GPS_ANCHOR);
             let packet = ExchangePacket::build(tx as u32, 0, &scan_tx, est_tx)
                 .map_err(|e| CliError::runtime(format!("cannot build packet: {e}")))?;
             let result = pipeline.perceive(
                 &scan_rx,
                 &est_rx,
                 &[packet],
-                &origin,
+                &GPS_ANCHOR,
                 PerceiveCtx::default(),
             );
             println!(

@@ -7,6 +7,16 @@ use cooper_geometry::{GpsFix, Mat3, RigidTransform, Vec3};
 use cooper_lidar_sim::PoseEstimate;
 use cooper_pointcloud::PointCloud;
 
+/// The GPS anchor of the shared local east-north-up frame that every
+/// fleet run, experiment and CLI command aligns in: a fix on the UNT
+/// campus in Denton, Texas. Equations 1–3 only use differences of
+/// fixes, so the anchor only has to be shared.
+pub const GPS_ANCHOR: GpsFix = GpsFix {
+    latitude: 33.2075,
+    longitude: -97.1526,
+    altitude: 190.0,
+};
+
 /// Builds the rigid transform that maps points from the transmitter's
 /// sensor frame into the receiver's sensor frame.
 ///
@@ -40,19 +50,49 @@ pub fn alignment_transform(
     RigidTransform::between(&tx_pose, &rx_pose)
 }
 
-/// Tuning knobs of the alignment guard.
+/// Upper bound on points the guard samples from a remote cloud; keeps
+/// its per-packet cost independent of scan density.
+pub const GUARD_MAX_SAMPLE_POINTS: usize = 600;
+
+/// Residual under which the GPS/IMU transform is accepted as-is,
+/// skipping ICP entirely — the fast path for healthy fleets, metres.
+pub const GUARD_CLEAN_RESIDUAL_M: f64 = 0.20;
+
+/// Minimum matched (non-ground) correspondences for an overlap to be
+/// verifiable at all.
+pub const GUARD_MIN_OVERLAP_POINTS: usize = 25;
+
+/// A refined transform must retain at least this fraction of the
+/// pre-refinement occupancy agreement. A genuine correction raises
+/// agreement; an aliased fit that snapped remote structure onto the
+/// wrong local structure lowers it even when the point residual looks
+/// plausible.
+pub const GUARD_MIN_OCCUPANCY_RECOVERY: f64 = 1.0;
+
+/// Largest translation correction ICP may apply, metres. GPS drift
+/// worth repairing is metre-scale; a fit that wants to teleport the
+/// cloud further than this has almost certainly aliased onto the wrong
+/// structure (repetitive scenes score a plausible residual there), so
+/// the guard rejects instead.
+pub const GUARD_MAX_CORRECTION_M: f64 = 2.5;
+
+/// Sensor-frame height below which a point counts as ground, metres.
+/// Ground points are excluded from ICP correspondences (on flat terrain
+/// ground matches ground anywhere, constraining nothing in the plane)
+/// but drive the ground-plane z residual.
+pub const GUARD_GROUND_Z_M: f64 = -1.2;
+
+/// Tuning knobs of the alignment guard; the `GUARD_*` constants fix the
+/// rest.
 ///
 /// The defaults are calibrated on the synthetic scenario library: clean
 /// GPS/IMU alignments (≤ 10 cm positional error, the paper's cited
-/// envelope) score well under `clean_residual_m`, while drifts past the
-/// Figure-10 bound are either pulled back by ICP or rejected.
+/// envelope) score well under [`GUARD_CLEAN_RESIDUAL_M`], while drifts
+/// past the Figure-10 bound are either pulled back by ICP or rejected.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlignmentGuardConfig {
     /// Voxel edge used for the occupancy-agreement score, metres.
     pub voxel_size_m: f64,
-    /// Upper bound on points sampled from the remote cloud; keeps the
-    /// guard's per-packet cost independent of scan density.
-    pub max_sample_points: usize,
     /// Maximum ICP refinement iterations (`--icp-iters`).
     pub max_icp_iters: usize,
     /// Correspondence search radius, metres. Also bounds how much error
@@ -61,44 +101,15 @@ pub struct AlignmentGuardConfig {
     /// Post-refinement residual gate, metres: refined alignments worse
     /// than this are rejected and the receiver falls back to ego-only.
     pub accept_residual_m: f64,
-    /// Residual under which the GPS/IMU transform is accepted as-is,
-    /// skipping ICP entirely — the fast path for healthy fleets.
-    pub clean_residual_m: f64,
-    /// Minimum matched (non-ground) correspondences for the overlap to
-    /// be considered verifiable at all.
-    pub min_overlap_points: usize,
-    /// A refined transform must retain at least this fraction of the
-    /// pre-refinement occupancy agreement. A genuine correction raises
-    /// agreement; an aliased fit that snapped remote structure onto the
-    /// wrong local structure lowers it even when the point residual
-    /// looks plausible.
-    pub min_occupancy_recovery: f64,
-    /// Largest translation correction ICP is allowed to apply, metres.
-    /// GPS drift worth repairing is metre-scale; a fit that wants to
-    /// teleport the cloud further than this has almost certainly
-    /// aliased onto the wrong structure (repetitive scenes score a
-    /// plausible residual there), so the guard rejects instead.
-    pub max_correction_m: f64,
-    /// Sensor-frame height below which a point counts as ground, metres.
-    /// Ground points are excluded from ICP correspondences (on flat
-    /// terrain ground matches ground anywhere, constraining nothing in
-    /// the plane) but drive the ground-plane z residual.
-    pub ground_z_m: f64,
 }
 
 impl Default for AlignmentGuardConfig {
     fn default() -> Self {
         AlignmentGuardConfig {
             voxel_size_m: 0.8,
-            max_sample_points: 600,
             max_icp_iters: 10,
             max_correspondence_m: 3.0,
             accept_residual_m: 0.45,
-            clean_residual_m: 0.20,
-            min_overlap_points: 25,
-            min_occupancy_recovery: 1.0,
-            max_correction_m: 2.5,
-            ground_z_m: -1.2,
         }
     }
 }
@@ -606,12 +617,12 @@ fn hit_fraction<K: Ord>(local: &[K], remote: impl Iterator<Item = K>) -> f64 {
     hits as f64 / remote.len() as f64
 }
 
-/// Mean height of the points of `pts` below the ground cut, or `None`
-/// when there are none.
-fn mean_ground(pts: &[Vec3], ground_z_m: f64) -> Option<f64> {
+/// Mean height of the points of `pts` below [`GUARD_GROUND_Z_M`], or
+/// `None` when there are none.
+fn mean_ground(pts: &[Vec3]) -> Option<f64> {
     let heights: Vec<f64> = pts
         .iter()
-        .filter(|p| p.z < ground_z_m)
+        .filter(|p| p.z < GUARD_GROUND_Z_M)
         .map(|p| p.z)
         .collect();
     if heights.is_empty() {
@@ -652,7 +663,7 @@ impl GuardReference {
     /// not sampling sparsity. Only the remote side is downsampled.
     pub fn new(local: &PointCloud, cfg: &AlignmentGuardConfig) -> GuardReference {
         let positions: Vec<Vec3> = local.iter().map(|p| p.position).collect();
-        let is_ground = |p: &Vec3| p.z < cfg.ground_z_m;
+        let is_ground = |p: &Vec3| p.z < GUARD_GROUND_Z_M;
         let solid: Vec<Vec3> = positions
             .iter()
             .copied()
@@ -664,14 +675,14 @@ impl GuardReference {
             solid: solid.len(),
             index: PlanarIndex::build(&solid, cfg.max_correspondence_m),
             voxels: VoxelSet::build(&positions, cfg.voxel_size_m, cfg.max_correspondence_m),
-            ground_mean: mean_ground(&positions, cfg.ground_z_m),
+            ground_mean: mean_ground(&positions),
         }
     }
 
     /// Absolute difference of mean ground heights in the shared region,
     /// or zero when either side contributes no ground points.
     fn ground_dz(&self, remote: &[Vec3]) -> f64 {
-        match (self.ground_mean, mean_ground(remote, self.cfg.ground_z_m)) {
+        match (self.ground_mean, mean_ground(remote)) {
             (Some(a), Some(b)) => (a - b).abs(),
             _ => 0.0,
         }
@@ -692,18 +703,18 @@ impl GuardReference {
             transform: *base,
         };
 
-        let sampled = sample_positions(remote, cfg.max_sample_points);
+        let sampled = sample_positions(remote, GUARD_MAX_SAMPLE_POINTS);
         let remote_samples: Vec<Vec3> = sampled.iter().map(|&p| base.apply(p)).collect();
         if self.len == 0 || remote_samples.is_empty() {
             return fail_safe(f64::INFINITY);
         }
-        let is_ground = |p: &Vec3| p.z < cfg.ground_z_m;
+        let is_ground = |p: &Vec3| p.z < GUARD_GROUND_Z_M;
         let remote_solid: Vec<Vec3> = remote_samples
             .iter()
             .copied()
             .filter(|p| !is_ground(p))
             .collect();
-        if self.solid < cfg.min_overlap_points || remote_solid.len() < cfg.min_overlap_points {
+        if self.solid < GUARD_MIN_OVERLAP_POINTS || remote_solid.len() < GUARD_MIN_OVERLAP_POINTS {
             return fail_safe(f64::INFINITY);
         }
 
@@ -712,7 +723,7 @@ impl GuardReference {
         let occupancy_before = self.voxels.agreement(&remote_samples);
         let ground_dz_before = self.ground_dz(&remote_samples);
 
-        if matched_before < cfg.min_overlap_points {
+        if matched_before < GUARD_MIN_OVERLAP_POINTS {
             // The claimed geometry puts the clouds apart: nothing to verify
             // against, nothing for ICP to pull on. Fail safe.
             let mut report = fail_safe(residual_before);
@@ -721,7 +732,7 @@ impl GuardReference {
             return report;
         }
 
-        if residual_before <= cfg.clean_residual_m && ground_dz_before <= cfg.accept_residual_m {
+        if residual_before <= GUARD_CLEAN_RESIDUAL_M && ground_dz_before <= cfg.accept_residual_m {
             return GuardReport {
                 decision: GuardDecision::AcceptedClean,
                 residual_before_m: residual_before,
@@ -758,7 +769,7 @@ impl GuardReference {
                 .filter(|&(_, _, d)| d <= keep)
                 .map(|(a, b, _)| (a, b))
                 .collect();
-            if pairs.len() < cfg.min_overlap_points {
+            if pairs.len() < GUARD_MIN_OVERLAP_POINTS {
                 break;
             }
             let delta = procrustes_step(&pairs);
@@ -780,11 +791,11 @@ impl GuardReference {
         let occupancy_after = self.voxels.agreement(&remote_refined);
 
         let correction_m = (refined.apply(Vec3::ZERO) - base.apply(Vec3::ZERO)).norm();
-        let decision = if matched_after >= cfg.min_overlap_points
+        let decision = if matched_after >= GUARD_MIN_OVERLAP_POINTS
             && residual_after <= cfg.accept_residual_m
             && ground_dz_after <= cfg.accept_residual_m
-            && occupancy_after >= occupancy_before * cfg.min_occupancy_recovery
-            && correction_m <= cfg.max_correction_m
+            && occupancy_after >= occupancy_before * GUARD_MIN_OCCUPANCY_RECOVERY
+            && correction_m <= GUARD_MAX_CORRECTION_M
         {
             GuardDecision::AcceptedRefined
         } else {
@@ -812,8 +823,8 @@ impl GuardReference {
 /// remote cloud by index, matches transformed remote points to their
 /// nearest non-ground receiver points, and measures the median matched
 /// residual plus voxel-occupancy agreement and the ground-plane height
-/// gap. Clean transforms (residual ≤
-/// [`AlignmentGuardConfig::clean_residual_m`]) pass untouched; anything
+/// gap. Clean transforms (residual ≤ [`GUARD_CLEAN_RESIDUAL_M`]) pass
+/// untouched; anything
 /// worse gets up to [`AlignmentGuardConfig::max_icp_iters`] rounds of
 /// planar point-to-point ICP with an annealing correspondence radius,
 /// and is accepted only if the post-refinement residual clears

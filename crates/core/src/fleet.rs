@@ -51,7 +51,7 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
 use cooper_exec::Executor;
-use cooper_geometry::{GpsFix, Pose, RigidTransform, Vec3};
+use cooper_geometry::{Pose, RigidTransform, Vec3};
 use cooper_lidar_sim::{
     BeamModel, FaultInjector, FaultPlan, GpsImuModel, LidarScanner, PoseEstimate, ScanFaults, World,
 };
@@ -78,7 +78,7 @@ use crate::tracking::{Tracker, TrackerStepSummary};
 use crate::trust::{TrustConfig, TrustLedger, TrustTransition, TrustVehicleStats};
 use crate::{
     alignment_transform, CooperError, CooperPipeline, Detection, ExchangePacket, GuardDecision,
-    PerceiveCtx, PerceptionCache, TransferOffer,
+    PerceiveCtx, PerceptionCache, TransferOffer, GPS_ANCHOR,
 };
 
 /// One vehicle in the fleet: an id, a pose trajectory (one pose per
@@ -113,18 +113,10 @@ impl FleetVehicle {
 /// Fleet-level configuration.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Vehicles exchange only when within this planar distance.
-    pub comms_range_m: f64,
     /// GPS/IMU model producing the exchanged pose estimates.
     pub sensor_model: GpsImuModel,
-    /// GPS anchor of the shared frame.
-    pub origin: GpsFix,
     /// Base seed for scan noise and measurement streams.
     pub seed: u64,
-    /// Wall-clock duration of one step, seconds; dynamic entities
-    /// (non-zero [`cooper_lidar_sim::Entity::velocity`]) advance by this
-    /// much between steps.
-    pub step_duration_s: f64,
     /// Worker threads for the parallel phases. `None` uses the process
     /// default ([`cooper_exec::default_threads`]); the reports are
     /// bit-identical for every setting.
@@ -174,17 +166,23 @@ impl TrustGuardConfig {
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
-            comms_range_m: 150.0,
             sensor_model: GpsImuModel::realistic(),
-            origin: GpsFix::new(33.2075, -97.1526, 190.0),
             seed: 0,
-            step_duration_s: 1.0,
             threads: None,
             fault_plan: None,
             trust: None,
         }
     }
 }
+
+/// Vehicles exchange only when within this planar distance, metres.
+const COMMS_RANGE_M: f64 = 150.0;
+
+/// Wall-clock duration of one step, seconds: Cooper's 1 Hz exchange
+/// (§IV-G). Dynamic entities (non-zero
+/// [`cooper_lidar_sim::Entity::velocity`]) advance by this much between
+/// steps, and trackers predict over it.
+const STEP_DURATION_S: f64 = 1.0;
 
 /// Salts separating the independent RNG streams derived per
 /// (vehicle, step): the transmit-side pose measurement and the
@@ -1044,7 +1042,7 @@ impl FleetSimulation {
                 FaultInjector::new(
                     plan.clone(),
                     self.config.sensor_model,
-                    self.config.origin,
+                    GPS_ANCHOR,
                     self.config.seed,
                 )
             });
@@ -1100,7 +1098,7 @@ impl FleetSimulation {
                 encode_drops,
                 transport_drops,
             });
-            world = world.advanced(self.config.step_duration_s);
+            world = world.advanced(STEP_DURATION_S);
         }
         (reports, stats)
     }
@@ -1255,7 +1253,7 @@ impl StepCtx<'_> {
     fn measure(&self, v: &FleetVehicle, pose: &Pose, salt: u64) -> (PoseEstimate, u32) {
         let cfg = self.config;
         let mut rng = StdRng::seed_from_u64(stream_seed(cfg.seed, v.id, self.step, salt));
-        let clean = cfg.sensor_model.measure(pose, &cfg.origin, &mut rng);
+        let clean = cfg.sensor_model.measure(pose, &GPS_ANCHOR, &mut rng);
         match self.injector {
             Some(inj) => {
                 let faulted = inj.measure(v.id, self.step, &|s| v.pose_at(s), clean);
@@ -1320,7 +1318,7 @@ impl StepCtx<'_> {
         channel.on_step_begin(step);
         for i in 0..broadcasts.len() {
             for j in (i + 1)..broadcasts.len() {
-                if broadcasts[i].pose.delta_d(&broadcasts[j].pose) <= self.config.comms_range_m {
+                if broadcasts[i].pose.delta_d(&broadcasts[j].pose) <= COMMS_RANGE_M {
                     let (a, b) = (self.vehicles[i].id, self.vehicles[j].id);
                     let key = (a.min(b), a.max(b));
                     *stats.connection_steps.entry(key).or_insert(0) += 1;
@@ -1343,7 +1341,7 @@ impl StepCtx<'_> {
                 let Some(frame) = &sender.frame else {
                     continue;
                 };
-                if i == j || receiver.pose.delta_d(&sender.pose) > self.config.comms_range_m {
+                if i == j || receiver.pose.delta_d(&sender.pose) > COMMS_RANGE_M {
                     continue;
                 }
                 let from = self.vehicles[j].id;
@@ -1380,6 +1378,10 @@ impl StepCtx<'_> {
                     *stats.bytes_saved.entry(from).or_insert(0) += saved;
                 }
                 if cooper_telemetry::is_enabled() {
+                    cooper_telemetry::record_value(
+                        telemetry_names::PACKET_WIRE_BYTES,
+                        chosen.wire_bytes as u64,
+                    );
                     let per_mille = (chosen.wire_bytes as u64).saturating_mul(1000)
                         / (frame.baseline_bytes.max(1) as u64);
                     if chosen.kind == FrameKind::Features {
@@ -1594,7 +1596,7 @@ impl StepCtx<'_> {
             &me.scan,
             &estimate,
             fusion_inbox,
-            &self.config.origin,
+            &GPS_ANCHOR,
             PerceiveCtx {
                 scratch: Some(scratch),
                 cache,
@@ -1691,7 +1693,7 @@ impl StepCtx<'_> {
                 ego_index.get_or_insert_with(|| FreeSpaceIndex::build(&me.scan))
             };
             cooper_telemetry::counter_add(telemetry_names::GUARD_CONSISTENCY_CHECKS, 1);
-            let align = alignment_transform(pkt.pose(), estimate, &self.config.origin);
+            let align = alignment_transform(pkt.pose(), estimate, &GPS_ANCHOR);
             let in_ego = cloud.transformed(&align);
             let mut centroid = Vec3::new(0.0, 0.0, 0.0);
             for p in cloud.iter() {
@@ -1699,7 +1701,7 @@ impl StepCtx<'_> {
             }
             centroid /= cloud.len().max(1) as f64;
             let world_centroid =
-                RigidTransform::from_pose(&pkt.pose().to_pose(&self.config.origin)).apply(centroid);
+                RigidTransform::from_pose(&pkt.pose().to_pose(&GPS_ANCHOR)).apply(centroid);
             let key = (id, pkt.vehicle_id());
             let (verdict, next) = check_consistency(
                 sweep_index,
@@ -1707,7 +1709,7 @@ impl StepCtx<'_> {
                 world_centroid,
                 pkt.sequence(),
                 histories.get(&key),
-                self.config.step_duration_s,
+                STEP_DURATION_S,
                 &tg.consistency,
             );
             history_updates.push((key, next));
@@ -1748,7 +1750,7 @@ impl StepCtx<'_> {
             if let Some(tracker) = state.tracker.as_mut() {
                 let summary = {
                     let _span = cooper_telemetry::span!(telemetry_names::SPAN_TRACK_UPDATE);
-                    tracker.update(&detections, self.config.step_duration_s)
+                    tracker.update(&detections, STEP_DURATION_S)
                 };
                 let (_tentative, confirmed, coasting) = tracker.state_counts();
                 report.confirmed_tracks = confirmed;
@@ -1948,6 +1950,36 @@ mod tests {
             assert_eq!(v.bytes_received, 0);
         }
         assert!(stats.connection_steps.is_empty());
+    }
+
+    #[test]
+    fn vehicles_exchange_within_150_metres() {
+        let scene = scenario::tj_scenario_1();
+        let start = scene.observers[0];
+        let at = |dx: f64| Pose::new(start.position + Vec3::new(dx, 0.0, 0.0), start.attitude);
+        // 1–2 are 140 m apart, 2–3 160 m and 1–3 300 m.
+        let vehicles = [0.0, 140.0, 300.0]
+            .into_iter()
+            .enumerate()
+            .map(|(i, dx)| FleetVehicle {
+                id: i as u32 + 1,
+                trajectory: vec![at(dx)],
+                beams: BeamModel::vlp16().with_azimuth_steps(100),
+            })
+            .collect();
+        let config = FleetConfig {
+            sensor_model: GpsImuModel::ideal(),
+            ..FleetConfig::default()
+        };
+        let sim = FleetSimulation::new(scene.world, vehicles, config);
+        let (reports, stats) = sim.run(&pipeline(), 1);
+        let received: Vec<usize> = reports[0]
+            .per_vehicle
+            .iter()
+            .map(|v| v.packets_received)
+            .collect();
+        assert_eq!(received, [1, 1, 0]);
+        assert_eq!(stats.connection_steps.keys().collect::<Vec<_>>(), [&(1, 2)]);
     }
 
     #[test]
@@ -2743,7 +2775,6 @@ mod tests {
                 },
                 ..TrustGuardConfig::default()
             }),
-            ..FleetConfig::default()
         };
         FleetSimulation::new(scene.world, vehicles, config)
     }

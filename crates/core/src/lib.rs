@@ -86,7 +86,8 @@ pub mod viz;
 
 pub use alignment::{
     alignment_transform, guard_alignment, AlignmentGuardConfig, GuardDecision, GuardReference,
-    GuardReport,
+    GuardReport, GPS_ANCHOR, GUARD_CLEAN_RESIDUAL_M, GUARD_GROUND_Z_M, GUARD_MAX_CORRECTION_M,
+    GUARD_MAX_SAMPLE_POINTS, GUARD_MIN_OCCUPANCY_RECOVERY, GUARD_MIN_OVERLAP_POINTS,
 };
 pub use channel::{ChannelModel, Delivery, PerfectChannel, TransferCtx};
 pub use consistency::{

@@ -11,9 +11,8 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use cooper_geometry::{Attitude, GpsFix};
 use cooper_lidar_sim::PoseEstimate;
 use cooper_pointcloud::{
-    decode_cloud, decode_cloud_prefix, decode_features, decode_features_prefix, encode_cloud,
-    encode_cloud_v2, encode_features, encoded_feature_size, FeatureFrame, FrameInfo, FrameKind,
-    PointCloud,
+    decode_cloud, decode_features, encode_cloud, encode_cloud_v2, encode_features,
+    encoded_feature_size, truncate_frame, FeatureFrame, FrameInfo, FrameKind, PointCloud,
 };
 use cooper_telemetry::names as telemetry_names;
 
@@ -298,7 +297,6 @@ impl ExchangePacket {
     /// Serializes the packet for transmission.
     pub fn to_bytes(&self) -> Bytes {
         let _span = cooper_telemetry::span!(telemetry_names::SPAN_PACKET_ENCODE);
-        cooper_telemetry::record_value(telemetry_names::PACKET_WIRE_BYTES, self.wire_size() as u64);
         let mut buf = BytesMut::with_capacity(self.wire_size());
         buf.put_slice(MAGIC);
         buf.put_u8(VERSION);
@@ -344,11 +342,11 @@ impl ExchangePacket {
     /// arrived — the salvage path for partial deliveries.
     ///
     /// The full header must be present; the payload may be truncated
-    /// anywhere. Whatever whole points the truncated payload contains
-    /// are decoded ([`cooper_pointcloud::decode_cloud_prefix`]) and
-    /// re-encoded into a shorter, self-consistent packet. Returns the
-    /// salvaged packet plus the fraction of payload points recovered
-    /// (`0.0..=1.0`).
+    /// anywhere. The payload is cut to the whole points or feature cells
+    /// it contains ([`cooper_pointcloud::truncate_frame`]), keeping its
+    /// version, frame kind and, for feature frames, the sender's
+    /// quantization scale. Returns the salvaged packet plus the fraction
+    /// of payload points (or cells) recovered (`0.0..=1.0`).
     ///
     /// # Errors
     ///
@@ -358,43 +356,20 @@ impl ExchangePacket {
     pub fn from_partial_bytes(bytes: &[u8]) -> Result<(Self, f64), CooperError> {
         let _span = cooper_telemetry::span!(telemetry_names::SPAN_PACKET_DECODE_PARTIAL);
         let header = Header::parse(bytes)?;
-        let (vehicle_id, sequence) = (header.vehicle_id, header.sequence);
         let pose = header.finite_pose()?;
         let available = header.payload_len.min(bytes.len() - HEADER_BYTES);
-        let payload = &bytes[HEADER_BYTES..HEADER_BYTES + available];
-        let info = cooper_pointcloud::frame_info(payload)?;
-        if info.kind == FrameKind::Features {
-            // v3 salvage: recover whole feature cells and re-encode
-            // them as a shorter, self-consistent feature frame.
-            let (prefix_frame, declared_cells) = decode_features_prefix(payload)?;
-            let fraction = if declared_cells == 0 {
-                1.0
-            } else {
-                prefix_frame.len() as f64 / declared_cells as f64
-            };
-            let packet = ExchangePacket::build_features(vehicle_id, sequence, &prefix_frame, pose)?;
-            return Ok((packet, fraction));
-        }
-        let (prefix_cloud, declared_points) = decode_cloud_prefix(payload)?;
-        let fraction = if declared_points == 0 {
+        let (payload, declared) = truncate_frame(&bytes[HEADER_BYTES..HEADER_BYTES + available])?;
+        let kept = cooper_pointcloud::frame_info(&payload)?.point_count;
+        let fraction = if declared == 0 {
             1.0
         } else {
-            prefix_cloud.len() as f64 / declared_points as f64
+            kept as f64 / declared as f64
         };
-        // Re-encode the salvaged prefix under the original payload's
-        // version and flags: a truncated delta frame stays a delta
-        // frame, so receivers keep interpreting it correctly.
-        let packet = if info.version >= 2 {
-            ExchangePacket::build_v2(
-                vehicle_id,
-                sequence,
-                &prefix_cloud,
-                pose,
-                info.kind,
-                info.background_subtracted,
-            )?
-        } else {
-            ExchangePacket::build(vehicle_id, sequence, &prefix_cloud, pose)?
+        let packet = ExchangePacket {
+            vehicle_id: header.vehicle_id,
+            sequence: header.sequence,
+            pose,
+            payload,
         };
         Ok((packet, fraction))
     }
@@ -754,6 +729,68 @@ mod tests {
         // The salvaged packet stays a feature frame on the wire.
         let info = salvaged.frame_info().unwrap();
         assert_eq!(info.kind, FrameKind::Features);
+    }
+
+    /// Salvage cuts the payload; for points that is exactly what
+    /// decoding the kept points and re-encoding them under the original
+    /// version and flags would send.
+    #[test]
+    fn point_salvage_equals_re_encoding_the_kept_points() {
+        let cloud = sample_cloud(60);
+        let pose = sample_pose();
+        let plain = ExchangePacket::build(2, 7, &cloud, pose).unwrap();
+        let delta = ExchangePacket::build_v2(2, 7, &cloud, pose, FrameKind::Delta, true).unwrap();
+        for packet in [
+            plain.with_integrity().unwrap(),
+            delta.with_integrity().unwrap(),
+            plain,
+            delta,
+        ] {
+            let bytes = packet.to_bytes();
+            let info = packet.frame_info().unwrap();
+            for cut in HEADER_BYTES + 10..=bytes.len() {
+                let (salvaged, fraction) =
+                    ExchangePacket::from_partial_bytes(&bytes[..cut]).unwrap();
+                let points = salvaged.cloud().unwrap();
+                let rebuilt = if info.version >= 2 {
+                    ExchangePacket::build_v2(
+                        2,
+                        7,
+                        &points,
+                        pose,
+                        info.kind,
+                        info.background_subtracted,
+                    )
+                } else {
+                    ExchangePacket::build(2, 7, &points, pose)
+                };
+                assert_eq!(salvaged, rebuilt.unwrap(), "cut {cut}");
+                assert_eq!(fraction, points.len() as f64 / 60.0);
+            }
+        }
+    }
+
+    /// A salvaged feature prefix keeps the sender's quantization scale,
+    /// so each kept value decodes exactly as it would from the whole
+    /// frame, even when the prefix holds none of the frame's largest
+    /// values.
+    #[test]
+    fn v3_salvage_keeps_the_sender_scale() {
+        let cells: Vec<(i32, i32)> = (0..40).map(|i| (i, 0)).collect();
+        let values: Vec<f32> = (0..160)
+            .map(|i| (i as f32 * 0.37).sin() * (1.0 + i as f32 / 20.0))
+            .collect();
+        let frame = FeatureFrame::new(4, cells, values);
+        let packet = ExchangePacket::build_features(9, 3, &frame, sample_pose()).unwrap();
+        let bytes = packet.to_bytes();
+        let (salvaged, fraction) =
+            ExchangePacket::from_partial_bytes(&bytes[..bytes.len() / 2]).unwrap();
+        let whole = packet.feature_frame().unwrap();
+        let prefix = salvaged.feature_frame().unwrap();
+        assert!(fraction > 0.0 && fraction < 1.0);
+        assert_eq!(prefix.cells(), &whole.cells()[..prefix.len()]);
+        assert_eq!(prefix.features(), &whole.features()[..prefix.len() * 4]);
+        assert_eq!(salvaged.payload()[11..15], packet.payload()[11..15]);
     }
 
     #[test]

@@ -291,11 +291,6 @@ impl CooperPipeline {
         self
     }
 
-    /// The tracker configuration, when track-level fusion is enabled.
-    pub fn tracker_config(&self) -> Option<&TrackerConfig> {
-        self.tracker.as_ref()
-    }
-
     /// A fresh tracker built from the configured parameters, or `None`
     /// when tracking is not enabled.
     pub fn make_tracker(&self) -> Option<Tracker> {
@@ -346,11 +341,6 @@ impl CooperPipeline {
     pub fn with_alignment_guard(mut self, cfg: AlignmentGuardConfig) -> Self {
         self.guard = Some(cfg);
         self
-    }
-
-    /// The active alignment-guard configuration, if any.
-    pub fn alignment_guard(&self) -> Option<&AlignmentGuardConfig> {
-        self.guard.as_ref()
     }
 
     /// The underlying detector.
@@ -406,35 +396,6 @@ impl CooperPipeline {
                 &mut stream.lock().expect("perception cache poisoned"),
             ),
             (None, None) => self.detector.detect_with(cloud, &options, scratch),
-        }
-    }
-
-    /// Fuses remote packets into the receiver's frame (Equations 1–3 +
-    /// Equation 2) without running detection.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first packet decoding error encountered. Alignment
-    /// itself cannot fail once a packet decodes: the pose is validated
-    /// at decode time.
-    pub fn fuse(
-        &self,
-        local_cloud: &PointCloud,
-        local_pose: &PoseEstimate,
-        packets: &[ExchangePacket],
-        origin: &GpsFix,
-    ) -> Result<PointCloud, CooperError> {
-        let indexed: Vec<_> = packets.iter().enumerate().collect();
-        let (fused, _, drops, _) = fuse_packets(
-            local_cloud,
-            local_pose,
-            &indexed,
-            origin,
-            self.guard.as_ref(),
-        );
-        match drops.into_iter().next() {
-            Some(drop) => Err(drop.error),
-            None => Ok(fused),
         }
     }
 
@@ -606,9 +567,15 @@ mod tests {
         let rx_est = PoseEstimate::from_pose(&rx_pose, &origin());
         let tx_est = PoseEstimate::from_pose(&tx_pose, &origin());
         let packet = ExchangePacket::build(2, 0, &remote, tx_est).unwrap();
-        let fused = pipeline
-            .fuse(&local, &rx_est, &[packet], &origin())
-            .unwrap();
+        let outcome = pipeline.perceive(
+            &local,
+            &rx_est,
+            &[packet],
+            &origin(),
+            PerceiveCtx::default(),
+        );
+        assert!(outcome.drops.is_empty());
+        let fused = outcome.fused_cloud;
         assert_eq!(fused.len(), local.len() + remote.len());
 
         // The remote points, aligned into the receiver frame, must land
@@ -660,9 +627,6 @@ mod tests {
         ));
         let good = ExchangePacket::build(1, 0, &cloud, est).unwrap();
         let bad = corrupt_payload(&good);
-        assert!(pipeline
-            .fuse(&cloud, &est, std::slice::from_ref(&bad), &origin())
-            .is_err());
         let outcome = pipeline.perceive(
             &cloud,
             &est,
@@ -716,7 +680,6 @@ mod tests {
     #[test]
     fn unguarded_perceive_records_no_alignment() {
         let pipeline = untrained_pipeline();
-        assert!(pipeline.alignment_guard().is_none());
         let pose = Pose::new(Vec3::new(0.0, 0.0, 1.8), Attitude::level());
         let est = PoseEstimate::from_pose(&pose, &origin());
         let cloud = PointCloud::new();
@@ -980,13 +943,11 @@ mod tests {
     #[test]
     fn tracker_builder_round_trip() {
         let pipeline = untrained_pipeline();
-        assert!(pipeline.tracker_config().is_none());
         assert!(pipeline.make_tracker().is_none());
         assert!(!pipeline.incremental());
         let pipeline = pipeline
             .with_tracker(crate::tracking::TrackerConfig::default())
             .with_incremental();
-        assert!(pipeline.tracker_config().is_some());
         assert!(pipeline.make_tracker().unwrap().tracks().is_empty());
         assert!(pipeline.incremental());
     }

@@ -2,7 +2,7 @@
 //! matrices (Figures 3 and 6) and the count/accuracy summaries
 //! (Figures 4 and 7).
 
-use cooper_geometry::{GpsFix, Obb3, RigidTransform};
+use cooper_geometry::{Obb3, RigidTransform};
 use cooper_lidar_sim::scenario::Scenario;
 use cooper_lidar_sim::{GpsImuModel, LidarScanner};
 use cooper_spod::Detection;
@@ -11,32 +11,29 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::stats::{DistanceBand, ScoreImprovement};
-use crate::{CooperPipeline, ExchangePacket, PerceiveCtx};
+use crate::{CooperPipeline, ExchangePacket, PerceiveCtx, GPS_ANCHOR};
+
+/// A detection within this planar distance of a ground-truth car
+/// center counts as detecting that car, metres.
+pub const MATCH_DISTANCE_M: f64 = 2.5;
+
+/// Scan and pose-noise seed of every experiment run.
+const EVALUATION_SEED: u64 = 1;
 
 /// Configuration of one experiment run.
 #[derive(Debug, Clone)]
 pub struct EvaluationConfig {
-    /// A detection within this planar distance of a ground-truth car
-    /// center counts as detecting that car.
-    pub match_distance: f64,
-    /// Scan/noise seed.
-    pub seed: u64,
     /// GPS/IMU model used to produce the exchanged pose estimates.
     pub sensor_model: GpsImuModel,
     /// Optional azimuth-resolution override for faster scans in benches.
     pub azimuth_steps: Option<usize>,
-    /// GPS anchor of the shared local frame.
-    pub origin: GpsFix,
 }
 
 impl Default for EvaluationConfig {
     fn default() -> Self {
         EvaluationConfig {
-            match_distance: 2.5,
-            seed: 1,
             sensor_model: GpsImuModel::ideal(),
             azimuth_steps: None,
-            origin: GpsFix::new(33.2075, -97.1526, 190.0),
         }
     }
 }
@@ -229,17 +226,13 @@ pub fn evaluate_pair(
         beams = beams.with_azimuth_steps(steps);
     }
     let scanner = LidarScanner::new(beams);
-    let scan_seed = config.seed ^ ((pair_index as u64) << 32);
+    let scan_seed = EVALUATION_SEED ^ ((pair_index as u64) << 32);
     let scan_a = scanner.scan(&scenario.world, &pose_a, scan_seed);
     let scan_b = scanner.scan(&scenario.world, &pose_b, scan_seed.wrapping_add(1));
 
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0xE57);
-    let est_a = config
-        .sensor_model
-        .measure(&pose_a, &config.origin, &mut rng);
-    let est_b = config
-        .sensor_model
-        .measure(&pose_b, &config.origin, &mut rng);
+    let mut rng = StdRng::seed_from_u64(EVALUATION_SEED ^ 0xE57);
+    let est_a = config.sensor_model.measure(&pose_a, &GPS_ANCHOR, &mut rng);
+    let est_b = config.sensor_model.measure(&pose_b, &GPS_ANCHOR, &mut rng);
 
     let dets_a = pipeline.perceive_single(&scan_a, PerceiveCtx::default());
     let dets_b = pipeline.perceive_single(&scan_b, PerceiveCtx::default());
@@ -250,7 +243,7 @@ pub fn evaluate_pair(
         &scan_a,
         &est_a,
         &[packet],
-        &config.origin,
+        &GPS_ANCHOR,
         PerceiveCtx::default(),
     );
 
@@ -266,9 +259,9 @@ pub fn evaluate_pair(
         .map(|g| g.transformed(&world_to_b))
         .collect();
 
-    let scores_a = match_by_center_distance(&dets_a, &gt_in_a, config.match_distance);
-    let scores_b = match_by_center_distance(&dets_b, &gt_in_b, config.match_distance);
-    let scores_coop = match_by_center_distance(&coop.detections, &gt_in_a, config.match_distance);
+    let scores_a = match_by_center_distance(&dets_a, &gt_in_a, MATCH_DISTANCE_M);
+    let scores_b = match_by_center_distance(&dets_b, &gt_in_b, MATCH_DISTANCE_M);
+    let scores_coop = match_by_center_distance(&coop.detections, &gt_in_a, MATCH_DISTANCE_M);
 
     let detection_radius = detection_range(pipeline);
     let rows = ground_truth

@@ -20,11 +20,17 @@ use proptest::prelude::*;
 /// The guard as it was before the receiver reference existed, copied
 /// verbatim except that the coarse-cell offset uses `wrapping_add`, the
 /// release-build behaviour of its `+`, so infinite coordinates (whose
-/// keys saturate) cannot trip the debug overflow check.
+/// keys saturate) cannot trip the debug overflow check, and that the
+/// settings which are no longer fields read the library's `GUARD_*`
+/// constants.
 mod legacy {
     use std::collections::{BTreeMap, BTreeSet};
 
-    use cooper_core::{AlignmentGuardConfig, GuardDecision, GuardReport};
+    use cooper_core::{
+        AlignmentGuardConfig, GuardDecision, GuardReport, GUARD_CLEAN_RESIDUAL_M, GUARD_GROUND_Z_M,
+        GUARD_MAX_CORRECTION_M, GUARD_MAX_SAMPLE_POINTS, GUARD_MIN_OCCUPANCY_RECOVERY,
+        GUARD_MIN_OVERLAP_POINTS,
+    };
     use cooper_geometry::{Mat3, RigidTransform, Vec3};
     use cooper_pointcloud::PointCloud;
 
@@ -136,7 +142,7 @@ mod legacy {
         };
 
         let local_samples: Vec<Vec3> = local.iter().map(|p| p.position).collect();
-        let remote_samples: Vec<Vec3> = sample_positions(remote, cfg.max_sample_points)
+        let remote_samples: Vec<Vec3> = sample_positions(remote, GUARD_MAX_SAMPLE_POINTS)
             .iter()
             .map(|&p| base.apply(p))
             .collect();
@@ -144,7 +150,7 @@ mod legacy {
             return fail_safe(f64::INFINITY);
         }
 
-        let is_ground = |p: &Vec3| p.z < cfg.ground_z_m;
+        let is_ground = |p: &Vec3| p.z < GUARD_GROUND_Z_M;
         let local_solid: Vec<Vec3> = local_samples
             .iter()
             .copied()
@@ -155,7 +161,8 @@ mod legacy {
             .copied()
             .filter(|p| !is_ground(p))
             .collect();
-        if local_solid.len() < cfg.min_overlap_points || remote_solid.len() < cfg.min_overlap_points
+        if local_solid.len() < GUARD_MIN_OVERLAP_POINTS
+            || remote_solid.len() < GUARD_MIN_OVERLAP_POINTS
         {
             return fail_safe(f64::INFINITY);
         }
@@ -170,16 +177,16 @@ mod legacy {
             cfg.voxel_size_m,
             cfg.max_correspondence_m,
         );
-        let ground_dz_before = ground_dz(&local_samples, &remote_samples, cfg);
+        let ground_dz_before = ground_dz(&local_samples, &remote_samples);
 
-        if matched_before < cfg.min_overlap_points {
+        if matched_before < GUARD_MIN_OVERLAP_POINTS {
             let mut report = fail_safe(residual_before);
             report.occupancy_agreement = occupancy_before;
             report.ground_dz_m = ground_dz_before;
             return report;
         }
 
-        if residual_before <= cfg.clean_residual_m && ground_dz_before <= cfg.accept_residual_m {
+        if residual_before <= GUARD_CLEAN_RESIDUAL_M && ground_dz_before <= cfg.accept_residual_m {
             return GuardReport {
                 decision: GuardDecision::AcceptedClean,
                 residual_before_m: residual_before,
@@ -212,7 +219,7 @@ mod legacy {
                 .filter(|&(_, _, d)| d <= keep)
                 .map(|(a, b, _)| (a, b))
                 .collect();
-            if pairs.len() < cfg.min_overlap_points {
+            if pairs.len() < GUARD_MIN_OVERLAP_POINTS {
                 break;
             }
             let delta = procrustes_step(&pairs);
@@ -229,11 +236,11 @@ mod legacy {
 
         let (residual_after, matched_after) =
             matched_residual(&grid, &moved, cfg.max_correspondence_m);
-        let remote_refined: Vec<Vec3> = sample_positions(remote, cfg.max_sample_points)
+        let remote_refined: Vec<Vec3> = sample_positions(remote, GUARD_MAX_SAMPLE_POINTS)
             .iter()
             .map(|&p| refined.apply(p))
             .collect();
-        let ground_dz_after = ground_dz(&local_samples, &remote_refined, cfg);
+        let ground_dz_after = ground_dz(&local_samples, &remote_refined);
         let occupancy_after = occupancy_agreement(
             &local_samples,
             &remote_refined,
@@ -242,11 +249,11 @@ mod legacy {
         );
 
         let correction_m = (refined.apply(Vec3::ZERO) - base.apply(Vec3::ZERO)).norm();
-        if matched_after >= cfg.min_overlap_points
+        if matched_after >= GUARD_MIN_OVERLAP_POINTS
             && residual_after <= cfg.accept_residual_m
             && ground_dz_after <= cfg.accept_residual_m
-            && occupancy_after >= occupancy_before * cfg.min_occupancy_recovery
-            && correction_m <= cfg.max_correction_m
+            && occupancy_after >= occupancy_before * GUARD_MIN_OCCUPANCY_RECOVERY
+            && correction_m <= GUARD_MAX_CORRECTION_M
         {
             GuardReport {
                 decision: GuardDecision::AcceptedRefined,
@@ -292,11 +299,11 @@ mod legacy {
         hits as f64 / remote_vox.len() as f64
     }
 
-    fn ground_dz(local: &[Vec3], remote: &[Vec3], cfg: &AlignmentGuardConfig) -> f64 {
+    fn ground_dz(local: &[Vec3], remote: &[Vec3]) -> f64 {
         let mean_ground = |pts: &[Vec3]| {
             let heights: Vec<f64> = pts
                 .iter()
-                .filter(|p| p.z < cfg.ground_z_m)
+                .filter(|p| p.z < GUARD_GROUND_Z_M)
                 .map(|p| p.z)
                 .collect();
             if heights.is_empty() {

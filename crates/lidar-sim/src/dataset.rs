@@ -233,19 +233,6 @@ pub fn generate_cooperative_scene(
     scene
 }
 
-/// Generates `count` labelled scenes with seeds `base_seed..base_seed +
-/// count`.
-pub fn generate_dataset(
-    base_seed: u64,
-    count: usize,
-    config: &SceneConfig,
-    beam_model: &BeamModel,
-) -> Vec<LabelledScene> {
-    (0..count)
-        .map(|i| generate_scene(base_seed + i as u64, config, beam_model))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,14 +276,6 @@ mod tests {
         assert!(scene.labels.len() <= 4);
         assert!(scene.labels.len() >= 2, "placement failed too often");
         assert!(scene.labels.iter().all(|l| l.class == ObjectClass::Car));
-    }
-
-    #[test]
-    fn dataset_size_and_distinctness() {
-        let cfg = SceneConfig::default();
-        let data = generate_dataset(100, 5, &cfg, &BeamModel::vlp16());
-        assert_eq!(data.len(), 5);
-        assert_ne!(data[0].cloud, data[1].cloud);
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl World {
             .collect()
     }
 
-    /// Entities of `class`, with ids.
-    pub fn entities_of_class(&self, class: ObjectClass) -> Vec<&Entity> {
-        self.entities.iter().filter(|e| e.class == class).collect()
-    }
-
     /// Returns the world advanced by `dt` seconds: every entity moves by
     /// its velocity; static geometry (zero velocity) is unchanged. Used
     /// to model scene evolution between a frame's capture and its use
@@ -266,7 +261,7 @@ mod tests {
         ));
         assert_eq!(w.ground_truth_boxes(ObjectClass::Car).len(), 1);
         assert_eq!(w.ground_truth_boxes(ObjectClass::Pedestrian).len(), 1);
-        assert_eq!(w.entities_of_class(ObjectClass::Background).len(), 1);
+        assert_eq!(w.ground_truth_boxes(ObjectClass::Background).len(), 1);
     }
 
     #[test]

@@ -157,11 +157,6 @@ impl PointCloud {
         }
     }
 
-    /// Crops the cloud to an axis-aligned box.
-    pub fn cropped(&self, aabb: &Aabb3) -> PointCloud {
-        self.filtered(|p| aabb.contains(p.position))
-    }
-
     /// The centroid of the cloud, or `None` when empty.
     pub fn centroid(&self) -> Option<Vec3> {
         if self.points.is_empty() {
@@ -330,16 +325,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn downsample_zero_panics() {
         let _ = line_cloud(3).downsampled(0);
-    }
-
-    #[test]
-    fn cropped() {
-        let c = line_cloud(10);
-        let crop = c.cropped(&Aabb3::new(
-            Vec3::new(2.0, -1.0, -1.0),
-            Vec3::new(5.0, 1.0, 1.0),
-        ));
-        assert_eq!(crop.len(), 4); // x = 2,3,4,5
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! Both versions share the 10-byte header (`CPPC` magic, version byte,
 //! flags byte, `u32` point count) and the 7-byte point layout, so every
 //! decoder in this module reads either version and the fixed point
-//! stride keeps prefix salvage ([`decode_cloud_prefix`]) working on
+//! stride keeps prefix salvage ([`truncate_frame`]) working on
 //! truncated frames of any version.
 //!
 //! * **v1** — the original format; the flags byte is reserved (zero).
@@ -31,8 +31,8 @@
 //!   byte per channel per active cell, dequantized through a per-frame
 //!   `f32` scale carried in an extended header. The count field holds
 //!   the cell count and the stride is fixed per frame, so prefix salvage
-//!   ([`decode_features_prefix`]) recovers whole cells exactly like the
-//!   point decoders recover whole points. Point decoders reject v3
+//!   ([`truncate_frame`]) keeps whole cells exactly as it keeps whole
+//!   points. Point decoders reject v3
 //!   frames (and the feature decoder rejects v1/v2 frames) with
 //!   [`CodecError::PayloadKindMismatch`] — never by misreading bytes.
 
@@ -533,43 +533,52 @@ pub fn encoded_size(n: usize) -> usize {
     WIRE_HEADER_BYTES + n * WIRE_BYTES_PER_POINT
 }
 
-/// Decodes as many *whole* points as a truncated wire frame contains —
-/// the salvage path for partial deliveries, where only a leading
-/// portion of the frame arrived before the transport deadline expired.
+/// Cuts a wire frame (any version) whose tail never arrived back to a
+/// self-consistent frame — the salvage path for partial deliveries,
+/// where only a leading portion of the frame arrived before the
+/// transport deadline expired.
 ///
-/// Because every point occupies a fixed [`WIRE_BYTES_PER_POINT`] slot,
-/// any prefix that covers the header decodes cleanly up to the last
-/// complete point; a trailing half-point is discarded. Returns the
-/// decoded cloud and the point count the full frame declared, so the
-/// caller can report the salvaged fraction.
+/// Every point (v1/v2) and every feature cell (v3) occupies a
+/// fixed-stride slot, so any prefix that covers the header holds some
+/// whole ones; a trailing partial slot is dropped. The cut frame is
+/// that prefix with its count rewritten to the whole slots kept and
+/// its flags byte cleared of the CRC bit (and of any bit the version
+/// does not define). No value is decoded or re-quantized: a v3 prefix
+/// keeps the sender's scale, so every kept feature decodes to the
+/// value the full frame carried. Returns the cut frame and the count
+/// the full frame declared, so the caller can report the salvaged
+/// fraction.
 ///
 /// # Errors
 ///
 /// Returns [`CodecError::BadMagic`], [`CodecError::UnsupportedVersion`]
-/// or — only when even the header is incomplete —
-/// [`CodecError::Truncated`]. A v3 feature frame is rejected with
-/// [`CodecError::PayloadKindMismatch`]; salvage those with
-/// [`decode_features_prefix`]. When an integrity-flagged frame arrived
-/// *complete* (payload and trailer), its CRC is verified and a mismatch
-/// returns [`CodecError::ChecksumMismatch`]; a genuine prefix carries
-/// no verifiable trailer, so its whole points are salvaged unchecked —
-/// per-fragment integrity is the transport's job.
-pub fn decode_cloud_prefix(bytes: &[u8]) -> Result<(PointCloud, usize), CodecError> {
+/// or — only when even the header (15 bytes for a v3 frame) is
+/// incomplete — [`CodecError::Truncated`]. When an integrity-flagged
+/// frame arrived *complete* (payload and trailer), its CRC is verified
+/// first and a mismatch returns [`CodecError::ChecksumMismatch`]; a
+/// genuine prefix carries no verifiable trailer, so its whole slots are
+/// salvaged unchecked — per-fragment integrity is the transport's job.
+pub fn truncate_frame(bytes: &[u8]) -> Result<(Bytes, usize), CodecError> {
     let info = frame_info(bytes)?;
-    if info.kind == FrameKind::Features {
-        return Err(CodecError::PayloadKindMismatch {
-            version: info.version,
-        });
-    }
+    let (header, stride) = match info.kind {
+        FrameKind::Features => (
+            WIRE_FEATURE_HEADER_BYTES,
+            feature_cell_stride(feature_subheader(bytes)?.0),
+        ),
+        _ => (WIRE_HEADER_BYTES, WIRE_BYTES_PER_POINT),
+    };
     let declared = info.point_count;
-    let body = WIRE_HEADER_BYTES + declared * WIRE_BYTES_PER_POINT;
-    if info.has_crc && bytes.len() >= body + CRC_TRAILER_BYTES {
+    if info.has_crc && bytes.len() >= header + declared * stride + CRC_TRAILER_BYTES {
         verify_crc(bytes, &info)?;
     }
-    let payload = &bytes[WIRE_HEADER_BYTES..];
-    let available = (payload.len() / WIRE_BYTES_PER_POINT).min(declared);
-    let cloud = decode_points(&payload[..available * WIRE_BYTES_PER_POINT], available);
-    Ok((cloud, declared))
+    let kept = ((bytes.len() - header) / stride).min(declared);
+    let mut frame = bytes[..header + kept * stride].to_vec();
+    frame[5] = match info.version {
+        VERSION_V2 => frame[5] & (FLAG_DELTA | FLAG_BACKGROUND_SUBTRACTED),
+        _ => 0,
+    };
+    frame[6..WIRE_HEADER_BYTES].copy_from_slice(&(kept as u32).to_be_bytes());
+    Ok((Bytes::from(frame), declared))
 }
 
 /// Extra header bytes of a v3 frame beyond the common 10-byte header:
@@ -801,40 +810,6 @@ pub fn decode_features(bytes: &[u8]) -> Result<FeatureFrame, CodecError> {
         count,
         channels,
         scale,
-    ))
-}
-
-/// Decodes as many *whole* feature cells as a truncated v3 frame
-/// contains — the salvage path for partial deliveries, mirroring
-/// [`decode_cloud_prefix`]: the fixed per-cell stride means any prefix
-/// covering the extended header decodes cleanly up to the last complete
-/// cell. Returns the salvaged frame and the cell count the full frame
-/// declared.
-///
-/// # Errors
-///
-/// Same as [`decode_features`], with [`CodecError::Truncated`] only
-/// when even the 15-byte extended header is incomplete.
-pub fn decode_features_prefix(bytes: &[u8]) -> Result<(FeatureFrame, usize), CodecError> {
-    let info = frame_info(bytes)?;
-    if info.kind != FrameKind::Features {
-        return Err(CodecError::PayloadKindMismatch {
-            version: info.version,
-        });
-    }
-    let (channels, scale) = feature_subheader(bytes)?;
-    let declared = info.point_count;
-    let stride = feature_cell_stride(channels);
-    if info.has_crc
-        && bytes.len() >= WIRE_FEATURE_HEADER_BYTES + declared * stride + CRC_TRAILER_BYTES
-    {
-        verify_crc(bytes, &info)?;
-    }
-    let payload = &bytes[WIRE_FEATURE_HEADER_BYTES..];
-    let available = (payload.len() / stride).min(declared);
-    Ok((
-        decode_feature_cells(&payload[..available * stride], available, channels, scale),
-        declared,
     ))
 }
 
@@ -1124,13 +1099,19 @@ mod tests {
     }
 
     #[test]
-    fn prefix_decode_recovers_whole_points() {
+    fn truncation_keeps_whole_points() {
         let cloud = sample_cloud(10);
         let bytes = encode_cloud(&cloud).unwrap();
         // Cut mid-point: 6 whole points plus 3 bytes of the 7th.
         let cut = &bytes[..WIRE_HEADER_BYTES + 6 * WIRE_BYTES_PER_POINT + 3];
-        let (prefix, declared) = decode_cloud_prefix(cut).unwrap();
+        let (frame, declared) = truncate_frame(cut).unwrap();
         assert_eq!(declared, 10);
+        assert_eq!(frame_info(&frame).unwrap().point_count, 6);
+        assert_eq!(
+            frame[WIRE_HEADER_BYTES..],
+            cut[WIRE_HEADER_BYTES..frame.len()]
+        );
+        let prefix = decode_cloud(&frame).unwrap();
         assert_eq!(prefix.len(), 6);
         for (a, b) in cloud.iter().take(6).zip(prefix.iter()) {
             assert!((a.position - b.position).norm() < 0.01);
@@ -1138,25 +1119,43 @@ mod tests {
     }
 
     #[test]
-    fn prefix_decode_of_full_frame_is_lossless() {
-        let cloud = sample_cloud(5);
-        let bytes = encode_cloud(&cloud).unwrap();
-        let (prefix, declared) = decode_cloud_prefix(&bytes).unwrap();
-        assert_eq!((prefix.len(), declared), (5, 5));
+    fn truncation_of_full_frame_is_lossless() {
+        let bytes = encode_cloud(&sample_cloud(5)).unwrap();
+        let (frame, declared) = truncate_frame(&bytes).unwrap();
+        assert_eq!((frame, declared), (bytes, 5));
     }
 
     #[test]
-    fn prefix_decode_still_checks_header() {
+    fn truncation_keeps_only_the_flags_the_version_defines() {
+        let cloud = sample_cloud(4);
+        let mut v1 = encode_cloud(&cloud).unwrap().to_vec();
+        v1[5] = 0xFF;
+        let mut v2 = encode_cloud_v2(&cloud, FrameKind::Delta, true)
+            .unwrap()
+            .to_vec();
+        v2[5] |= 0xF0;
+        let mut v3 = encode_features(&sample_features(4, 2, 1)).unwrap().to_vec();
+        v3[5] = 0xFF;
+        for (frame, flags) in [
+            (v1, 0),
+            (v2, FLAG_DELTA | FLAG_BACKGROUND_SUBTRACTED),
+            (v3, 0),
+        ] {
+            // Cut short of any trailer the CRC bit would announce.
+            let cut = &frame[..frame.len() - 1];
+            assert_eq!(truncate_frame(cut).unwrap().0[5], flags);
+        }
+    }
+
+    #[test]
+    fn truncation_still_checks_header() {
         assert!(matches!(
-            decode_cloud_prefix(&[0u8; 4]).unwrap_err(),
+            truncate_frame(&[0u8; 4]).unwrap_err(),
             CodecError::Truncated { .. }
         ));
         let mut bytes = encode_cloud(&sample_cloud(2)).unwrap().to_vec();
         bytes[0] = b'X';
-        assert_eq!(
-            decode_cloud_prefix(&bytes).unwrap_err(),
-            CodecError::BadMagic
-        );
+        assert_eq!(truncate_frame(&bytes).unwrap_err(), CodecError::BadMagic);
     }
 
     #[test]
@@ -1234,15 +1233,17 @@ mod tests {
     }
 
     #[test]
-    fn v2_prefix_decode_salvages_truncated_frames() {
+    fn v2_truncation_keeps_the_frame_kind() {
         let cloud = sample_cloud(12);
         let bytes = encode_cloud_v2(&cloud, FrameKind::Delta, true).unwrap();
         let cut = &bytes[..WIRE_HEADER_BYTES + 7 * WIRE_BYTES_PER_POINT + 2];
-        let (prefix, declared) = decode_cloud_prefix(cut).unwrap();
+        let (frame, declared) = truncate_frame(cut).unwrap();
         assert_eq!(declared, 12);
-        assert_eq!(prefix.len(), 7);
         // The salvaged prefix still carries its v2 header semantics.
-        assert_eq!(frame_info(cut).unwrap().kind, FrameKind::Delta);
+        let info = frame_info(&frame).unwrap();
+        assert_eq!((info.version, info.kind), (2, FrameKind::Delta));
+        assert!(info.background_subtracted);
+        assert_eq!(decode_cloud(&frame).unwrap().len(), 7);
     }
 
     #[test]
@@ -1257,10 +1258,6 @@ mod tests {
         assert_eq!(info.kind, FrameKind::Features);
         assert_eq!(
             decode_cloud(&bytes).unwrap_err(),
-            CodecError::PayloadKindMismatch { version: 3 }
-        );
-        assert_eq!(
-            decode_cloud_prefix(&bytes).unwrap_err(),
             CodecError::PayloadKindMismatch { version: 3 }
         );
         assert_eq!(
@@ -1347,16 +1344,21 @@ mod tests {
     }
 
     #[test]
-    fn feature_prefix_decode_recovers_whole_cells() {
+    fn feature_truncation_keeps_whole_cells_and_their_values() {
         let frame = sample_features(30, 6, 5);
         let bytes = encode_features(&frame).unwrap();
         let stride = feature_cell_stride(6);
         // Cut mid-cell: 12 whole cells plus 3 bytes of the 13th.
         let cut = &bytes[..WIRE_FEATURE_HEADER_BYTES + 12 * stride + 3];
-        let (prefix, declared) = decode_features_prefix(cut).unwrap();
+        let (salvaged, declared) = truncate_frame(cut).unwrap();
         assert_eq!(declared, frame.len());
+        let prefix = decode_features(&salvaged).unwrap();
         assert_eq!(prefix.len(), 12);
         assert_eq!(prefix.cells(), &frame.cells()[..12]);
+        // The sender's scale is kept: every kept value decodes exactly
+        // as it does from the whole frame.
+        let whole = decode_features(&bytes).unwrap();
+        assert_eq!(prefix.features(), &whole.features()[..12 * 6]);
     }
 
     #[test]
@@ -1366,11 +1368,6 @@ mod tests {
             decode_features(&points).unwrap_err(),
             CodecError::PayloadKindMismatch { version: 1 }
         );
-        let v2 = encode_cloud_v2(&sample_cloud(3), FrameKind::Delta, true).unwrap();
-        assert_eq!(
-            decode_features_prefix(&v2).unwrap_err(),
-            CodecError::PayloadKindMismatch { version: 2 }
-        );
         // A v3 header cut before the extended subheader is truncated.
         let frame = sample_features(4, 2, 1);
         let bytes = encode_features(&frame).unwrap();
@@ -1378,14 +1375,19 @@ mod tests {
             decode_features(&bytes[..WIRE_HEADER_BYTES + 2]).unwrap_err(),
             CodecError::Truncated { .. }
         ));
+        assert!(matches!(
+            truncate_frame(&bytes[..WIRE_HEADER_BYTES + 2]).unwrap_err(),
+            CodecError::Truncated { .. }
+        ));
         // Declared cells beyond the payload are truncated for the full
-        // decoder, salvage for the prefix decoder.
+        // decoder, salvage for truncation.
         let cut = &bytes[..bytes.len() - 1];
         assert!(matches!(
             decode_features(cut).unwrap_err(),
             CodecError::Truncated { .. }
         ));
-        assert_eq!(decode_features_prefix(cut).unwrap().0.len(), 3);
+        let salvaged = truncate_frame(cut).unwrap().0;
+        assert_eq!(decode_features(&salvaged).unwrap().len(), 3);
     }
 
     #[test]
@@ -1557,31 +1559,38 @@ mod tests {
     }
 
     #[test]
-    fn crc_prefix_salvage_skips_unverifiable_cuts_and_checks_full_frames() {
-        let framed = append_crc(&encode_cloud(&sample_cloud(10)).unwrap()).unwrap();
-        // A genuine prefix has no trailer to verify: whole points salvage.
+    fn crc_salvage_skips_unverifiable_cuts_and_checks_full_frames() {
+        let plain = encode_cloud(&sample_cloud(10)).unwrap();
+        let framed = append_crc(&plain).unwrap();
+        // A genuine prefix has no trailer to verify: whole points
+        // salvage, into a frame without the CRC flag.
         let cut = &framed[..WIRE_HEADER_BYTES + 6 * WIRE_BYTES_PER_POINT + 3];
-        let (prefix, declared) = decode_cloud_prefix(cut).unwrap();
-        assert_eq!((prefix.len(), declared), (6, 10));
-        // The complete frame verifies — and a payload flip is caught
-        // even on the salvage path (the trailer bytes are never decoded
-        // as points either way).
-        assert_eq!(decode_cloud_prefix(&framed).unwrap().0.len(), 10);
+        let (frame, declared) = truncate_frame(cut).unwrap();
+        assert_eq!((frame_info(&frame).unwrap().point_count, declared), (6, 10));
+        assert!(!frame_info(&frame).unwrap().has_crc);
+        assert_eq!(decode_cloud(&frame).unwrap().len(), 6);
+        // The complete frame verifies, and salvages to the frame before
+        // framing — and a payload flip is caught even on the salvage
+        // path.
+        assert_eq!(truncate_frame(&framed).unwrap().0, plain);
         let mut bad = framed.to_vec();
         bad[WIRE_HEADER_BYTES] ^= 0x01;
         assert!(matches!(
-            decode_cloud_prefix(&bad).unwrap_err(),
+            truncate_frame(&bad).unwrap_err(),
             CodecError::ChecksumMismatch { .. }
         ));
         // Feature frames mirror the same contract.
-        let f = append_crc(&encode_features(&sample_features(8, 2, 3)).unwrap()).unwrap();
+        let fplain = encode_features(&sample_features(8, 2, 3)).unwrap();
+        let f = append_crc(&fplain).unwrap();
         let stride = feature_cell_stride(2);
         let fcut = &f[..WIRE_FEATURE_HEADER_BYTES + 4 * stride + 1];
-        assert_eq!(decode_features_prefix(fcut).unwrap().0.len(), 4);
+        let fframe = truncate_frame(fcut).unwrap().0;
+        assert_eq!(decode_features(&fframe).unwrap().len(), 4);
+        assert_eq!(truncate_frame(&f).unwrap().0, fplain);
         let mut fbad = f.to_vec();
         fbad[WIRE_FEATURE_HEADER_BYTES] ^= 0x10;
         assert!(matches!(
-            decode_features_prefix(&fbad).unwrap_err(),
+            truncate_frame(&fbad).unwrap_err(),
             CodecError::ChecksumMismatch { .. }
         ));
     }

@@ -54,10 +54,10 @@ mod voxel;
 
 pub use cloud::PointCloud;
 pub use codec::{
-    append_crc, crc32, decode_cloud, decode_cloud_prefix, decode_features, decode_features_prefix,
-    encode_cloud, encode_cloud_v2, encode_features, encoded_feature_size, frame_info,
-    verify_frame_crc, CodecError, DeltaDecoder, DeltaEncoder, FeatureFrame, FrameInfo, FrameKind,
-    CRC_TRAILER_BYTES, WIRE_BYTES_PER_POINT,
+    append_crc, crc32, decode_cloud, decode_features, encode_cloud, encode_cloud_v2,
+    encode_features, encoded_feature_size, frame_info, truncate_frame, verify_frame_crc,
+    CodecError, DeltaDecoder, DeltaEncoder, FeatureFrame, FrameInfo, FrameKind, CRC_TRAILER_BYTES,
+    WIRE_BYTES_PER_POINT,
 };
 pub use point::Point;
 pub use range_image::{RangeImage, RangeImageConfig};

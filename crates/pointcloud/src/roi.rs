@@ -61,7 +61,7 @@ impl RoiCategory {
             RoiCategory::FullFrame => true,
             RoiCategory::FrontFov120 => in_sector(point, 0.0, 120f64.to_radians()),
             RoiCategory::ForwardOneWay => {
-                in_sector(point, 0.0, 60f64.to_radians()) && in_band(point, 0.0, 50.0)
+                in_sector(point, 0.0, 60f64.to_radians()) && point.range_xy() <= 50.0
             }
         }
     }
@@ -86,24 +86,6 @@ pub fn sector(cloud: &PointCloud, center_azimuth: f64, fov: f64) -> PointCloud {
 
 fn in_sector(p: &Point, center_azimuth: f64, fov: f64) -> bool {
     normalize_angle(p.position.azimuth() - center_azimuth).abs() <= fov * 0.5
-}
-
-/// Keeps points whose horizontal range lies in `[min_range, max_range]`.
-pub fn distance_band(cloud: &PointCloud, min_range: f64, max_range: f64) -> PointCloud {
-    cloud.filtered(|p| in_band(p, min_range, max_range))
-}
-
-fn in_band(p: &Point, min_range: f64, max_range: f64) -> bool {
-    let r = p.range_xy();
-    r >= min_range && r <= max_range
-}
-
-/// Keeps points inside a forward driving corridor: `0 <= x <= length`,
-/// `|y| <= half_width`.
-pub fn forward_corridor(cloud: &PointCloud, length: f64, half_width: f64) -> PointCloud {
-    cloud.filtered(|p| {
-        p.position.x >= 0.0 && p.position.x <= length && p.position.y.abs() <= half_width
-    })
 }
 
 /// Applies a Figure-11 ROI category to a frame about to be transmitted.
@@ -378,24 +360,17 @@ mod tests {
     }
 
     #[test]
-    fn distance_band_bounds() {
+    fn forward_one_way_keeps_fifty_metres() {
         let mut c = PointCloud::new();
-        for r in [1.0, 5.0, 10.0, 20.0, 50.0] {
+        for r in [1.0, 20.0, 50.0, 50.5] {
             c.push(Point::new(Vec3::new(r, 0.0, 0.0), 0.5));
         }
-        let band = distance_band(&c, 5.0, 20.0);
-        assert_eq!(band.len(), 3);
-    }
-
-    #[test]
-    fn forward_corridor_filters() {
-        let mut c = PointCloud::new();
-        c.push(Point::new(Vec3::new(10.0, 1.0, 0.0), 0.5)); // in
-        c.push(Point::new(Vec3::new(10.0, 5.0, 0.0), 0.5)); // too wide
-        c.push(Point::new(Vec3::new(-5.0, 0.0, 0.0), 0.5)); // behind
-        c.push(Point::new(Vec3::new(80.0, 0.0, 0.0), 0.5)); // too far
-        let corridor = forward_corridor(&c, 50.0, 2.0);
-        assert_eq!(corridor.len(), 1);
+        c.push(Point::new(Vec3::new(10.0, 10.0, 0.0), 0.5)); // 45°: outside 60° FoV
+        let fwd = extract_roi(&c, RoiCategory::ForwardOneWay);
+        assert_eq!(fwd.len(), 3); // the bound is inclusive
+        assert!(fwd
+            .iter()
+            .all(|p| p.position.x <= 50.0 && p.position.y == 0.0));
     }
 
     #[test]

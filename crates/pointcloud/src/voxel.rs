@@ -29,18 +29,6 @@ impl VoxelCoord {
     pub const fn new(x: i32, y: i32, z: i32) -> Self {
         VoxelCoord { x, y, z }
     }
-
-    /// The 6 face-adjacent neighbour coordinates.
-    pub fn face_neighbors(&self) -> [VoxelCoord; 6] {
-        [
-            VoxelCoord::new(self.x + 1, self.y, self.z),
-            VoxelCoord::new(self.x - 1, self.y, self.z),
-            VoxelCoord::new(self.x, self.y + 1, self.z),
-            VoxelCoord::new(self.x, self.y - 1, self.z),
-            VoxelCoord::new(self.x, self.y, self.z + 1),
-            VoxelCoord::new(self.x, self.y, self.z - 1),
-        ]
-    }
 }
 
 impl fmt::Display for VoxelCoord {
@@ -613,15 +601,6 @@ mod tests {
         let grid = VoxelGrid::from_cloud(&cloud, config());
         let expect = 1.0 / (20.0 * 20.0 * 4.0);
         assert!((grid.occupancy() - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn face_neighbors() {
-        let c = VoxelCoord::new(0, 0, 0);
-        let n = c.face_neighbors();
-        assert_eq!(n.len(), 6);
-        assert!(n.contains(&VoxelCoord::new(1, 0, 0)));
-        assert!(n.contains(&VoxelCoord::new(0, 0, -1)));
     }
 
     #[test]

@@ -17,6 +17,18 @@ fn cloud(max: usize) -> impl Strategy<Value = PointCloud> {
     prop::collection::vec(point(), 0..max).prop_map(PointCloud::from_points)
 }
 
+/// `true` when a salvaged frame decodes in full, by the decoder its
+/// header names.
+fn decodes_whole(frame: &[u8]) -> bool {
+    match cooper_pointcloud::frame_info(frame) {
+        Ok(info) if info.kind == cooper_pointcloud::FrameKind::Features => {
+            cooper_pointcloud::decode_features(frame).is_ok()
+        }
+        Ok(_) => decode_cloud(frame).is_ok(),
+        Err(_) => false,
+    }
+}
+
 fn pose() -> impl Strategy<Value = Pose> {
     (
         -50.0..50.0f64,
@@ -302,13 +314,12 @@ proptest! {
     #[test]
     fn cloud_decoder_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..4096)) {
         let _ = decode_cloud(&bytes);
-        let _ = cooper_pointcloud::decode_cloud_prefix(&bytes);
+        let _ = cooper_pointcloud::truncate_frame(&bytes);
     }
 
     #[test]
     fn feature_decoder_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..4096)) {
         let _ = cooper_pointcloud::decode_features(&bytes);
-        let _ = cooper_pointcloud::decode_features_prefix(&bytes);
         let _ = cooper_pointcloud::verify_frame_crc(&bytes);
     }
 
@@ -327,7 +338,7 @@ proptest! {
     ) {
         let version = [1u8, 2, 3][version_index];
         let mut frame = Vec::new();
-        frame.extend_from_slice(b"CPR1");
+        frame.extend_from_slice(b"CPPC");
         frame.push(version);
         frame.push(flags);
         frame.extend_from_slice(&count.to_be_bytes());
@@ -337,15 +348,11 @@ proptest! {
             prop_assert!(decode_cloud(&frame).is_err());
             prop_assert!(cooper_pointcloud::decode_features(&frame).is_err());
         }
-        // Prefix salvage never recovers more than the bytes on hand
-        // can hold, whatever the header claims.
-        if let Ok((salvaged, declared)) = cooper_pointcloud::decode_cloud_prefix(&frame) {
+        // Prefix salvage never keeps more than the bytes on hand,
+        // whatever the header claims.
+        if let Ok((cut, declared)) = cooper_pointcloud::truncate_frame(&frame) {
             prop_assert_eq!(declared, count as usize);
-            prop_assert!(salvaged.len() * cooper_pointcloud::WIRE_BYTES_PER_POINT <= tail.len());
-        }
-        if let Ok((salvaged, declared)) = cooper_pointcloud::decode_features_prefix(&frame) {
-            prop_assert_eq!(declared, count as usize);
-            prop_assert!(salvaged.len() <= tail.len());
+            prop_assert!(cut.len() <= frame.len());
         }
     }
 
@@ -375,9 +382,9 @@ proptest! {
         let _ = decode_cloud(&bytes);
         let _ = cooper_pointcloud::decode_features(&bytes);
         let _ = cooper_pointcloud::verify_frame_crc(&bytes);
-        if let Ok((salvaged, _)) = cooper_pointcloud::decode_cloud_prefix(&bytes) {
-            let budget = bytes.len().saturating_sub(10);
-            prop_assert!(salvaged.len() * cooper_pointcloud::WIRE_BYTES_PER_POINT <= budget);
+        if let Ok((cut, _)) = cooper_pointcloud::truncate_frame(&bytes) {
+            prop_assert!(cut.len() <= bytes.len());
+            prop_assert!(decodes_whole(&cut));
         }
     }
 
@@ -409,8 +416,9 @@ proptest! {
         }
         let _ = cooper_pointcloud::decode_features(&bytes);
         let _ = cooper_pointcloud::verify_frame_crc(&bytes);
-        if let Ok((salvaged, declared)) = cooper_pointcloud::decode_features_prefix(&bytes) {
-            prop_assert!(salvaged.len() <= declared.max(frame.len()));
+        if let Ok((cut, declared)) = cooper_pointcloud::truncate_frame(&bytes) {
+            prop_assert!(cooper_pointcloud::frame_info(&cut).unwrap().point_count <= declared);
+            prop_assert!(decodes_whole(&cut));
         }
     }
 

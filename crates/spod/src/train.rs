@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::anchors::{assign_label, AnchorConfig, AnchorLabel};
-use crate::detector::{DetectOptions, DetectScratch, SpodConfig, SpodDetector};
+use crate::detector::{SpodConfig, SpodDetector};
 
 /// Training hyperparameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -36,9 +36,6 @@ pub struct TrainingConfig {
     /// Every n-th scene is a fused two-vehicle cloud (0 disables), so
     /// the heads also see the density distribution of cooperative input.
     pub cooperative_every: usize,
-    /// Number of held-out validation scenes evaluated after each epoch
-    /// (0 disables validation).
-    pub validation_scenes: usize,
 }
 
 impl TrainingConfig {
@@ -56,7 +53,6 @@ impl TrainingConfig {
                 BeamModel::hdl64().with_azimuth_steps(900),
             ],
             cooperative_every: 3,
-            validation_scenes: 0,
         }
     }
 
@@ -93,17 +89,6 @@ impl TrainingConfig {
     }
 }
 
-/// Validation metrics measured after one training epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EpochValidation {
-    /// Epoch index (0-based).
-    pub epoch: usize,
-    /// Car precision on the held-out scenes at the default threshold.
-    pub precision: f64,
-    /// Car recall on the held-out scenes (visible cars only).
-    pub recall: f64,
-}
-
 /// Summary statistics of one training run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TrainingStats {
@@ -114,74 +99,6 @@ pub struct TrainingStats {
     /// Ground-truth boxes that had no active anchor at all (fully
     /// occluded objects — undetectable from this viewpoint).
     pub unreachable_ground_truth: u64,
-    /// Per-epoch held-out validation (empty when
-    /// [`TrainingConfig::validation_scenes`] is 0).
-    pub validation: Vec<EpochValidation>,
-}
-
-/// Evaluates car precision/recall on held-out scenes.
-fn validate_detector(
-    detector: &SpodDetector,
-    training: &TrainingConfig,
-    epoch: usize,
-) -> EpochValidation {
-    let mut tp = 0usize;
-    let mut fp = 0usize;
-    let mut fn_ = 0usize;
-    let options = DetectOptions::default()
-        .with_class(ObjectClass::Car)
-        .with_threshold(detector.config().score_threshold);
-    let mut scratch = DetectScratch::new();
-    for i in 0..training.validation_scenes {
-        let beams = &training.beam_models[i % training.beam_models.len()];
-        // Offset the seed far from the training range.
-        let scene = generate_scene(
-            training.seed ^ 0x7a11_da7e ^ (i as u64) << 32,
-            &training.scene_config,
-            beams,
-        );
-        let gts: Vec<cooper_geometry::Obb3> = scene
-            .labels
-            .iter()
-            .filter(|l| l.class == ObjectClass::Car && scene.cloud.count_in_box(&l.obb) >= 10)
-            .map(|l| l.obb)
-            .collect();
-        let dets = detector.detect_with(&scene.cloud, &options, &mut scratch);
-        let mut claimed = vec![false; gts.len()];
-        for d in &dets {
-            let mut best: Option<(f64, usize)> = None;
-            for (gi, g) in gts.iter().enumerate() {
-                if claimed[gi] {
-                    continue;
-                }
-                let dist = g.center_distance_bev(&d.obb);
-                if dist <= 2.5 && best.is_none_or(|(bd, _)| dist < bd) {
-                    best = Some((dist, gi));
-                }
-            }
-            match best {
-                Some((_, gi)) => {
-                    claimed[gi] = true;
-                    tp += 1;
-                }
-                None => fp += 1,
-            }
-        }
-        fn_ += claimed.iter().filter(|c| !**c).count();
-    }
-    EpochValidation {
-        epoch,
-        precision: if tp + fp == 0 {
-            1.0
-        } else {
-            tp as f64 / (tp + fp) as f64
-        },
-        recall: if tp + fn_ == 0 {
-            1.0
-        } else {
-            tp as f64 / (tp + fn_) as f64
-        },
-    }
 }
 
 /// Trains a detector from scratch.
@@ -369,10 +286,6 @@ pub fn train_with_stats(
                 }
             }
         }
-        if training.validation_scenes > 0 {
-            let v = validate_detector(&detector, training, epoch);
-            stats.validation.push(v);
-        }
         learning_rate *= 0.5;
     }
     (detector, stats)
@@ -381,6 +294,7 @@ pub fn train_with_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detector::{DetectOptions, DetectScratch};
 
     #[test]
     fn fast_training_learns_to_detect() {
@@ -439,23 +353,6 @@ mod tests {
             ..TrainingConfig::fast()
         };
         let _ = train(SpodConfig::default(), &cfg);
-    }
-
-    #[test]
-    fn validation_tracks_epochs() {
-        let cfg = TrainingConfig {
-            scenes: 6,
-            epochs: 2,
-            validation_scenes: 3,
-            ..TrainingConfig::fast()
-        };
-        let (_, stats) = train_with_stats(SpodConfig::default(), &cfg);
-        assert_eq!(stats.validation.len(), 2);
-        for (i, v) in stats.validation.iter().enumerate() {
-            assert_eq!(v.epoch, i);
-            assert!((0.0..=1.0).contains(&v.precision));
-            assert!((0.0..=1.0).contains(&v.recall));
-        }
     }
 
     #[test]

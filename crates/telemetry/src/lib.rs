@@ -19,8 +19,6 @@
 //! - **Gauges** keep their latest value (`fleet.connected_ratio`).
 //! - **Value histograms** aggregate non-duration observations
 //!   (`v2x.frame_bytes`).
-//! - **Events** ([`TelemetryEvent`]) are structured records with a
-//!   JSON-lines form; the bench ledger stores its records in it.
 //!
 //! # Naming scheme
 //!
@@ -47,14 +45,12 @@
 //! cooper_telemetry::disable();
 //! ```
 
-pub mod event;
 pub mod histogram;
 pub mod names;
 pub mod registry;
 pub mod snapshot;
 pub mod trace;
 
-pub use event::{FieldValue, TelemetryEvent};
 pub use histogram::Histogram;
 pub use registry::{Registry, SpanGuard};
 pub use snapshot::{SelfTimeEntry, SpanSummary, TelemetrySnapshot, ValueSummary};

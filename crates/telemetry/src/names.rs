@@ -122,7 +122,7 @@ pub const CODEC_V2_BYTES_RATIO: &str = "codec.v2.bytes_ratio";
 pub const CODEC_V3_BYTES_RATIO: &str = "codec.v3.bytes_ratio";
 /// Alignment-guard residual, millimetres.
 pub const ALIGN_RESIDUAL: &str = "align.residual";
-/// Encoded packet wire size, bytes.
+/// Wire size of each packet the fleet puts on the air, bytes.
 pub const PACKET_WIRE_BYTES: &str = "packet.wire_bytes";
 /// Delivered fraction of partial transfers, per mille.
 pub const V2X_PARTIAL_FRACTION: &str = "v2x.partial.fraction";

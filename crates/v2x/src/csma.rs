@@ -13,49 +13,17 @@ use serde::{Deserialize, Serialize};
 
 use crate::DsrcChannel;
 
-/// CSMA/CA parameters (802.11p OFDM defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CsmaConfig {
-    /// Backoff slot time, seconds (13 µs for 802.11p).
-    pub slot_time: f64,
-    /// Initial contention window (slots).
-    pub cw_min: u32,
-    /// Maximum contention window (slots).
-    pub cw_max: u32,
-    /// Attempts per frame before it is dropped.
-    pub max_retries: u32,
-}
+/// Backoff slot time, seconds (13 µs for 802.11p OFDM).
+const SLOT_TIME_S: f64 = 13e-6;
 
-impl Default for CsmaConfig {
-    fn default() -> Self {
-        CsmaConfig {
-            slot_time: 13e-6,
-            cw_min: 15,
-            cw_max: 1023,
-            max_retries: 7,
-        }
-    }
-}
+/// Initial contention window, slots.
+const CW_MIN: u32 = 15;
 
-impl CsmaConfig {
-    /// Validates the parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message for the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.slot_time <= 0.0 {
-            return Err("slot time must be positive".into());
-        }
-        if self.cw_min == 0 || self.cw_max < self.cw_min {
-            return Err("contention window bounds are inverted".into());
-        }
-        if self.max_retries == 0 {
-            return Err("need at least one attempt".into());
-        }
-        Ok(())
-    }
-}
+/// Maximum contention window, slots.
+const CW_MAX: u32 = 1023;
+
+/// Attempts per frame before it is dropped.
+const MAX_RETRIES: u32 = 7;
 
 /// The outcome of one contention round.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -91,9 +59,9 @@ impl CsmaReport {
 /// # Examples
 ///
 /// ```
-/// use cooper_v2x::{CsmaConfig, CsmaMedium, DsrcChannel, DsrcConfig};
+/// use cooper_v2x::{CsmaMedium, DsrcChannel, DsrcConfig};
 ///
-/// let medium = CsmaMedium::new(DsrcChannel::new(DsrcConfig::default()), CsmaConfig::default());
+/// let medium = CsmaMedium::new(DsrcChannel::new(DsrcConfig::default()));
 /// // Two vehicles broadcast a ~100 KB ROI frame simultaneously.
 /// let report = medium.simulate_round(&[100_000, 100_000], &mut rand::thread_rng());
 /// assert_eq!(report.delivered + report.dropped, 2);
@@ -101,20 +69,14 @@ impl CsmaReport {
 #[derive(Debug, Clone)]
 pub struct CsmaMedium {
     channel: DsrcChannel,
-    config: CsmaConfig,
 }
 
 impl CsmaMedium {
-    /// Creates a contention medium over a channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config` fails [`CsmaConfig::validate`].
-    pub fn new(channel: DsrcChannel, config: CsmaConfig) -> Self {
-        if let Err(msg) = config.validate() {
-            panic!("invalid CSMA config: {msg}");
-        }
-        CsmaMedium { channel, config }
+    /// Creates a contention medium over a channel, with 802.11p's
+    /// OFDM contention parameters: 13 µs slots, a contention window
+    /// doubling from 15 to at most 1023 slots, and 7 attempts per frame.
+    pub fn new(channel: DsrcChannel) -> Self {
+        CsmaMedium { channel }
     }
 
     /// The underlying channel.
@@ -138,8 +100,8 @@ impl CsmaMedium {
             .iter()
             .map(|&payload| Station {
                 payload,
-                backoff: rng.gen_range(0..=self.config.cw_min),
-                cw: self.config.cw_min,
+                backoff: rng.gen_range(0..=CW_MIN),
+                cw: CW_MIN,
                 retries: 0,
                 done: None,
             })
@@ -163,7 +125,7 @@ impl CsmaMedium {
                 .map(|&i| stations[i].backoff)
                 .min()
                 .expect("pending");
-            now += f64::from(min_backoff) * self.config.slot_time;
+            now += f64::from(min_backoff) * SLOT_TIME_S;
             let firing: Vec<usize> = pending
                 .iter()
                 .copied()
@@ -185,10 +147,10 @@ impl CsmaMedium {
                 for &i in &firing {
                     let s = &mut stations[i];
                     s.retries += 1;
-                    if s.retries >= self.config.max_retries {
+                    if s.retries >= MAX_RETRIES {
                         s.done = Some(Err(()));
                     } else {
-                        s.cw = (s.cw * 2 + 1).min(self.config.cw_max);
+                        s.cw = (s.cw * 2 + 1).min(CW_MAX);
                         s.backoff = rng.gen_range(0..=s.cw);
                     }
                 }
@@ -270,10 +232,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn medium() -> CsmaMedium {
-        CsmaMedium::new(
-            DsrcChannel::new(DsrcConfig::default()),
-            CsmaConfig::default(),
-        )
+        CsmaMedium::new(DsrcChannel::new(DsrcConfig::default()))
     }
 
     #[test]
@@ -287,6 +246,18 @@ mod tests {
         assert!(r.delivery_ratio() == 1.0);
         // Round time ≈ backoff + airtime.
         assert!(r.round_time_s >= m.channel().airtime_for(50_000));
+    }
+
+    #[test]
+    fn lone_station_backs_off_within_the_initial_window() {
+        let m = medium();
+        let airtime = m.channel().airtime_for(50_000);
+        let longest = f64::from(CW_MIN) * SLOT_TIME_S + airtime;
+        let mut rng = StdRng::seed_from_u64(5);
+        for _ in 0..50 {
+            let r = m.simulate_round(&[50_000], &mut rng);
+            assert!(r.round_time_s <= longest + 1e-12, "{}", r.round_time_s);
+        }
     }
 
     #[test]
@@ -346,32 +317,5 @@ mod tests {
             mean_delay_s: 0.0,
         };
         assert_eq!(r.delivery_ratio(), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid CSMA config")]
-    fn bad_config_panics() {
-        let _ = CsmaMedium::new(
-            DsrcChannel::new(DsrcConfig::default()),
-            CsmaConfig {
-                cw_min: 8,
-                cw_max: 4,
-                ..CsmaConfig::default()
-            },
-        );
-    }
-
-    #[test]
-    fn config_validation_messages() {
-        let c = CsmaConfig {
-            slot_time: 0.0,
-            ..CsmaConfig::default()
-        };
-        assert!(c.validate().unwrap_err().contains("slot"));
-        let c2 = CsmaConfig {
-            max_retries: 0,
-            ..CsmaConfig::default()
-        };
-        assert!(c2.validate().unwrap_err().contains("attempt"));
     }
 }

@@ -107,11 +107,6 @@ impl BandwidthGovernor {
         self
     }
 
-    /// Whether the feature-exchange tier is preferred.
-    pub fn prefers_features(&self) -> bool {
-        self.prefer_features
-    }
-
     /// The configured widest category.
     pub fn cap(&self) -> RoiCategory {
         self.cap
@@ -381,7 +376,6 @@ mod tests {
         }
         // With it, the demanded ROI's feature frame wins.
         let mut gov = BandwidthGovernor::default().with_features();
-        assert!(gov.prefers_features());
         let behind = [sector_at(3.0)];
         match gov.decide(&offer(&menu, &behind, true, None)) {
             GovernorVerdict::Send(c) => {

@@ -38,7 +38,7 @@ mod governor;
 mod scheduler;
 
 pub use arq::{transmit_with_arq, ArqConfig, ArqReport};
-pub use csma::{CsmaConfig, CsmaMedium, CsmaReport};
+pub use csma::{CsmaMedium, CsmaReport};
 pub use dsrc::{
     DataRate, DsrcChannel, DsrcConfig, GilbertElliott, LossModel, LossProcess, TransmissionReport,
     MTU,

@@ -6,8 +6,8 @@ use cooper_lidar_sim::PoseEstimate;
 use cooper_pointcloud::roi::{extract_roi, BlindSector, RoiCategory};
 use cooper_pointcloud::{Point, PointCloud};
 use cooper_v2x::{
-    demand_roi, fragment, reassemble, salvage_prefix, BandwidthGovernor, CsmaConfig, CsmaMedium,
-    DataRate, DsrcChannel, DsrcConfig, ExchangeScheduler, ReassemblyError,
+    demand_roi, fragment, reassemble, salvage_prefix, BandwidthGovernor, CsmaMedium, DataRate,
+    DsrcChannel, DsrcConfig, ExchangeScheduler, ReassemblyError,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -187,7 +187,7 @@ proptest! {
 
     #[test]
     fn csma_rounds_conserve_frames(n in 1usize..12, payload in 100usize..20_000, seed in any::<u64>()) {
-        let medium = CsmaMedium::new(DsrcChannel::new(DsrcConfig::default()), CsmaConfig::default());
+        let medium = CsmaMedium::new(DsrcChannel::new(DsrcConfig::default()));
         let mut rng = StdRng::seed_from_u64(seed);
         let report = medium.simulate_round(&vec![payload; n], &mut rng);
         prop_assert_eq!(report.delivered + report.dropped, n);

@@ -105,3 +105,30 @@ fn bench_check_rejects_missing_empty_and_corrupt_ledgers() {
     let out = bench_check(&corrupt);
     assert!(!out.status.success(), "corrupt ledger must fail");
 }
+
+#[test]
+fn bench_check_fails_closed_on_null_and_missing_floored_metrics() {
+    let floors = "\"deterministic\":1.0,\"quarantine_within_bound\":1.0,\"recall_delta\":0.4";
+    let healthy = format!("{{\"kind\":\"chaos_sweep\",{floors},\"ghost_rejection_rate\":0.9}}\n");
+    for (tag, latest) in [
+        (
+            "null-floor",
+            format!("{{\"kind\":\"chaos_sweep\",{floors},\"ghost_rejection_rate\":null}}\n"),
+        ),
+        (
+            "missing-floor",
+            format!("{{\"kind\":\"chaos_sweep\",{floors}}}\n"),
+        ),
+    ] {
+        let path = temp_ledger(tag);
+        std::fs::create_dir_all(path.parent().expect("has parent")).expect("mkdir");
+        std::fs::write(&path, format!("{healthy}{healthy}")).expect("write");
+        assert!(bench_check(&path).status.success(), "{tag}: healthy passes");
+        std::fs::write(&path, format!("{healthy}{latest}")).expect("write");
+        let out = bench_check(&path);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(!out.status.success(), "{tag}: must fail: {stdout}");
+        assert!(stdout.contains("ghost_rejection_rate"), "{stdout}");
+        assert!(stdout.contains("BELOW FLOOR"), "{stdout}");
+    }
+}

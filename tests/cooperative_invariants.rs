@@ -29,10 +29,10 @@ fn fusion_point_count_is_additive() {
     let packets: Vec<ExchangePacket> = (0..3)
         .map(|i| ExchangePacket::build(i, 0, &remote, est).expect("encodes"))
         .collect();
-    let fused = pipeline
-        .fuse(&local, &est, &packets, &origin())
-        .expect("fuses");
-    assert_eq!(fused.len(), 100 + 3 * 50);
+    let outcome = pipeline.perceive(&local, &est, &packets, &origin(), PerceiveCtx::default());
+    assert!(outcome.drops.is_empty());
+    assert_eq!(outcome.packets_fused, 3);
+    assert_eq!(outcome.fused_cloud.len(), 100 + 3 * 50);
 }
 
 #[test]
