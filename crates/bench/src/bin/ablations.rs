@@ -98,7 +98,7 @@ fn fusion_level(pipeline: &CooperPipeline, cases: &[Case]) -> Vec<Vec<String>> {
         let coop = pipeline.perceive(
             &case.scan_a,
             &case.est_a,
-            &[packet],
+            vec![packet.decode()],
             &GPS_ANCHOR,
             PerceiveCtx::default(),
         );
@@ -135,7 +135,7 @@ fn roi_vs_recall(pipeline: &CooperPipeline, cases: &[Case]) -> Vec<Vec<String>> 
             let coop = pipeline.perceive(
                 &case.scan_a,
                 &case.est_a,
-                &[packet],
+                vec![packet.decode()],
                 &GPS_ANCHOR,
                 PerceiveCtx::default(),
             );

@@ -119,7 +119,7 @@ fn fused_arm(pipeline: &CooperPipeline, pairs: &[PairContext], drift_m: f64) -> 
         let result = pipeline.perceive(
             &pair.scan_a,
             &pair.est_a,
-            &[packet],
+            vec![packet.decode()],
             &GPS_ANCHOR,
             PerceiveCtx::default(),
         );

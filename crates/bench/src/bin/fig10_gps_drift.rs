@@ -59,7 +59,7 @@ fn main() {
         // Receiver A's view is fixed; runs vary the pipeline and the
         // sender's packet.
         let perceive = |p: &CooperPipeline, packet: &ExchangePacket| {
-            let inbox = std::slice::from_ref(packet);
+            let inbox = vec![packet.decode()];
             p.perceive(&scan_a, &est_a, inbox, &GPS_ANCHOR, PerceiveCtx::default())
         };
 

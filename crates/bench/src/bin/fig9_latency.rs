@@ -48,7 +48,7 @@ fn run_case(
         let _ = pipeline.perceive(
             &scan_a,
             &est_a,
-            &[packet],
+            vec![packet.decode()],
             &GPS_ANCHOR,
             PerceiveCtx::default(),
         );

@@ -56,7 +56,7 @@ fn main() {
             let coop = pipeline.perceive(
                 &scan_a,
                 &est_a,
-                &[packet],
+                vec![packet.decode()],
                 &GPS_ANCHOR,
                 PerceiveCtx::default(),
             );

@@ -50,7 +50,7 @@ fn main() {
         let result = pipeline.perceive(
             &scene.cloud,
             &est_a,
-            &[packet],
+            vec![packet.decode()],
             &GPS_ANCHOR,
             PerceiveCtx::default(),
         );

@@ -46,7 +46,7 @@ fn telemetry_baseline() -> cooper_telemetry::TelemetrySnapshot {
         let _ = pipeline.perceive(
             &scan_a,
             &est_a,
-            &[packet],
+            vec![packet.decode()],
             &GPS_ANCHOR,
             PerceiveCtx::default(),
         );

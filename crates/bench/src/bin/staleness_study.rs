@@ -74,7 +74,7 @@ fn main() {
         let result = pipeline.perceive(
             &local_scan,
             &est_rx,
-            &[packet],
+            vec![packet.decode()],
             &GPS_ANCHOR,
             PerceiveCtx::default(),
         );

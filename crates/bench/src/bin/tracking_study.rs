@@ -44,7 +44,7 @@ fn run_tracking(pipeline: &CooperPipeline, cooperative: bool) -> RunStats {
                 .perceive(
                     &scan_rx,
                     &est_rx,
-                    &[packet],
+                    vec![packet.decode()],
                     &GPS_ANCHOR,
                     PerceiveCtx::default(),
                 )

@@ -644,11 +644,17 @@ mod tests {
         }
     }
 
+    /// A directory under the system temp dir, named from the process id
+    /// and `tag` so that no other test or concurrent run shares it.
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("cooper-ledger-test-{}-{tag}", std::process::id()))
+    }
+
     #[test]
     fn a_metric_named_kind_is_never_written() {
         let record = BenchRecord::new("k", &[("kind", 1.0)]);
         assert!(record.to_json_line().is_err());
-        let dir = std::env::temp_dir().join("cooper-ledger-test-kind");
+        let dir = temp_dir("kind");
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join(HISTORY_FILE);
         assert!(append(&path, &record).is_err());
@@ -660,7 +666,7 @@ mod tests {
 
     #[test]
     fn append_and_read_preserve_order() {
-        let dir = std::env::temp_dir().join("cooper-ledger-test-order");
+        let dir = temp_dir("order");
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join(HISTORY_FILE);
         append(&path, &BenchRecord::new("a", &[("m", 1.0)])).expect("append");

@@ -398,8 +398,10 @@ pub struct ProfileReport {
     /// Simulation steps profiled.
     pub steps: usize,
     /// Percentage of perceive-phase CPU time attributed to named stages
-    /// inside the pipeline entry points (the SPOD sub-phases, fusion,
-    /// payload decode) rather than to the entry points' own self time.
+    /// inside the pipeline entry points (the SPOD sub-phases, fusion)
+    /// rather than to the entry points' own self time. Payload decode
+    /// runs before `pipeline.perceive` opens, so it counts on neither
+    /// side.
     pub coverage_pct: f64,
     /// Ranked self-time table (stage, count, self_ms, total_ms, share).
     pub table: String,
@@ -827,7 +829,7 @@ fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
             let result = pipeline.perceive(
                 &scan_rx,
                 &est_rx,
-                &[packet],
+                vec![packet.decode()],
                 &GPS_ANCHOR,
                 PerceiveCtx::default(),
             );

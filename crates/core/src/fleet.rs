@@ -32,9 +32,13 @@
 //!    the [`ChannelModel`], into one inbox per receiver. Serial by
 //!    design: a shared medium's answer for one transfer depends on
 //!    every transfer before it, so delivery must observe one global
-//!    order (step, then receiver id, then sender order).
-//! 3. **Fuse/detect (parallel)** — per vehicle: screen and fuse the
-//!    delivered packets and run SPOD, again mapped over the executor.
+//!    order (step, then receiver id, then sender order). This phase
+//!    only moves bytes: it files each whole packet, or its salvaged
+//!    prefix, and decodes no payload.
+//! 3. **Fuse/detect (parallel)** — per vehicle: decode the delivered
+//!    packets once, in sender order (delta streams through the
+//!    receiver's per-sender decoders), screen and fuse them and run
+//!    SPOD, again mapped over the executor.
 //! 4. **Merge (serial)** — in fleet order: sender histories, trackers,
 //!    alignment, track and trust statistics, and the trust layer's
 //!    end-of-step update.
@@ -77,8 +81,8 @@ use crate::governor::{
 use crate::tracking::{Tracker, TrackerStepSummary};
 use crate::trust::{TrustConfig, TrustLedger, TrustTransition, TrustVehicleStats};
 use crate::{
-    alignment_transform, CooperError, CooperPipeline, Detection, ExchangePacket, GuardDecision,
-    PerceiveCtx, PerceptionCache, TransferOffer, GPS_ANCHOR,
+    alignment_transform, CooperError, CooperPipeline, DecodedPacket, Detection, ExchangePacket,
+    GuardDecision, Payload, PerceiveCtx, PerceptionCache, TransferOffer, GPS_ANCHOR,
 };
 
 /// One vehicle in the fleet: an id, a pose trajectory (one pose per
@@ -617,9 +621,10 @@ struct VehicleState {
     /// The sender half, locked only by the vehicle's own phase-1 task.
     sender: Mutex<SenderState>,
     /// Per sender id, the stateful wire-format decoder that
-    /// reconstructs that sender's delta stream; advanced serially in
-    /// phase 2.
-    decoders: BTreeMap<u32, DeltaDecoder>,
+    /// reconstructs that sender's delta stream. Locked only by the
+    /// vehicle's own cooperative phase-3 task, which advances it in
+    /// sender order.
+    decoders: Mutex<BTreeMap<u32, DeltaDecoder>>,
     /// The detection memo when the pipeline enables incremental
     /// perception. Only the vehicle's own phase-3 tasks touch it, so the
     /// parallel fan-out stays deterministic.
@@ -646,7 +651,7 @@ impl VehicleState {
                 codec,
                 replay: None,
             }),
-            decoders: BTreeMap::new(),
+            decoders: Mutex::default(),
             cache: pipeline.incremental().then(PerceptionCache::new),
             tracker: pipeline.make_tracker(),
         }
@@ -689,14 +694,9 @@ struct Broadcast {
 /// What phase 2 delivered to one receiver this step.
 #[derive(Default)]
 struct Inbox {
-    /// Delivered packets in sender order, delta streams reconstructed.
+    /// Delivered packets in sender order, as they arrived: whole, or
+    /// the salvaged prefix of a partial delivery. Still encoded.
     packets: Vec<ExchangePacket>,
-    /// Parallel to `packets`: `true` when the entry was reconstructed
-    /// from a delta stream and therefore mixes points captured at the
-    /// keyframe step with the current one. The consistency guard skips
-    /// its free-space sweep for such composites — a moving sender's
-    /// smeared keyframe points sit in genuinely free space.
-    composite: Vec<bool>,
     /// Exchange bytes received, CRC-failed frames included.
     bytes: usize,
     /// Packets that arrived as salvaged partial deliveries.
@@ -1074,14 +1074,8 @@ impl FleetSimulation {
                 step,
             };
             let (mut broadcasts, encode_drops) = ctx.scan(&states);
-            let (inboxes, mut transport_drops) = ctx.exchange(
-                channel,
-                policy,
-                &trust.ledger,
-                &mut broadcasts,
-                &mut states,
-                &mut stats,
-            );
+            let (inboxes, mut transport_drops) =
+                ctx.exchange(channel, policy, &trust.ledger, &mut broadcasts, &mut stats);
             let outputs = ctx.perceive(&broadcasts, &inboxes, &states, &trust.histories);
             let per_vehicle = ctx.merge(
                 outputs,
@@ -1310,7 +1304,6 @@ impl StepCtx<'_> {
         policy: &mut dyn GovernorPolicy,
         ledger: &TrustLedger,
         broadcasts: &mut [Broadcast],
-        states: &mut [VehicleState],
         stats: &mut FleetStats,
     ) -> (Vec<Inbox>, Vec<TransportDrop>) {
         let _exchange_span = cooper_telemetry::span!(telemetry_names::SPAN_FLEET_EXCHANGE);
@@ -1334,7 +1327,7 @@ impl StepCtx<'_> {
         }
         let mut inboxes = Vec::with_capacity(broadcasts.len());
         let mut drops = Vec::new();
-        for (i, (receiver, state)) in broadcasts.iter().zip(states.iter_mut()).enumerate() {
+        for (i, receiver) in broadcasts.iter().enumerate() {
             let to = self.vehicles[i].id;
             let mut inbox = Inbox::default();
             for (j, sender) in broadcasts.iter().enumerate() {
@@ -1403,8 +1396,7 @@ impl StepCtx<'_> {
                     to,
                     wire_bytes: chosen.wire_bytes,
                 };
-                let decoders = &mut state.decoders;
-                self.deliver(channel, &ctx, &packet, decoders, &mut inbox, &mut drops);
+                self.deliver(channel, &ctx, packet, &mut inbox, &mut drops);
             }
             stats.total_bytes += inbox.bytes as u64;
             inboxes.push(inbox);
@@ -1416,15 +1408,14 @@ impl StepCtx<'_> {
     }
 
     /// Puts one chosen packet through the channel and files what arrived
-    /// in the receiver's inbox, v2 streams reconstructed through the
-    /// receiver's decoders. Anything else ends the transfer with its
+    /// in the receiver's inbox: the whole packet, or the salvaged prefix
+    /// of a partial delivery. Anything else ends the transfer with its
     /// trace stage or drop.
     fn deliver(
         &self,
         channel: &mut dyn ChannelModel,
         ctx: &TransferCtx,
-        packet: &ExchangePacket,
-        decoders: &mut BTreeMap<u32, DeltaDecoder>,
+        packet: ExchangePacket,
         inbox: &mut Inbox,
         drops: &mut Vec<TransportDrop>,
     ) {
@@ -1437,8 +1428,8 @@ impl StepCtx<'_> {
             ctx.wire_bytes as u64,
         );
         // A verdict either ends the transfer here or yields what arrived:
-        // the reconstructed packet, the wire bytes it took, and the
-        // record of a salvaged partial delivery.
+        // the packet, the wire bytes it took, and the record of a
+        // salvaged partial delivery.
         let arrived = match channel.deliver_verdict(ctx) {
             Delivery::Delivered => {
                 if self.config.trust.is_some() && packet.verify_integrity().is_err() {
@@ -1455,7 +1446,7 @@ impl StepCtx<'_> {
                     false,
                     ctx.wire_bytes as u64,
                 );
-                rx_reconstruct(decoders, from, packet).map(|rx| (rx, ctx.wire_bytes, None))
+                Ok((packet, ctx.wire_bytes, None))
             }
             Delivery::Dropped => {
                 cooper_telemetry::trace_mark(trace, trace_stage::CHANNEL_DROPPED, true);
@@ -1474,9 +1465,10 @@ impl StepCtx<'_> {
                 delivered_bytes,
                 total_bytes,
             } => {
-                // Salvage: decode whatever whole points the delivered
-                // prefix contains and fuse those; the receiver degrades
-                // instead of losing the sender's scan entirely.
+                // Salvage: keep whatever whole points (or feature cells)
+                // the delivered prefix contains and fuse those; the
+                // receiver degrades instead of losing the sender's scan
+                // entirely.
                 cooper_telemetry::trace_mark_with(
                     trace,
                     trace_stage::PARTIAL,
@@ -1490,15 +1482,13 @@ impl StepCtx<'_> {
                     total_bytes,
                 };
                 ExchangePacket::from_partial_bytes(&wire[..cut])
-                    .and_then(|(prefix, _fraction)| rx_reconstruct(decoders, from, &prefix))
-                    .map(|rx| (rx, delivered_bytes, Some(partial)))
+                    .map(|(prefix, _fraction)| (prefix, delivered_bytes, Some(partial)))
             }
         };
         match arrived {
-            Ok(((packet, composite), bytes, partial)) => {
+            Ok((packet, bytes, partial)) => {
                 inbox.bytes += bytes;
                 inbox.packets.push(packet);
-                inbox.composite.push(composite);
                 if let Some(reason) = partial {
                     inbox.partial += 1;
                     reject(drops, step, from, to, reason);
@@ -1546,7 +1536,7 @@ impl StepCtx<'_> {
                             i,
                             &broadcasts[i],
                             &inboxes[i],
-                            states[i].cache.as_ref(),
+                            &states[i],
                             histories,
                             scratch,
                         )))
@@ -1570,36 +1560,40 @@ impl StepCtx<'_> {
             .collect()
     }
 
-    /// One vehicle's cooperative task: screen the inbox (trust layer
-    /// on), fuse what passed with the ego scan, detect, and end every
-    /// delivered packet's trace chain.
+    /// One vehicle's cooperative task: decode the inbox, screen it
+    /// (trust layer on), fuse what passed with the ego scan, detect, and
+    /// end every delivered packet's trace chain.
     fn cooperate(
         &self,
         i: usize,
         me: &Broadcast,
         inbox: &Inbox,
-        cache: Option<&PerceptionCache>,
+        state: &VehicleState,
         histories: &Histories,
         scratch: &mut DetectScratch,
     ) -> CooperativeOutput {
         let (step, id) = (self.step, self.vehicles[i].id);
         let (estimate, _) = self.measure(&self.vehicles[i], &me.pose, RX_MEASURE_STREAM);
-        let (screened, consistency_drops, history_updates) = match &self.config.trust {
-            Some(tg) => {
-                let (kept, drops, updates) = self.screen(id, me, &estimate, inbox, histories, tg);
-                (Some(kept), drops, updates)
+        let (kept, consistency_drops, history_updates) = {
+            let mut decoders = state
+                .decoders
+                .lock()
+                .expect("a decoder lock is poisoned only by a panicked phase-3 task");
+            let decoded = inbox.packets.iter().map(|pkt| decode(&mut decoders, pkt));
+            match &self.config.trust {
+                Some(tg) => self.screen(id, me, &estimate, decoded, histories, tg),
+                None => (decoded.map(|(pkt, _)| pkt).collect(), vec![], vec![]),
             }
-            None => Default::default(),
         };
-        let fusion_inbox: &[ExchangePacket] = screened.as_deref().unwrap_or(&inbox.packets);
+        let senders: Vec<u32> = kept.iter().map(|packet| packet.vehicle_id).collect();
         let outcome = self.pipeline.perceive(
             &me.scan,
             &estimate,
-            fusion_inbox,
+            kept,
             &GPS_ANCHOR,
             PerceiveCtx {
                 scratch: Some(scratch),
-                cache,
+                cache: state.cache.as_ref(),
                 ego_bev: me.ego_bev.as_ref(),
             },
         );
@@ -1612,8 +1606,7 @@ impl StepCtx<'_> {
         // alignment guard (also a report entry), or dropped by a decode
         // failure.
         let mut align_drops: Vec<TransportDrop> = Vec::new();
-        for (k, pkt) in fusion_inbox.iter().enumerate() {
-            let from = pkt.vehicle_id();
+        for (k, &from) in senders.iter().enumerate() {
             let trace = TraceId::new(step, from, id);
             let drop = outcome.drops.iter().find(|d| d.index == k);
             match drop.map(|d| &d.error) {
@@ -1653,47 +1646,47 @@ impl StepCtx<'_> {
         }
     }
 
-    /// The consistency screen (trust layer on): checks every delivered
+    /// The consistency screen (trust layer on): checks every decoded
     /// point cloud against the ego scan's observed free space and the
-    /// sender's motion history before it reaches fusion. Returns the
-    /// packets kept, the rejections and the fresh histories, which the
-    /// merge applies.
+    /// sender's motion history before it reaches fusion. It takes the
+    /// inbox's entries as they are decoded and frees a rejected cloud
+    /// before the next packet is decoded. Returns the entries kept, the
+    /// rejections and the fresh histories, which the merge applies.
     fn screen(
         &self,
         id: u32,
         me: &Broadcast,
         estimate: &PoseEstimate,
-        inbox: &Inbox,
+        entries: impl Iterator<Item = (DecodedPacket, bool)>,
         histories: &Histories,
         tg: &TrustGuardConfig,
-    ) -> (Vec<ExchangePacket>, Vec<TransportDrop>, Vec<HistoryUpdate>) {
+    ) -> (Vec<DecodedPacket>, Vec<TransportDrop>, Vec<HistoryUpdate>) {
         let _span = cooper_telemetry::span!(telemetry_names::SPAN_GUARD_CONSISTENCY);
         // Both indexes are built on first use, so an inbox with no point
-        // cloud to check pays for neither. Composite (delta-reconstructed)
-        // clouds mix keyframe-step points with current ones; a moving
-        // sender smears those through space the ego genuinely observed
-        // as free. Skip the free-space sweep for them (an empty index
-        // yields zero ghost evidence) while keeping the replay and
-        // teleport checks.
+        // cloud to check pays for neither. A delta frame's reconstruction
+        // mixes keyframe-step points with current ones; a moving sender
+        // smears those through space the ego genuinely observed as free.
+        // Skip the free-space sweep for them (an empty index yields zero
+        // ghost evidence) while keeping the replay and teleport checks.
         let mut ego_index: Option<FreeSpaceIndex> = None;
         let mut empty_index: Option<FreeSpaceIndex> = None;
-        let mut kept = Vec::with_capacity(inbox.packets.len());
+        let mut kept = Vec::new();
         let mut drops = Vec::new();
         let mut history_updates = Vec::new();
-        for (pkt, &composite) in inbox.packets.iter().zip(&inbox.composite) {
-            let Ok(cloud) = pkt.cloud() else {
+        for (packet, delta) in entries {
+            let Ok(Payload::Points(cloud)) = &packet.payload else {
                 // Feature frames and undecodable payloads flow through;
                 // the fusion pipeline owns those verdicts.
-                kept.push(pkt.clone());
+                kept.push(packet);
                 continue;
             };
-            let sweep_index = if composite {
+            let sweep_index = if delta {
                 empty_index.get_or_insert_with(|| FreeSpaceIndex::build(&PointCloud::new()))
             } else {
                 ego_index.get_or_insert_with(|| FreeSpaceIndex::build(&me.scan))
             };
             cooper_telemetry::counter_add(telemetry_names::GUARD_CONSISTENCY_CHECKS, 1);
-            let align = alignment_transform(pkt.pose(), estimate, &GPS_ANCHOR);
+            let align = alignment_transform(&packet.pose, estimate, &GPS_ANCHOR);
             let in_ego = cloud.transformed(&align);
             let mut centroid = Vec3::new(0.0, 0.0, 0.0);
             for p in cloud.iter() {
@@ -1701,20 +1694,20 @@ impl StepCtx<'_> {
             }
             centroid /= cloud.len().max(1) as f64;
             let world_centroid =
-                RigidTransform::from_pose(&pkt.pose().to_pose(&GPS_ANCHOR)).apply(centroid);
-            let key = (id, pkt.vehicle_id());
+                RigidTransform::from_pose(&packet.pose.to_pose(&GPS_ANCHOR)).apply(centroid);
+            let key = (id, packet.vehicle_id);
             let (verdict, next) = check_consistency(
                 sweep_index,
                 &in_ego,
                 world_centroid,
-                pkt.sequence(),
+                packet.sequence,
                 histories.get(&key),
                 STEP_DURATION_S,
                 &tg.consistency,
             );
             history_updates.push((key, next));
             if verdict.is_consistent() {
-                kept.push(pkt.clone());
+                kept.push(packet);
                 continue;
             }
             let ghost_points = verdict.ghost_points();
@@ -1725,7 +1718,7 @@ impl StepCtx<'_> {
             let reason = TransportDropReason::ConsistencyRejected {
                 ghost_points: ghost_points as u32,
             };
-            reject(&mut drops, self.step, pkt.vehicle_id(), id, reason);
+            reject(&mut drops, self.step, packet.vehicle_id, id, reason);
         }
         (kept, drops, history_updates)
     }
@@ -1841,28 +1834,26 @@ impl StepCtx<'_> {
     }
 }
 
-/// Receiver-side reconstruction of a delivered packet: v1 payloads
-/// and v3 feature frames pass through untouched (feature frames are
-/// self-contained; the pipeline fuses them at the BEV level); v2
-/// payloads run through the receiver's per-sender [`DeltaDecoder`]
-/// (caching keyframes, merging deltas) and are re-wrapped as
-/// self-contained packets for the fusion pipeline. The flag marks a
-/// delta frame's reconstruction, which spans capture instants.
-fn rx_reconstruct(
+/// Decodes one delivered packet: the one payload decode it gets, in
+/// its receiver's cooperative task and in sender order. v2 payloads run
+/// through the receiver's [`DeltaDecoder`] for the sender (caching
+/// keyframes, merging deltas), everything else through
+/// [`ExchangePacket::decode`]. The flag marks a delta frame's
+/// reconstruction, which spans capture instants.
+fn decode(
     decoders: &mut BTreeMap<u32, DeltaDecoder>,
-    sender: u32,
     packet: &ExchangePacket,
-) -> Result<(ExchangePacket, bool), CooperError> {
-    let info = packet.frame_info()?;
-    if info.version != 2 {
-        return Ok((packet.clone(), false));
+) -> (DecodedPacket, bool) {
+    match packet.frame_info() {
+        Ok(info) if info.version == 2 => {
+            let _span = cooper_telemetry::span!(telemetry_names::SPAN_PACKET_PAYLOAD_DECODE);
+            let decoder = decoders.entry(packet.vehicle_id()).or_default();
+            let cloud = decoder.decode_next(packet.payload());
+            let payload = cloud.map(Payload::Points).map_err(CooperError::from);
+            (packet.decoded(payload), info.kind == FrameKind::Delta)
+        }
+        _ => (packet.decode(), false),
     }
-    // A delta frame merges the receiver's cached keyframe with this
-    // step's novel points: the result spans capture instants.
-    let composite = info.kind == FrameKind::Delta;
-    let decoder = decoders.entry(sender).or_default();
-    let cloud = decoder.decode_next(packet.payload())?;
-    Ok((packet.with_cloud(&cloud)?, composite))
 }
 
 /// Builds a straight constant-speed trajectory: `steps` poses advancing

@@ -54,7 +54,7 @@
 //! let outcome = pipeline.perceive(
 //!     &local_scan,
 //!     &local_pose,
-//!     &[packet],
+//!     vec![packet.decode()],
 //!     &origin,
 //!     PerceiveCtx::default(),
 //! );
@@ -97,7 +97,7 @@ pub use error::CooperError;
 pub use governor::{
     GovernorConfig, GovernorPolicy, GovernorVerdict, TransferCandidate, TransferOffer,
 };
-pub use packet::ExchangePacket;
+pub use packet::{DecodedPacket, ExchangePacket, Payload};
 pub use pipeline::{
     AlignmentRecord, CooperPipeline, FusionOutcome, PacketDrop, PerceiveCtx, PerceptionCache,
 };

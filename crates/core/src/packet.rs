@@ -218,23 +218,29 @@ impl ExchangePacket {
         &self.payload
     }
 
-    /// A copy of this packet carrying `cloud` as a plain (v1, keyframe)
-    /// payload instead of the original one; identity and pose are kept.
-    /// The governed fleet path uses this to hand a receiver-side
-    /// reconstructed delta stream to the fusion pipeline, which expects
-    /// self-contained packets.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CooperError::Codec`] when `cloud` has out-of-range
-    /// coordinates.
-    pub fn with_cloud(&self, cloud: &PointCloud) -> Result<Self, CooperError> {
-        Ok(ExchangePacket {
+    /// Decodes the payload by its frame kind: a v3 frame through
+    /// [`feature_frame`](Self::feature_frame), anything else through
+    /// [`cloud`](Self::cloud). A v2 delta frame decodes to the points it
+    /// carries; the fleet's receivers follow each sender's stream
+    /// through a [`cooper_pointcloud::DeltaDecoder`] instead.
+    pub fn decode(&self) -> DecodedPacket {
+        let payload = match self.frame_info() {
+            Ok(info) if info.kind == FrameKind::Features => {
+                self.feature_frame().map(Payload::Features)
+            }
+            _ => self.cloud().map(Payload::Points),
+        };
+        self.decoded(payload)
+    }
+
+    /// This packet's header fields with a payload decoded elsewhere.
+    pub(crate) fn decoded(&self, payload: Result<Payload, CooperError>) -> DecodedPacket {
+        DecodedPacket {
             vehicle_id: self.vehicle_id,
             sequence: self.sequence,
             pose: self.pose,
-            payload: encode_cloud(cloud)?,
-        })
+            payload,
+        }
     }
 
     /// A copy of this packet whose payload carries the CRC-32 integrity
@@ -373,6 +379,31 @@ impl ExchangePacket {
         };
         Ok((packet, fraction))
     }
+}
+
+/// A received packet after its one payload decode: the header fields a
+/// receiver aligns and attributes with, and the payload or the error
+/// decoding it raised. [`CooperPipeline::perceive`](crate::CooperPipeline::perceive)
+/// fuses these.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DecodedPacket {
+    /// The transmitting vehicle's identifier.
+    pub vehicle_id: u32,
+    /// The frame sequence number.
+    pub sequence: u32,
+    /// The transmitter's measured pose.
+    pub pose: PoseEstimate,
+    /// The decoded payload, or why it did not decode.
+    pub payload: Result<Payload, CooperError>,
+}
+
+/// A decoded exchange payload, in the transmitter's sensor frame.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Payload {
+    /// A v1/v2 point cloud, fused at the raw level.
+    Points(PointCloud),
+    /// A v3 quantized BEV feature frame, fused at the feature level.
+    Features(FeatureFrame),
 }
 
 /// The fixed header at the front of every exchange packet, as read
@@ -698,6 +729,36 @@ mod tests {
         for (a, b) in decoded.features().iter().zip(frame.features()) {
             assert!((f64::from(*a) - f64::from(*b)).abs() <= bound);
         }
+    }
+
+    #[test]
+    fn decode_picks_the_decoder_by_frame_kind() {
+        let delta = ExchangePacket::build_v2(
+            4,
+            2,
+            &sample_cloud(30),
+            sample_pose(),
+            FrameKind::Delta,
+            true,
+        )
+        .unwrap();
+        let decoded = delta.decode();
+        assert_eq!(decoded.vehicle_id, 4);
+        assert_eq!(decoded.sequence, 2);
+        assert_eq!(&decoded.pose, delta.pose());
+        assert_eq!(decoded.payload, delta.cloud().map(Payload::Points));
+        let features =
+            ExchangePacket::build_features(5, 1, &sample_features(6, 3), sample_pose()).unwrap();
+        let frame = features.feature_frame().map(Payload::Features);
+        assert_eq!(features.decode().payload, frame);
+        // A payload whose header does not parse is an error, not a panic.
+        let mut bytes = delta.to_bytes().to_vec();
+        bytes[HEADER_BYTES] = b'Z';
+        let corrupt = ExchangePacket::from_bytes(&bytes).unwrap();
+        assert!(matches!(
+            corrupt.decode().payload,
+            Err(CooperError::Codec(_))
+        ));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::sync::Mutex;
 use cooper_exec::Executor;
 use cooper_geometry::GpsFix;
 use cooper_lidar_sim::{ObjectClass, PoseEstimate};
-use cooper_pointcloud::{FrameKind, PointCloud};
+use cooper_pointcloud::{FeatureFrame, PointCloud};
 use cooper_spod::bev::{BevMap, Z_STRUCTURE_CHANNELS};
 use cooper_spod::{
     fuse_bev, transform_bev, DetectOptions, DetectScratch, Detection, FeatureFusionMode,
@@ -15,8 +15,8 @@ use cooper_telemetry::names as telemetry_names;
 
 use crate::tracking::{Tracker, TrackerConfig};
 use crate::{
-    alignment_transform, AlignmentGuardConfig, CooperError, ExchangePacket, GuardDecision,
-    GuardReference,
+    alignment_transform, AlignmentGuardConfig, CooperError, DecodedPacket, GuardDecision,
+    GuardReference, Payload,
 };
 
 /// Per-receiver detection memos for incremental perception, passed to
@@ -89,7 +89,7 @@ pub struct FusionOutcome {
 /// Why one received packet was excluded from fusion.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PacketDrop {
-    /// Position of the packet in the input slice.
+    /// Position of the packet in `perceive`'s input.
     pub index: usize,
     /// Transmitting vehicle's identifier from the packet header.
     pub vehicle_id: u32,
@@ -100,7 +100,7 @@ pub struct PacketDrop {
 /// What the alignment guard concluded about one received packet.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlignmentRecord {
-    /// Position of the packet in the input slice.
+    /// Position of the packet in `perceive`'s input.
     pub index: usize,
     /// Transmitting vehicle's identifier from the packet header.
     pub vehicle_id: u32,
@@ -112,100 +112,88 @@ pub struct AlignmentRecord {
     pub residual_after_m: f64,
 }
 
-/// Aligns and merges every decodable packet into a copy of
-/// `local_cloud`, collecting a [`PacketDrop`] per failure. Each packet
-/// comes with its position in the caller's inbox, which the drops and
-/// alignment records carry. All fusion entry points share this helper
-/// so their semantics and telemetry cannot drift apart.
+/// One decoded remote payload with what fusion reads from its packet
+/// header: its position in the caller's inbox, the sender's id and the
+/// sender's pose.
+type Remote<T> = (usize, u32, PoseEstimate, T);
+
+/// Aligns and merges every remote cloud into a copy of `local_cloud`.
+/// Each cloud comes with its position in the caller's inbox, which the
+/// drops and alignment records carry, and is freed once merged.
 ///
-/// With a `guard`, every decoded cloud is validated (and possibly
-/// ICP-refined) before merging; guard-rejected clouds surface as
+/// With a `guard`, every cloud is validated (and possibly ICP-refined)
+/// before merging; guard-rejected clouds surface as
 /// [`CooperError::AlignmentRejected`] drops, and every verdict is
 /// recorded as an [`AlignmentRecord`]. The guard's [`GuardReference`]
-/// on `local_cloud` is built once, on the first decoded packet, and
-/// serves every packet after it.
+/// on `local_cloud` is built once, on the first cloud, and serves every
+/// cloud after it.
 fn fuse_packets(
     local_cloud: &PointCloud,
     local_pose: &PoseEstimate,
-    packets: &[(usize, &ExchangePacket)],
+    remotes: Vec<Remote<PointCloud>>,
     origin: &GpsFix,
     guard: Option<&AlignmentGuardConfig>,
-) -> (PointCloud, usize, Vec<PacketDrop>, Vec<AlignmentRecord>) {
+    drops: &mut Vec<PacketDrop>,
+) -> (PointCloud, usize, Vec<AlignmentRecord>) {
     let _span = cooper_telemetry::span!(telemetry_names::SPAN_PIPELINE_FUSE);
-    let mut fused_count = 0usize;
     let mut merged_points = 0u64;
-    let mut drops = Vec::new();
     let mut alignment = Vec::new();
-    // Pass 1: decode and (optionally) guard every packet, keeping the
-    // accepted clouds with their alignment transforms.
-    let mut accepted = Vec::with_capacity(packets.len());
+    // Pass 1: guard every cloud (when configured), keeping the accepted
+    // ones with their alignment transforms.
+    let mut accepted = Vec::with_capacity(remotes.len());
     let mut reference: Option<GuardReference> = None;
-    for &(index, packet) in packets {
-        match packet.cloud() {
-            Ok(remote_cloud) => {
-                let mut transform = alignment_transform(packet.pose(), local_pose, origin);
-                if let Some(cfg) = guard {
-                    let reference = reference.get_or_insert_with(|| {
-                        let _span = cooper_telemetry::span!(telemetry_names::SPAN_ALIGN_INDEX);
-                        GuardReference::new(local_cloud, cfg)
-                    });
-                    let report = {
-                        let _span = cooper_telemetry::span!(telemetry_names::SPAN_ALIGN_GUARD);
-                        reference.guard(&remote_cloud, &transform)
-                    };
-                    record_guard_telemetry(&report);
-                    alignment.push(AlignmentRecord {
-                        index,
-                        vehicle_id: packet.vehicle_id(),
-                        decision: report.decision,
-                        residual_before_m: report.residual_before_m,
-                        residual_after_m: report.residual_after_m,
-                    });
-                    if !report.decision.is_accepted() {
-                        drops.push(PacketDrop {
-                            index,
-                            vehicle_id: packet.vehicle_id(),
-                            error: CooperError::AlignmentRejected {
-                                residual_m: report.residual_after_m,
-                            },
-                        });
-                        continue;
-                    }
-                    transform = report.transform;
-                }
-                merged_points += remote_cloud.len() as u64;
-                fused_count += 1;
-                accepted.push((remote_cloud, transform));
+    for (index, vehicle_id, pose, remote_cloud) in remotes {
+        let mut transform = alignment_transform(&pose, local_pose, origin);
+        if let Some(cfg) = guard {
+            let reference = reference.get_or_insert_with(|| {
+                let _span = cooper_telemetry::span!(telemetry_names::SPAN_ALIGN_INDEX);
+                GuardReference::new(local_cloud, cfg)
+            });
+            let report = {
+                let _span = cooper_telemetry::span!(telemetry_names::SPAN_ALIGN_GUARD);
+                reference.guard(&remote_cloud, &transform)
+            };
+            record_guard_telemetry(&report);
+            alignment.push(AlignmentRecord {
+                index,
+                vehicle_id,
+                decision: report.decision,
+                residual_before_m: report.residual_before_m,
+                residual_after_m: report.residual_after_m,
+            });
+            if !report.decision.is_accepted() {
+                drops.push(PacketDrop {
+                    index,
+                    vehicle_id,
+                    error: CooperError::AlignmentRejected {
+                        residual_m: report.residual_after_m,
+                    },
+                });
+                continue;
             }
-            Err(error) => decode_failed(&mut drops, index, packet, error),
+            transform = report.transform;
         }
+        merged_points += remote_cloud.len() as u64;
+        accepted.push((remote_cloud, transform));
     }
     // Pass 2: one exact-capacity allocation for the union — knowing
     // every accepted cloud's size up front avoids the grow-and-copy
     // churn of merging into an incrementally reallocated buffer.
+    let fused_count = accepted.len();
     let total: usize = local_cloud.len() + accepted.iter().map(|(c, _)| c.len()).sum::<usize>();
     let mut fused = PointCloud::with_capacity(total);
     fused.merge(local_cloud);
-    for (remote_cloud, transform) in &accepted {
-        fused.merge_transformed(remote_cloud, transform);
+    for (remote_cloud, transform) in accepted {
+        fused.merge_transformed(&remote_cloud, &transform);
     }
     cooper_telemetry::counter_add(telemetry_names::PIPELINE_PACKETS_FUSED, fused_count as u64);
-    cooper_telemetry::counter_add(
-        telemetry_names::PIPELINE_PACKETS_DROPPED,
-        drops.len() as u64,
-    );
     cooper_telemetry::counter_add(telemetry_names::PIPELINE_POINTS_MERGED, merged_points);
-    (fused, fused_count, drops, alignment)
+    (fused, fused_count, alignment)
 }
 
-/// Records a packet that failed to decode as a [`PacketDrop`], counted
-/// under `pipeline.drop.<kind>`.
-fn decode_failed(
-    drops: &mut Vec<PacketDrop>,
-    index: usize,
-    packet: &ExchangePacket,
-    error: CooperError,
-) {
+/// Records a packet whose payload failed to decode as a [`PacketDrop`],
+/// counted under `pipeline.drop.<kind>`.
+fn decode_failed(drops: &mut Vec<PacketDrop>, index: usize, vehicle_id: u32, error: CooperError) {
     if cooper_telemetry::is_enabled() {
         cooper_telemetry::counter_add(
             &format!("{}{}", telemetry_names::PIPELINE_DROP_PREFIX, error.kind()),
@@ -214,7 +202,7 @@ fn decode_failed(
     }
     drops.push(PacketDrop {
         index,
-        vehicle_id: packet.vehicle_id(),
+        vehicle_id,
         error,
     });
 }
@@ -399,63 +387,67 @@ impl CooperPipeline {
         }
     }
 
-    /// Full cooperative perception: align and merge every decodable
+    /// Full cooperative perception: align and merge every decoded
     /// packet into the receiver's frame (Equations 1–3 + Equation 2), run
-    /// SPOD on the result, and report undecodable packets as
-    /// [`PacketDrop`]s instead of aborting.
+    /// SPOD on the result, and report packets whose payload did not
+    /// decode as [`PacketDrop`]s instead of aborting.
     ///
-    /// Inboxes may mix payload levels. Point-cloud packets (v1/v2) fuse
-    /// at the raw level; feature-frame packets (v3) are decoded,
+    /// The packets arrive decoded ([`ExchangePacket::decode`], or a
+    /// receiver's delta stream) and are consumed: each payload is freed
+    /// once it is fused, before detection runs. Inboxes may mix payload
+    /// levels. Point clouds fuse at the raw level; feature frames are
     /// re-binned into the receiver's BEV grid under the GPS/IMU
     /// transform, and fused with the receiver's own features by the
     /// configured [`FeatureFusionMode`] before the RPN head (F-Cooper).
-    /// The alignment guard only applies to point packets — a feature
+    /// The alignment guard only applies to point clouds — a feature
     /// frame carries no raw points to verify with ICP, so its GPS/IMU
     /// transform is trusted as-is. [`FusionOutcome::fused_cloud`] holds
-    /// the point-level union only; feature packets contribute no points.
+    /// the point-level union only; feature frames contribute no points.
     ///
     /// An inbox without feature frames is detected on the fused cloud
     /// like [`perceive_single`](Self::perceive_single), through the
     /// cooperative memo of [`PerceiveCtx::cache`] when one is given.
     /// [`PerceiveCtx::ego_bev`] stands in for featurizing the fused cloud
-    /// only while no point packet merged, because the fused cloud is
+    /// only while no point cloud merged, because the fused cloud is
     /// then a copy of `local_cloud`. Every route returns the same bits.
+    ///
+    /// [`ExchangePacket::decode`]: crate::ExchangePacket::decode
     pub fn perceive(
         &self,
         local_cloud: &PointCloud,
         local_pose: &PoseEstimate,
-        packets: &[ExchangePacket],
+        packets: Vec<DecodedPacket>,
         origin: &GpsFix,
         ctx: PerceiveCtx<'_>,
     ) -> FusionOutcome {
         let _span = cooper_telemetry::span!(telemetry_names::SPAN_PIPELINE_PERCEIVE);
-        // v3 payloads fuse at the feature level, everything else
-        // (including undecodable headers, which the point path reports
-        // as drops) at the point level.
-        let (feature_packets, point_packets): (Vec<_>, Vec<_>) =
-            packets.iter().enumerate().partition(|(_, packet)| {
-                packet
-                    .frame_info()
-                    .is_ok_and(|info| info.kind == FrameKind::Features)
-            });
-        let (fused_cloud, points_fused, mut drops, alignment) = fuse_packets(
+        let mut drops = Vec::new();
+        let (mut point_remotes, mut feature_remotes) = (Vec::new(), Vec::new());
+        for (index, packet) in packets.into_iter().enumerate() {
+            let (id, pose) = (packet.vehicle_id, packet.pose);
+            match packet.payload {
+                Ok(Payload::Points(cloud)) => point_remotes.push((index, id, pose, cloud)),
+                Ok(Payload::Features(frame)) => feature_remotes.push((index, id, pose, frame)),
+                Err(error) => decode_failed(&mut drops, index, id, error),
+            }
+        }
+        let (fused_cloud, points_fused, alignment) = fuse_packets(
             local_cloud,
             local_pose,
-            &point_packets,
+            point_remotes,
             origin,
             self.guard.as_ref(),
+            &mut drops,
         );
         let ego_bev = ctx.ego_bev.filter(|_| points_fused == 0);
         let mut own = DetectScratch::new();
         let scratch = ctx.scratch.unwrap_or(&mut own);
-        let (detections, packets_fused) = if feature_packets.is_empty() {
+        let (detections, packets_fused) = if feature_remotes.is_empty() {
             let stream = ctx.cache.map(|c| &c.cooperative);
             let detections = self.detect_cars(&fused_cloud, ego_bev, scratch, stream);
             (detections, points_fused)
         } else {
-            let remote_maps =
-                self.decode_feature_maps(&feature_packets, local_pose, origin, &mut drops);
-            drops.sort_by_key(|d| d.index);
+            let remote_maps = self.feature_maps(feature_remotes, local_pose, origin, &mut drops);
             let options = self.car_options();
             let featurized;
             let local_bev = match ego_bev {
@@ -478,6 +470,11 @@ impl CooperPipeline {
             let detections = self.detector.detect_bev(&fused_bev, &options);
             (detections, points_fused + remote_maps.len())
         };
+        drops.sort_by_key(|d| d.index);
+        cooper_telemetry::counter_add(
+            telemetry_names::PIPELINE_PACKETS_DROPPED,
+            drops.len() as u64,
+        );
         FusionOutcome {
             fused_cloud,
             detections,
@@ -487,41 +484,33 @@ impl CooperPipeline {
         }
     }
 
-    /// Decodes and aligns every v3 packet into the receiver's BEV grid,
-    /// recording undecodable or channel-mismatched frames as drops.
-    fn decode_feature_maps(
+    /// Aligns every feature frame into the receiver's BEV grid, recording
+    /// channel-mismatched frames as drops.
+    fn feature_maps(
         &self,
-        feature_packets: &[(usize, &ExchangePacket)],
+        remotes: Vec<Remote<FeatureFrame>>,
         local_pose: &PoseEstimate,
         origin: &GpsFix,
         drops: &mut Vec<PacketDrop>,
     ) -> Vec<BevMap> {
         let expected_channels = self.detector.config().channels + Z_STRUCTURE_CHANNELS;
         let grid = &self.detector.config().voxel_grid;
-        let mut remote_maps = Vec::with_capacity(feature_packets.len());
-        let drops_before = drops.len();
-        for &(index, packet) in feature_packets {
-            let outcome = packet.feature_frame().and_then(|frame| {
-                if frame.channels() == expected_channels {
-                    Ok(frame)
-                } else {
-                    Err(CooperError::FeatureMismatch {
-                        expected: expected_channels,
-                        actual: frame.channels(),
-                    })
-                }
-            });
-            match outcome {
-                Ok(frame) => {
-                    let transform = alignment_transform(packet.pose(), local_pose, origin);
-                    remote_maps.push(transform_bev(
-                        &BevMap::from_feature_frame(&frame),
-                        &transform,
-                        grid,
-                    ));
-                }
-                Err(error) => decode_failed(drops, index, packet, error),
+        let mut remote_maps = Vec::with_capacity(remotes.len());
+        for (index, vehicle_id, pose, frame) in remotes {
+            if frame.channels() != expected_channels {
+                let error = CooperError::FeatureMismatch {
+                    expected: expected_channels,
+                    actual: frame.channels(),
+                };
+                decode_failed(drops, index, vehicle_id, error);
+                continue;
             }
+            let transform = alignment_transform(&pose, local_pose, origin);
+            remote_maps.push(transform_bev(
+                &BevMap::from_feature_frame(&frame),
+                &transform,
+                grid,
+            ));
         }
         cooper_telemetry::counter_add(
             telemetry_names::PIPELINE_FEATURES_FUSED,
@@ -531,10 +520,6 @@ impl CooperPipeline {
             telemetry_names::PIPELINE_PACKETS_FUSED,
             remote_maps.len() as u64,
         );
-        cooper_telemetry::counter_add(
-            telemetry_names::PIPELINE_PACKETS_DROPPED,
-            (drops.len() - drops_before) as u64,
-        );
         remote_maps
     }
 }
@@ -542,6 +527,7 @@ impl CooperPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExchangePacket;
     use cooper_geometry::{Attitude, Pose, RigidTransform, Vec3};
     use cooper_lidar_sim::{scenario, LidarScanner};
     use cooper_spod::{SpodConfig, SpodDetector};
@@ -570,7 +556,7 @@ mod tests {
         let outcome = pipeline.perceive(
             &local,
             &rx_est,
-            &[packet],
+            vec![packet.decode()],
             &origin(),
             PerceiveCtx::default(),
         );
@@ -609,7 +595,13 @@ mod tests {
         let cloud = PointCloud::new();
         let p1 = ExchangePacket::build(1, 0, &cloud, est).unwrap();
         let p2 = ExchangePacket::build(2, 0, &cloud, est).unwrap();
-        let outcome = pipeline.perceive(&cloud, &est, &[p1, p2], &origin(), PerceiveCtx::default());
+        let outcome = pipeline.perceive(
+            &cloud,
+            &est,
+            vec![p1.decode(), p2.decode()],
+            &origin(),
+            PerceiveCtx::default(),
+        );
         assert_eq!(outcome.packets_fused, 2);
         assert!(outcome.detections.is_empty());
         assert!(outcome.drops.is_empty());
@@ -630,7 +622,7 @@ mod tests {
         let outcome = pipeline.perceive(
             &cloud,
             &est,
-            &[good, bad],
+            vec![good.decode(), bad.decode()],
             &origin(),
             PerceiveCtx::default(),
         );
@@ -656,8 +648,13 @@ mod tests {
 
         // Clean pose: fused, recorded as accepted.
         let good = ExchangePacket::build(2, 0, &remote, tx_est).unwrap();
-        let outcome =
-            pipeline.perceive(&local, &rx_est, &[good], &origin(), PerceiveCtx::default());
+        let outcome = pipeline.perceive(
+            &local,
+            &rx_est,
+            vec![good.decode()],
+            &origin(),
+            PerceiveCtx::default(),
+        );
         assert_eq!(outcome.packets_fused, 1);
         assert_eq!(outcome.alignment.len(), 1);
         assert!(outcome.alignment[0].decision.is_accepted());
@@ -667,7 +664,13 @@ mod tests {
         let mut bad_est = tx_est;
         bad_est.gps = bad_est.gps.offset_by(Vec3::new(40.0, -25.0, 0.0));
         let bad = ExchangePacket::build(2, 1, &remote, bad_est).unwrap();
-        let outcome = pipeline.perceive(&local, &rx_est, &[bad], &origin(), PerceiveCtx::default());
+        let outcome = pipeline.perceive(
+            &local,
+            &rx_est,
+            vec![bad.decode()],
+            &origin(),
+            PerceiveCtx::default(),
+        );
         assert_eq!(outcome.packets_fused, 0);
         assert_eq!(outcome.fused_cloud.len(), local.len());
         assert_eq!(outcome.drops.len(), 1);
@@ -684,7 +687,13 @@ mod tests {
         let est = PoseEstimate::from_pose(&pose, &origin());
         let cloud = PointCloud::new();
         let p1 = ExchangePacket::build(1, 0, &cloud, est).unwrap();
-        let outcome = pipeline.perceive(&cloud, &est, &[p1], &origin(), PerceiveCtx::default());
+        let outcome = pipeline.perceive(
+            &cloud,
+            &est,
+            vec![p1.decode()],
+            &origin(),
+            PerceiveCtx::default(),
+        );
         assert!(outcome.alignment.is_empty());
     }
 
@@ -704,11 +713,14 @@ mod tests {
         let frame = pipeline.detector().featurize(&remote).to_feature_frame();
         assert!(!frame.is_empty());
         let packet = ExchangePacket::build_features(2, 0, &frame, tx_est).unwrap();
-        assert_eq!(packet.frame_info().unwrap().kind, FrameKind::Features);
+        assert_eq!(
+            packet.frame_info().unwrap().kind,
+            cooper_pointcloud::FrameKind::Features
+        );
         let outcome = pipeline.perceive(
             &local,
             &rx_est,
-            &[packet],
+            vec![packet.decode()],
             &origin(),
             PerceiveCtx::default(),
         );
@@ -736,7 +748,7 @@ mod tests {
         let outcome = pipeline.perceive(
             &cloud,
             &est,
-            &[good, bad],
+            vec![good.decode(), bad.decode()],
             &origin(),
             PerceiveCtx::default(),
         );
@@ -767,7 +779,7 @@ mod tests {
             let cached = pipeline.perceive(
                 &local,
                 &rx_est,
-                std::slice::from_ref(&packet),
+                vec![packet.decode()],
                 &origin(),
                 PerceiveCtx {
                     scratch: Some(&mut scratch),
@@ -778,7 +790,7 @@ mod tests {
             let plain = pipeline.perceive(
                 &local,
                 &rx_est,
-                &[packet],
+                vec![packet.decode()],
                 &origin(),
                 PerceiveCtx::default(),
             );
@@ -816,7 +828,7 @@ mod tests {
         let cached = pipeline.perceive(
             &local,
             &rx_est,
-            std::slice::from_ref(&packet),
+            vec![packet.decode()],
             &origin(),
             PerceiveCtx {
                 cache: Some(&cache),
@@ -826,7 +838,7 @@ mod tests {
         let plain = pipeline.perceive(
             &local,
             &rx_est,
-            &[packet],
+            vec![packet.decode()],
             &origin(),
             PerceiveCtx::default(),
         );
@@ -855,7 +867,7 @@ mod tests {
         };
         let _ = pipeline.perceive_single(&cloud, cached());
         assert!(warm(&cache.single) && !warm(&cache.cooperative));
-        let _ = pipeline.perceive(&cloud, &est, &[packet], &origin(), cached());
+        let _ = pipeline.perceive(&cloud, &est, vec![packet.decode()], &origin(), cached());
         assert!(warm(&cache.cooperative));
     }
 
@@ -874,8 +886,9 @@ mod tests {
             ego_bev: Some(&bev),
             ..PerceiveCtx::default()
         };
-        let reused = pipeline.perceive(local, rx_est, inbox, &origin(), ctx);
-        let plain = pipeline.perceive(local, rx_est, inbox, &origin(), PerceiveCtx::default());
+        let decoded = || inbox.iter().map(ExchangePacket::decode).collect();
+        let reused = pipeline.perceive(local, rx_est, decoded(), &origin(), ctx);
+        let plain = pipeline.perceive(local, rx_est, decoded(), &origin(), PerceiveCtx::default());
         assert_eq!(format!("{reused:?}"), format!("{plain:?}"));
         reused
     }

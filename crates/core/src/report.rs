@@ -242,7 +242,7 @@ pub fn evaluate_pair(
     let coop = pipeline.perceive(
         &scan_a,
         &est_a,
-        &[packet],
+        vec![packet.decode()],
         &GPS_ANCHOR,
         PerceiveCtx::default(),
     );

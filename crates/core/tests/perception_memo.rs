@@ -65,17 +65,20 @@ fn each_perceive_stream_serves_its_own_repeats() {
                 pipeline.perceive_single(scan, ctx),
                 pipeline.perceive_single(scan, PerceiveCtx::default()),
             ),
-            Some(packet) => {
-                let inbox = std::slice::from_ref(packet);
-                (
-                    pipeline
-                        .perceive(scan, &rx_est, inbox, &origin, ctx)
-                        .detections,
-                    pipeline
-                        .perceive(scan, &rx_est, inbox, &origin, PerceiveCtx::default())
-                        .detections,
-                )
-            }
+            Some(packet) => (
+                pipeline
+                    .perceive(scan, &rx_est, vec![packet.decode()], &origin, ctx)
+                    .detections,
+                pipeline
+                    .perceive(
+                        scan,
+                        &rx_est,
+                        vec![packet.decode()],
+                        &origin,
+                        PerceiveCtx::default(),
+                    )
+                    .detections,
+            ),
         };
         assert_eq!(hits() - before, expected_hits, "{what}: memo hit count");
         assert!(!want.is_empty(), "{what}: the scene must yield detections");

@@ -48,11 +48,6 @@ impl Mat3 {
         Mat3 { m }
     }
 
-    /// Creates a matrix from three column vectors.
-    pub fn from_columns(c0: Vec3, c1: Vec3, c2: Vec3) -> Self {
-        Mat3::from_rows([[c0.x, c1.x, c2.x], [c0.y, c1.y, c2.y], [c0.z, c1.z, c2.z]])
-    }
-
     /// Basic rotation about the z-axis by `alpha` radians (yaw).
     ///
     /// This is the paper's `Rz(α)`.
@@ -344,8 +339,6 @@ mod tests {
         let m = Mat3::from_rows([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]);
         assert_eq!(m.row(1), Vec3::new(4.0, 5.0, 6.0));
         assert_eq!(m.column(2), Vec3::new(3.0, 6.0, 9.0));
-        let from_cols = Mat3::from_columns(m.column(0), m.column(1), m.column(2));
-        assert_eq!(from_cols, m);
     }
 
     #[test]

@@ -218,12 +218,6 @@ impl RigidTransform {
         self.rotation * p + self.translation
     }
 
-    /// Rotates a direction vector (ignores the translation).
-    #[inline]
-    pub fn apply_direction(&self, d: Vec3) -> Vec3 {
-        self.rotation * d
-    }
-
     /// The inverse transform.
     pub fn inverse(&self) -> RigidTransform {
         let r_inv = self.rotation.transpose();

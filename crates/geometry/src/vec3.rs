@@ -92,12 +92,6 @@ impl Vec3 {
         self.dot(self).sqrt()
     }
 
-    /// Squared Euclidean norm (avoids the square root).
-    #[inline]
-    pub fn norm_squared(self) -> f64 {
-        self.dot(self)
-    }
-
     /// Distance to another point.
     #[inline]
     pub fn distance(self, other: Vec3) -> f64 {
@@ -141,12 +135,6 @@ impl Vec3 {
             self.y.max(other.y),
             self.z.max(other.z),
         )
-    }
-
-    /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
-    #[inline]
-    pub fn lerp(self, other: Vec3, t: f64) -> Vec3 {
-        self + (other - self) * t
     }
 
     /// Horizontal range from the origin (distance in the `xy` plane).
@@ -337,7 +325,6 @@ mod tests {
     fn norms_and_distances() {
         let v = Vec3::new(3.0, 4.0, 0.0);
         assert_eq!(v.norm(), 5.0);
-        assert_eq!(v.norm_squared(), 25.0);
         assert_eq!(v.distance(Vec3::ZERO), 5.0);
         assert_eq!(Vec3::new(3.0, 4.0, 7.0).distance_xy(Vec3::ZERO), 5.0);
     }
@@ -359,14 +346,11 @@ mod tests {
     }
 
     #[test]
-    fn min_max_lerp() {
+    fn min_max() {
         let a = Vec3::new(1.0, 5.0, -2.0);
         let b = Vec3::new(3.0, 2.0, 0.0);
         assert_eq!(a.min(b), Vec3::new(1.0, 2.0, -2.0));
         assert_eq!(a.max(b), Vec3::new(3.0, 5.0, 0.0));
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(2.0, 3.5, -1.0));
     }
 
     #[test]

@@ -77,11 +77,6 @@ impl PointCloud {
         self.points.iter()
     }
 
-    /// Consumes the cloud, returning the underlying vector.
-    pub fn into_inner(self) -> Vec<Point> {
-        self.points
-    }
-
     /// Applies a rigid transform to every point in place (Equation 3).
     pub fn transform(&mut self, t: &RigidTransform) {
         for p in &mut self.points {
@@ -334,8 +329,6 @@ mod tests {
         assert_eq!(c.len(), 2);
         let total: usize = (&c).into_iter().count();
         assert_eq!(total, 2);
-        let v = c.into_inner();
-        assert_eq!(v.len(), 2);
     }
 
     #[test]

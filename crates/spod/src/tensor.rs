@@ -166,21 +166,6 @@ impl SparseTensor3 {
     pub fn feature_slice(&self) -> &[f32] {
         &self.features
     }
-
-    /// Applies ReLU in place.
-    pub fn relu(&mut self) {
-        for v in self.features.iter_mut() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
-    }
-
-    /// The maximum absolute feature value (0 when empty) — useful for
-    /// numeric sanity checks.
-    pub fn max_abs(&self) -> f32 {
-        self.features.iter().fold(0.0f32, |acc, v| acc.max(v.abs()))
-    }
 }
 
 impl fmt::Display for SparseTensor3 {
@@ -241,23 +226,6 @@ mod tests {
     fn from_unsorted_parts_panics() {
         let coords = vec![VoxelCoord::new(1, 0, 0), VoxelCoord::new(0, 0, 0)];
         let _ = SparseTensor3::from_sorted_parts(1, coords, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn relu_clamps_negatives() {
-        let mut t = SparseTensor3::new(3);
-        t.set(VoxelCoord::new(1, 1, 1), vec![-1.0, 0.5, -0.25]);
-        t.relu();
-        assert_eq!(t.get(VoxelCoord::new(1, 1, 1)), Some(&[0.0, 0.5, 0.0][..]));
-    }
-
-    #[test]
-    fn max_abs_over_sites() {
-        let mut t = SparseTensor3::new(2);
-        assert_eq!(t.max_abs(), 0.0);
-        t.set(VoxelCoord::new(0, 0, 0), vec![-5.0, 1.0]);
-        t.set(VoxelCoord::new(1, 0, 0), vec![2.0, 3.0]);
-        assert_eq!(t.max_abs(), 5.0);
     }
 
     #[test]

@@ -165,7 +165,7 @@ pub const SPAN_PACKET_ENCODE: &str = "packet.encode";
 pub const SPAN_PACKET_DECODE: &str = "packet.decode";
 /// Prefix-salvage decode of a truncated packet.
 pub const SPAN_PACKET_DECODE_PARTIAL: &str = "packet.decode_partial";
-/// Payload (point cloud) decode inside fusion.
+/// Payload decode (point cloud or feature frame) of one received packet.
 pub const SPAN_PACKET_PAYLOAD_DECODE: &str = "packet.payload_decode";
 /// SPOD feature extraction (preprocess through BEV).
 pub const SPAN_SPOD_FEATURIZE: &str = "spod.featurize";

@@ -43,7 +43,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let est_a = PoseEstimate::from_pose(&scene.observers[ia], &origin);
         let est_b = PoseEstimate::from_pose(&scene.observers[ib], &origin);
         let packet = ExchangePacket::build(1, 0, &scan_b, est_b)?;
-        let result = pipeline.perceive(&scan_a, &est_a, &[packet], &origin, PerceiveCtx::default());
+        let result = pipeline.perceive(
+            &scan_a,
+            &est_a,
+            vec![packet.decode()],
+            &origin,
+            PerceiveCtx::default(),
+        );
         let world_to_a = RigidTransform::from_pose(&scene.observers[ia]).inverse();
         let gt: Vec<_> = scene
             .ground_truth_cars()

@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let result = pipeline.perceive(
         &local_scan,
         &local_pose,
-        &[packet],
+        vec![packet.decode()],
         &origin,
         PerceiveCtx::default(),
     );

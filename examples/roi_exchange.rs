@@ -63,12 +63,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Receive side: reassemble, decode, fuse, detect. The receiver's
     // own view stays fixed while its inbox varies below.
-    let perceive = |inbox: &[ExchangePacket]| {
+    let perceive = |packet: &ExchangePacket| {
+        let inbox = vec![packet.decode()];
         pipeline.perceive(&local_scan, &est_rx, inbox, &origin, PerceiveCtx::default())
     };
     let received = reassemble(&fragments)?;
     let packet = ExchangePacket::from_bytes(&received)?;
-    let result = perceive(&[packet]);
+    let result = perceive(&packet);
     let single = pipeline.perceive_single(&local_scan, PerceiveCtx::default());
     println!(
         "detections: {} single-shot -> {} cooperative",
@@ -84,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let survivors = &fragments[..fragments.len() - fragments.len() * 2 / 5];
     let salvaged = salvage_prefix(survivors)?;
     let (partial, delivered_fraction) = ExchangePacket::from_partial_bytes(&salvaged.bytes)?;
-    let degraded = perceive(&[partial]);
+    let degraded = perceive(&partial);
     println!(
         "burst loss: {}/{} fragments delivered, {:.0}% of points salvaged, {} detections",
         salvaged.fragments_used,
@@ -106,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let demanded = demand_roi(&blind);
     let packet = ExchangePacket::build(tx as u32, 1, &extract_roi(&remote_scan, demanded), est_tx)?;
     let demand_bytes = packet.wire_size();
-    let result = perceive(&[packet]);
+    let result = perceive(&packet);
     println!(
         "demand-driven exchange: {} blind sectors -> {demanded}, {demand_bytes} bytes, {} detections",
         blind.len(),

@@ -15,17 +15,36 @@ fn bench_check(history: &std::path::Path) -> std::process::Output {
         .expect("bench_check runs")
 }
 
-fn temp_ledger(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cooper-bench-ledger-{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir.join(HISTORY_FILE)
+/// A ledger path in a directory of its own, named from the process id
+/// and a tag so that neither another test nor a concurrent run of the
+/// suite shares it; the directory is removed when the guard drops.
+struct TempLedger {
+    dir: PathBuf,
+    path: PathBuf,
+}
+
+impl TempLedger {
+    fn new(tag: &str) -> Self {
+        let name = format!("cooper-bench-ledger-{}-{tag}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join(HISTORY_FILE);
+        TempLedger { dir, path }
+    }
+}
+
+impl Drop for TempLedger {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
 }
 
 #[test]
 fn bench_check_gates_on_injected_regression() {
     // A healthy two-run history across all three --check benches: small
     // in-tolerance movement, noisy-but-informational timings.
-    let path = temp_ledger("healthy");
+    let ledger = TempLedger::new("healthy");
+    let path = &ledger.path;
     for record in [
         BenchRecord::new(
             "bandwidth_sweep",
@@ -52,9 +71,9 @@ fn bench_check_gates_on_injected_regression() {
             &[("deterministic", 1.0), ("total_4t_us", 7_000_000.0)],
         ),
     ] {
-        append(&path, &record).expect("append");
+        append(path, &record).expect("append");
     }
-    let out = bench_check(&path);
+    let out = bench_check(path);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
@@ -65,14 +84,14 @@ fn bench_check_gates_on_injected_regression() {
 
     // Inject a regression: the guard's recall collapses past tolerance.
     append(
-        &path,
+        path,
         &BenchRecord::new(
             "fault_sweep",
             &[("guard_on_recall", 0.60), ("guard_off_recall", 0.35)],
         ),
     )
     .expect("append");
-    let out = bench_check(&path);
+    let out = bench_check(path);
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -85,24 +104,24 @@ fn bench_check_gates_on_injected_regression() {
 
 #[test]
 fn bench_check_rejects_missing_empty_and_corrupt_ledgers() {
-    let missing = temp_ledger("missing");
-    let out = bench_check(&missing);
+    let missing = TempLedger::new("missing");
+    let out = bench_check(&missing.path);
     assert!(!out.status.success(), "missing ledger must fail");
 
-    let empty = temp_ledger("empty");
-    std::fs::create_dir_all(empty.parent().expect("has parent")).expect("mkdir");
-    std::fs::write(&empty, "\n\n").expect("write");
-    let out = bench_check(&empty);
+    let empty = TempLedger::new("empty");
+    std::fs::create_dir_all(&empty.dir).expect("mkdir");
+    std::fs::write(&empty.path, "\n\n").expect("write");
+    let out = bench_check(&empty.path);
     assert!(!out.status.success(), "empty ledger must fail");
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("no records"),
         "diagnostic names the problem"
     );
 
-    let corrupt = temp_ledger("corrupt");
-    std::fs::create_dir_all(corrupt.parent().expect("has parent")).expect("mkdir");
-    std::fs::write(&corrupt, "{\"kind\":\"a\",\"m\":1.0}\nnot json\n").expect("write");
-    let out = bench_check(&corrupt);
+    let corrupt = TempLedger::new("corrupt");
+    std::fs::create_dir_all(&corrupt.dir).expect("mkdir");
+    std::fs::write(&corrupt.path, "{\"kind\":\"a\",\"m\":1.0}\nnot json\n").expect("write");
+    let out = bench_check(&corrupt.path);
     assert!(!out.status.success(), "corrupt ledger must fail");
 }
 
@@ -120,12 +139,13 @@ fn bench_check_fails_closed_on_null_and_missing_floored_metrics() {
             format!("{{\"kind\":\"chaos_sweep\",{floors}}}\n"),
         ),
     ] {
-        let path = temp_ledger(tag);
-        std::fs::create_dir_all(path.parent().expect("has parent")).expect("mkdir");
-        std::fs::write(&path, format!("{healthy}{healthy}")).expect("write");
-        assert!(bench_check(&path).status.success(), "{tag}: healthy passes");
-        std::fs::write(&path, format!("{healthy}{latest}")).expect("write");
-        let out = bench_check(&path);
+        let ledger = TempLedger::new(tag);
+        let path = &ledger.path;
+        std::fs::create_dir_all(&ledger.dir).expect("mkdir");
+        std::fs::write(path, format!("{healthy}{healthy}")).expect("write");
+        assert!(bench_check(path).status.success(), "{tag}: healthy passes");
+        std::fs::write(path, format!("{healthy}{latest}")).expect("write");
+        let out = bench_check(path);
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(!out.status.success(), "{tag}: must fail: {stdout}");
         assert!(stdout.contains("ghost_rejection_rate"), "{stdout}");

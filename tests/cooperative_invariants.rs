@@ -29,7 +29,8 @@ fn fusion_point_count_is_additive() {
     let packets: Vec<ExchangePacket> = (0..3)
         .map(|i| ExchangePacket::build(i, 0, &remote, est).expect("encodes"))
         .collect();
-    let outcome = pipeline.perceive(&local, &est, &packets, &origin(), PerceiveCtx::default());
+    let decoded = packets.iter().map(ExchangePacket::decode).collect();
+    let outcome = pipeline.perceive(&local, &est, decoded, &origin(), PerceiveCtx::default());
     assert!(outcome.drops.is_empty());
     assert_eq!(outcome.packets_fused, 3);
     assert_eq!(outcome.fused_cloud.len(), 100 + 3 * 50);
@@ -144,7 +145,8 @@ fn pipeline_accepts_many_transmitters() {
         let est = PoseEstimate::from_pose(pose, &origin());
         packets.push(ExchangePacket::build(i as u32, 0, &scan, est).expect("encodes"));
     }
-    let result = pipeline.perceive(&local, &est_rx, &packets, &origin(), PerceiveCtx::default());
+    let decoded = packets.iter().map(ExchangePacket::decode).collect();
+    let result = pipeline.perceive(&local, &est_rx, decoded, &origin(), PerceiveCtx::default());
     assert_eq!(result.packets_fused, packets.len());
     assert_eq!(result.fused_cloud.len(), expected);
 }

@@ -52,7 +52,13 @@ fn demand_driven_roi_recovers_occluded_objects_cheaply() {
     // Fusing only the demanded region still beats the single shot.
     let pipeline = CooperPipeline::new(SpodDetector::train_default(&TrainingConfig::fast()));
     let single = pipeline.perceive_single(&local, PerceiveCtx::default());
-    let result = pipeline.perceive(&local, &est_rx, &[packet], &origin, PerceiveCtx::default());
+    let result = pipeline.perceive(
+        &local,
+        &est_rx,
+        vec![packet.decode()],
+        &origin,
+        PerceiveCtx::default(),
+    );
     assert!(
         result.detections.len() >= single.len(),
         "demand-driven fusion lost detections: {} vs {}",

@@ -39,7 +39,7 @@ fn packet_survives_serialization_across_the_pipeline() {
     let result = pipeline().perceive(
         &local,
         &est_rx,
-        &[parsed],
+        vec![parsed.decode()],
         &origin(),
         PerceiveCtx::default(),
     );
@@ -162,7 +162,7 @@ fn fused_cloud_detection_equals_direct_detection() {
     let result = pipeline().perceive(
         &local,
         &est_rx,
-        &[packet],
+        vec![packet.decode()],
         &origin(),
         PerceiveCtx::default(),
     );

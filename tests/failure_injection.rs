@@ -107,7 +107,7 @@ fn lossy_receiver_drops_bad_packets_and_continues() {
     let outcome = pipeline.perceive(
         &local,
         &est,
-        &[good.clone(), bad],
+        vec![good.decode(), bad.decode()],
         &origin(),
         PerceiveCtx::default(),
     );
@@ -155,7 +155,7 @@ fn double_drift_skew_degrades_but_does_not_crash() {
     let result = pipeline.perceive(
         &local,
         &est_rx,
-        &[packet],
+        vec![packet.decode()],
         &origin(),
         PerceiveCtx::default(),
     );
@@ -182,7 +182,7 @@ fn grossly_wrong_pose_still_fails_safe() {
     let result = pipeline.perceive(
         &cloud,
         &est_rx,
-        &[packet],
+        vec![packet.decode()],
         &origin(),
         PerceiveCtx::default(),
     );
@@ -210,7 +210,7 @@ fn guard_rejects_extreme_pose_error_and_falls_back_to_ego_only() {
     let coop = guarded.perceive(
         &local,
         &est_rx,
-        &[packet],
+        vec![packet.decode()],
         &origin(),
         PerceiveCtx::default(),
     );
@@ -225,7 +225,13 @@ fn guard_rejects_extreme_pose_error_and_falls_back_to_ego_only() {
         coop.drops[0].error
     );
 
-    let ego = guarded.perceive(&local, &est_rx, &[], &origin(), PerceiveCtx::default());
+    let ego = guarded.perceive(
+        &local,
+        &est_rx,
+        Vec::new(),
+        &origin(),
+        PerceiveCtx::default(),
+    );
     assert_eq!(coop.fused_cloud.len(), local.len());
     assert_eq!(coop.detections, ego.detections);
 }

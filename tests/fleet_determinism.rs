@@ -473,6 +473,83 @@ fn feature_frames_over_bursty_arq_are_thread_count_invariant() {
 }
 
 #[test]
+fn delta_streams_over_bursty_arq_are_thread_count_invariant() {
+    // The in-process counterpart of the `simulate_crossed` golden: delta
+    // frames without the feature tier, over a Gilbert–Elliott medium with
+    // ARQ, to guarded, tracked receivers behind the trust layer. Each
+    // receiver advances its per-sender delta decoders inside its own
+    // parallel perceive task, so keyframes, deltas and salvaged v2
+    // prefixes must reconstruct the same clouds at any thread count.
+    use cooper_core::fleet::TrustGuardConfig;
+    let p = pipeline()
+        .with_alignment_guard(AlignmentGuardConfig::default())
+        .with_tracker(TrackerConfig::default());
+    let plan = FaultPlan::parse("1:replay@1,2:ghost:3@1,3:drift:0.5@0").expect("valid plan");
+    let governor = GovernorConfig {
+        delta_encode: true,
+        keyframe_every: 2,
+        ..GovernorConfig::default()
+    };
+    let run = |threads: Option<usize>| {
+        let scene = scenario::tj_scenario_1();
+        let vehicles: Vec<FleetVehicle> = scene
+            .observers
+            .iter()
+            .enumerate()
+            .map(|(i, pose)| FleetVehicle {
+                id: i as u32 + 1,
+                trajectory: straight_trajectory(*pose, 1.0, 4),
+                beams: scene.kind.beam_model(),
+            })
+            .collect();
+        let config = FleetConfig {
+            seed: 1,
+            threads,
+            fault_plan: Some(plan.clone()),
+            trust: Some(TrustGuardConfig::default()),
+            ..FleetConfig::default()
+        };
+        let sim = FleetSimulation::new(scene.world.clone(), vehicles, config);
+        let mut medium = SharedMedium::new(DsrcChannel::new(DsrcConfig {
+            loss_model: LossModel::GilbertElliott(GilbertElliott::from_loss_rate(0.1)),
+            ..DsrcConfig::default()
+        }))
+        .with_seed(1)
+        .with_arq(ArqConfig { max_retries: 2 });
+        let mut policy = KindLog {
+            governor: BandwidthGovernor::new(RoiCategory::FullFrame),
+            sent: BTreeMap::new(),
+        };
+        let outcome = sim.run_governed(&p, 4, &mut medium, &mut policy, &governor);
+        (outcome, policy.sent)
+    };
+    let (serial, sent) = run(Some(1));
+    for threads in [2usize, 4] {
+        let (parallel, parallel_sent) = run(Some(threads));
+        assert_reports_identical(&serial, &parallel);
+        assert_eq!(sent, parallel_sent);
+    }
+    assert!(
+        sent.values().any(|&kind| kind == FrameKind::Delta),
+        "no delta frame was sent"
+    );
+    // With delta encoding on, every point frame goes out as v2.
+    let salvaged_v2 = serial
+        .0
+        .iter()
+        .flat_map(|r| r.transport_drops.iter().map(move |d| (r.step, d)))
+        .filter(|(step, d)| {
+            matches!(d.reason, TransportDropReason::PartialDelivery { .. })
+                && matches!(
+                    sent.get(&(*step, d.from, d.to)),
+                    Some(FrameKind::Keyframe | FrameKind::Delta)
+                )
+        })
+        .count();
+    assert!(salvaged_v2 > 0, "no v2 prefix was salvaged");
+}
+
+#[test]
 fn closure_channels_see_the_documented_transfer_order() {
     let p = pipeline();
     let mut seen: Vec<(usize, u32, u32)> = Vec::new();

@@ -39,21 +39,28 @@ fn perceive_emits_expected_span_tree() {
     cooper_telemetry::reset();
     cooper_telemetry::enable();
     let received = ExchangePacket::from_bytes(&wire).expect("decodes");
-    let result = pipeline.perceive(&local, &est, &[received], &origin(), PerceiveCtx::default());
+    let result = pipeline.perceive(
+        &local,
+        &est,
+        vec![received.decode()],
+        &origin(),
+        PerceiveCtx::default(),
+    );
     cooper_telemetry::disable();
     let snapshot = cooper_telemetry::snapshot();
     cooper_telemetry::reset();
 
     assert_eq!(result.packets_fused, 1);
 
-    // The span tree: decode at the root (it happened before the
-    // pipeline call), then the cooperative span with fusion and
-    // detection nested beneath it, and the SPOD stages beneath those.
+    // The span tree: the packet and payload decodes at the root (both
+    // happened before the pipeline call), then the cooperative span
+    // with fusion and detection nested beneath it, and the SPOD stages
+    // beneath those.
     for path in [
         "packet.decode",
+        "packet.payload_decode",
         "pipeline.perceive",
         "pipeline.perceive/pipeline.fuse",
-        "pipeline.perceive/pipeline.fuse/packet.payload_decode",
         "pipeline.perceive/pipeline.perceive_single",
         "pipeline.perceive/pipeline.perceive_single/spod.featurize",
         "pipeline.perceive/pipeline.perceive_single/spod.featurize/spod.preprocess",
