@@ -17,7 +17,8 @@
 //! Every command accepts `--telemetry`, which enables the global
 //! [`cooper_telemetry`] registry for the run and prints the snapshot
 //! table (spans, counters, gauges, value histograms) afterwards, and
-//! `--help`. A flag its command does not read is a usage error.
+//! `--help`. A flag its command does not read, or that its run would
+//! ignore, is a usage error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -141,7 +142,6 @@ const COMMAND_FLAGS: &[(&str, &[&str], &[&str])] = &[
             "--align-guard",
             "--trust-guard",
             "--tracker",
-            "--incremental",
         ],
     ),
     (
@@ -224,16 +224,17 @@ USAGE:
                    [--features] [--fusion max|adaptive]
                    [--fault-plan SPEC] [--align-guard] [--icp-iters N]
                    [--corruption P] [--trust-guard]
-                   [--tracker] [--incremental]
+                   [--tracker]
   cooper profile   --scenario NAME [--vehicles N] [--steps N] [--threads N] [--seed N]
                    [--trace-out trace.json]
   cooper convert   --input a.xyz|a.ply|a.pcd --out b.xyz|b.ply|b.pcd
   cooper scenarios
 
 Any command accepts --telemetry to print a span/metric snapshot table
-after the run, and --help; any flag a command does not read is a
-usage error. `simulate --threads N` sets the worker-pool size for the
-parallel fleet phases; its stdout is bit-identical at every N.
+after the run, and --help; any flag a command does not read, or that
+its run would ignore, is a usage error. `simulate --threads N` sets
+the worker-pool size for the parallel fleet phases; its stdout is
+bit-identical at every N.
 `simulate --channel` picks the fleet's transport model: perfect
 (default, every in-range packet arrives), iid (independent per-frame
 loss with probability --loss) or gilbert-elliott (two-state burst loss
@@ -255,11 +256,7 @@ confidence-weighted with --fusion adaptive.
 with a track-level temporal filter (nearest-neighbour association,
 confirm-after-2-hits, coast-through-misses): per-vehicle confirmed and
 coasting track counts join the step lines and a per-vehicle tracker
-summary is printed after the run. --incremental keeps a per-vehicle
-detection memo across steps: a scan or fused cloud that repeats bit for
-bit reuses the last step's detections instead of running SPOD again,
-and any other input is detected from scratch; the printed reports are
-bit-identical either way.
+summary is printed after the run.
 --fault-plan injects faults into the fleet's broadcasts; the spec is
 comma-separated VEHICLE:KIND[:PARAMS][@FROM[..UNTIL]] entries with pose
 kinds drift:SIGMA, bias:EAST:NORTH, yaw:RAD, freeze and stale:AGE, plus
@@ -622,9 +619,12 @@ fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
             Ok(())
         }
         "detect" => {
+            let threshold: f32 = get_parse(&parsed.options, "--threshold", 0.5)?;
+            if !(0.0..=1.0).contains(&threshold) {
+                return Err(CliError::usage("--threshold must be in [0, 1]"));
+            }
             let cloud = read_cloud(require(&parsed.options, "--input")?)?;
             let detector = load_or_train_detector(&parsed.options)?;
-            let threshold: f32 = get_parse(&parsed.options, "--threshold", 0.5)?;
             let options = DetectOptions::default().with_threshold(threshold);
             let detections = detector.detect_with(&cloud, &options, &mut DetectScratch::new());
             println!("{} detections on {} points:", detections.len(), cloud.len());
@@ -671,6 +671,9 @@ fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
         "simulate" => {
             let scene = scenario_by_name(require(&parsed.options, "--scenario")?)?;
             let seconds: usize = get_parse(&parsed.options, "--seconds", 3)?;
+            if seconds == 0 {
+                return Err(CliError::usage("--seconds must be at least 1"));
+            }
             let seed: u64 = get_parse(&parsed.options, "--seed", 1)?;
             let threads = parsed
                 .options
@@ -719,11 +722,21 @@ fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
                     )))
                 }
             };
+            for flag in ["--loss", "--arq-retries", "--corruption"] {
+                if fleet_loss_model.is_none() && parsed.options.contains_key(flag) {
+                    return Err(CliError::usage(format!(
+                        "{flag} requires a lossy --channel (iid or gilbert-elliott)"
+                    )));
+                }
+            }
             // Governor flags: any one turns the governed exchange
             // path on.
             let delta_encode = parsed.options.contains_key("--delta-encode");
             let features = parsed.options.contains_key("--features");
             let keyframe_every: u32 = get_parse(&parsed.options, "--keyframe-every", 5)?;
+            if parsed.options.contains_key("--keyframe-every") && !delta_encode {
+                return Err(CliError::usage("--keyframe-every requires --delta-encode"));
+            }
             if keyframe_every == 0 {
                 return Err(CliError::usage("--keyframe-every must be at least 1"));
             }
@@ -767,16 +780,8 @@ fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
             if !(0.0..1.0).contains(&corruption) {
                 return Err(CliError::usage("--corruption must be in [0, 1)"));
             }
-            if corruption > 0.0 && fleet_loss_model.is_none() {
-                return Err(CliError::usage(
-                    "--corruption requires a lossy --channel (iid or gilbert-elliott)",
-                ));
-            }
             let trust_guard = parsed.options.contains_key("--trust-guard");
-            // Temporal flags: track-level fusion and incremental
-            // (memoized) perception.
             let tracker = parsed.options.contains_key("--tracker");
-            let incremental = parsed.options.contains_key("--incremental");
             let icp_iters: usize = get_parse(
                 &parsed.options,
                 "--icp-iters",
@@ -793,7 +798,7 @@ fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
             // DSRC feasibility: exchange the pair's frames at the
             // paper's 1 Hz over a shared medium.
             let mut rng = StdRng::seed_from_u64(seed);
-            let per_second: Vec<(PointCloud, PointCloud)> = (0..seconds.max(1))
+            let per_second: Vec<(PointCloud, PointCloud)> = (0..seconds)
                 .map(|_| (scan_rx.clone(), scan_tx.clone()))
                 .collect();
             let medium = SharedMedium::new(DsrcChannel::new(DsrcConfig::default()));
@@ -818,9 +823,6 @@ fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
             }
             if tracker {
                 pipeline = pipeline.with_tracker(TrackerConfig::default());
-            }
-            if incremental {
-                pipeline = pipeline.with_incremental();
             }
             let est_rx = PoseEstimate::from_pose(&scene.observers[rx], &GPS_ANCHOR);
             let est_tx = PoseEstimate::from_pose(&scene.observers[tx], &GPS_ANCHOR);
@@ -858,7 +860,7 @@ fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
                 .enumerate()
                 .map(|(i, pose)| FleetVehicle {
                     id: i as u32 + 1,
-                    trajectory: straight_trajectory(*pose, 1.0, seconds.max(1)),
+                    trajectory: straight_trajectory(*pose, 1.0, seconds),
                     beams: scene.kind.beam_model(),
                 })
                 .collect();
@@ -902,15 +904,9 @@ fn dispatch(parsed: &ParsedArgs) -> Result<(), CliError> {
                     features,
                     ..GovernorConfig::default()
                 };
-                sim.run_governed(
-                    &pipeline,
-                    seconds.max(1),
-                    channel.as_mut(),
-                    &mut policy,
-                    &governor,
-                )
+                sim.run_governed(&pipeline, seconds, channel.as_mut(), &mut policy, &governor)
             } else {
-                sim.run_with_channel(&pipeline, seconds.max(1), channel.as_mut())
+                sim.run_with_channel(&pipeline, seconds, channel.as_mut())
             };
             println!(
                 "fleet: {} vehicles × {} steps ({} channel)",
@@ -1162,6 +1158,9 @@ mod tests {
         // A value flag does not take the next flag as its value.
         let e = parse_args(&args(&["simulate", "--weights", "--tracker"])).unwrap_err();
         assert!(e.message.contains("--weights"), "{}", e.message);
+        // A removed flag is an unknown one.
+        let e = parse_args(&args(&["simulate", "--scenario", "tj1", "--incremental"])).unwrap_err();
+        assert!(e.message.contains("--incremental"), "{}", e.message);
         // --telemetry and --help are valid for every command, and
         // --scene is profile's alias for --scenario.
         for (command, _, _) in COMMAND_FLAGS {
@@ -1289,6 +1288,71 @@ mod tests {
         let e = run(&p).unwrap_err();
         assert!(e.usage);
         assert!(e.message.contains("--align-guard"));
+    }
+
+    /// Runs `simulate --scenario tj1` with `flags` and returns its
+    /// usage error.
+    fn simulate_usage_error(flags: &[&str]) -> CliError {
+        let argv: Vec<&str> = ["simulate", "--scenario", "tj1"]
+            .iter()
+            .chain(flags)
+            .copied()
+            .collect();
+        let e = run(&parse_args(&args(&argv)).unwrap()).unwrap_err();
+        assert!(e.usage, "{flags:?}: {}", e.message);
+        e
+    }
+
+    #[test]
+    fn loss_and_arq_retries_require_a_lossy_channel() {
+        // The perfect channel loses nothing, so it would ignore both.
+        for (flag, value) in [("--loss", "0.1"), ("--arq-retries", "2")] {
+            for channel in [&[][..], &["--channel", "perfect"]] {
+                let flags: Vec<&str> = channel.iter().copied().chain([flag, value]).collect();
+                let e = simulate_usage_error(&flags);
+                assert!(e.message.contains(flag), "{}", e.message);
+                assert!(e.message.contains("--channel"), "{}", e.message);
+            }
+        }
+    }
+
+    #[test]
+    fn corruption_requires_a_lossy_channel() {
+        let e = simulate_usage_error(&["--corruption", "0.01"]);
+        assert!(e.message.contains("--corruption"), "{}", e.message);
+        assert!(e.message.contains("--channel"), "{}", e.message);
+    }
+
+    #[test]
+    fn keyframe_every_requires_delta_encode() {
+        // Features alone run the governed exchange, but send no deltas.
+        let e = simulate_usage_error(&["--features", "--keyframe-every", "2"]);
+        assert!(e.message.contains("--delta-encode"), "{}", e.message);
+    }
+
+    #[test]
+    fn simulate_rejects_zero_seconds() {
+        let e = simulate_usage_error(&["--seconds", "0"]);
+        assert!(e.message.contains("--seconds"), "{}", e.message);
+    }
+
+    #[test]
+    fn detect_threshold_must_be_a_probability() {
+        // Checked before the input is read: the missing file would
+        // otherwise be a runtime error.
+        for threshold in ["NaN", "-1", "1.5", "inf"] {
+            let e = run(&parse_args(&args(&[
+                "detect",
+                "--input",
+                "/definitely/not/here.xyz",
+                "--threshold",
+                threshold,
+            ]))
+            .unwrap())
+            .unwrap_err();
+            assert!(e.usage, "{threshold}: {}", e.message);
+            assert!(e.message.contains("--threshold"), "{}", e.message);
+        }
     }
 
     #[test]
@@ -1523,8 +1587,8 @@ mod tests {
 
     #[test]
     fn simulate_runs_temporal_flags() {
-        // Tracker + incremental perception over the governed delta
-        // exchange: the full temporal composition must run end to end.
+        // The tracker over the governed delta exchange must run end to
+        // end, and alone.
         run(&parse_args(&args(&[
             "simulate",
             "--scenario",
@@ -1533,11 +1597,9 @@ mod tests {
             "2",
             "--delta-encode",
             "--tracker",
-            "--incremental",
         ]))
         .unwrap())
         .unwrap();
-        // Each flag also works alone.
         run(&parse_args(&args(&[
             "simulate",
             "--scenario",
@@ -1545,16 +1607,6 @@ mod tests {
             "--seconds",
             "1",
             "--tracker",
-        ]))
-        .unwrap())
-        .unwrap();
-        run(&parse_args(&args(&[
-            "simulate",
-            "--scenario",
-            "tj1",
-            "--seconds",
-            "1",
-            "--incremental",
         ]))
         .unwrap())
         .unwrap();

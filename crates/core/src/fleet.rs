@@ -20,7 +20,7 @@
 //!
 //! Each step runs as four phases with barriers between them, over one
 //! state per vehicle that persists across steps (sender codec and
-//! replay capture, receiver decoders, detection memo, tracker):
+//! replay capture, receiver decoders, tracker):
 //!
 //! 1. **Scan/prepare (parallel)** — per vehicle: LiDAR scan, pose
 //!    measurement, blind sectors, sender codec state and replay
@@ -82,7 +82,7 @@ use crate::tracking::{Tracker, TrackerStepSummary};
 use crate::trust::{TrustConfig, TrustLedger, TrustTransition, TrustVehicleStats};
 use crate::{
     alignment_transform, CooperError, CooperPipeline, DecodedPacket, Detection, ExchangePacket,
-    GuardDecision, Payload, PerceiveCtx, PerceptionCache, TransferOffer, GPS_ANCHOR,
+    GuardDecision, Payload, PerceiveCtx, TransferOffer, GPS_ANCHOR,
 };
 
 /// One vehicle in the fleet: an id, a pose trajectory (one pose per
@@ -625,10 +625,6 @@ struct VehicleState {
     /// vehicle's own cooperative phase-3 task, which advances it in
     /// sender order.
     decoders: Mutex<BTreeMap<u32, DeltaDecoder>>,
-    /// The detection memo when the pipeline enables incremental
-    /// perception. Only the vehicle's own phase-3 tasks touch it, so the
-    /// parallel fan-out stays deterministic.
-    cache: Option<PerceptionCache>,
     /// The tracker when the pipeline enables track-level fusion;
     /// advanced in the serial merge, in fleet order.
     tracker: Option<Tracker>,
@@ -652,7 +648,6 @@ impl VehicleState {
                 replay: None,
             }),
             decoders: Mutex::default(),
-            cache: pipeline.incremental().then(PerceptionCache::new),
             tracker: pipeline.make_tracker(),
         }
     }
@@ -1525,7 +1520,6 @@ impl StepCtx<'_> {
                     PerceiveTask::Single(i) => {
                         let ctx = PerceiveCtx {
                             scratch: Some(scratch),
-                            cache: states[i].cache.as_ref(),
                             ego_bev: broadcasts[i].ego_bev.as_ref(),
                         };
                         let single = self.pipeline.perceive_single(&broadcasts[i].scan, ctx);
@@ -1593,7 +1587,6 @@ impl StepCtx<'_> {
             &GPS_ANCHOR,
             PerceiveCtx {
                 scratch: Some(scratch),
-                cache: state.cache.as_ref(),
                 ego_bev: me.ego_bev.as_ref(),
             },
         );
@@ -2529,15 +2522,14 @@ mod tests {
     }
 
     #[test]
-    fn incremental_fleet_matches_from_scratch() {
-        // Same fleet, same seed: routing phase 3 through the per-vehicle
-        // perception caches must leave the deterministic report surface
-        // bit-identical to the stateless path.
+    fn with_incremental_changes_no_report() {
+        // `with_incremental()` is inert: the same fleet and seed report
+        // the same bits with and without it.
         let sim = small_fleet();
         let (base, base_stats) = sim.run(&pipeline(), 3);
-        let (inc, inc_stats) = sim.run(&pipeline().with_incremental(), 3);
-        assert_eq!(base_stats, inc_stats);
-        assert_eq!(base, inc);
+        let (inert, inert_stats) = sim.run(&pipeline().with_incremental(), 3);
+        assert_eq!(base_stats, inert_stats);
+        assert_eq!(base, inert);
     }
 
     #[test]
@@ -2578,7 +2570,7 @@ mod tests {
     }
 
     #[test]
-    fn tracked_incremental_reports_identical_across_thread_counts() {
+    fn tracked_reports_identical_across_thread_counts() {
         use crate::tracking::TrackerConfig;
         let scene = scenario::tj_scenario_1();
         let build = |threads: Option<usize>| {
@@ -2604,9 +2596,7 @@ mod tests {
                 },
             )
         };
-        let p = pipeline()
-            .with_tracker(TrackerConfig::default())
-            .with_incremental();
+        let p = pipeline().with_tracker(TrackerConfig::default());
         let (serial, serial_stats) = build(Some(1)).run(&p, 2);
         let (parallel, parallel_stats) = build(Some(4)).run(&p, 2);
         assert_eq!(serial_stats, parallel_stats);

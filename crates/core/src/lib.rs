@@ -98,9 +98,7 @@ pub use governor::{
     GovernorConfig, GovernorPolicy, GovernorVerdict, TransferCandidate, TransferOffer,
 };
 pub use packet::{DecodedPacket, ExchangePacket, Payload};
-pub use pipeline::{
-    AlignmentRecord, CooperPipeline, FusionOutcome, PacketDrop, PerceiveCtx, PerceptionCache,
-};
+pub use pipeline::{AlignmentRecord, CooperPipeline, FusionOutcome, PacketDrop, PerceiveCtx};
 pub use stats::{CooperDifficulty, DistanceBand, ScoreImprovement};
 pub use trust::{TrustConfig, TrustLedger, TrustLevel, TrustState, TrustVehicleStats};
 

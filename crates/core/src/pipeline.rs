@@ -1,7 +1,5 @@
 //! The cooperative-perception pipeline: fuse, then detect.
 
-use std::sync::Mutex;
-
 use cooper_exec::Executor;
 use cooper_geometry::GpsFix;
 use cooper_lidar_sim::{ObjectClass, PoseEstimate};
@@ -9,7 +7,7 @@ use cooper_pointcloud::{FeatureFrame, PointCloud};
 use cooper_spod::bev::{BevMap, Z_STRUCTURE_CHANNELS};
 use cooper_spod::{
     fuse_bev, transform_bev, DetectOptions, DetectScratch, Detection, FeatureFusionMode,
-    FeaturizeCache, SpodDetector,
+    SpodDetector,
 };
 use cooper_telemetry::names as telemetry_names;
 
@@ -19,46 +17,17 @@ use crate::{
     GuardReference, Payload,
 };
 
-/// Per-receiver detection memos for incremental perception, passed to
-/// [`CooperPipeline::perceive_single`] and [`CooperPipeline::perceive`]
-/// as [`PerceiveCtx::cache`].
-///
-/// A receiver runs two detection streams per step — its own scan and
-/// the cooperative fused cloud — whose inputs evolve independently, so
-/// each stream gets its own [`FeaturizeCache`]. The fields are wrapped
-/// in mutexes so a fleet can hold one `PerceptionCache` per vehicle in
-/// a shared slice while its single/cooperative perceive tasks run on
-/// different workers; each stream's cache is only ever locked by that
-/// stream's task, so lock order cannot affect results.
-#[derive(Debug, Default)]
-pub struct PerceptionCache {
-    single: Mutex<FeaturizeCache>,
-    cooperative: Mutex<FeaturizeCache>,
-}
-
-impl PerceptionCache {
-    /// An empty cache; first perceives through it run from scratch.
-    pub fn new() -> Self {
-        PerceptionCache::default()
-    }
-}
-
 /// The context of one [`CooperPipeline::perceive_single`] or
 /// [`CooperPipeline::perceive`] call. `PerceiveCtx::default()` is the
-/// one-shot call: a throwaway scratch arena, no memo and no
-/// precomputed BEV.
+/// one-shot call: a throwaway scratch arena and no precomputed BEV.
 ///
-/// Build a context per call. Its memo and BEV belong to one receiver's
-/// one input, so only the scratch arena it borrows outlives the call.
+/// Build a context per call. Its BEV belongs to one receiver's one
+/// input, so only the scratch arena it borrows outlives the call.
 #[derive(Debug, Default)]
 pub struct PerceiveCtx<'a> {
     /// A caller-owned scratch arena, reused across calls so its buffers
     /// stay allocated; `None` allocates one for this call.
     pub scratch: Option<&'a mut DetectScratch>,
-    /// The receiver's detection memos: a cloud bitwise-equal to the
-    /// previous input of the same stream returns the stored detections
-    /// ([`SpodDetector::detect_incremental`]).
-    pub cache: Option<&'a PerceptionCache>,
     /// The receiver's own scan already featurized: the
     /// [`SpodDetector::featurize_with`] map of exactly the call's
     /// `cloud` / `local_cloud`. It saves running the detector trunk on
@@ -245,7 +214,6 @@ pub struct CooperPipeline {
     guard: Option<AlignmentGuardConfig>,
     fusion_mode: FeatureFusionMode,
     tracker: Option<TrackerConfig>,
-    incremental: bool,
 }
 
 impl CooperPipeline {
@@ -259,7 +227,6 @@ impl CooperPipeline {
             guard: None,
             fusion_mode: FeatureFusionMode::Max,
             tracker: None,
-            incremental: false,
         }
     }
 
@@ -285,21 +252,13 @@ impl CooperPipeline {
         self.tracker.map(Tracker::new)
     }
 
-    /// Enables incremental perception: fleet runs keep one
-    /// [`PerceptionCache`] per vehicle and route detection through
-    /// [`SpodDetector::detect_incremental`], so a stream whose input
-    /// cloud repeats bit for bit (a static scene seen by a noiseless
-    /// sensor) reuses the last step's detections instead of running SPOD
-    /// again. Any other input is detected from scratch. Results are
-    /// bit-identical to the from-scratch path.
-    pub fn with_incremental(mut self) -> Self {
-        self.incremental = true;
+    /// Does nothing and returns the pipeline unchanged: the detection
+    /// memo it turned on is gone. The benchmark's `parked_incremental`
+    /// workload still calls it; the benchmark change that renames that
+    /// workload (ROADMAP.md, item 1) drops the call and deletes this
+    /// method.
+    pub fn with_incremental(self) -> Self {
         self
-    }
-
-    /// `true` when incremental perception is enabled.
-    pub fn incremental(&self) -> bool {
-        self.incremental
     }
 
     /// Overrides the detection score threshold.
@@ -340,16 +299,10 @@ impl CooperPipeline {
     /// the paper's baseline.
     ///
     /// Given [`PerceiveCtx::ego_bev`], only the detector's back half runs,
-    /// on that map; otherwise [`PerceiveCtx::cache`] routes detection
-    /// through its single-shot memo. Every route returns the same bits.
+    /// on that map. Both routes return the same bits.
     pub fn perceive_single(&self, cloud: &PointCloud, ctx: PerceiveCtx<'_>) -> Vec<Detection> {
         let mut own = DetectScratch::new();
-        self.detect_cars(
-            cloud,
-            ctx.ego_bev,
-            ctx.scratch.unwrap_or(&mut own),
-            ctx.cache.map(|c| &c.single),
-        )
+        self.detect_cars(cloud, ctx.ego_bev, ctx.scratch.unwrap_or(&mut own))
     }
 
     /// Car-only options at the pipeline's score threshold. The detector
@@ -363,27 +316,19 @@ impl CooperPipeline {
             .with_executor(Executor::sequential())
     }
 
-    /// Detects cars in `cloud` under the `pipeline.perceive_single` span:
-    /// on `bev` when the caller holds `cloud`'s map, else through the memo
-    /// in `stream` when one is given.
+    /// Detects cars in `cloud` under the `pipeline.perceive_single` span,
+    /// on `bev` when the caller holds `cloud`'s map.
     fn detect_cars(
         &self,
         cloud: &PointCloud,
         bev: Option<&BevMap>,
         scratch: &mut DetectScratch,
-        stream: Option<&Mutex<FeaturizeCache>>,
     ) -> Vec<Detection> {
         let _span = cooper_telemetry::span!(telemetry_names::SPAN_PIPELINE_PERCEIVE_SINGLE);
         let options = self.car_options();
-        match (bev, stream) {
-            (Some(bev), _) => self.detector.detect_bev(bev, &options),
-            (None, Some(stream)) => self.detector.detect_incremental(
-                cloud,
-                &options,
-                scratch,
-                &mut stream.lock().expect("perception cache poisoned"),
-            ),
-            (None, None) => self.detector.detect_with(cloud, &options, scratch),
+        match bev {
+            Some(bev) => self.detector.detect_bev(bev, &options),
+            None => self.detector.detect_with(cloud, &options, scratch),
         }
     }
 
@@ -405,8 +350,7 @@ impl CooperPipeline {
     /// the point-level union only; feature frames contribute no points.
     ///
     /// An inbox without feature frames is detected on the fused cloud
-    /// like [`perceive_single`](Self::perceive_single), through the
-    /// cooperative memo of [`PerceiveCtx::cache`] when one is given.
+    /// like [`perceive_single`](Self::perceive_single).
     /// [`PerceiveCtx::ego_bev`] stands in for featurizing the fused cloud
     /// only while no point cloud merged, because the fused cloud is
     /// then a copy of `local_cloud`. Every route returns the same bits.
@@ -443,8 +387,7 @@ impl CooperPipeline {
         let mut own = DetectScratch::new();
         let scratch = ctx.scratch.unwrap_or(&mut own);
         let (detections, packets_fused) = if feature_remotes.is_empty() {
-            let stream = ctx.cache.map(|c| &c.cooperative);
-            let detections = self.detect_cars(&fused_cloud, ego_bev, scratch, stream);
+            let detections = self.detect_cars(&fused_cloud, ego_bev, scratch);
             (detections, points_fused)
         } else {
             let remote_maps = self.feature_maps(feature_remotes, local_pose, origin, &mut drops);
@@ -760,115 +703,48 @@ mod tests {
     }
 
     #[test]
-    fn cached_perceive_matches_perceive_over_steps() {
+    fn reused_scratch_over_steps_matches_one_shot_calls() {
         let pipeline = untrained_pipeline().with_score_threshold(0.4);
         let scene = scenario::tj_scenario_1();
-        let scanner = LidarScanner::new(scene.kind.beam_model().noiseless());
+        let scanner = LidarScanner::new(scene.kind.beam_model());
         let rx_pose = scene.observers[0];
         let rx_est = PoseEstimate::from_pose(&rx_pose, &origin());
-        let local = scanner.scan(&scene.world, &rx_pose, 1);
-        let cache = PerceptionCache::new();
         let mut scratch = DetectScratch::new();
-        // Three steps: the sender's scan changes, repeats, then changes
-        // again — every step must match the uncached path bit for bit.
-        for seed in [2u64, 2, 5] {
-            let tx_pose = scene.observers[1];
-            let remote = scanner.scan(&scene.world, &tx_pose, seed);
-            let tx_est = PoseEstimate::from_pose(&tx_pose, &origin());
-            let packet = ExchangePacket::build(2, 0, &remote, tx_est).unwrap();
-            let cached = pipeline.perceive(
-                &local,
-                &rx_est,
-                vec![packet.decode()],
-                &origin(),
-                PerceiveCtx {
-                    scratch: Some(&mut scratch),
-                    cache: Some(&cache),
-                    ego_bev: None,
-                },
+        // Three steps of fresh scans from changing senders, single-shot
+        // and cooperative calls taking turns on one scratch arena: each
+        // call must equal a one-shot call bit for bit.
+        for (seed, sender) in [(2u64, 1usize), (3, 2), (4, 1)] {
+            let local = scanner.scan(&scene.world, &rx_pose, seed);
+            let reused = PerceiveCtx {
+                scratch: Some(&mut scratch),
+                ego_bev: None,
+            };
+            let single = pipeline.perceive_single(&local, reused);
+            assert!(!single.is_empty());
+            assert_eq!(
+                single,
+                pipeline.perceive_single(&local, PerceiveCtx::default())
             );
-            let plain = pipeline.perceive(
+            let tx_pose = scene.observers[sender];
+            let remote = scanner.scan(&scene.world, &tx_pose, seed + 10);
+            let tx_est = PoseEstimate::from_pose(&tx_pose, &origin());
+            let packet = ExchangePacket::build(sender as u32, 0, &remote, tx_est).unwrap();
+            let reused = PerceiveCtx {
+                scratch: Some(&mut scratch),
+                ego_bev: None,
+            };
+            let cooperative =
+                pipeline.perceive(&local, &rx_est, vec![packet.decode()], &origin(), reused);
+            let one_shot = pipeline.perceive(
                 &local,
                 &rx_est,
                 vec![packet.decode()],
                 &origin(),
                 PerceiveCtx::default(),
             );
-            assert_eq!(cached.detections, plain.detections);
-            assert_eq!(cached.fused_cloud, plain.fused_cloud);
-            assert_eq!(cached.packets_fused, plain.packets_fused);
+            assert_eq!(cooperative.packets_fused, 1);
+            assert_eq!(format!("{cooperative:?}"), format!("{one_shot:?}"));
         }
-        // The single-shot stream, cold and then repeated.
-        for _ in 0..2 {
-            let ctx = PerceiveCtx {
-                scratch: Some(&mut scratch),
-                cache: Some(&cache),
-                ego_bev: None,
-            };
-            let single_cached = pipeline.perceive_single(&local, ctx);
-            assert_eq!(
-                single_cached,
-                pipeline.perceive_single(&local, PerceiveCtx::default())
-            );
-        }
-    }
-
-    #[test]
-    fn cached_perceive_falls_back_on_feature_packets() {
-        let pipeline = untrained_pipeline();
-        let scene = scenario::tj_scenario_1();
-        let scanner = LidarScanner::new(scene.kind.beam_model().noiseless());
-        let rx_est = PoseEstimate::from_pose(&scene.observers[0], &origin());
-        let tx_est = PoseEstimate::from_pose(&scene.observers[1], &origin());
-        let local = scanner.scan(&scene.world, &scene.observers[0], 1);
-        let remote = scanner.scan(&scene.world, &scene.observers[1], 2);
-        let frame = pipeline.detector().featurize(&remote).to_feature_frame();
-        let packet = ExchangePacket::build_features(2, 0, &frame, tx_est).unwrap();
-        let cache = PerceptionCache::new();
-        let cached = pipeline.perceive(
-            &local,
-            &rx_est,
-            vec![packet.decode()],
-            &origin(),
-            PerceiveCtx {
-                cache: Some(&cache),
-                ..PerceiveCtx::default()
-            },
-        );
-        let plain = pipeline.perceive(
-            &local,
-            &rx_est,
-            vec![packet.decode()],
-            &origin(),
-            PerceiveCtx::default(),
-        );
-        assert_eq!(cached.detections, plain.detections);
-        assert_eq!(cached.packets_fused, plain.packets_fused);
-        // The BEV path leaves the cooperative memo untouched.
-        assert!(!cache.cooperative.lock().unwrap().is_warm());
-    }
-
-    #[test]
-    fn cached_perceive_routes_each_stream_to_its_own_memo() {
-        let pipeline = untrained_pipeline();
-        let pose = Pose::new(Vec3::new(0.0, 0.0, 1.8), Attitude::level());
-        let est = PoseEstimate::from_pose(&pose, &origin());
-        let mut cloud = PointCloud::new();
-        cloud.push(cooper_pointcloud::Point::new(
-            Vec3::new(5.0, 0.0, -1.0),
-            0.5,
-        ));
-        let packet = ExchangePacket::build(1, 0, &cloud, est).unwrap();
-        let cache = PerceptionCache::new();
-        let warm = |stream: &Mutex<FeaturizeCache>| stream.lock().unwrap().is_warm();
-        let cached = || PerceiveCtx {
-            cache: Some(&cache),
-            ..PerceiveCtx::default()
-        };
-        let _ = pipeline.perceive_single(&cloud, cached());
-        assert!(warm(&cache.single) && !warm(&cache.cooperative));
-        let _ = pipeline.perceive(&cloud, &est, vec![packet.decode()], &origin(), cached());
-        assert!(warm(&cache.cooperative));
     }
 
     /// `perceive` with the receiver's own BEV supplied must equal the
@@ -937,11 +813,9 @@ mod tests {
         let scanner = LidarScanner::new(scene.kind.beam_model().noiseless());
         let local = scanner.scan(&scene.world, &scene.observers[0], 1);
         let bev = pipeline.detector().featurize(&local);
-        let cache = PerceptionCache::new();
         let reused = pipeline.perceive_single(
             &local,
             PerceiveCtx {
-                cache: Some(&cache),
                 ego_bev: Some(&bev),
                 ..PerceiveCtx::default()
             },
@@ -949,20 +823,14 @@ mod tests {
         let plain = pipeline.perceive_single(&local, PerceiveCtx::default());
         assert!(!plain.is_empty());
         assert_eq!(format!("{reused:?}"), format!("{plain:?}"));
-        // The BEV route skips the memo.
-        assert!(!cache.single.lock().unwrap().is_warm());
     }
 
     #[test]
     fn tracker_builder_round_trip() {
         let pipeline = untrained_pipeline();
         assert!(pipeline.make_tracker().is_none());
-        assert!(!pipeline.incremental());
-        let pipeline = pipeline
-            .with_tracker(crate::tracking::TrackerConfig::default())
-            .with_incremental();
+        let pipeline = pipeline.with_tracker(crate::tracking::TrackerConfig::default());
         assert!(pipeline.make_tracker().unwrap().tracks().is_empty());
-        assert!(pipeline.incremental());
     }
 
     #[test]

@@ -101,8 +101,8 @@ impl TrackerConfig {
     ///
     /// Returns a message for the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
-        if self.gate_distance <= 0.0 {
-            return Err("gate distance must be positive".into());
+        if !(self.gate_distance > 0.0 && self.gate_distance.is_finite()) {
+            return Err("gate distance must be positive and finite".into());
         }
         if !(0.0..=1.0).contains(&self.alpha) || !(0.0..=1.0).contains(&self.beta) {
             return Err("alpha/beta must be in [0, 1]".into());
@@ -519,5 +519,21 @@ mod tests {
             ..TrackerConfig::default()
         };
         assert!(bad_alpha.validate().unwrap_err().contains("alpha"));
+    }
+
+    #[test]
+    fn validate_rejects_a_non_finite_gate() {
+        // A NaN gate would pass every distance test as false: no
+        // detection would ever associate.
+        for gate_distance in [f64::NAN, f64::INFINITY] {
+            let config = TrackerConfig {
+                gate_distance,
+                ..TrackerConfig::default()
+            };
+            assert!(
+                config.validate().unwrap_err().contains("gate"),
+                "{gate_distance}"
+            );
+        }
     }
 }

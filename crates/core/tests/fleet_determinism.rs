@@ -4,9 +4,8 @@
 //! bit-identical at any `FleetConfig::threads` setting. This suite
 //! stresses the contract where it is easiest to break: with per-vehicle
 //! *state* threaded across steps — the tracker's track table and the
-//! incremental perception caches — and with the governed v2 delta
-//! exchange feeding that state reconstructed clouds instead of raw
-//! scans.
+//! receivers' delta decoders — and with the governed v2 delta exchange
+//! feeding that state reconstructed clouds instead of raw scans.
 
 use cooper_core::fleet::{straight_trajectory, FleetConfig, FleetSimulation, FleetVehicle};
 use cooper_core::governor::SendFirstPolicy;
@@ -48,11 +47,10 @@ fn build(threads: Option<usize>) -> FleetSimulation {
 fn temporal_pipeline() -> CooperPipeline {
     CooperPipeline::new(SpodDetector::new(SpodConfig::default()))
         .with_tracker(TrackerConfig::default())
-        .with_incremental()
 }
 
 #[test]
-fn tracked_incremental_fleet_is_thread_count_invariant() {
+fn tracked_fleet_is_thread_count_invariant() {
     let p = temporal_pipeline();
     let (r1, s1) = build(Some(1)).run(&p, 3);
     let (r2, s2) = build(Some(2)).run(&p, 3);
@@ -64,11 +62,11 @@ fn tracked_incremental_fleet_is_thread_count_invariant() {
 }
 
 #[test]
-fn governed_delta_tracked_incremental_fleet_is_thread_count_invariant() {
+fn governed_delta_tracked_fleet_is_thread_count_invariant() {
     // The hardest composition: v2 delta streams reconstructed per
-    // sender, fed through per-vehicle perception caches, smoothed by
-    // per-vehicle trackers — all under the governed exchange. Reports
-    // must still be bit-identical at 1, 2 and 4 threads.
+    // sender and smoothed by per-vehicle trackers, all under the
+    // governed exchange. Reports must still be bit-identical at 1, 2
+    // and 4 threads.
     let p = temporal_pipeline();
     let cfg = GovernorConfig::default();
     let run = |threads| {
@@ -86,21 +84,18 @@ fn governed_delta_tracked_incremental_fleet_is_thread_count_invariant() {
 }
 
 #[test]
-fn incremental_governed_fleet_matches_stateless_pipeline() {
-    // Incremental perception is an optimisation, not a semantic change:
-    // the governed run's reports must be bit-identical with and without
-    // the caches (tracker disabled so both pipelines agree on the
-    // report surface).
-    let base = CooperPipeline::new(SpodDetector::new(SpodConfig::default()));
-    let incremental =
-        CooperPipeline::new(SpodDetector::new(SpodConfig::default())).with_incremental();
+fn with_incremental_changes_no_governed_report() {
+    // `with_incremental()` is inert: the governed, tracked run reports
+    // the same bits with and without it.
+    let base = temporal_pipeline();
+    let inert = temporal_pipeline().with_incremental();
     let cfg = GovernorConfig::default();
     let run = |p: &CooperPipeline| {
         let mut policy = SendFirstPolicy;
         build(Some(2)).run_governed(p, 3, &mut PerfectChannel, &mut policy, &cfg)
     };
     let (rb, sb) = run(&base);
-    let (ri, si) = run(&incremental);
+    let (ri, si) = run(&inert);
     assert_eq!(sb, si);
     assert_eq!(rb, ri);
 }

@@ -84,11 +84,11 @@ impl SceneConfig {
                 return Err(format!("{name} range is inverted: {lo} > {hi}"));
             }
         }
-        if self.radius <= 5.0 {
-            return Err("radius must exceed 5 m".into());
+        if !(self.radius > 5.0 && self.radius.is_finite()) {
+            return Err("radius must be finite and exceed 5 m".into());
         }
-        if self.mount_height <= 0.0 {
-            return Err("mount height must be positive".into());
+        if !(self.mount_height > 0.0 && self.mount_height.is_finite()) {
+            return Err("mount height must be positive and finite".into());
         }
         Ok(())
     }
@@ -315,5 +315,22 @@ mod tests {
             ..SceneConfig::default()
         };
         assert!(cfg2.validate().unwrap_err().contains("mount"));
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_geometry() {
+        // A NaN radius used to pass and then panic in `generate_scene`.
+        for bad in [f64::NAN, f64::INFINITY] {
+            let radius = SceneConfig {
+                radius: bad,
+                ..SceneConfig::default()
+            };
+            assert!(radius.validate().unwrap_err().contains("radius"), "{bad}");
+            let mount = SceneConfig {
+                mount_height: bad,
+                ..SceneConfig::default()
+            };
+            assert!(mount.validate().unwrap_err().contains("mount"), "{bad}");
+        }
     }
 }

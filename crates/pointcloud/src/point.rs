@@ -52,9 +52,9 @@ impl Point {
 
     /// Bitwise equality (`to_bits` on every float field).
     ///
-    /// Stricter than `PartialEq`: `-0.0 != 0.0` and NaNs never match.
-    /// The incremental detection memo keys on this, so it only ever
-    /// serves byte-for-byte identical inputs.
+    /// Stricter than `PartialEq`: `-0.0` and `0.0` differ, and a NaN
+    /// matches a NaN of the same bits. Tests use it to check that two
+    /// code paths produce the same points bit for bit.
     #[inline]
     pub fn bits_eq(&self, other: &Point) -> bool {
         self.position.x.to_bits() == other.position.x.to_bits()
@@ -115,6 +115,38 @@ mod tests {
         let q = p.transformed(&t);
         assert_eq!(q.reflectance, 0.42);
         assert!((q.position - Vec3::new(0.0, 1.0, 1.0)).norm() < 1e-12);
+    }
+
+    #[test]
+    fn bits_eq_tells_apart_what_partial_eq_does_not() {
+        let p = Point::new(Vec3::new(7.0, 0.0, -1.5), 0.6);
+        assert!(p.bits_eq(&Point::new(Vec3::new(7.0, 0.0, -1.5), 0.6)));
+        // `-0.0 == 0.0`, so only the bits tell these apart.
+        let mut negative_zero = p;
+        negative_zero.position.y = -0.0;
+        assert_eq!(negative_zero, p);
+        assert!(!negative_zero.bits_eq(&p));
+        // One ulp of reflectance, and one of each coordinate.
+        let mut dimmer = p;
+        dimmer.reflectance = f32::from_bits(p.reflectance.to_bits() - 1);
+        assert!(!dimmer.bits_eq(&p));
+        for axis in 0..3 {
+            let mut moved = p;
+            let c = match axis {
+                0 => &mut moved.position.x,
+                1 => &mut moved.position.y,
+                _ => &mut moved.position.z,
+            };
+            *c = f64::from_bits(c.to_bits() ^ 1);
+            assert!(!moved.bits_eq(&p), "axis {axis}");
+        }
+        // A NaN is unequal to itself but bitwise equal.
+        let nan = Point {
+            position: Vec3::new(f64::NAN, 0.0, 0.0),
+            reflectance: 0.5,
+        };
+        assert_ne!(nan, nan);
+        assert!(nan.bits_eq(&nan));
     }
 
     #[test]

@@ -191,59 +191,6 @@ impl DetectScratch {
     }
 }
 
-/// The memo [`FeaturizeCache`] carries: the last input cloud and what
-/// detecting it produced.
-#[derive(Debug)]
-struct CachedPerception {
-    /// The raw input cloud of the last call.
-    input: PointCloud,
-    /// Scoring options the cached `detections` were produced under:
-    /// `(threshold bits, class restriction)`.
-    fingerprint: (u32, Option<ObjectClass>),
-    /// Detections for `input` under `fingerprint`.
-    detections: Vec<Detection>,
-}
-
-/// Persistent per-stream memo for [`SpodDetector::detect_incremental`].
-///
-/// Unlike [`DetectScratch`] — whose contents are overwritten before
-/// every read — this cache *carries* the last call's input cloud,
-/// scoring options and detections across calls. Keep exactly one cache
-/// per detection stream (e.g. per receiver × input kind); feeding one
-/// cache clouds from different streams defeats the memo but never
-/// changes any result bit.
-#[derive(Debug, Default)]
-pub struct FeaturizeCache {
-    state: Option<CachedPerception>,
-}
-
-impl FeaturizeCache {
-    /// An empty cache; the first detection through it runs from scratch.
-    pub fn new() -> Self {
-        FeaturizeCache::default()
-    }
-
-    /// Drops all carried state; the next detection runs from scratch.
-    pub fn clear(&mut self) {
-        self.state = None;
-    }
-
-    /// `true` when the cache holds a previous step's results.
-    pub fn is_warm(&self) -> bool {
-        self.state.is_some()
-    }
-}
-
-/// Bitwise equality of two clouds ([`cooper_pointcloud::Point::bits_eq`]
-/// pointwise).
-fn clouds_bits_eq(a: &PointCloud, b: &PointCloud) -> bool {
-    a.len() == b.len()
-        && a.as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .all(|(p, q)| p.bits_eq(q))
-}
-
 /// The SPOD 3-D object detector (Figure 1 of the paper): preprocessing →
 /// voxel feature extractor → sparse convolutional middle layers → BEV
 /// collapse → SSD-style RPN heads → NMS.
@@ -430,44 +377,6 @@ impl SpodDetector {
         };
         let _layer = cooper_telemetry::span!(telemetry_names::SPAN_SPOD_BEV);
         BevMap::collapse(&deep)
-    }
-
-    /// [`SpodDetector::detect_with`] behind a one-entry memo in `cache`.
-    ///
-    /// When `cloud` is bitwise-equal to the previous call's input
-    /// ([`cooper_pointcloud::Point::bits_eq`] pointwise) and the scoring
-    /// options (threshold and class) match, the stored detections are
-    /// returned and [`telemetry_names::SPOD_INCREMENTAL_HITS`] is
-    /// counted. Otherwise this runs `detect_with` and stores the input,
-    /// the options and the detections for the next call. The executor is
-    /// not part of the key: it never changes a result bit. Either way the
-    /// output is **bit-identical** to `detect_with`.
-    ///
-    /// A repeated input (a static scene seen by a noiseless sensor) costs
-    /// one bitwise compare; any other input costs the full detection plus
-    /// that compare and one copy of the cloud.
-    pub fn detect_incremental(
-        &self,
-        cloud: &PointCloud,
-        options: &DetectOptions,
-        scratch: &mut DetectScratch,
-        cache: &mut FeaturizeCache,
-    ) -> Vec<Detection> {
-        let threshold = options.threshold.unwrap_or(self.config.score_threshold);
-        let fingerprint = (threshold.to_bits(), options.class);
-        if let Some(state) = &cache.state {
-            if state.fingerprint == fingerprint && clouds_bits_eq(&state.input, cloud) {
-                cooper_telemetry::counter_add(telemetry_names::SPOD_INCREMENTAL_HITS, 1);
-                return state.detections.clone();
-            }
-        }
-        let detections = self.detect_with(cloud, options, scratch);
-        cache.state = Some(CachedPerception {
-            input: cloud.clone(),
-            fingerprint,
-            detections: detections.clone(),
-        });
-        detections
     }
 
     /// Detects objects in a sensor-frame cloud.
@@ -1013,218 +922,23 @@ mod tests {
         }
     }
 
-    fn shifted_cloud(offset: f64) -> PointCloud {
-        // The toy blob plus a second blob that moves with `offset`.
-        let mut cloud = toy_cloud();
-        for i in 0..60 {
-            let fx = (i % 10) as f64 * 0.3;
-            let fy = (i / 10) as f64 * 0.3;
-            cloud.push(Point::new(
-                Vec3::new(-12.0 + offset + fx, 4.0 + fy, -1.5),
-                0.6,
-            ));
-        }
-        cloud
-    }
-
     #[test]
-    fn detect_incremental_matches_detect_with_over_a_sequence() {
-        let det = SpodDetector::new(SpodConfig::default());
-        let options = DetectOptions::default()
-            .with_threshold(0.4)
-            .with_executor(Executor::sequential());
-        let mut scratch = DetectScratch::new();
-        let mut cache = FeaturizeCache::new();
-        // A changing sequence with a repeated (memoizable) step in the
-        // middle; every step must be bit-identical to from-scratch.
-        for offset in [0.0, 0.0, 0.4, 0.4, 1.2, 0.0] {
-            let cloud = shifted_cloud(offset);
-            let incremental = det.detect_incremental(&cloud, &options, &mut scratch, &mut cache);
-            let scratch_run = det.detect_with(&cloud, &options, &mut DetectScratch::new());
-            assert_eq!(incremental, scratch_run, "diverged at offset {offset}");
-        }
-        assert!(cache.is_warm());
-    }
-
-    #[test]
-    fn detect_incremental_is_thread_count_invariant() {
-        let det = SpodDetector::new(SpodConfig::default());
-        let mut caches: Vec<FeaturizeCache> = (0..3).map(|_| FeaturizeCache::new()).collect();
-        let mut scratch = DetectScratch::new();
-        for offset in [0.0, 0.5, 0.5, 2.0] {
-            let cloud = shifted_cloud(offset);
-            let mut runs = Vec::new();
-            for (threads, cache) in [1, 2, 4].iter().zip(caches.iter_mut()) {
-                let options = DetectOptions::default()
-                    .with_threshold(0.4)
-                    .with_executor(Executor::new(Some(*threads)));
-                runs.push(det.detect_incremental(&cloud, &options, &mut scratch, cache));
-            }
-            assert_eq!(runs[0], runs[1]);
-            assert_eq!(runs[0], runs[2]);
-        }
-    }
-
-    #[test]
-    fn detect_incremental_handles_option_changes() {
-        let det = SpodDetector::new(SpodConfig::default());
-        let mut scratch = DetectScratch::new();
-        let mut cache = FeaturizeCache::new();
-        let cloud = shifted_cloud(0.7);
-        let base = DetectOptions::default()
-            .with_threshold(0.4)
-            .with_executor(Executor::sequential());
-        let _ = det.detect_incremental(&cloud, &base, &mut scratch, &mut cache);
-        // Same cloud, different threshold/class: the memo must not
-        // serve the stale detections.
-        for options in [
-            DetectOptions::default()
-                .with_threshold(0.45)
-                .with_executor(Executor::sequential()),
-            DetectOptions::default()
-                .with_threshold(0.4)
-                .with_class(ObjectClass::Car)
-                .with_executor(Executor::sequential()),
-        ] {
-            let incremental = det.detect_incremental(&cloud, &options, &mut scratch, &mut cache);
-            let scratch_run = det.detect_with(&cloud, &options, &mut DetectScratch::new());
-            assert_eq!(incremental, scratch_run);
-        }
-    }
-
-    #[test]
-    fn featurize_cache_clear_resets() {
-        let det = SpodDetector::new(SpodConfig::default());
-        let mut scratch = DetectScratch::new();
-        let mut cache = FeaturizeCache::new();
-        let cloud = toy_cloud();
-        let options = DetectOptions::default()
-            .with_threshold(0.4)
-            .with_executor(Executor::sequential());
-        let warm = det.detect_incremental(&cloud, &options, &mut scratch, &mut cache);
-        assert!(cache.is_warm());
-        cache.clear();
-        assert!(!cache.is_warm());
-        let cold = det.detect_incremental(&cloud, &options, &mut scratch, &mut cache);
-        assert_eq!(warm, cold);
-    }
-
-    fn memo_options() -> DetectOptions {
-        DetectOptions::default()
-            .with_threshold(0.4)
-            .with_executor(Executor::sequential())
-    }
-
-    /// Runs `detect_incremental` on a warm `cache` and reports whether
-    /// the memo served the call. The stored detections are first swapped
-    /// for a marker no detector run produces, so a served call returns
-    /// the marker; a recomputed one must equal `detect_with`.
-    fn memo_serves(
-        det: &SpodDetector,
-        cache: &mut FeaturizeCache,
-        cloud: &PointCloud,
-        options: &DetectOptions,
-    ) -> bool {
-        let marker = vec![Detection {
-            class: ObjectClass::Background,
-            obb: Obb3::new(Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), 0.0),
-            score: 2.0,
-        }];
-        cache.state.as_mut().expect("memo is cold").detections = marker.clone();
-        let got = det.detect_incremental(cloud, options, &mut DetectScratch::new(), cache);
-        if got == marker {
-            return true;
-        }
-        assert_eq!(
-            got,
-            det.detect_with(cloud, options, &mut DetectScratch::new())
-        );
-        false
-    }
-
-    #[test]
-    fn memo_serves_the_stored_detections_on_a_bitwise_repeat() {
-        let det = SpodDetector::new(SpodConfig::default());
-        let options = memo_options();
-        let cloud = toy_cloud();
-        let mut cache = FeaturizeCache::new();
-        let cold = det.detect_incremental(&cloud, &options, &mut DetectScratch::new(), &mut cache);
-        assert!(!cold.is_empty());
-        // A separately built copy is still a bitwise repeat.
-        let copy: PointCloud = cloud.as_slice().iter().copied().collect();
-        assert!(memo_serves(&det, &mut cache, &copy, &options));
-        // Serving leaves the entry in place for the next repeat.
-        assert!(memo_serves(&det, &mut cache, &cloud, &options));
-    }
-
-    #[test]
-    fn memo_misses_when_the_cloud_grows_or_shrinks() {
-        let det = SpodDetector::new(SpodConfig::default());
-        let options = memo_options();
-        let cloud = shifted_cloud(0.3);
-        let points = cloud.as_slice();
-        // Both edits keep the other cloud as a bitwise prefix.
-        let shrunk: PointCloud = points[..points.len() - 1].iter().copied().collect();
-        let grown: PointCloud = points.iter().chain(&points[..1]).copied().collect();
-        let mut cache = FeaturizeCache::new();
-        for (what, edited) in [("shrunk", &shrunk), ("grown", &grown)] {
-            let _ = det.detect_incremental(&cloud, &options, &mut DetectScratch::new(), &mut cache);
-            assert!(!memo_serves(&det, &mut cache, edited, &options), "{what}");
-        }
-    }
-
-    #[test]
-    fn memo_misses_on_a_signed_zero_or_reflectance_change() {
-        let det = SpodDetector::new(SpodConfig::default());
-        let options = memo_options();
-        let mut points = toy_cloud().as_slice().to_vec();
-        points[0].position.y = 0.0;
-        let cloud: PointCloud = points.iter().copied().collect();
-        // `-0.0 == 0.0`, so only a bitwise key tells these apart.
-        let mut negative_zero = points.clone();
-        negative_zero[0].position.y = -0.0;
-        let mut dimmer = points.clone();
-        dimmer[0].reflectance = f32::from_bits(points[0].reflectance.to_bits() - 1);
-        let mut cache = FeaturizeCache::new();
-        for (what, edited) in [("-0.0", negative_zero), ("reflectance", dimmer)] {
-            let _ = det.detect_incremental(&cloud, &options, &mut DetectScratch::new(), &mut cache);
-            let edited: PointCloud = edited.into_iter().collect();
-            assert!(!memo_serves(&det, &mut cache, &edited, &options), "{what}");
-        }
-    }
-
-    #[test]
-    fn memo_key_ignores_the_executor() {
-        let det = SpodDetector::new(SpodConfig::default());
-        let cloud = toy_cloud();
-        let mut cache = FeaturizeCache::new();
-        let _ = det.detect_incremental(
-            &cloud,
-            &memo_options(),
-            &mut DetectScratch::new(),
-            &mut cache,
-        );
-        // The executor never changes a result bit, so a repeat under a
-        // wider executor is still served.
-        let wider = memo_options().with_executor(Executor::new(Some(2)));
-        assert!(memo_serves(&det, &mut cache, &cloud, &wider));
-    }
-
-    #[test]
-    fn memo_key_uses_the_effective_threshold() {
+    fn an_unset_threshold_detects_as_the_configured_one() {
         let det = SpodDetector::new(SpodConfig::default());
         let cloud = toy_cloud();
         let unset = DetectOptions::default().with_executor(Executor::sequential());
         assert!(unset.threshold.is_none());
-        let mut cache = FeaturizeCache::new();
-        let _ = det.detect_incremental(&cloud, &unset, &mut DetectScratch::new(), &mut cache);
-        // An unset threshold means the config's, so naming it explicitly
-        // is a repeat; the next float up is not.
+        let detect =
+            |options: &DetectOptions| det.detect_with(&cloud, options, &mut DetectScratch::new());
+        // Untrained heads score every anchor at exactly 0.5, the
+        // configured threshold: naming it detects the same, and the next
+        // float up detects nothing.
         let configured = det.config().score_threshold;
-        let explicit = unset.clone().with_threshold(configured);
-        assert!(memo_serves(&det, &mut cache, &cloud, &explicit));
+        let got = detect(&unset);
+        assert!(!got.is_empty());
+        assert_eq!(got, detect(&unset.clone().with_threshold(configured)));
         let next_up = unset.with_threshold(f32::from_bits(configured.to_bits() + 1));
-        assert!(!memo_serves(&det, &mut cache, &cloud, &next_up));
+        assert!(detect(&next_up).is_empty());
     }
 
     #[test]

@@ -64,9 +64,7 @@ mod tensor;
 pub mod train;
 pub mod vfe;
 
-pub use detector::{
-    DetectOptions, DetectScratch, Detection, FeaturizeCache, SpodConfig, SpodDetector,
-};
+pub use detector::{DetectOptions, DetectScratch, Detection, SpodConfig, SpodDetector};
 pub use fusion::{filter_bev_roi, fuse_bev, transform_bev, FeatureFusionMode};
 pub use nms::{non_max_suppression, non_max_suppression_with_distance};
 pub use tensor::SparseTensor3;

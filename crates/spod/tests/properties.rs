@@ -624,16 +624,16 @@ mod search_free {
     }
 }
 
-// The incremental detection memo against plain detection, on the clouds
-// a receiver reconstructs from a v2 delta stream.
+// Detection through a scratch arena reused across calls against a fresh
+// arena, on the clouds a receiver reconstructs from a v2 delta stream.
 
-mod memo {
+mod scratch_reuse {
     use super::*;
     use cooper_exec::Executor;
     use cooper_pointcloud::{
         encode_cloud_v2, DeltaDecoder, DeltaEncoder, FrameKind, Point, PointCloud, VoxelGridConfig,
     };
-    use cooper_spod::{DetectOptions, DetectScratch, FeaturizeCache, SpodConfig, SpodDetector};
+    use cooper_spod::{DetectOptions, DetectScratch, SpodConfig, SpodDetector};
 
     /// Points inside the detector's voxel extent, around sensor height.
     fn cloud(max: usize) -> impl Strategy<Value = PointCloud> {
@@ -653,7 +653,7 @@ mod memo {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
-        fn detect_incremental_equals_detect_with_on_a_delta_stream(
+        fn a_reused_scratch_detects_as_a_fresh_one_on_a_delta_stream(
             base in cloud(150),
             steps in prop::collection::vec((0..3u32, any::<u64>(), 1..4usize), 1..6),
             keyframe_every in 1u32..4,
@@ -661,13 +661,13 @@ mod memo {
             // A drifting scene: each step moves one point by half a
             // metre, appends a point or drops the last one, then sends
             // the scene one to three times, as a static scene would be.
-            // Every reconstruction goes through one memo per executor
-            // width and must equal plain detection bit for bit.
+            // Every reconstruction goes through one scratch per executor
+            // width, kept across the stream, and must equal detection
+            // with a fresh scratch bit for bit.
             let det = SpodDetector::new(SpodConfig::default());
             let mut enc = DeltaEncoder::new(VoxelGridConfig::voxelnet_car(), keyframe_every);
             let mut dec = DeltaDecoder::new();
-            let mut caches = [FeaturizeCache::new(), FeaturizeCache::new()];
-            let mut scratch = DetectScratch::new();
+            let mut scratches = [DetectScratch::new(), DetectScratch::new()];
             let mut scene = base.as_slice().to_vec();
             for (step, &(edit, pick, sends)) in steps.iter().enumerate() {
                 match edit {
@@ -692,12 +692,12 @@ mod memo {
                     };
                     let bytes = encode_cloud_v2(&sent, kind, false).unwrap();
                     let received = dec.decode_next(&bytes).unwrap();
-                    for (threads, cache) in [1, 2].into_iter().zip(caches.iter_mut()) {
+                    for (threads, scratch) in [1, 2].into_iter().zip(scratches.iter_mut()) {
                         let options = DetectOptions::default()
                             .with_threshold(0.4)
                             .with_executor(Executor::new(Some(threads)));
                         let want = det.detect_with(&received, &options, &mut DetectScratch::new());
-                        let got = det.detect_incremental(&received, &options, &mut scratch, cache);
+                        let got = det.detect_with(&received, &options, scratch);
                         prop_assert!(all_bits(&got) == all_bits(&want),
                             "step {step} send {send}: {} vs {} detections at {threads} threads",
                             got.len(), want.len());

@@ -59,18 +59,13 @@ pub const V2X_FRAMES_LOST: &str = "v2x.frames_lost";
 pub const V2X_TX_BYTES: &str = "v2x.tx_bytes";
 /// Occupied voxels after voxelization.
 pub const SPOD_VOXELS_OCCUPIED: &str = "spod.voxels_occupied";
-/// Incremental detect calls answered from the memo (input cloud
-/// bitwise-unchanged, same threshold and class).
-pub const SPOD_INCREMENTAL_HITS: &str = "spod.incremental.hits";
 /// Voxelization chunk partials reused across steps. No longer emitted:
-/// incremental perception is a detection memo and reuses no partials.
-/// Kept registered so benchmark records that read it stay valid; it
-/// reads 0.
+/// detection reuses nothing across steps. Kept registered so benchmark
+/// records that read it stay valid; it reads 0.
 pub const SPOD_INCREMENTAL_CHUNKS_REUSED: &str = "spod.incremental.chunks_reused";
 /// Cached VFE rows copied instead of re-encoded. No longer emitted:
-/// incremental perception is a detection memo and reuses no VFE rows.
-/// Kept registered so benchmark records that read it stay valid; it
-/// reads 0.
+/// detection reuses nothing across steps. Kept registered so benchmark
+/// records that read it stay valid; it reads 0.
 pub const SPOD_INCREMENTAL_VOXELS_REUSED: &str = "spod.incremental.voxels_reused";
 /// Detections fed into per-vehicle trackers.
 pub const TRACK_DETECTIONS_IN: &str = "track.detections_in";
@@ -222,7 +217,6 @@ pub const ALL_METRICS: &[&str] = &[
     V2X_FRAMES_LOST,
     V2X_TX_BYTES,
     SPOD_VOXELS_OCCUPIED,
-    SPOD_INCREMENTAL_HITS,
     SPOD_INCREMENTAL_CHUNKS_REUSED,
     SPOD_INCREMENTAL_VOXELS_REUSED,
     TRACK_DETECTIONS_IN,

@@ -234,8 +234,8 @@ impl DsrcConfig {
         if !(0.0..1.0).contains(&self.loss_probability) {
             return Err("loss probability must be in [0, 1)".into());
         }
-        if self.per_frame_access_time < 0.0 {
-            return Err("access time must be non-negative".into());
+        if !(0.0..f64::INFINITY).contains(&self.per_frame_access_time) {
+            return Err("access time must be finite and non-negative".into());
         }
         if !(0.0..1.0).contains(&self.corruption_probability) {
             return Err("corruption probability must be in [0, 1)".into());
@@ -560,5 +560,16 @@ mod tests {
             ..DsrcConfig::default()
         };
         assert!(c2.validate().unwrap_err().contains("access"));
+    }
+
+    #[test]
+    fn validate_rejects_a_non_finite_access_time() {
+        for t in [f64::NAN, f64::INFINITY] {
+            let c = DsrcConfig {
+                per_frame_access_time: t,
+                ..DsrcConfig::default()
+            };
+            assert!(c.validate().unwrap_err().contains("access"), "{t}");
+        }
     }
 }

@@ -7,9 +7,12 @@
 //! for the whole file (this file is its own test binary), running the
 //! four channel regimes sequentially with a reset in between.
 
+#[path = "support/trace_join.rs"]
+mod trace_join;
+
 use cooper_core::fleet::{
-    straight_trajectory, FleetConfig, FleetSimulation, FleetStepReport, FleetVehicle,
-    TransportDropReason, TrustGuardConfig,
+    straight_trajectory, FleetConfig, FleetSimulation, FleetVehicle, TransportDropReason,
+    TrustGuardConfig,
 };
 use cooper_core::{AlignmentGuardConfig, CooperPipeline, PerfectChannel};
 use cooper_lidar_sim::{scenario, BeamModel, FaultPlan};
@@ -17,6 +20,7 @@ use cooper_spod::{SpodConfig, SpodDetector};
 use cooper_telemetry::trace::stage;
 use cooper_telemetry::{ChromeTrace, TraceId};
 use cooper_v2x::{ArqConfig, DsrcChannel, DsrcConfig, GilbertElliott, LossModel, SharedMedium};
+use trace_join::assert_drops_join;
 
 fn pipeline() -> CooperPipeline {
     CooperPipeline::new(SpodDetector::new(SpodConfig::default()))
@@ -44,72 +48,6 @@ fn fleet(azimuth_steps: usize, fault_plan: Option<FaultPlan>) -> FleetSimulation
             ..FleetConfig::default()
         },
     )
-}
-
-/// The stage the fleet's drop table maps each [`TransportDropReason`]
-/// to, spelled out here so a swapped table entry fails this test.
-fn expected_stage(reason: &TransportDropReason) -> &'static str {
-    match reason {
-        TransportDropReason::DeadlineExceeded => stage::DEADLINE_EXCEEDED,
-        TransportDropReason::PartialDelivery { .. } => stage::SALVAGED,
-        TransportDropReason::SalvageFailed { .. } => stage::SALVAGE_FAILED,
-        TransportDropReason::BudgetExceeded => stage::GOVERN_SKIP,
-        TransportDropReason::AlignmentRejected { .. } => stage::ALIGN_REJECTED,
-        TransportDropReason::Corrupted => stage::V2X_CORRUPTED,
-        TransportDropReason::IntegrityFailed => stage::INTEGRITY_FAILED,
-        TransportDropReason::Quarantined => stage::QUARANTINED,
-        TransportDropReason::ConsistencyRejected { .. } => stage::CONSISTENCY_REJECTED,
-    }
-}
-
-/// The join the tracing exists for: every reported transport drop must
-/// resolve, by its `(step, from, to)` identity, to a trace chain with
-/// exactly one terminal stage — the stage its [`TransportDropReason`]
-/// maps to ([`expected_stage`]). A salvaged partial delivery passes its
-/// stage without ending there: the chain continues into fusion, so its
-/// terminal is whatever phase 3 decided.
-fn assert_drops_join(reports: &[FleetStepReport], trace: &ChromeTrace) {
-    for report in reports {
-        for drop in &report.transport_drops {
-            let id = TraceId::new(report.step, drop.from, drop.to);
-            let chain = trace.events_for(id);
-            let terminals: Vec<_> = chain.iter().filter(|e| e.terminal).collect();
-            assert_eq!(
-                terminals.len(),
-                1,
-                "transport drop {id} ({:?}) must end in exactly one terminal: {chain:?}",
-                drop.reason
-            );
-            let expected = expected_stage(&drop.reason);
-            match &drop.reason {
-                TransportDropReason::PartialDelivery { .. } => {
-                    assert!(
-                        chain.iter().any(|e| e.name == stage::PARTIAL),
-                        "{id}: {chain:?}"
-                    );
-                    assert!(
-                        chain.iter().any(|e| e.name == expected && !e.terminal),
-                        "{id}: {chain:?}"
-                    );
-                }
-                reason => {
-                    let terminal = terminals[0];
-                    assert_eq!(terminal.name, expected, "{id} ({reason:?}): {chain:?}");
-                    let detail = match reason {
-                        TransportDropReason::AlignmentRejected { residual_mm } => *residual_mm,
-                        TransportDropReason::ConsistencyRejected { ghost_points } => *ghost_points,
-                        _ => continue,
-                    };
-                    assert_eq!(terminal.detail, Some(u64::from(detail)), "{id}: {chain:?}");
-                }
-            }
-        }
-    }
-    // Stronger: *every* transfer the trace knows about ended somewhere —
-    // fused, rejected, dropped, or skipped. No chain dangles.
-    for id in trace.trace_ids() {
-        assert!(trace.has_terminal(id), "transfer {id} never terminated");
-    }
 }
 
 /// The stage names of one transfer's chain, in recording order.
